@@ -1,6 +1,7 @@
-"""Alignment matrices coupling source and target samples.
+"""Alignment losses coupling source and target samples.
 
-Three symmetric matrices of size (n_s + n_t) drive the subspace solver:
+Three symmetric matrices of size (n_s + n_t) encode the losses the subspace
+solver minimizes:
 
 * a domain term for the squared distance between the weighted source mean
   and the target mean,
@@ -11,7 +12,11 @@ Three symmetric matrices of size (n_s + n_t) drive the subspace solver:
 
 Each builder returns a plain symmetric ndarray M such that the loss it
 encodes equals ``trace(A.T @ X @ M @ X.T @ A)`` for a projection A and the
-column-per-sample matrix ``X = [X_s | X_t]``.
+column-per-sample matrix ``X = [X_s | X_t]``.  These dense builders are the
+reference oracles.  The adaptation loop calls :func:`alignment_scatter`
+instead, which forms the dim x dim matrix ``Z M Z.T`` of the combined loss
+straight from the rank-one, low-rank and class-indicator factors of the
+three terms, so no (n_s + n_t)-square array is ever built.
 """
 
 from __future__ import annotations
@@ -265,3 +270,66 @@ def combine(m0, mp, mc, alpha_p: float, alpha_c: float) -> np.ndarray:
     if alpha_p < 0 or alpha_c < 0:
         raise ValidationError("alpha_p and alpha_c must be non-negative")
     return symmetrize(m0 + alpha_p * mp + alpha_c * mc)
+
+
+def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
+                      alpha_c: float) -> np.ndarray:
+    """``Z @ combine(M0, Mp, Mc) @ Z.T`` formed from the factors of each term.
+
+    With ``e`` the mean-discrepancy vector of :func:`build_m0`, each term is
+    a Gram matrix of a dim-row factor:
+
+    * ``Z M0 Z.T = (Z e)(Z e).T``,
+    * ``Z Mp Z.T = D D.T`` with ``D = (Z_s Y_s)(G_s + eps I)^-1 P - Z_t``,
+    * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y)(G + eps I)^-1 Y.T`` and
+      ``Y = [Y_s; P.T]``,
+
+    where G_s and G are the indicator Gram matrices and eps is the same
+    ridge the dense builders use, so the result stays exact under it.
+
+    Parameters
+    ----------
+    z : ndarray (dim, n_s + n_t)
+        Data matrix of the solver, source columns first: raw features or
+        the linear kernel.
+    n_s : int
+        Number of source columns of ``z``.
+    omega : ndarray (n_s,)
+        Non-negative source sample weights.
+    y_s : ndarray (n_s, C)
+        One-hot source labels.
+    p : ndarray (C, n_t)
+        Soft target labels, already masked.
+    alpha_p, alpha_c : float
+        Non-negative weights of the center and cluster terms.
+    """
+    z = np.asarray(z, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    y_s = np.asarray(y_s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if (z.ndim != 2 or omega.shape != (n_s,) or y_s.ndim != 2 or p.ndim != 2
+            or y_s.shape[0] != n_s or y_s.shape[1] != p.shape[0]
+            or z.shape[1] != n_s + p.shape[1]):
+        raise ValidationError(
+            f"inconsistent shapes: data {z.shape}, {n_s} source samples, "
+            f"weights {omega.shape}, labels {y_s.shape}, soft labels {p.shape}"
+        )
+    if (omega < 0).any() or omega.sum() <= 0:
+        raise ValidationError("omega must be non-negative with a positive sum")
+    if alpha_p < 0 or alpha_c < 0:
+        raise ValidationError("alpha_p and alpha_c must be non-negative")
+    z_s, z_t = z[:, :n_s], z[:, n_s:]
+    soft_mass = p.sum(axis=1)
+
+    ze = z_s @ omega / omega.sum() - z_t.mean(axis=1)
+    scatter = np.outer(ze, ze)
+
+    gram_s = y_s.T @ y_s
+    d = (z_s @ y_s) @ solve_gram_system(gram_s, p, _ridge_eps(gram_s, soft_mass)) - z_t
+    scatter += alpha_p * (d @ d.T)
+
+    y = np.vstack([y_s, p.T])
+    gram = y.T @ y
+    r = z - (z @ y) @ solve_gram_system(gram, y.T, _ridge_eps(gram, soft_mass))
+    scatter += alpha_c * (r @ r.T)
+    return scatter

@@ -16,13 +16,9 @@ import numpy as np
 
 from .alignment import (
     ClassWeights,
+    alignment_scatter,
     apply_mask,
     binarize_weights,
-    build_center_operators,
-    build_m0,
-    build_mc,
-    build_mp,
-    combine,
     compute_class_weights,
     source_sample_weights,
 )
@@ -127,12 +123,9 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         try:
             p_masked, mask_fallbacks = apply_mask(p, weights)
             omega = source_sample_weights(weights, y_s, binary=config.binary_sample_weights)
-            m0 = build_m0(omega, n_t)
-            ops = build_center_operators(x_s, y_s, p_masked)
-            mp = build_mp(ops)
-            mc = build_mc(y_s, p_masked)
-            m_all = combine(m0, mp, mc, config.alpha_p, config.alpha_c)
-            proj = solve_projection(data, m_all, config.lam, config.k, config.rhs_reg)
+            scatter = alignment_scatter(data.matrix, n_s, omega, y_s, p_masked,
+                                        config.alpha_p, config.alpha_c)
+            proj = solve_projection(data, scatter, config.lam, config.k, config.rhs_reg)
 
             z = embed(proj, data)
             g = build_graph(z[:, :n_s], z[:, n_s:], config.sigma)
@@ -143,7 +136,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
 
             fraction = label_change_fraction(hard_prev, hard)
             history.append(IterationRecord(
-                objective=projection_objective(proj, data, m_all, config.lam),
+                objective=projection_objective(proj, scatter, config.lam),
                 label_change_fraction=fraction,
                 surviving_classes=weights.surviving,
                 mask_fallbacks=mask_fallbacks,

@@ -1,11 +1,15 @@
 """Projection learning via a symmetric-definite generalized eigenproblem.
 
-Given the combined alignment matrix M and the data matrix Z (raw features
-or a linear kernel), the projection A stacks the eigenvectors of
+Given the data matrix Z (raw features or a linear kernel) and the dim x dim
+scatter ``S = Z M Z.T`` of the combined alignment matrix M, the projection A
+stacks the eigenvectors of
 
-    (Z M Z.T + lam I) a = phi (Z H Z.T + eps_r I) a
+    (S + lam I) a = phi (Z H Z.T + eps_r I) a
 
 belonging to the k smallest eigenvalues, where H is the centering matrix.
+The solver never sees M itself: the loop builds S from the factors of the
+alignment terms (:func:`partialda.alignment.alignment_scatter`), and
+``Z H Z.T`` is computed once per run from the column-centred Z.
 Minimizing the alignment losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
 """
@@ -24,14 +28,14 @@ from .alignment import symmetrize
 
 @dataclass(frozen=True)
 class KernelizedData:
-    """Data matrix fed to the solver plus its centering matrix.
+    """Data matrix fed to the solver plus its centred scatter ``Z H Z.T``.
 
     mode is "raw" when matrix holds the (d, n) features themselves and
     "kernel" when it holds the (n, n) Gram matrix of inner products.
     """
 
     matrix: np.ndarray
-    h: np.ndarray
+    zhz: np.ndarray
     mode: str
     n_samples: int
 
@@ -64,19 +68,22 @@ def gram_matrix(x, kernel: str = "none") -> KernelizedData:
         raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
     if kernel not in KERNELS:
         raise ValidationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    n = x.shape[1]
     if kernel == "linear":
-        return KernelizedData(matrix=symmetrize(x.T @ x), h=centering_matrix(n),
-                              mode="kernel", n_samples=n)
-    return KernelizedData(matrix=x, h=centering_matrix(n), mode="raw", n_samples=n)
+        z, mode = symmetrize(x.T @ x), "kernel"
+    else:
+        z, mode = x, "raw"
+    centred = z - z.mean(axis=1, keepdims=True)
+    return KernelizedData(matrix=z, zhz=centred @ centred.T, mode=mode,
+                          n_samples=x.shape[1])
 
 
 def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
 
-    rhs must be positive definite.  Eigenvalues come back ascending and each
-    eigenvector is scaled so its largest-magnitude entry is positive, which
-    pins down the sign deterministically.
+    rhs must be positive definite.  Only the k wanted pairs are computed.
+    Eigenvalues come back ascending and each eigenvector is scaled so its
+    largest-magnitude entry is positive, which pins down the sign
+    deterministically.
     """
     dim = lhs.shape[0]
     if k < 1 or k > dim:
@@ -84,15 +91,14 @@ def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarr
             f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
         )
     try:
-        phi, vecs = scipy.linalg.eigh(lhs, rhs)
+        phi, vecs = scipy.linalg.eigh(lhs, rhs, subset_by_index=[0, k - 1])
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(
             "generalized eigensolver failed "
             f"(cond lhs {np.linalg.cond(lhs):.3e}, cond rhs {np.linalg.cond(rhs):.3e}): {exc}"
         ) from exc
-    phi_k = phi[:k]
-    a = vecs[:, :k].copy()
-    if not (np.isfinite(phi_k).all() and np.isfinite(a).all()):
+    a = vecs.copy()
+    if not (np.isfinite(phi).all() and np.isfinite(a).all()):
         n_ok = int(np.isfinite(phi).cumprod().sum())
         raise NumericalError(
             f"only {n_ok} numerically valid eigenpairs "
@@ -101,19 +107,20 @@ def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarr
         )
     flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
     a[:, flip] *= -1.0
-    return phi_k, a
+    return phi, a
 
 
-def solve_projection(data: KernelizedData, m_all, lam: float, k: int,
+def solve_projection(data: KernelizedData, scatter, lam: float, k: int,
                      rhs_reg: float = 1e-6) -> Projection:
-    """Learn the k-dimensional projection for a combined alignment matrix.
+    """Learn the k-dimensional projection for a combined alignment loss.
 
     Parameters
     ----------
     data : KernelizedData
         Output of :func:`gram_matrix`.
-    m_all : ndarray (n, n)
-        Symmetric combined alignment matrix.
+    scatter : ndarray (dim, dim)
+        Symmetric ``Z M Z.T`` of the combined alignment matrix M, where dim
+        is the row count of the data matrix.
     lam : float
         Positive ridge on the projection columns.
     k : int
@@ -130,21 +137,21 @@ def solve_projection(data: KernelizedData, m_all, lam: float, k: int,
         When the eigensolver fails or returns non-finite values.
     """
     z = np.asarray(data.matrix, dtype=float)
-    m_all = np.asarray(m_all, dtype=float)
+    scatter = np.asarray(scatter, dtype=float)
     n = data.n_samples
-    if m_all.shape != (n, n):
+    dim = z.shape[0]
+    if scatter.shape != (dim, dim):
         raise ValidationError(
-            f"alignment matrix shape {m_all.shape} does not match {n} samples"
+            f"alignment scatter shape {scatter.shape} does not match the {dim} data rows"
         )
     if lam <= 0:
         raise ValidationError(f"lam must be positive, got {lam}")
-    dim = z.shape[0]
     if k > dim:
         raise ValidationError(
             f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
         )
-    lhs = symmetrize(z @ m_all @ z.T) + lam * np.eye(dim)
-    zhz = symmetrize(z @ data.h @ z.T)
+    lhs = symmetrize(scatter) + lam * np.eye(dim)
+    zhz = data.zhz
     variance = float(np.trace(zhz))
     floor = n * np.finfo(float).eps * max(1.0, float(np.sum(z * z)))
     if variance <= floor:
@@ -171,8 +178,11 @@ def embed(proj: Projection, data: KernelizedData) -> np.ndarray:
     return proj.a.T @ data.matrix
 
 
-def projection_objective(proj: Projection, data: KernelizedData, m_all,
-                         lam: float) -> float:
-    """Value of trace(A.T Z M Z.T A) + lam ||A||_F^2 for a learned projection."""
-    e = proj.a.T @ data.matrix
-    return float(np.sum((e @ np.asarray(m_all, dtype=float)) * e) + lam * np.sum(proj.a ** 2))
+def projection_objective(proj: Projection, scatter, lam: float) -> float:
+    """Value of trace(A.T S A) + lam ||A||_F^2 for a learned projection.
+
+    ``scatter`` is the same dim x dim ``S = Z M Z.T`` the projection was
+    solved for.
+    """
+    a = proj.a
+    return float(np.sum((np.asarray(scatter, dtype=float) @ a) * a) + lam * np.sum(a ** 2))

@@ -134,12 +134,12 @@ def test_criterion_2_eigensolver_residuals():
             n = data.n_samples
             lam = 0.1
             k = max(1, z.shape[0] // 2)
-            proj = solve_projection(data, m_all, lam, k)
+            proj = solve_projection(data, z @ m_all @ z.T, lam, k)
             a, phi = proj.a, proj.eigenvalues
 
             lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
             lhs = (lhs + lhs.T) / 2
-            zhz = z @ data.h @ z.T
+            zhz = z @ centering_matrix(n) @ z.T
             zhz = (zhz + zhz.T) / 2
             rhs = zhz + 1e-6 * np.trace(zhz) / n * np.eye(z.shape[0])
             residual = np.linalg.norm(lhs @ a - rhs @ a @ np.diag(phi))
@@ -299,7 +299,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 5)), "none"), np.eye(5), 0.1, 2)),
+                gram_matrix(np.ones((3, 5)), "none"), np.eye(3), 0.1, 2)),
             (ValidationError, lambda: embed(raw_proj, kernel_data)),
             (ValidationError, lambda: build_graph(np.eye(2), np.eye(2), 0.0)),
             (NumericalError, lambda: propagate(singular_graph, y2)),

@@ -23,7 +23,7 @@ from partialda import (
     compute_class_weights,
     source_sample_weights,
 )
-from partialda.alignment import solve_gram_system
+from partialda.alignment import alignment_scatter, solve_gram_system
 
 
 def random_instance(rng, with_mask=False):
@@ -277,6 +277,54 @@ def test_combine_trace_identity_against_sum_of_oracles():
             + alpha_c * oracle_cluster_gap(x_s, y_s, x_t, p, a)
         )
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def test_alignment_scatter_matches_dense_oracle():
+    # The factored scatter replaces Z @ combine(M0, Mp, Mc) @ Z.T in the loop.
+    rng = np.random.default_rng(18)
+    ridged = 0
+    for i in range(120):
+        x_s, y_s, x_t, p = random_instance(rng)
+        if i % 3 == 0:
+            p[int(rng.integers(p.shape[0])), :] = 0.0  # a class at zero soft mass
+            p[:, p.sum(axis=0) == 0] = 1.0 / p.shape[0]
+            ridged += bool((p.sum(axis=1) < 1e-8).any())
+        omega = rng.random(x_s.shape[1]) + 0.1
+        alpha_p, alpha_c = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
+        if i % 5 == 1:
+            alpha_p = 0.0
+        if i % 5 == 2:
+            alpha_c = 0.0
+        x = np.hstack([x_s, x_t])
+        z = x if i % 2 else x.T @ x  # raw features, then the linear kernel
+        m_all = combine(
+            build_m0(omega, x_t.shape[1]),
+            build_mp(build_center_operators(x_s, y_s, p)),
+            build_mc(y_s, p),
+            alpha_p,
+            alpha_c,
+        )
+        want = z @ m_all @ z.T
+        got = alignment_scatter(z, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
+        assert got.shape == (z.shape[0], z.shape[0])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert ridged >= 30
+
+
+def test_alignment_scatter_validation():
+    rng = np.random.default_rng(19)
+    x_s, y_s, x_t, p = random_instance(rng)
+    z = np.hstack([x_s, x_t])
+    n_s = x_s.shape[1]
+    omega = np.ones(n_s)
+    with pytest.raises(ValidationError, match="shapes"):
+        alignment_scatter(z[:, 1:], n_s, omega, y_s, p, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="shapes"):
+        alignment_scatter(z, n_s, omega, y_s, p[1:], 1.0, 1.0)
+    with pytest.raises(ValidationError, match="omega"):
+        alignment_scatter(z, n_s, np.zeros(n_s), y_s, p, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="alpha"):
+        alignment_scatter(z, n_s, omega, y_s, p, -1.0, 1.0)
 
 
 def test_compute_class_weights_normalizes():

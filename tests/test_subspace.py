@@ -99,6 +99,30 @@ def test_generalized_eigh_k_out_of_range():
         generalized_eigh(np.eye(3), np.eye(3), k=4)
 
 
+def test_generalized_eigh_matches_full_spectrum():
+    # Only the k smallest pairs are computed; they must be the first k of
+    # the full spectrum, up to the sign convention.
+    import scipy.linalg
+
+    rng = np.random.default_rng(28)
+    for _ in range(30):
+        dim = int(rng.integers(2, 40))
+        k = int(rng.integers(1, dim + 1))
+        b = rng.standard_normal((dim, dim))
+        c = rng.standard_normal((dim, 2 * dim))
+        lhs = (b + b.T) / 2
+        rhs = c @ c.T / dim + 0.1 * np.eye(dim)
+        phi, a = generalized_eigh(lhs, rhs, k)
+        full_phi, full_vecs = scipy.linalg.eigh(lhs, rhs)
+        assert phi.shape == (k,) and a.shape == (dim, k)
+        assert np.allclose(phi, full_phi[:k], rtol=1e-10, atol=1e-10)
+        want = full_vecs[:, :k] * np.sign(
+            full_vecs[np.argmax(np.abs(full_vecs[:, :k]), axis=0), np.arange(k)])
+        assert np.allclose(a, want, rtol=1e-7, atol=1e-7)
+        idx = np.argmax(np.abs(a), axis=0)
+        assert (a[idx, np.arange(k)] > 0).all()
+
+
 def test_solve_projection_residual_and_constraint():
     rng = np.random.default_rng(21)
     for _ in range(40):
@@ -107,11 +131,11 @@ def test_solve_projection_residual_and_constraint():
         n = data.n_samples
         lam = 0.1
         k = max(1, z.shape[0] // 2)
-        proj = solve_projection(data, m_all, lam, k)
+        proj = solve_projection(data, z @ m_all @ z.T, lam, k)
         a, phi = proj.a, proj.eigenvalues
         lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
         lhs = (lhs + lhs.T) / 2
-        zhz = z @ data.h @ z.T
+        zhz = z @ centering_matrix(n) @ z.T
         zhz = (zhz + zhz.T) / 2
         eps_r = 1e-6 * np.trace(zhz) / n
         rhs = zhz + eps_r * np.eye(z.shape[0])
@@ -135,7 +159,8 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
             continue
         k = 2
         lhs = (z @ m_all @ z.T + (z @ m_all @ z.T).T) / 2 + lam * np.eye(d)
-        zhz = (z @ data.h @ z.T + (z @ data.h @ z.T).T) / 2
+        h = centering_matrix(data.n_samples)
+        zhz = (z @ h @ z.T + (z @ h @ z.T).T) / 2
         rhs = zhz + 1e-6 * np.trace(zhz) / data.n_samples * np.eye(d)
         import scipy.linalg
 
@@ -152,15 +177,16 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
     data, m_all = solver_instance(rng)
+    scatter = data.matrix @ m_all @ data.matrix.T
     k = max(1, data.matrix.shape[0] // 2)
-    p1 = solve_projection(data, m_all, 0.1, k)
-    p2 = solve_projection(data, m_all, 0.1, k)
+    p1 = solve_projection(data, scatter, 0.1, k)
+    p2 = solve_projection(data, scatter, 0.1, k)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
     idx = np.argmax(np.abs(p1.a), axis=0)
     assert (p1.a[idx, np.arange(k)] > 0).all()
-    assert projection_objective(p1, data, m_all, 0.1) == projection_objective(
-        p2, data, m_all, 0.1
+    assert projection_objective(p1, scatter, 0.1) == projection_objective(
+        p2, scatter, 0.1
     )
 
 
@@ -168,14 +194,15 @@ def test_solve_projection_k_too_large():
     rng = np.random.default_rng(24)
     data, m_all = solver_instance(rng)
     with pytest.raises(ValidationError, match="smaller k"):
-        solve_projection(data, m_all, 0.1, data.matrix.shape[0] + 1)
+        solve_projection(data, data.matrix @ m_all @ data.matrix.T, 0.1,
+                         data.matrix.shape[0] + 1)
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
     data, _ = solver_instance(rng)
     with pytest.raises(ValidationError):
-        solve_projection(data, np.eye(data.n_samples + 1), 0.1, 1)
+        solve_projection(data, np.eye(data.matrix.shape[0] + 1), 0.1, 1)
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
@@ -183,9 +210,9 @@ def test_solve_projection_degenerate_data_is_numerical_error():
     x = np.ones((3, 5))
     data = gram_matrix(x, "none")
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(data, np.eye(5), 0.1, 2)
+        solve_projection(data, np.eye(3), 0.1, 2)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 4)), "none"), np.eye(4), 0.1, 1)
+        solve_projection(gram_matrix(np.zeros((2, 4)), "none"), np.eye(2), 0.1, 1)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -197,7 +224,7 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 def test_embed_linearity_and_errors():
     rng = np.random.default_rng(26)
     data, m_all = solver_instance(rng)
-    proj = solve_projection(data, m_all, 0.1, 2)
+    proj = solve_projection(data, data.matrix @ m_all @ data.matrix.T, 0.1, 2)
     z = embed(proj, data)
     assert z.shape == (2, data.n_samples)
     manual = proj.a.T @ data.matrix
@@ -214,9 +241,9 @@ def test_embed_linearity_and_errors():
 def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
     data, m_all = solver_instance(rng)
-    proj = solve_projection(data, m_all, 0.1, 2)
     z = data.matrix
+    proj = solve_projection(data, z @ m_all @ z.T, 0.1, 2)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
     )
-    assert projection_objective(proj, data, m_all, 0.1) == pytest.approx(want, rel=1e-12)
+    assert projection_objective(proj, z @ m_all @ z.T, 0.1) == pytest.approx(want, rel=1e-12)
