@@ -10,6 +10,7 @@ of dragging the projection toward them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,15 @@ def _validated_inputs(x_s, y_s, x_t):
     return x_s, y_s, x_t
 
 
+@contextmanager
+def _round(it: int):
+    """Prefix errors raised inside round ``it`` with ``iteration it:``."""
+    try:
+        yield
+    except AdaptationError as exc:
+        raise type(exc)(f"iteration {it}: {exc}") from exc
+
+
 def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationResult:
     """Adapt source knowledge to a target domain covering fewer classes.
 
@@ -98,7 +108,9 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     Notes
     -----
     The run is deterministic: identical inputs give identical outputs.
-    Errors raised inside round ``i`` carry an ``iteration i:`` prefix.
+    Errors raised inside round ``i`` carry an ``iteration i:`` prefix; the
+    constraint side, factored once before the first round, counts as
+    round 1.
     """
     config = config or AdaptationConfig()
     x_s, y_s, x_t = _validated_inputs(x_s, y_s, x_t)
@@ -110,24 +122,28 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
             f"for kernel={config.kernel!r}"
         )
     source_classes = np.argmax(y_s, axis=1)
-    data = gram_matrix(np.hstack([x_s, x_t]), config.kernel)
 
-    g0 = build_graph(x_s, x_t, config.sigma)
-    p = propagate(g0, y_s)
+    p = propagate(build_graph(x_s, x_t, config.sigma), y_s)
     weights = binarize_weights(compute_class_weights(p), config.delta)
     hard_prev = hard_labels(p)
+
+    with _round(1):  # factored once per run, so its failures belong to round one
+        data = gram_matrix(np.hstack([x_s, x_t]), config.kernel, config.lam, config.rhs_reg)
 
     history: list[IterationRecord] = []
     proj: Projection | None = None
     for it in range(1, config.max_iterations + 1):
-        try:
+        with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
             omega = source_sample_weights(weights, y_s, binary=config.binary_sample_weights)
-            scatter = alignment_scatter(data.matrix, n_s, omega, y_s, p_masked,
+            scatter = alignment_scatter(data.whitened, n_s, omega, y_s, p_masked,
                                         config.alpha_p, config.alpha_c)
-            proj = solve_projection(data, scatter, config.lam, config.k, config.rhs_reg)
+            proj = solve_projection(data, scatter, config.k)
 
             z = embed(proj, data)
+            objective = projection_objective(
+                proj, alignment_scatter(z, n_s, omega, y_s, p_masked,
+                                        config.alpha_p, config.alpha_c), config.lam)
             g = build_graph(z[:, :n_s], z[:, n_s:], config.sigma)
             g, graph_fallbacks = reweight_graph(g, weights, source_classes)
             p = propagate(g, y_s)
@@ -136,15 +152,13 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
 
             fraction = label_change_fraction(hard_prev, hard)
             history.append(IterationRecord(
-                objective=projection_objective(proj, scatter, config.lam),
+                objective=objective,
                 label_change_fraction=fraction,
                 surviving_classes=weights.surviving,
                 mask_fallbacks=mask_fallbacks,
                 graph_fallbacks=graph_fallbacks,
             ))
             hard_prev = hard
-        except AdaptationError as exc:
-            raise type(exc)(f"iteration {it}: {exc}") from exc
         if fraction <= config.convergence_tol:
             break
     return AdaptationResult(

@@ -7,11 +7,17 @@ stacks the eigenvectors of
     (S + lam I) a = phi (Z H Z.T + eps_r I) a
 
 belonging to the k smallest eigenvalues, where H is the centering matrix.
-The solver never sees M itself: the loop builds S from the factors of the
-alignment terms (:func:`partialda.alignment.alignment_scatter`), and
-``Z H Z.T`` is computed once per run from the column-centred Z.
 Minimizing the alignment losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
+
+Only S changes between rounds, so :func:`gram_matrix` factors the
+constraint side once per run, ``Z H Z.T + eps_r I = L L.T``, and keeps
+``L^-1``, the whitened data ``L^-1 Z`` and the whitened ridge
+``lam L^-1 L^-T``.  The loop builds the scatter from the whitened data
+(:func:`partialda.alignment.alignment_scatter` is linear in Z, so it
+returns ``L^-1 S L^-T``), and each round is then one standard symmetric
+``numpy.linalg.eigh`` whose eigenvectors v map back as ``a = L^-T v``.
+Everything runs on numpy's own BLAS/LAPACK.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import KERNELS
 from .errors import NumericalError, ValidationError
@@ -28,14 +33,18 @@ from .alignment import symmetrize
 
 @dataclass(frozen=True)
 class KernelizedData:
-    """Data matrix fed to the solver plus its centred scatter ``Z H Z.T``.
+    """Data matrix fed to the solver plus its factored constraint side.
 
     mode is "raw" when matrix holds the (d, n) features themselves and
-    "kernel" when it holds the (n, n) Gram matrix of inner products.
+    "kernel" when it holds the (n, n) Gram matrix of inner products.  With
+    ``Z H Z.T + eps_r I = L L.T``, ``l_inv`` is ``L^-1``, ``whitened`` is
+    ``L^-1 Z`` and ``ridge`` is ``lam L^-1 L^-T``.
     """
 
     matrix: np.ndarray
-    zhz: np.ndarray
+    whitened: np.ndarray
+    l_inv: np.ndarray
+    ridge: np.ndarray
     mode: str
     n_samples: int
 
@@ -56,78 +65,136 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def gram_matrix(x, kernel: str = "none") -> KernelizedData:
-    """Wrap features for the solver, optionally as a linear kernel.
-
-    With ``kernel="none"`` the features pass through untouched; with
-    ``"linear"`` the (n, n) matrix of inner products replaces them and the
-    projection is later expressed in sample coordinates.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
-    if kernel not in KERNELS:
-        raise ValidationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if kernel == "linear":
-        z, mode = symmetrize(x.T @ x), "kernel"
-    else:
-        z, mode = x, "raw"
-    centred = z - z.mean(axis=1, keepdims=True)
-    return KernelizedData(matrix=z, zhz=centred @ centred.T, mode=mode,
-                          n_samples=x.shape[1])
+def _cond(m: np.ndarray) -> float:
+    """Condition number for an error message; inf when it cannot be computed."""
+    try:
+        return float(np.linalg.cond(m))
+    except np.linalg.LinAlgError:
+        return float("inf")
 
 
-def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
+def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
+    """``L^-1`` for ``rhs = L L.T``; only the lower triangle of rhs is read."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(rhs))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"constraint side is not positive definite (cond rhs {_cond(rhs):.3e}): {exc}"
+        ) from exc
 
-    rhs must be positive definite.  Only the k wanted pairs are computed.
-    Eigenvalues come back ascending and each eigenvector is scaled so its
-    largest-magnitude entry is positive, which pins down the sign
-    deterministically.
-    """
-    dim = lhs.shape[0]
+
+def _check_k(k: int, dim: int) -> None:
     if k < 1 or k > dim:
         raise ValidationError(
             f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
         )
+
+
+def _smallest_pairs(pencil: np.ndarray, l_inv: np.ndarray,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs of a whitened pencil, mapped back by ``L^-T``.
+
+    Only the lower triangle of ``pencil`` is read.  Each eigenvector is
+    scaled so its largest-magnitude entry is positive, which pins down the
+    sign deterministically.
+    """
     try:
-        phi, vecs = scipy.linalg.eigh(lhs, rhs, subset_by_index=[0, k - 1])
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
+        phi, vecs = np.linalg.eigh(pencil)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "generalized eigensolver failed "
-            f"(cond lhs {np.linalg.cond(lhs):.3e}, cond rhs {np.linalg.cond(rhs):.3e}): {exc}"
+            f"eigensolver failed (cond pencil {_cond(pencil):.3e}): {exc}"
         ) from exc
-    a = vecs.copy()
+    phi = phi[:k]
+    a = l_inv.T @ vecs[:, :k]
     if not (np.isfinite(phi).all() and np.isfinite(a).all()):
         n_ok = int(np.isfinite(phi).cumprod().sum())
         raise NumericalError(
             f"only {n_ok} numerically valid eigenpairs "
-            f"(cond lhs {np.linalg.cond(lhs):.3e}, cond rhs {np.linalg.cond(rhs):.3e}); "
-            "use a smaller k"
+            f"(cond pencil {_cond(pencil):.3e}); use a smaller k"
         )
     flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
     a[:, flip] *= -1.0
     return phi, a
 
 
-def solve_projection(data: KernelizedData, scatter, lam: float, k: int,
-                     rhs_reg: float = 1e-6) -> Projection:
+def gram_matrix(x, kernel: str = "none", lam: float = 0.1,
+                rhs_reg: float = 1e-6) -> KernelizedData:
+    """Wrap features for the solver and factor the constraint side once.
+
+    With ``kernel="none"`` the features pass through untouched; with
+    ``"linear"`` the (n, n) matrix of inner products replaces them and the
+    projection is later expressed in sample coordinates.  The constraint
+    side ``Z H Z.T`` receives ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its
+    diagonal so the pencil stays definite, and ``lam`` is the positive ridge
+    on the projection columns.
+
+    Raises
+    ------
+    ValidationError
+        On a bad shape, kernel or ``lam``.
+    NumericalError
+        When the centred data has no variance or the constraint side is not
+        positive definite.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
+    if kernel not in KERNELS:
+        raise ValidationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
+    if lam <= 0:
+        raise ValidationError(f"lam must be positive, got {lam}")
+    if kernel == "linear":
+        z, mode = symmetrize(x.T @ x), "kernel"
+    else:
+        z, mode = x, "raw"
+    n = x.shape[1]
+    centred = z - z.mean(axis=1, keepdims=True)
+    rhs = centred @ centred.T
+    del centred
+    variance = float(np.trace(rhs))
+    if variance <= n * np.finfo(float).eps * max(1.0, float(np.vdot(z, z))):
+        raise NumericalError(
+            f"centered data has no variance (trace {variance:.3e}); "
+            "the constraint side cannot be regularized"
+        )
+    rhs.flat[::rhs.shape[0] + 1] += rhs_reg * variance / n
+    l_inv = _inverse_cholesky(rhs)
+    del rhs
+    ridge = l_inv @ l_inv.T
+    ridge *= lam
+    return KernelizedData(matrix=z, whitened=l_inv @ z, l_inv=l_inv, ridge=ridge,
+                          mode=mode, n_samples=n)
+
+
+def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
+
+    rhs must be positive definite.  The pencil is reduced to standard form
+    with the Cholesky factor of rhs and solved on the path
+    :func:`solve_projection` takes.  Eigenvalues come back ascending and
+    each eigenvector is scaled so its largest-magnitude entry is positive.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    _check_k(k, lhs.shape[0])
+    l_inv = _inverse_cholesky(np.asarray(rhs, dtype=float))
+    return _smallest_pairs(l_inv @ lhs @ l_inv.T, l_inv, k)
+
+
+def solve_projection(data: KernelizedData, scatter, k: int) -> Projection:
     """Learn the k-dimensional projection for a combined alignment loss.
 
     Parameters
     ----------
     data : KernelizedData
-        Output of :func:`gram_matrix`.
+        Output of :func:`gram_matrix`, which fixed ``lam`` and ``rhs_reg``.
     scatter : ndarray (dim, dim)
-        Symmetric ``Z M Z.T`` of the combined alignment matrix M, where dim
-        is the row count of the data matrix.
-    lam : float
-        Positive ridge on the projection columns.
+        Whitened scatter ``L^-1 Z M Z.T L^-T`` of the combined alignment
+        matrix M, i.e. the scatter of ``data.whitened``, where dim is the
+        row count of the data matrix.  Only its lower triangle is read.
+        The ridge is added into it in place, so a float array passed here
+        is overwritten with the whitened pencil.
     k : int
         Number of eigenvectors, at most the row count of the data matrix.
-    rhs_reg : float
-        The constraint side receives ``rhs_reg * trace(Z H Z.T) / n`` on its
-        diagonal so the pencil stays definite.
 
     Raises
     ------
@@ -136,32 +203,15 @@ def solve_projection(data: KernelizedData, scatter, lam: float, k: int,
     NumericalError
         When the eigensolver fails or returns non-finite values.
     """
-    z = np.asarray(data.matrix, dtype=float)
     scatter = np.asarray(scatter, dtype=float)
-    n = data.n_samples
-    dim = z.shape[0]
+    dim = data.l_inv.shape[0]
     if scatter.shape != (dim, dim):
         raise ValidationError(
             f"alignment scatter shape {scatter.shape} does not match the {dim} data rows"
         )
-    if lam <= 0:
-        raise ValidationError(f"lam must be positive, got {lam}")
-    if k > dim:
-        raise ValidationError(
-            f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
-        )
-    lhs = symmetrize(scatter) + lam * np.eye(dim)
-    zhz = data.zhz
-    variance = float(np.trace(zhz))
-    floor = n * np.finfo(float).eps * max(1.0, float(np.sum(z * z)))
-    if variance <= floor:
-        raise NumericalError(
-            f"centered data has no variance (trace {variance:.3e}); "
-            "the constraint side cannot be regularized"
-        )
-    eps_r = rhs_reg * variance / n
-    rhs = zhz + eps_r * np.eye(dim)
-    phi, a = generalized_eigh(lhs, rhs, k)
+    _check_k(k, dim)
+    scatter += data.ridge
+    phi, a = _smallest_pairs(scatter, data.l_inv, k)
     return Projection(a=a, eigenvalues=phi, mode=data.mode)
 
 
@@ -181,8 +231,16 @@ def embed(proj: Projection, data: KernelizedData) -> np.ndarray:
 def projection_objective(proj: Projection, scatter, lam: float) -> float:
     """Value of trace(A.T S A) + lam ||A||_F^2 for a learned projection.
 
-    ``scatter`` is the same dim x dim ``S = Z M Z.T`` the projection was
-    solved for.
+    ``scatter`` is the k x k ``A.T S A``, the alignment scatter of the
+    embedded samples ``embed(proj, data)``:
+    :func:`partialda.alignment.alignment_scatter` is linear in its data, so
+    it forms this from the embedding directly, without the whitened ridge
+    whose norm would swamp a small objective.
     """
-    a = proj.a
-    return float(np.sum((np.asarray(scatter, dtype=float) @ a) * a) + lam * np.sum(a ** 2))
+    scatter = np.asarray(scatter, dtype=float)
+    k = proj.a.shape[1]
+    if scatter.shape != (k, k):
+        raise ValidationError(
+            f"projected scatter shape {scatter.shape} does not match the {k} projection columns"
+        )
+    return float(np.trace(scatter) + lam * np.sum(proj.a ** 2))

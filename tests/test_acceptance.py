@@ -134,7 +134,8 @@ def test_criterion_2_eigensolver_residuals():
             n = data.n_samples
             lam = 0.1
             k = max(1, z.shape[0] // 2)
-            proj = solve_projection(data, z @ m_all @ z.T, lam, k)
+            w = data.whitened
+            proj = solve_projection(data, w @ m_all @ w.T, k)
             a, phi = proj.a, proj.eigenvalues
 
             lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -273,7 +274,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
         )
         kernel_data = gram_matrix(np.eye(3), "linear")
         raw_proj = solve_projection(
-            gram_matrix(np.eye(4), "none"), np.eye(4), 0.1, 1
+            gram_matrix(np.eye(4), "none", 0.1), np.eye(4), 1
         )
 
         cases = [
@@ -299,7 +300,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 5)), "none"), np.eye(3), 0.1, 2)),
+                gram_matrix(np.ones((3, 5)), "none", 0.1), np.eye(3), 2)),
             (ValidationError, lambda: embed(raw_proj, kernel_data)),
             (ValidationError, lambda: build_graph(np.eye(2), np.eye(2), 0.0)),
             (NumericalError, lambda: propagate(singular_graph, y2)),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,8 +17,11 @@ from partialda import (
     projection_objective,
     solve_projection,
 )
+from partialda.alignment import alignment_scatter
 from tests.test_alignment import random_instance
 from partialda import build_center_operators, build_m0, build_mc, build_mp
+
+EPS = np.finfo(float).eps
 
 
 def solver_instance(rng, kernel="none"):
@@ -62,6 +70,89 @@ def conditioned_instance(rng):
     )
     data = gram_matrix(np.hstack([x_s, x_t]), "none")
     return data, m_all
+
+
+def whitened_scatter(data, m_all):
+    """The scatter the loop hands the solver: that of the whitened data."""
+    w = data.whitened
+    return w @ m_all @ w.T
+
+
+def projected_scatter(proj, data, m_all):
+    """``A.T Z M Z.T A``, the scatter of the embedded samples."""
+    e = embed(proj, data)
+    return e @ m_all @ e.T
+
+
+def dense_pencil(data, m_all, lam, rhs_reg):
+    """The dense lhs and rhs of the pencil that gram_matrix factors."""
+    z, n = data.matrix, data.n_samples
+    zhz = z @ centering_matrix(n) @ z.T
+    lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
+    rhs = zhz + rhs_reg * np.trace(zhz) / n * np.eye(z.shape[0])
+    return lhs, rhs
+
+
+def factored_instance(rng, kernel="none", rhs_reg=1e-6, full_rank=None):
+    """Random alignment instance solved the way the loop solves it.
+
+    full_rank=True keeps n >= d + 2 samples, so the raw constraint side
+    is nonsingular before its ridge; False keeps n <= d, so it is
+    singular.  Returns the projection, the data, the dense combined M and
+    the dense pencil.
+    """
+    while True:
+        x_s, y_s, x_t, p = random_instance(rng)
+        d, n = x_s.shape[0], x_s.shape[1] + x_t.shape[1]
+        if full_rank is None or (n >= d + 2 if full_rank else n <= d):
+            break
+    omega = rng.random(x_s.shape[1]) + 0.1
+    alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
+    m_all = combine(
+        build_m0(omega, x_t.shape[1]),
+        build_mp(build_center_operators(x_s, y_s, p)),
+        build_mc(y_s, p),
+        alpha_p,
+        alpha_c,
+    )
+    lam = 0.1
+    data = gram_matrix(np.hstack([x_s, x_t]), kernel, lam, rhs_reg)
+    k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
+    scatter = alignment_scatter(data.whitened, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
+    proj = solve_projection(data, scatter, k)
+    return proj, data, m_all, dense_pencil(data, m_all, lam, rhs_reg)
+
+
+def assert_matches_dense_eigh(phi, a, lhs, rhs, singular=False):
+    """Check k pairs against the k smallest of scipy's dense generalized eigh.
+
+    Eigenvalues must agree to 1e-10 relative and eigenvectors, up to sign,
+    to 1e-7 of their largest entry, and the sign rule must hold.  When the
+    constraint side is singular but for its ridge (``singular=True``), any
+    solver that reduces the pencil with a Cholesky factor, scipy's
+    included, is accurate only to about ``eps ||lhs|| ||rhs^-1||`` in the
+    eigenvalues (Golub & Van Loan, Matrix Computations, sec. 8.7.2); that
+    bound, and its effect on the vectors, is added to the tolerances there.
+    """
+    import scipy.linalg
+
+    k, dim = phi.shape[0], lhs.shape[0]
+    full_phi, full_vecs = scipy.linalg.eigh(lhs, rhs)
+    want_phi = full_phi[:k]
+    want = full_vecs[:, :k] * np.sign(
+        full_vecs[np.argmax(np.abs(full_vecs[:, :k]), axis=0), np.arange(k)])
+    phi_tol = 1e-10 * np.abs(want_phi)
+    vec_tol = np.full(k, 1e-7)
+    if singular:
+        bound = 32 * dim * EPS * np.linalg.norm(lhs, 2) * np.linalg.norm(np.linalg.inv(rhs), 2)
+        gaps = np.array([np.min(np.abs(np.delete(full_phi, i) - full_phi[i])) for i in range(k)])
+        phi_tol = phi_tol + bound
+        vec_tol = vec_tol + bound * np.sqrt(np.linalg.cond(rhs)) / gaps
+    assert phi.shape == (k,) and a.shape == (dim, k)
+    assert np.all(np.abs(phi - want_phi) <= phi_tol)
+    assert np.all(np.max(np.abs(a - want), axis=0) <= vec_tol * np.abs(want).max(axis=0))
+    idx = np.argmax(np.abs(a), axis=0)
+    assert (a[idx, np.arange(k)] > 0).all()
 
 
 def test_centering_matrix_properties():
@@ -131,7 +222,7 @@ def test_solve_projection_residual_and_constraint():
         n = data.n_samples
         lam = 0.1
         k = max(1, z.shape[0] // 2)
-        proj = solve_projection(data, z @ m_all @ z.T, lam, k)
+        proj = solve_projection(data, whitened_scatter(data, m_all), k)
         a, phi = proj.a, proj.eigenvalues
         lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
         lhs = (lhs + lhs.T) / 2
@@ -177,16 +268,16 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
     data, m_all = solver_instance(rng)
-    scatter = data.matrix @ m_all @ data.matrix.T
+    scatter = whitened_scatter(data, m_all)
     k = max(1, data.matrix.shape[0] // 2)
-    p1 = solve_projection(data, scatter, 0.1, k)
-    p2 = solve_projection(data, scatter, 0.1, k)
+    p1 = solve_projection(data, scatter.copy(), k)
+    p2 = solve_projection(data, scatter.copy(), k)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
     idx = np.argmax(np.abs(p1.a), axis=0)
     assert (p1.a[idx, np.arange(k)] > 0).all()
-    assert projection_objective(p1, scatter, 0.1) == projection_objective(
-        p2, scatter, 0.1
+    assert projection_objective(p1, projected_scatter(p1, data, m_all), 0.1) == projection_objective(
+        p2, projected_scatter(p2, data, m_all), 0.1
     )
 
 
@@ -194,25 +285,24 @@ def test_solve_projection_k_too_large():
     rng = np.random.default_rng(24)
     data, m_all = solver_instance(rng)
     with pytest.raises(ValidationError, match="smaller k"):
-        solve_projection(data, data.matrix @ m_all @ data.matrix.T, 0.1,
-                         data.matrix.shape[0] + 1)
+        solve_projection(data, whitened_scatter(data, m_all), data.matrix.shape[0] + 1)
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
     data, _ = solver_instance(rng)
     with pytest.raises(ValidationError):
-        solve_projection(data, np.eye(data.matrix.shape[0] + 1), 0.1, 1)
+        solve_projection(data, np.eye(data.matrix.shape[0] + 1), 1)
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
     # identical samples: centering removes everything, no variance remains
+    # the constraint side is factored once, in gram_matrix, so it raises there
     x = np.ones((3, 5))
-    data = gram_matrix(x, "none")
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(data, np.eye(3), 0.1, 2)
+        solve_projection(gram_matrix(x, "none"), np.eye(3), 2)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 4)), "none"), np.eye(2), 0.1, 1)
+        solve_projection(gram_matrix(np.zeros((2, 4)), "none"), np.eye(2), 1)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -224,7 +314,7 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 def test_embed_linearity_and_errors():
     rng = np.random.default_rng(26)
     data, m_all = solver_instance(rng)
-    proj = solve_projection(data, data.matrix @ m_all @ data.matrix.T, 0.1, 2)
+    proj = solve_projection(data, whitened_scatter(data, m_all), 2)
     z = embed(proj, data)
     assert z.shape == (2, data.n_samples)
     manual = proj.a.T @ data.matrix
@@ -242,8 +332,102 @@ def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
     data, m_all = solver_instance(rng)
     z = data.matrix
-    proj = solve_projection(data, z @ m_all @ z.T, 0.1, 2)
+    proj = solve_projection(data, whitened_scatter(data, m_all), 2)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
     )
-    assert projection_objective(proj, z @ m_all @ z.T, 0.1) == pytest.approx(want, rel=1e-12)
+    got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_gram_matrix_factors_the_constraint_side():
+    rng = np.random.default_rng(29)
+    for kernel in ("none", "linear"):
+        x = rng.standard_normal((5, 9))
+        data = gram_matrix(x, kernel, lam=0.3, rhs_reg=1e-4)
+        z, n = data.matrix, data.n_samples
+        _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, 1e-4)
+        l_inv = data.l_inv
+        assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
+        assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
+        assert np.allclose(data.whitened, l_inv @ z, rtol=1e-13, atol=1e-13)
+        assert np.allclose(data.ridge, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValidationError, match="lam"):
+        gram_matrix(x, "none", lam=0.0)
+    x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
+    with pytest.raises(NumericalError, match="cond"):
+        gram_matrix(x, "none", rhs_reg=0.0)
+
+
+def test_solve_projection_matches_dense_eigh_raw():
+    # Full-rank raw constraint side, at the default and a tiny rhs_reg.
+    rng = np.random.default_rng(30)
+    for i in range(80):
+        rhs_reg = 1e-6 if i % 2 else 1e-10
+        proj, _, _, (lhs, rhs) = factored_instance(rng, "none", rhs_reg, full_rank=True)
+        assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs)
+
+
+def test_solve_projection_matches_dense_eigh_linear_kernel():
+    # The centred Gram matrix is always singular; only eps_r makes it definite.
+    rng = np.random.default_rng(31)
+    for _ in range(80):
+        proj, _, _, (lhs, rhs) = factored_instance(rng, "linear")
+        assert np.linalg.cond(rhs) > 1e5
+        assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
+
+
+def test_solve_projection_matches_dense_eigh_ill_conditioned():
+    # rhs_reg=1e-10 on a singular constraint side: raw with n <= d, and kernel.
+    rng = np.random.default_rng(32)
+    for i in range(80):
+        kernel = "linear" if i % 2 else "none"
+        proj, _, _, (lhs, rhs) = factored_instance(
+            rng, kernel, 1e-10, full_rank=False if kernel == "none" else None)
+        assert np.linalg.cond(rhs) > 1e8
+        assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
+
+
+def test_generalized_eigh_clustered_eigenvalues():
+    # Pencils with prescribed spectra in clusters of three, 1e-6 apart.
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        dim = int(rng.integers(3, 30))
+        c = rng.standard_normal((dim, 2 * dim))
+        rhs = c @ c.T / dim + 0.1 * np.eye(dim)
+        chol = np.linalg.cholesky(rhs)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        centers = rng.uniform(0.5, 5.0, size=(dim + 2) // 3)
+        spectrum = np.sort(np.concatenate([x * (1 + 1e-6 * np.arange(3)) for x in centers]))[:dim]
+        lhs = chol @ q @ np.diag(spectrum) @ q.T @ chol.T
+        k = int(rng.integers(1, dim + 1))
+        phi, a = generalized_eigh(lhs, rhs, k)
+        assert_matches_dense_eigh(phi, a, lhs, rhs)
+        assert np.allclose(phi, spectrum[:k], rtol=1e-9)
+
+
+def test_objective_matches_dense_trace_after_whitening():
+    # The loop evaluates the objective from the k x k scatter of the
+    # embedding; it must equal tr(A'SA) + lam ||A||^2 in original coordinates.
+    rng = np.random.default_rng(34)
+    for i in range(100):
+        proj, data, m_all, _ = factored_instance(rng, "linear" if i % 2 else "none")
+        z, a = data.matrix, proj.a
+        want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
+        got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
+        assert got == pytest.approx(want, rel=1e-10)
+    with pytest.raises(ValidationError, match="projected scatter"):
+        projection_objective(proj, np.eye(a.shape[0]), 0.1)
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy's BLAS/LAPACK is the only one the package loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, partialda, partialda.cli; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
