@@ -14,14 +14,8 @@ three terms without building the (n_s + n_t)-square M at all.
 
 import numpy as np
 
-from partialda import (
-    build_center_operators,
-    build_m0,
-    build_mc,
-    build_mp,
-    combine,
-)
 from partialda.alignment import alignment_scatter
+from partialda.oracles import build_center_operators, build_m0, build_mc, build_mp, combine
 
 rng = np.random.default_rng(5)
 
@@ -50,7 +44,7 @@ print(f"mean-gap loss     direct={float(gap @ gap):.6f}  via M0={quad(m0):.6f}")
 
 # 2. Center reconstruction: each target against its soft mix of source
 #    class means.
-ops = build_center_operators(x_s, y_s, p)
+ops = build_center_operators(y_s, p)
 mp = build_mp(ops)
 means = np.column_stack(
     [x_s[:, y_s[:, k] == 1].mean(axis=1) for k in range(c)]

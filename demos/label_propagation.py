@@ -10,13 +10,8 @@ down-weighting a class zeroes its columns so no target can inherit it.
 
 import numpy as np
 
-from partialda import (
-    ClassWeights,
-    CrossDomainGraph,
-    build_graph,
-    propagate,
-    reweight_graph,
-)
+from partialda.alignment import ClassWeights
+from partialda.graph import CrossDomainGraph, build_graph, propagate, reweight_graph
 
 # 1. A tiny hand-made graph: two targets that each see one source clearly
 #    but also lean on each other.

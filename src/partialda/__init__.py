@@ -5,40 +5,13 @@ The package alternates between learning a discriminative linear projection
 from weighted alignment matrices and propagating labels over a
 cross-domain graph, re-estimating target class weights each round so that
 source-only classes stop influencing the embedding.
+
+The loop's building blocks are importable from their submodules, and the
+dense reference matrices from ``partialda.oracles``.
 """
 
-from .core import AdaptationConfig, accuracy, hard_labels, make_one_hot
-from .alignment import (
-    ClassWeights,
-    CenterOperators,
-    apply_mask,
-    binarize_weights,
-    build_center_operators,
-    build_m0,
-    build_mc,
-    build_mp,
-    combine,
-    compute_class_weights,
-    source_sample_weights,
-)
-from .subspace import (
-    KernelizedData,
-    Projection,
-    centering_matrix,
-    embed,
-    generalized_eigh,
-    gram_matrix,
-    projection_objective,
-    solve_projection,
-)
-from .graph import CrossDomainGraph, build_graph, cosine_distances, propagate, reweight_graph
-from .pipeline import (
-    AdaptationResult,
-    IterationRecord,
-    adapt,
-    baseline_propagate,
-    label_change_fraction,
-)
+from .core import AdaptationConfig, accuracy, make_one_hot
+from .pipeline import AdaptationResult, IterationRecord, adapt, baseline_propagate
 from .data import (
     ResultReport,
     SyntheticDataset,
@@ -47,7 +20,6 @@ from .data import (
     load_features_csv,
     load_labels,
     load_report,
-    load_soft_labels,
     save_features_csv,
     save_labels,
     save_report,
@@ -67,52 +39,25 @@ __all__ = [
     "AdaptationConfig",
     "AdaptationError",
     "AdaptationResult",
-    "CenterOperators",
-    "ClassWeights",
     "ConfigurationError",
-    "CrossDomainGraph",
     "IterationRecord",
-    "KernelizedData",
     "NumericalError",
     "ParseError",
-    "Projection",
     "ResultReport",
     "SyntheticDataset",
     "SyntheticSpec",
     "ValidationError",
     "accuracy",
     "adapt",
-    "apply_mask",
     "baseline_propagate",
-    "binarize_weights",
-    "build_center_operators",
-    "build_graph",
-    "build_m0",
-    "build_mc",
-    "build_mp",
-    "centering_matrix",
-    "combine",
-    "compute_class_weights",
-    "cosine_distances",
-    "embed",
-    "generalized_eigh",
     "generate_synthetic",
-    "gram_matrix",
-    "hard_labels",
-    "label_change_fraction",
     "load_features_csv",
     "load_labels",
     "load_report",
-    "load_soft_labels",
     "make_one_hot",
-    "projection_objective",
-    "propagate",
-    "reweight_graph",
     "save_features_csv",
     "save_labels",
     "save_report",
     "save_soft_labels",
-    "solve_projection",
-    "source_sample_weights",
     "__version__",
 ]

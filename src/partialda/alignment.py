@@ -1,7 +1,9 @@
-"""Alignment losses coupling source and target samples.
+"""Class weights, masks and the alignment losses coupling the two domains.
 
-Three symmetric matrices of size (n_s + n_t) encode the losses the subspace
-solver minimizes:
+The subspace solver minimizes three losses, each a quadratic form
+``trace(A.T @ X @ M @ X.T @ A)`` in a projection A, for the
+column-per-sample matrix ``X = [X_s | X_t]`` and a symmetric matrix M of
+size (n_s + n_t):
 
 * a domain term for the squared distance between the weighted source mean
   and the target mean,
@@ -10,13 +12,10 @@ solver minimizes:
 * a cluster term contracting every projected sample toward its class
   center, with target memberships taken from the current soft labels.
 
-Each builder returns a plain symmetric ndarray M such that the loss it
-encodes equals ``trace(A.T @ X @ M @ X.T @ A)`` for a projection A and the
-column-per-sample matrix ``X = [X_s | X_t]``.  These dense builders are the
-reference oracles.  The adaptation loop calls :func:`alignment_scatter`
-instead, which forms the dim x dim matrix ``Z M Z.T`` of the combined loss
-straight from the rank-one, low-rank and class-indicator factors of the
-three terms, so no (n_s + n_t)-square array is ever built.
+:func:`alignment_scatter` forms the dim x dim matrix ``Z M Z.T`` of the
+combined loss straight from the rank-one, low-rank and class-indicator
+factors of the three terms, so no (n_s + n_t)-square array is ever built.
+The dense matrices M themselves live in :mod:`partialda.oracles`.
 """
 
 from __future__ import annotations
@@ -46,26 +45,6 @@ class ClassWeights:
     @property
     def surviving(self) -> int:
         return int(self.mask.sum())
-
-
-@dataclass(frozen=True)
-class CenterOperators:
-    """Reusable pieces of the center and cluster terms.
-
-    y_st reconstructs each target sample from source class centers:
-    ``X_s @ y_st`` has one expected center per target column.  y_c is the
-    (possibly ridged) projector onto the span of the stacked class
-    indicators.  mu holds the hard-label source class means, one column
-    per class.
-    """
-
-    y_st: np.ndarray
-    y_c: np.ndarray
-    mu: np.ndarray
-
-
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
 
 
 def compute_class_weights(p) -> ClassWeights:
@@ -121,28 +100,6 @@ def source_sample_weights(w: ClassWeights, y_s, binary: bool = False) -> np.ndar
     return omega
 
 
-def build_m0(omega, n_t: int) -> np.ndarray:
-    """Weighted mean-discrepancy matrix.
-
-    Encodes the squared distance between the omega-weighted source mean and
-    the plain target mean: with S the weight total, the source block is
-    ``omega_i * omega_j / S**2``, the target block ``1 / n_t**2`` and the
-    cross blocks ``-omega_i / (S * n_t)``.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValidationError("omega must be a non-empty vector")
-    if (omega < 0).any():
-        raise ValidationError("omega entries must be non-negative")
-    if n_t < 1:
-        raise ValidationError(f"n_t must be >= 1, got {n_t}")
-    total = omega.sum()
-    if total <= 0:
-        raise ValidationError("omega sums to zero")
-    e = np.concatenate([omega / total, -np.ones(n_t) / n_t])
-    return symmetrize(np.outer(e, e))
-
-
 def _ridge_eps(gram: np.ndarray, soft_mass: np.ndarray) -> float:
     """Ridge added to an indicator Gram matrix when some class lost its mass."""
     if soft_mass.min() < RIDGE_TRIGGER:
@@ -162,77 +119,6 @@ def solve_gram_system(gram: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarr
     if not np.isfinite(out).all():
         raise NumericalError("class indicator Gram system produced non-finite values")
     return out
-
-
-def _class_projector(y_s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Projector onto the span of stacked class indicators [Y_s; P.T]."""
-    y = np.vstack([y_s, p.T])
-    gram = y.T @ y
-    eps = _ridge_eps(gram, p.sum(axis=1))
-    return y @ solve_gram_system(gram, y.T, eps)
-
-
-def build_center_operators(x_s, y_s, p) -> CenterOperators:
-    """Class means and the two indicator operators shared by the loss terms.
-
-    Parameters
-    ----------
-    x_s : ndarray (d, n_s)
-        Source features, one column per sample.
-    y_s : ndarray (n_s, C)
-        One-hot source labels.
-    p : ndarray (C, n_t)
-        Soft target labels, already masked.
-    """
-    x_s = np.asarray(x_s, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if x_s.shape[1] != y_s.shape[0] or y_s.shape[1] != p.shape[0]:
-        raise ValidationError(
-            f"inconsistent shapes: features {x_s.shape}, labels {y_s.shape}, soft labels {p.shape}"
-        )
-    counts = y_s.sum(axis=0)
-    if (counts == 0).any():
-        c = int(np.flatnonzero(counts == 0)[0])
-        raise ValidationError(f"class {c} has no source samples")
-    mu = (x_s @ y_s) / counts
-    gram = y_s.T @ y_s
-    eps = _ridge_eps(gram, p.sum(axis=1))
-    y_st = y_s @ solve_gram_system(gram, p, eps)
-    y_c = _class_projector(y_s, p)
-    return CenterOperators(y_st=y_st, y_c=y_c, mu=mu)
-
-
-def build_mp(ops: CenterOperators) -> np.ndarray:
-    """Center term: distance of each target sample to its expected source center.
-
-    Block form ``[[Y_st Y_st.T, -Y_st], [-Y_st.T, I]]`` so that
-    ``trace(A.T X M X.T A) = ||A.T (X_t - X_s Y_st)||_F**2``.
-    """
-    y_st = np.asarray(ops.y_st, dtype=float)
-    n_t = y_st.shape[1]
-    m = np.block([
-        [y_st @ y_st.T, -y_st],
-        [-y_st.T, np.eye(n_t)],
-    ])
-    return symmetrize(m)
-
-
-def build_mc(y_s, p) -> np.ndarray:
-    """Cluster term contracting every sample toward its class center.
-
-    Built from the projector Y_c onto stacked class indicators as
-    ``(I - Y_c)(I - Y_c).T``, positive semidefinite by construction.
-    """
-    y_s = np.asarray(y_s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if y_s.ndim != 2 or p.ndim != 2 or y_s.shape[1] != p.shape[0]:
-        raise ValidationError(
-            f"label matrix shape {y_s.shape} does not match soft labels {p.shape}"
-        )
-    n = y_s.shape[0] + p.shape[1]
-    residual = np.eye(n) - _class_projector(y_s, p)
-    return symmetrize(residual @ residual.T)
 
 
 def apply_mask(p, w: ClassWeights) -> tuple[np.ndarray, int]:
@@ -258,25 +144,12 @@ def apply_mask(p, w: ClassWeights) -> tuple[np.ndarray, int]:
     return masked, n_dead
 
 
-def combine(m0, mp, mc, alpha_p: float, alpha_c: float) -> np.ndarray:
-    """Weighted sum of the three alignment terms."""
-    m0 = np.asarray(m0, dtype=float)
-    mp = np.asarray(mp, dtype=float)
-    mc = np.asarray(mc, dtype=float)
-    if not (m0.shape == mp.shape == mc.shape) or m0.ndim != 2:
-        raise ValidationError(
-            f"alignment matrices disagree in shape: {m0.shape}, {mp.shape}, {mc.shape}"
-        )
-    if alpha_p < 0 or alpha_c < 0:
-        raise ValidationError("alpha_p and alpha_c must be non-negative")
-    return symmetrize(m0 + alpha_p * mp + alpha_c * mc)
-
-
 def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
                       alpha_c: float) -> np.ndarray:
     """``Z @ combine(M0, Mp, Mc) @ Z.T`` formed from the factors of each term.
 
-    With ``e`` the mean-discrepancy vector of :func:`build_m0`, each term is
+    With ``e`` the mean-discrepancy vector of
+    :func:`partialda.oracles.build_m0`, each term is
     a Gram matrix of a dim-row factor:
 
     * ``Z M0 Z.T = (Z e)(Z e).T``,
@@ -285,7 +158,7 @@ def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
       ``Y = [Y_s; P.T]``,
 
     where G_s and G are the indicator Gram matrices and eps is the same
-    ridge the dense builders use, so the result stays exact under it.
+    ridge the dense oracles use, so the result stays exact under it.
 
     Parameters
     ----------

@@ -25,7 +25,6 @@ from .data import (
     generate_synthetic,
     load_features_csv,
     load_labels,
-    load_soft_labels,
     save_features_csv,
     save_labels,
     save_report,
@@ -65,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--delta", type=float, default=1e-3)
     p_adapt.add_argument("--max-iterations", type=int, default=10)
     p_adapt.add_argument("--kernel", choices=("none", "linear"), default="none")
-    p_adapt.add_argument("--seed", type=int, default=0)
     p_adapt.add_argument("--convergence-tol", type=float, default=0.0)
     p_adapt.add_argument("--binary-sample-weights", action="store_true")
     p_adapt.add_argument("--rhs-reg", type=float, default=1e-6)
@@ -168,7 +166,7 @@ def cmd_adapt(args) -> int:
     config = AdaptationConfig(
         alpha_p=args.alpha_p, alpha_c=args.alpha_c, lam=args.lam, k=args.k,
         sigma=args.sigma, delta=args.delta, max_iterations=args.max_iterations,
-        kernel=args.kernel, seed=args.seed, convergence_tol=args.convergence_tol,
+        kernel=args.kernel, convergence_tol=args.convergence_tol,
         binary_sample_weights=args.binary_sample_weights, rhs_reg=args.rhs_reg,
     )
     start = time.perf_counter()
@@ -216,7 +214,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    p = load_soft_labels(args.pred_soft_labels)
+    p = load_features_csv(args.pred_soft_labels)
     truth = load_labels(args.truth_labels)
     pred = hard_labels(p)
     overall, per_class = accuracy(pred, truth)

@@ -8,7 +8,7 @@ column of class probabilities per target sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class AdaptationConfig:
     delta : threshold under which a class weight is masked out.
     max_iterations : upper bound on alternating rounds.
     kernel : "none" for raw features, "linear" for the inner-product kernel.
-    seed : echoed into reports; the algorithm itself draws no random numbers.
     convergence_tol : stop once the fraction of changed hard labels is <= this.
     binary_sample_weights : use the 0/1 mask instead of masked continuous
         class weights when weighting source samples.
@@ -153,7 +152,6 @@ class AdaptationConfig:
     delta: float = 1e-3
     max_iterations: int = 10
     kernel: str = "none"
-    seed: int = 0
     convergence_tol: float = 0.0
     binary_sample_weights: bool = False
     rhs_reg: float = 1e-6
@@ -165,6 +163,7 @@ class AdaptationConfig:
             raise ConfigurationError(f"lam must be positive, got {self.lam}")
         if int(self.k) != self.k or self.k < 1:
             raise ConfigurationError(f"k must be an integer >= 1, got {self.k}")
+        object.__setattr__(self, "k", int(self.k))  # 5.0 would break slicing
         if self.sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         if self.delta < 0:
@@ -173,12 +172,11 @@ class AdaptationConfig:
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         if self.convergence_tol < 0:
             raise ConfigurationError(
                 f"convergence_tol must be non-negative, got {self.convergence_tol}"

@@ -9,7 +9,7 @@ JSON documents.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -211,16 +211,11 @@ def save_labels(labels, path) -> None:
 
 
 def save_soft_labels(p, path) -> None:
-    """Write a soft label matrix as CSV, one target sample per row."""
+    """Write a soft label matrix as CSV, one target per row; load_features_csv reads it."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
     _write_rows(p.T, path)
-
-
-def load_soft_labels(path) -> np.ndarray:
-    """Inverse of :func:`save_soft_labels`: back to one column per target."""
-    return load_features_csv(path)
 
 
 @dataclass(frozen=True)
@@ -249,8 +244,13 @@ class ResultReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultReport":
+        if not isinstance(doc, dict):
+            raise ParseError("report document is not a JSON object")
         if doc.get("format") != "partialda-report":
             raise ParseError("not a partialda report document")
+        for f in fields(cls):
+            if f.name not in doc:
+                raise ParseError(f"report document has no {f.name!r} field")
         per_class = doc.get("per_class_accuracy")
         if per_class is not None:
             per_class = {int(k): float(v) for k, v in per_class.items()}

@@ -6,7 +6,9 @@ stacks the eigenvectors of
 
     (S + lam I) a = phi (Z H Z.T + eps_r I) a
 
-belonging to the k smallest eigenvalues, where H is the centering matrix.
+belonging to the k smallest eigenvalues, where H is the n x n centering
+matrix; :func:`gram_matrix` subtracts the row means of Z instead of
+building it.
 Minimizing the alignment losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
 
@@ -28,7 +30,6 @@ import numpy as np
 
 from .core import KERNELS
 from .errors import NumericalError, ValidationError
-from .alignment import symmetrize
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,8 @@ class Projection:
     mode: str
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """The n x n matrix I - (1/n) 11' that removes the column mean."""
-    if n < 1:
-        raise ValidationError(f"centering matrix needs n >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    return (m + m.T) / 2.0
 
 
 def _cond(m: np.ndarray) -> float:

@@ -15,7 +15,6 @@ import pytest
 
 from partialda import (
     AdaptationConfig,
-    ClassWeights,
     ConfigurationError,
     NumericalError,
     ParseError,
@@ -24,35 +23,35 @@ from partialda import (
     ValidationError,
     accuracy,
     adapt,
-    apply_mask,
     baseline_propagate,
+    generate_synthetic,
+    load_features_csv,
+    load_labels,
+    load_report,
+    make_one_hot,
+    save_report,
+)
+from partialda.alignment import (
+    ClassWeights,
+    apply_mask,
     binarize_weights,
+    compute_class_weights,
+    solve_gram_system,
+    source_sample_weights,
+)
+from partialda.cli import main as cli_main
+from partialda.core import hard_labels
+from partialda.graph import CrossDomainGraph, build_graph, propagate
+from partialda.oracles import (
     build_center_operators,
-    build_graph,
     build_m0,
     build_mc,
     build_mp,
     centering_matrix,
     combine,
-    compute_class_weights,
-    CrossDomainGraph,
-    embed,
-    generalized_eigh,
-    generate_synthetic,
-    gram_matrix,
-    hard_labels,
-    label_change_fraction,
-    load_features_csv,
-    load_labels,
-    load_report,
-    make_one_hot,
-    propagate,
-    save_report,
-    solve_projection,
-    source_sample_weights,
 )
-from partialda.alignment import solve_gram_system
-from partialda.cli import main as cli_main
+from partialda.pipeline import label_change_fraction
+from partialda.subspace import embed, generalized_eigh, gram_matrix, solve_projection
 from tests.test_alignment import (
     oracle_center_gap,
     oracle_cluster_gap,
@@ -109,7 +108,7 @@ def test_criterion_1_trace_identities():
             want = oracle_mean_gap(x_s, x_t, omega, a)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
-            mp = build_mp(build_center_operators(x_s, y_s, p))
+            mp = build_mp(build_center_operators(y_s, p))
             got = trace_loss(mp, x, a)
             want = oracle_center_gap(x_s, y_s, x_t, p, a)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)

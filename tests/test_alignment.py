@@ -8,22 +8,24 @@ without going through the block constructions under test.
 import numpy as np
 import pytest
 
-from partialda import (
+from partialda import ConfigurationError, NumericalError, ValidationError
+from partialda.alignment import (
     ClassWeights,
-    ConfigurationError,
-    NumericalError,
-    ValidationError,
+    alignment_scatter,
     apply_mask,
     binarize_weights,
+    compute_class_weights,
+    solve_gram_system,
+    source_sample_weights,
+)
+from partialda.oracles import (
+    CenterOperators,
     build_center_operators,
     build_m0,
     build_mc,
     build_mp,
     combine,
-    compute_class_weights,
-    source_sample_weights,
 )
-from partialda.alignment import alignment_scatter, solve_gram_system
 
 
 def random_instance(rng, with_mask=False):
@@ -117,7 +119,7 @@ def test_mp_trace_identity_random():
     for _ in range(60):
         x_s, y_s, x_t, p = random_instance(rng)
         a = rng.standard_normal((x_s.shape[0], 2))
-        ops = build_center_operators(x_s, y_s, p)
+        ops = build_center_operators(y_s, p)
         mp = build_mp(ops)
         got = trace_loss(mp, np.hstack([x_s, x_t]), a)
         want = oracle_center_gap(x_s, y_s, x_t, p, a)
@@ -131,7 +133,7 @@ def test_mp_hard_labels_measures_distance_to_own_center():
     t_labels = rng.integers(0, c_s, x_t.shape[1])
     p = np.zeros((c_s, x_t.shape[1]))
     p[t_labels, np.arange(x_t.shape[1])] = 1.0
-    ops = build_center_operators(x_s, y_s, p)
+    ops = build_center_operators(y_s, p)
     mp = build_mp(ops)
     got = trace_loss(mp, np.hstack([x_s, x_t]), np.eye(x_s.shape[0]))
     means = np.column_stack([x_s[:, y_s[:, c] == 1].mean(axis=1) for c in range(c_s)])
@@ -143,12 +145,10 @@ def test_mp_hard_labels_measures_distance_to_own_center():
 
 
 def test_mp_zero_reconstruction_reduces_to_target_norm():
-    from partialda import CenterOperators
-
     rng = np.random.default_rng(11)
     x_s = rng.standard_normal((4, 3))
     x_t = rng.standard_normal((4, 2))
-    ops = CenterOperators(y_st=np.zeros((3, 2)), y_c=np.eye(5), mu=np.zeros((4, 1)))
+    ops = CenterOperators(y_st=np.zeros((3, 2)), y_c=np.eye(5))
     mp = build_mp(ops)
     assert np.allclose(mp[:3, :3], 0.0)
     assert np.allclose(mp[3:, 3:], np.eye(2))
@@ -158,12 +158,10 @@ def test_mp_zero_reconstruction_reduces_to_target_norm():
 
 def test_center_operators_uniform_soft_labels():
     # two source samples, one per class; uniform P averages both indicators
-    x_s = np.array([[0.0, 2.0]])
     y_s = np.eye(2)
     p = np.full((2, 3), 0.5)
-    ops = build_center_operators(x_s, y_s, p)
+    ops = build_center_operators(y_s, p)
     assert np.allclose(ops.y_st, np.full((2, 3), 0.5), atol=1e-15)
-    assert np.allclose(ops.mu, np.array([[0.0, 2.0]]))
 
 
 def test_center_operators_hard_labels_give_class_mean_rows():
@@ -174,7 +172,7 @@ def test_center_operators_hard_labels_give_class_mean_rows():
     t_labels = rng.integers(0, c_s, x_t.shape[1])
     p = np.zeros((c_s, x_t.shape[1]))
     p[t_labels, np.arange(x_t.shape[1])] = 1.0
-    ops = build_center_operators(x_s, y_s, p)
+    ops = build_center_operators(y_s, p)
     for j in range(x_t.shape[1]):
         col = ops.y_st[:, j]
         members = y_s[:, t_labels[j]] == 1
@@ -238,7 +236,7 @@ def test_combine_matches_scalar_sum():
     x_s, y_s, x_t, p = random_instance(rng)
     omega = rng.random(x_s.shape[1]) + 0.1
     m0 = build_m0(omega, x_t.shape[1])
-    ops = build_center_operators(x_s, y_s, p)
+    ops = build_center_operators(y_s, p)
     mp = build_mp(ops)
     mc = build_mc(y_s, p)
     alpha_p, alpha_c = 0.7, 2.5
@@ -265,7 +263,7 @@ def test_combine_trace_identity_against_sum_of_oracles():
         alpha_p, alpha_c = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         m_all = combine(
             build_m0(omega, x_t.shape[1]),
-            build_mp(build_center_operators(x_s, y_s, p)),
+            build_mp(build_center_operators(y_s, p)),
             build_mc(y_s, p),
             alpha_p,
             alpha_c,
@@ -299,7 +297,7 @@ def test_alignment_scatter_matches_dense_oracle():
         z = x if i % 2 else x.T @ x  # raw features, then the linear kernel
         m_all = combine(
             build_m0(omega, x_t.shape[1]),
-            build_mp(build_center_operators(x_s, y_s, p)),
+            build_mp(build_center_operators(y_s, p)),
             build_mc(y_s, p),
             alpha_p,
             alpha_c,
@@ -399,6 +397,6 @@ def test_ridge_solve_singular_after_ridge_is_numerical_error():
 
 def test_center_operators_shape_mismatch():
     with pytest.raises(ValidationError):
-        build_center_operators(np.zeros((2, 3)), np.eye(3), np.zeros((2, 4)))
+        build_center_operators(np.eye(3), np.zeros((2, 4)))
     with pytest.raises(ValidationError):
         build_mc(np.eye(3), np.zeros((2, 4)))

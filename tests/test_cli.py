@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from partialda import load_report, load_soft_labels
+from partialda import load_features_csv, load_report
 from partialda.cli import main
 
 
@@ -84,7 +84,7 @@ def test_adapt_writes_report_and_soft_labels(tmp_path, capsys):
     assert report.overall_accuracy is not None
     assert report.config["k"] == 3
     assert report.iterations_run == len(report.history)
-    p = load_soft_labels(out / "soft_labels.csv")
+    p = load_features_csv(out / "soft_labels.csv")
     assert p.shape[0] == 4  # one row of probabilities per source class
     assert np.allclose(p.sum(axis=0), 1.0, atol=1e-9)
 

@@ -4,11 +4,14 @@ import pytest
 from partialda import (
     AdaptationConfig,
     ConfigurationError,
+    SyntheticSpec,
     ValidationError,
     accuracy,
-    hard_labels,
+    adapt,
+    generate_synthetic,
     make_one_hot,
 )
+from partialda.core import hard_labels
 
 
 def test_make_one_hot_basic():
@@ -108,14 +111,29 @@ def test_config_defaults_and_validation():
         dict(lam=0.0),
         dict(lam=-1.0),
         dict(k=0),
+        dict(k=-1),
+        dict(k=5.5),
         dict(sigma=0.0),
         dict(delta=-0.1),
         dict(max_iterations=0),
+        dict(max_iterations=-2),
+        dict(max_iterations=2.5),
         dict(kernel="rbf"),
         dict(alpha_p=-1.0),
         dict(convergence_tol=-1e-9),
         dict(rhs_reg=-1.0),
-        dict(seed=-1),
     ):
         with pytest.raises(ConfigurationError):
             AdaptationConfig(**bad)
+
+    # integral floats are stored as ints and run exactly like them
+    as_float = AdaptationConfig(k=5.0, max_iterations=3.0)
+    as_int = AdaptationConfig(k=5, max_iterations=3)
+    assert as_float == as_int
+    assert type(as_float.k) is int and type(as_float.max_iterations) is int
+    data = generate_synthetic(SyntheticSpec())
+    y_s = make_one_hot(data.y_s, num_classes=10)
+    got = adapt(data.x_s, y_s, data.x_t, as_float)
+    want = adapt(data.x_s, y_s, data.x_t, as_int)
+    assert np.array_equal(got.soft_labels, want.soft_labels)
+    assert got.history == want.history

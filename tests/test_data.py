@@ -4,6 +4,8 @@ The generator oracle is an independent nearest-center classifier on the
 true cluster centers, never anything from the adaptation code.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from partialda import (
     load_features_csv,
     load_labels,
     load_report,
-    load_soft_labels,
     save_features_csv,
     save_labels,
     save_report,
@@ -158,7 +159,7 @@ def test_soft_label_csv_layout_and_round_trip(tmp_path):
     p = rng.random((3, 5))
     p /= p.sum(axis=0)
     save_soft_labels(p, path)
-    assert np.array_equal(load_soft_labels(path), p)
+    assert np.array_equal(load_features_csv(path), p)
 
 
 def test_report_round_trip(tmp_path):
@@ -199,6 +200,18 @@ def test_report_errors(tmp_path):
         load_report(path)
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ParseError, match="not a .* report"):
+        load_report(path)
+    path.write_text('{"format": "partialda-report"}')
+    with pytest.raises(ParseError, match="'config'"):
+        load_report(path)
+    doc = ResultReport(config={}, overall_accuracy=None, per_class_accuracy=None,
+                       class_weights=[1.0], class_mask=[1], iterations_run=0).to_dict()
+    del doc["history"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="'history'"):
+        load_report(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="not a JSON object"):
         load_report(path)
     with pytest.raises(OSError):
         save_report(

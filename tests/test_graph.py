@@ -8,11 +8,10 @@ solve under test.
 import numpy as np
 import pytest
 
-from partialda import (
-    ClassWeights,
+from partialda import NumericalError, ValidationError
+from partialda.alignment import ClassWeights
+from partialda.graph import (
     CrossDomainGraph,
-    NumericalError,
-    ValidationError,
     build_graph,
     cosine_distances,
     propagate,

@@ -11,10 +11,9 @@ from partialda import (
     accuracy,
     adapt,
     baseline_propagate,
-    build_graph,
-    label_change_fraction,
-    propagate,
 )
+from partialda.graph import build_graph, propagate
+from partialda.pipeline import label_change_fraction
 
 
 def separable_instance(rng, n_classes=3, d=6, per_class=8, spread=0.05):

@@ -6,20 +6,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partialda import (
-    NumericalError,
-    ValidationError,
+from partialda import NumericalError, ValidationError
+from partialda.alignment import alignment_scatter
+from partialda.oracles import (
+    build_center_operators,
+    build_m0,
+    build_mc,
+    build_mp,
     centering_matrix,
     combine,
+)
+from partialda.subspace import (
     embed,
     generalized_eigh,
     gram_matrix,
     projection_objective,
     solve_projection,
 )
-from partialda.alignment import alignment_scatter
 from tests.test_alignment import random_instance
-from partialda import build_center_operators, build_m0, build_mc, build_mp
 
 EPS = np.finfo(float).eps
 
@@ -30,7 +34,7 @@ def solver_instance(rng, kernel="none"):
     omega = rng.random(x_s.shape[1]) + 0.1
     m_all = combine(
         build_m0(omega, x_t.shape[1]),
-        build_mp(build_center_operators(x_s, y_s, p)),
+        build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
@@ -63,7 +67,7 @@ def conditioned_instance(rng):
     omega = rng.random(n_s) + 0.1
     m_all = combine(
         build_m0(omega, n_t),
-        build_mp(build_center_operators(x_s, y_s, p)),
+        build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
@@ -110,7 +114,7 @@ def factored_instance(rng, kernel="none", rhs_reg=1e-6, full_rank=None):
     alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
     m_all = combine(
         build_m0(omega, x_t.shape[1]),
-        build_mp(build_center_operators(x_s, y_s, p)),
+        build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
         alpha_p,
         alpha_c,
