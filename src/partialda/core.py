@@ -8,6 +8,7 @@ column of class probabilities per target sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,10 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 
 KERNELS = ("none", "linear")
+_NUMERIC_FIELDS = (
+    "alpha_p", "alpha_c", "lam", "k", "sigma", "delta", "max_iterations",
+    "convergence_tol", "rhs_reg",
+)
 
 
 def as_feature_matrix(x, name: str = "features") -> np.ndarray:
@@ -157,6 +162,12 @@ class AdaptationConfig:
     rhs_reg: float = 1e-6
 
     def __post_init__(self):
+        # NaN passes every comparison below and inf overflows int(); a
+        # Python int is finite (and may be too large for math.isfinite)
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.alpha_p < 0 or self.alpha_c < 0:
             raise ConfigurationError("alpha_p and alpha_c must be non-negative")
         if self.lam <= 0:

@@ -4,10 +4,17 @@ Feature CSV files hold one sample per row; label files hold one
 non-negative integer per line.  Values are written with ``repr`` so a
 round trip through text reproduces them bit for bit.  Reports are single
 JSON documents.
+
+Feature files are parsed by numpy's C reader (``np.loadtxt``).  A file it
+refuses goes through a line-by-line loop instead, which accepts exactly
+what ``float()`` accepts and names the row and value of the first bad
+cell, so both paths agree on every file and the C reader only makes the
+common case fast.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -143,6 +150,11 @@ def _read_rows(path) -> list[tuple[int, str]]:
 def load_features_csv(path) -> np.ndarray:
     """Parse a feature CSV with one sample per row into a (d, n) matrix.
 
+    The C reader parses the file first.  When it refuses a line, skips one
+    (it drops blank lines, which are an error here) or the file holds a
+    U+001F, which it strips as whitespace and ``float()`` does not, the
+    line loop parses the file instead and reports the first bad row.
+
     Raises
     ------
     ParseError
@@ -153,6 +165,18 @@ def load_features_csv(path) -> np.ndarray:
     rows = _read_rows(path)
     if not rows:
         raise ValidationError(f"empty feature file: {path}")
+    lines = [line for _, line in rows]
+    parsed = None
+    if not any("\x1f" in line for line in lines):
+        with contextlib.suppress(ValueError):
+            parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    if parsed is None or parsed.shape[0] != len(lines):
+        parsed = _parse_rows(path, rows)
+    return as_feature_matrix(parsed.T, name=f"features from {path}")
+
+
+def _parse_rows(path, rows: list[tuple[int, str]]) -> np.ndarray:
+    """Parse numbered lines cell by cell with ``float()``; raises ParseError."""
     width = None
     parsed = []
     for i, line in rows:
@@ -166,7 +190,7 @@ def load_features_csv(path) -> np.ndarray:
         except ValueError:
             bad = next(cell for cell in parts if not _is_float(cell))
             raise ParseError(f"{path}: row {i}: non-numeric value {bad.strip()!r}") from None
-    return as_feature_matrix(np.array(parsed).T, name=f"features from {path}")
+    return np.array(parsed)
 
 
 def _is_float(cell: str) -> bool:

@@ -40,14 +40,27 @@ def cosine_distances(a, b) -> np.ndarray:
     nb = np.linalg.norm(b, axis=0)
     ua = a / np.where(na > 0, na, 1.0)
     ub = b / np.where(nb > 0, nb, 1.0)
-    return 1.0 - ua.T @ ub
+    out = ua.T @ ub
+    return np.subtract(1.0, out, out=out)
 
 
-def _normalize_rows(w_ts: np.ndarray, w_tt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize_rows(w_ts: np.ndarray, w_tt: np.ndarray) -> np.ndarray:
+    """Divide both blocks by their joint row sums in place; return the zero-sum rows."""
     totals = w_ts.sum(axis=1) + w_tt.sum(axis=1)
     dead = totals == 0.0
-    safe = np.where(dead, 1.0, totals)
-    return w_ts / safe[:, None], w_tt / safe[:, None], dead
+    safe = np.where(dead, 1.0, totals)[:, None]
+    w_ts /= safe
+    w_tt /= safe
+    return dead
+
+
+def _affinities(a, b, sigma: float) -> np.ndarray:
+    """``exp(-(d / sigma)**2)`` of the cosine distances, in the distance buffer."""
+    out = cosine_distances(a, b)
+    out /= sigma
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    return np.exp(out, out=out)
 
 
 def build_graph(z_s, z_t, sigma: float) -> CrossDomainGraph:
@@ -67,23 +80,23 @@ def build_graph(z_s, z_t, sigma: float) -> CrossDomainGraph:
     """
     z_s = np.asarray(z_s, dtype=float)
     z_t = np.asarray(z_t, dtype=float)
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[0] != z_t.shape[0]:
         raise ValidationError(
             f"embedded domains disagree in dimension: {z_s.shape} vs {z_t.shape}"
         )
     if z_s.shape[1] < 1 or z_t.shape[1] < 1:
         raise ValidationError("both domains need at least one sample")
-    w_ts = np.exp(-(cosine_distances(z_t, z_s) / sigma) ** 2)
-    w_tt = np.exp(-(cosine_distances(z_t, z_t) / sigma) ** 2)
+    w_ts = _affinities(z_t, z_s, sigma)
+    w_tt = _affinities(z_t, z_t, sigma)
     np.fill_diagonal(w_tt, 0.0)
-    w_ts, w_tt, dead = _normalize_rows(w_ts, w_tt)
+    dead = _normalize_rows(w_ts, w_tt)
     if dead.any():
         w_ts[dead] = 1.0
         w_tt[dead] = 1.0
         np.fill_diagonal(w_tt, 0.0)
-        w_ts, w_tt, _ = _normalize_rows(w_ts, w_tt)
+        _normalize_rows(w_ts, w_tt)
     return CrossDomainGraph(w_ts=w_ts, w_tt=w_tt, sigma=float(sigma))
 
 
@@ -121,8 +134,8 @@ def reweight_graph(g: CrossDomainGraph, w, source_classes) -> tuple[CrossDomainG
     if top > 0:
         factors = factors / top
     w_ts = g.w_ts * factors[None, :]
-    w_tt = g.w_tt.copy()
-    w_ts, w_tt, dead = _normalize_rows(w_ts, w_tt)
+    w_tt = g.w_tt.astype(float)
+    dead = _normalize_rows(w_ts, w_tt)
     n_dead = int(dead.sum())
     if n_dead:
         if n_t > 1:
@@ -130,7 +143,7 @@ def reweight_graph(g: CrossDomainGraph, w, source_classes) -> tuple[CrossDomainG
             np.fill_diagonal(w_tt, 0.0)
         else:
             w_ts[dead] = 1.0
-        w_ts, w_tt, _ = _normalize_rows(w_ts, w_tt)
+        _normalize_rows(w_ts, w_tt)
     return CrossDomainGraph(w_ts=w_ts, w_tt=w_tt, sigma=g.sigma), n_dead
 
 
@@ -153,7 +166,11 @@ def propagate(g: CrossDomainGraph, y_s) -> np.ndarray:
         raise ValidationError(
             f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
         )
-    system = np.eye(n_t) - g.w_tt
+    # I - W_tt without an identity: 0 - w (not -w, which turns +0.0 into
+    # -0.0) is bit for bit the off-diagonal of np.eye(n_t) - w_tt, and
+    # adding 1.0 to it is bit for bit the diagonal.
+    system = np.subtract(0.0, g.w_tt, dtype=float)
+    system.flat[:: n_t + 1] += 1.0
     try:
         f = np.linalg.solve(system, g.w_ts @ y_s)
     except np.linalg.LinAlgError as exc:

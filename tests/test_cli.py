@@ -169,6 +169,22 @@ def test_pathological_delta_exits_one(tmp_path, capsys):
     assert "no class survives threshold" in capsys.readouterr().err
 
 
+def test_non_finite_sigma_exits_one(tmp_path, capsys):
+    files = gen_dataset(tmp_path / "data")
+    assert main(adapt_args(files, tmp_path / "adapt", "--sigma", "nan")) == 1
+    assert "sigma must be finite" in capsys.readouterr().err
+    baseline = [
+        "baseline",
+        "--source-features", str(files["source_features"]),
+        "--source-labels", str(files["source_labels"]),
+        "--target-features", str(files["target_features"]),
+        "--out", str(tmp_path / "baseline"),
+    ]
+    for value in ("nan", "inf"):
+        assert main([*baseline, "--sigma", value]) == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+
+
 def test_degenerate_data_exits_two(tmp_path, capsys):
     xs = tmp_path / "xs.csv"
     xs.write_text("1.0,1.0,1.0\n" * 4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,15 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ConfigurationError):
             AdaptationConfig(**bad)
+
+    # NaN passes every comparison and inf overflows int(): each numeric
+    # knob must reject both with a ConfigurationError naming it
+    numeric = ("alpha_p", "alpha_c", "lam", "k", "sigma", "delta",
+               "max_iterations", "convergence_tol", "rhs_reg")
+    for name in numeric:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                AdaptationConfig(**{name: value})
 
     # integral floats are stored as ints and run exactly like them
     as_float = AdaptationConfig(k=5.0, max_iterations=3.0)

@@ -5,10 +5,16 @@ true cluster centers, never anything from the adaptation code.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from partialda import data as data_module
 from partialda import (
     ParseError,
     ResultReport,
@@ -128,6 +134,94 @@ def test_feature_csv_parse_errors(tmp_path):
     nonfinite.write_text("1.0,nan\n")
     with pytest.raises(ValidationError, match="NaN or Inf"):
         load_features_csv(nonfinite)
+
+
+def line_loop(path):
+    """The line-by-line parser called directly, with the loader's checks."""
+    rows = data_module._read_rows(path)
+    if not rows:
+        raise ValidationError(f"empty feature file: {path}")
+    parsed = data_module._parse_rows(path, rows)
+    return data_module.as_feature_matrix(parsed.T, name=f"features from {path}")
+
+
+ODD_FILES = {
+    "blank_line_mid_file": "1,2\n\n3,4\n",
+    "whitespace_only_line": "1,2\n \t\n3,4\n",
+    "trailing_blank_lines": "1,2\n3,4\n\n  \n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "spaces_and_tabs": " 1.5 ,\t2\t\n  3 , 4 \n",
+    "leading_plus": "+1,2\n3,+4e-2\n",
+    "underscore": "1_0,2\n3,4\n",
+    "non_ascii_digit": "\u0661,2\n3,\u0664.5\n",
+    "fullwidth_digit": "\uff11,2\n",
+    "non_ascii_space": "1\u00a0,\u20032\n",
+    "hash": "#1,2\n3,4\n",
+    "hash_after_value": "1,2 # note\n",
+    "quoted_cell": '"1",2\n',
+    "empty_cell": "1,,2\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "ragged": "1,2\n3\n",
+    "nan": "nan,1\n",
+    "inf": "1,inf\n",
+    "infinity": "-Infinity,1\n",
+    "vertical_tab": "1,2\x0b3,4\n",
+    "vertical_tab_in_cell": "1\x0b,2\n",
+    "form_feed": "1\x0c2\n",
+    "unit_separator": "1\x1f,2\n",
+    "nul": "1\x00,2\n",
+    "hex": "0x10,2\n",
+    "overflow": "1e999,1\n",
+    "single_value": "7\n",
+    "single_column": "1\n2\n3\n",
+    "no_final_newline": "1,2\n3,4",
+    "only_blank_lines": "\n\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_FILES))
+def test_feature_csv_odd_inputs_match_line_loop(tmp_path, name):
+    # the C reader may only speed the loader up: on every input it must
+    # return what the line loop returns, or fail exactly as it fails
+    path = tmp_path / f"{name}.csv"
+    path.write_text(ODD_FILES[name])
+    try:
+        want = line_loop(path)
+    except (ParseError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_features_csv(path)
+        assert str(got.value) == str(exc)
+    else:
+        got = load_features_csv(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_well_formed_feature_csv_skips_line_loop(tmp_path, monkeypatch):
+    def refuse(path, rows):
+        raise AssertionError(f"{path} reached the line loop")
+
+    monkeypatch.setattr(data_module, "_parse_rows", refuse)
+    rng = np.random.default_rng(52)
+    saved = tmp_path / "saved.csv"
+    x = rng.standard_normal((6, 9))
+    save_features_csv(x, saved)
+    assert np.array_equal(load_features_csv(saved), x)
+    hand = tmp_path / "hand.csv"
+    hand.write_text(" 1 ,+2\r\n3e0,\t4.\r\n\r\n")
+    assert np.array_equal(load_features_csv(hand), [[1.0, 3.0], [2.0, 4.0]])
+
+
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 0.0, 5e-324], [-2.2250738585072014e-308, 1.7976931348623157e308, -1e-320]]))
+@example(np.array([[np.nextafter(1.0, 2.0), 0.1 + 0.2, -1e300, 1e-300]]))
+def test_feature_csv_round_trip_is_bit_exact(x):
+    # a save/load round trip reproduces every bit, subnormals and -0.0 included
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        save_features_csv(x, path)
+        got = load_features_csv(path)
+    assert got.shape == x.shape and got.tobytes() == x.tobytes()
 
 
 def test_label_file_round_trip(tmp_path):

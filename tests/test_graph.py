@@ -103,6 +103,9 @@ def test_build_graph_validation():
         build_graph(ok, ok, 0.0)
     with pytest.raises(ValidationError, match="sigma"):
         build_graph(ok, ok, -1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="sigma"):
+            build_graph(ok, ok, bad)
     with pytest.raises(ValidationError, match="dimension"):
         build_graph(ok, np.ones((3, 2)), 0.5)
     with pytest.raises(ValidationError, match="at least one"):
@@ -258,3 +261,142 @@ def test_reweight_validation():
         reweight_graph(g, w, np.array([0]))
     with pytest.raises(ValidationError, match="class ids"):
         reweight_graph(g, w, np.array([0, 5]))
+
+
+# The graph layer writes into buffers it owns.  These oracles are the
+# textbook expressions it replaced, one fresh array per step; the fast
+# path must reproduce them bit for bit, not merely to a tolerance.
+
+
+def textbook_cosine(a, b):
+    na = np.linalg.norm(a, axis=0)
+    nb = np.linalg.norm(b, axis=0)
+    ua = a / np.where(na > 0, na, 1.0)
+    ub = b / np.where(nb > 0, nb, 1.0)
+    return 1.0 - ua.T @ ub
+
+
+def textbook_normalize(w_ts, w_tt):
+    totals = w_ts.sum(axis=1) + w_tt.sum(axis=1)
+    dead = totals == 0.0
+    safe = np.where(dead, 1.0, totals)
+    return w_ts / safe[:, None], w_tt / safe[:, None], dead
+
+
+def textbook_graph(z_s, z_t, sigma):
+    w_ts = np.exp(-(textbook_cosine(z_t, z_s) / sigma) ** 2)
+    w_tt = np.exp(-(textbook_cosine(z_t, z_t) / sigma) ** 2)
+    np.fill_diagonal(w_tt, 0.0)
+    w_ts, w_tt, dead = textbook_normalize(w_ts, w_tt)
+    if dead.any():
+        w_ts[dead] = 1.0
+        w_tt[dead] = 1.0
+        np.fill_diagonal(w_tt, 0.0)
+        w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
+    return w_ts, w_tt
+
+
+def textbook_reweight(g, w, source_classes):
+    factors = w.masked[source_classes]
+    if factors.max() > 0:
+        factors = factors / factors.max()
+    w_ts, w_tt, dead = textbook_normalize(g.w_ts * factors[None, :], g.w_tt.copy())
+    if dead.any():
+        if g.w_tt.shape[0] > 1:
+            w_tt[dead] = 1.0
+            np.fill_diagonal(w_tt, 0.0)
+        else:
+            w_ts[dead] = 1.0
+        w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
+    return w_ts, w_tt
+
+
+def textbook_propagate(g, y_s):
+    n_t = g.w_tt.shape[0]
+    return np.linalg.solve(np.eye(n_t) - g.w_tt, g.w_ts @ y_s).T
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def graph_cases(rng):
+    """Random embeddings plus the underflow paths: all rows dead, some rows dead."""
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        z_s = rng.standard_normal((d, int(rng.integers(1, 9))))
+        z_t = rng.standard_normal((d, int(rng.integers(1, 9))))
+        yield z_s, z_t, float(rng.uniform(0.05, 2.0))
+    e = np.eye(4)
+    yield e[:, :1], e[:, 1:3], 1e-3  # every affinity underflows
+    yield e[:, :1], np.column_stack([e[:, 0], e[:, 1], e[:, 2]]), 1e-3  # one live row
+    yield np.column_stack([e[:, 0], np.zeros(4)]), e[:, :2], 0.3  # a zero column
+
+
+def test_build_graph_bit_identical_to_textbook():
+    rng = np.random.default_rng(35)
+    for z_s, z_t, sigma in graph_cases(rng):
+        assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
+        g = build_graph(z_s, z_t, sigma)
+        w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
+        assert same_bits(g.w_ts, w_ts) and same_bits(g.w_tt, w_tt)
+
+
+def test_reweight_and_propagate_bit_identical_to_textbook():
+    rng = np.random.default_rng(36)
+    for z_s, z_t, sigma in graph_cases(rng):
+        n_s = z_s.shape[1]
+        c = int(rng.integers(1, min(4, n_s) + 1))
+        classes = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
+        y = np.zeros((n_s, c))
+        y[np.arange(n_s), classes] = 1.0
+        mask = (rng.random(c) > 0.3).astype(float)
+        for w in (
+            ClassWeights(weights=rng.random(c), mask=mask),
+            ClassWeights(weights=rng.random(c), mask=np.zeros(c)),  # dead rows
+        ):
+            g = build_graph(z_s, z_t, sigma)
+            g2, _ = reweight_graph(g, w, classes)
+            w_ts, w_tt = textbook_reweight(g, w, classes)
+            assert same_bits(g2.w_ts, w_ts) and same_bits(g2.w_tt, w_tt)
+            for graph in (g, g2):
+                try:
+                    want = textbook_propagate(graph, y)
+                except np.linalg.LinAlgError:
+                    want = None
+                if want is None or not np.isfinite(want).all():
+                    with pytest.raises(NumericalError):
+                        propagate(graph, y)
+                else:
+                    assert same_bits(propagate(graph, y), want)
+
+
+def test_propagate_bit_identical_on_random_and_sparse_graphs():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        g = random_graph(rng)
+        if rng.random() < 0.5:  # exact zeros in W_tt, as underflow leaves them
+            w_tt = g.w_tt * (rng.random(g.w_tt.shape) > 0.5)
+            g = CrossDomainGraph(w_ts=g.w_ts, w_tt=w_tt, sigma=g.sigma)
+        y = random_labels(rng, g.w_ts.shape[1])
+        assert same_bits(propagate(g, y), textbook_propagate(g, y))
+
+
+def test_reweight_and_propagate_leave_their_graph_unchanged():
+    rng = np.random.default_rng(38)
+    z_s = rng.standard_normal((3, 6))
+    z_t = rng.standard_normal((3, 4))
+    x_before = (z_s.tobytes(), z_t.tobytes())
+    g = build_graph(z_s, z_t, 0.5)
+    assert (z_s.tobytes(), z_t.tobytes()) == x_before
+    classes = np.array([0, 1, 2, 0, 1, 2])
+    before = (g.w_ts.copy(), g.w_tt.copy())
+    for mask in (np.array([1.0, 0.0, 1.0]), np.zeros(3)):
+        reweight_graph(g, ClassWeights(weights=np.array([0.8, 0.1, 0.2]), mask=mask), classes)
+        assert same_bits(g.w_ts, before[0]) and same_bits(g.w_tt, before[1])
+    propagate(g, np.eye(3)[classes])
+    assert same_bits(g.w_ts, before[0]) and same_bits(g.w_tt, before[1])
+    single = CrossDomainGraph(w_ts=np.array([[0.6, 0.4]]), w_tt=np.array([[0.0]]), sigma=0.1)
+    kept = single.w_ts.copy()
+    reweight_graph(single, ClassWeights(weights=np.ones(2), mask=np.zeros(2)), np.array([0, 1]))
+    assert same_bits(single.w_ts, kept)
