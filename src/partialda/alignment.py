@@ -163,8 +163,8 @@ def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
     Parameters
     ----------
     z : ndarray (dim, n_s + n_t)
-        Data matrix of the solver, source columns first: raw features or
-        the linear kernel.
+        Any data matrix with one column per sample, source columns first:
+        the features, their whitened form or their embedding.
     n_s : int
         Number of source columns of ``z``.
     omega : ndarray (n_s,)

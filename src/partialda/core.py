@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 
-KERNELS = ("none", "linear")
 _NUMERIC_FIELDS = (
     "alpha_p", "alpha_c", "lam", "k", "sigma", "delta", "max_iterations",
     "convergence_tol", "rhs_reg",
@@ -137,11 +136,10 @@ class AdaptationConfig:
     alpha_p : weight of the target-to-source-center alignment term.
     alpha_c : weight of the within-class contraction term.
     lam : ridge penalty on the projection columns, must be positive.
-    k : embedding dimension; at most d (raw features) or n (linear kernel).
+    k : embedding dimension, at most the feature dimension d.
     sigma : bandwidth of the graph affinity.
     delta : threshold under which a class weight is masked out.
     max_iterations : upper bound on alternating rounds.
-    kernel : "none" for raw features, "linear" for the inner-product kernel.
     convergence_tol : stop once the fraction of changed hard labels is <= this.
     binary_sample_weights : use the 0/1 mask instead of masked continuous
         class weights when weighting source samples.
@@ -156,7 +154,6 @@ class AdaptationConfig:
     sigma: float = 0.1
     delta: float = 1e-3
     max_iterations: int = 10
-    kernel: str = "none"
     convergence_tol: float = 0.0
     binary_sample_weights: bool = False
     rhs_reg: float = 1e-6
@@ -184,10 +181,6 @@ class AdaptationConfig:
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
         if self.convergence_tol < 0:
             raise ConfigurationError(
                 f"convergence_tol must be non-negative, got {self.convergence_tol}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -53,6 +54,11 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
+        # NaN passes every comparison below and inf yields non-finite samples
+        for name in ("cluster_radius", "noise_std", "shift_rotation_deg", "shift_translation"):
+            value = getattr(self, name)
+            if not isinstance(value, int) and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.num_source_classes < 1:
             raise ValidationError("num_source_classes must be >= 1")
         if not 1 <= self.num_target_classes <= self.num_source_classes:

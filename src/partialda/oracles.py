@@ -12,6 +12,9 @@ what the adaptation loop computes.  Which fast path each oracle checks:
   from the factors of the three terms.
 * :func:`centering_matrix` checks :func:`partialda.subspace.gram_matrix`,
   which forms the constraint side ``Z H Z.T`` by subtracting row means.
+* :func:`generalized_eigh` is the reference for
+  :func:`partialda.subspace.solve_projection`: it takes the dense pencil
+  ``(lhs, rhs)`` that the solver only ever sees factored and whitened.
 
 The adaptation loop never imports this module.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from .alignment import _ridge_eps, solve_gram_system
 from .errors import ValidationError
-from .subspace import symmetrize
+from .subspace import _check_k, _inverse_cholesky, _smallest_pairs
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,10 @@ class CenterOperators:
 
     y_st: np.ndarray
     y_c: np.ndarray
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    return (m + m.T) / 2.0
 
 
 def build_m0(omega, n_t: int) -> np.ndarray:
@@ -144,3 +151,18 @@ def centering_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"centering matrix needs n >= 1, got {n}")
     return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
+
+    rhs must be positive definite.  The pencil is reduced to standard form
+    with the Cholesky factor of rhs and solved on the path
+    :func:`partialda.subspace.solve_projection` takes.  Eigenvalues come
+    back ascending and each eigenvector is scaled so its largest-magnitude
+    entry is positive.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    _check_k(k, lhs.shape[0])
+    l_inv = _inverse_cholesky(np.asarray(rhs, dtype=float))
+    return _smallest_pairs(l_inv @ lhs @ l_inv.T, l_inv, k)

@@ -114,13 +114,9 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     """
     config = config or AdaptationConfig()
     x_s, y_s, x_t = _validated_inputs(x_s, y_s, x_t)
-    n_s, n_t = x_s.shape[1], x_t.shape[1]
-    dim_available = x_s.shape[0] if config.kernel == "none" else n_s + n_t
-    if config.k > dim_available:
-        raise ConfigurationError(
-            f"k={config.k} exceeds the available dimension {dim_available} "
-            f"for kernel={config.kernel!r}"
-        )
+    d, n_s = x_s.shape
+    if config.k > d:
+        raise ConfigurationError(f"k={config.k} exceeds the feature dimension {d}")
     source_classes = np.argmax(y_s, axis=1)
 
     p = propagate(build_graph(x_s, x_t, config.sigma), y_s)
@@ -128,7 +124,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     hard_prev = hard_labels(p)
 
     with _round(1):  # factored once per run, so its failures belong to round one
-        data = gram_matrix(np.hstack([x_s, x_t]), config.kernel, config.lam, config.rhs_reg)
+        data = gram_matrix(np.hstack([x_s, x_t]), config.lam, config.rhs_reg)
 
     history: list[IterationRecord] = []
     proj: Projection | None = None

@@ -1,8 +1,8 @@
 """Projection learning via a symmetric-definite generalized eigenproblem.
 
-Given the data matrix Z (raw features or a linear kernel) and the dim x dim
-scatter ``S = Z M Z.T`` of the combined alignment matrix M, the projection A
-stacks the eigenvectors of
+Given the (d, n) feature matrix Z and the d x d scatter ``S = Z M Z.T`` of
+the combined alignment matrix M, the projection A stacks the eigenvectors
+of
 
     (S + lam I) a = phi (Z H Z.T + eps_r I) a
 
@@ -28,26 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KERNELS
 from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
-class KernelizedData:
-    """Data matrix fed to the solver plus its factored constraint side.
+class WhitenedData:
+    """The (d, n) features fed to the solver plus their factored constraint side.
 
-    mode is "raw" when matrix holds the (d, n) features themselves and
-    "kernel" when it holds the (n, n) Gram matrix of inner products.  With
-    ``Z H Z.T + eps_r I = L L.T``, ``l_inv`` is ``L^-1``, ``whitened`` is
-    ``L^-1 Z`` and ``ridge`` is ``lam L^-1 L^-T``.
+    With ``Z H Z.T + eps_r I = L L.T`` for ``Z = matrix``, ``l_inv`` is
+    ``L^-1``, ``whitened`` is ``L^-1 Z`` and ``ridge`` is ``lam L^-1 L^-T``.
     """
 
     matrix: np.ndarray
     whitened: np.ndarray
     l_inv: np.ndarray
     ridge: np.ndarray
-    mode: str
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -56,11 +51,6 @@ class Projection:
 
     a: np.ndarray
     eigenvalues: np.ndarray
-    mode: str
-
-
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
 
 
 def _cond(m: np.ndarray) -> float:
@@ -82,7 +72,9 @@ def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
 
 
 def _check_k(k: int, dim: int) -> None:
-    if k < 1 or k > dim:
+    if k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
+    if k > dim:
         raise ValidationError(
             f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
         )
@@ -115,21 +107,18 @@ def _smallest_pairs(pencil: np.ndarray, l_inv: np.ndarray,
     return phi, a
 
 
-def gram_matrix(x, kernel: str = "none", lam: float = 0.1,
-                rhs_reg: float = 1e-6) -> KernelizedData:
-    """Wrap features for the solver and factor the constraint side once.
+def gram_matrix(x, lam: float = 0.1, rhs_reg: float = 1e-6) -> WhitenedData:
+    """Wrap the (d, n) features for the solver and factor the constraint side once.
 
-    With ``kernel="none"`` the features pass through untouched; with
-    ``"linear"`` the (n, n) matrix of inner products replaces them and the
-    projection is later expressed in sample coordinates.  The constraint
-    side ``Z H Z.T`` receives ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its
-    diagonal so the pencil stays definite, and ``lam`` is the positive ridge
-    on the projection columns.
+    The constraint side ``Z H Z.T`` receives
+    ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the pencil
+    stays definite, and ``lam`` is the positive ridge on the projection
+    columns.
 
     Raises
     ------
     ValidationError
-        On a bad shape, kernel or ``lam``.
+        On a bad shape or ``lam``.
     NumericalError
         When the centred data has no variance or the constraint side is not
         positive definite.
@@ -137,20 +126,14 @@ def gram_matrix(x, kernel: str = "none", lam: float = 0.1,
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
-    if kernel not in KERNELS:
-        raise ValidationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if lam <= 0:
         raise ValidationError(f"lam must be positive, got {lam}")
-    if kernel == "linear":
-        z, mode = symmetrize(x.T @ x), "kernel"
-    else:
-        z, mode = x, "raw"
     n = x.shape[1]
-    centred = z - z.mean(axis=1, keepdims=True)
+    centred = x - x.mean(axis=1, keepdims=True)
     rhs = centred @ centred.T
     del centred
     variance = float(np.trace(rhs))
-    if variance <= n * np.finfo(float).eps * max(1.0, float(np.vdot(z, z))):
+    if variance <= n * np.finfo(float).eps * max(1.0, float(np.vdot(x, x))):
         raise NumericalError(
             f"centered data has no variance (trace {variance:.3e}); "
             "the constraint side cannot be regularized"
@@ -160,39 +143,24 @@ def gram_matrix(x, kernel: str = "none", lam: float = 0.1,
     del rhs
     ridge = l_inv @ l_inv.T
     ridge *= lam
-    return KernelizedData(matrix=z, whitened=l_inv @ z, l_inv=l_inv, ridge=ridge,
-                          mode=mode, n_samples=n)
+    return WhitenedData(matrix=x, whitened=l_inv @ x, l_inv=l_inv, ridge=ridge)
 
 
-def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
-
-    rhs must be positive definite.  The pencil is reduced to standard form
-    with the Cholesky factor of rhs and solved on the path
-    :func:`solve_projection` takes.  Eigenvalues come back ascending and
-    each eigenvector is scaled so its largest-magnitude entry is positive.
-    """
-    lhs = np.asarray(lhs, dtype=float)
-    _check_k(k, lhs.shape[0])
-    l_inv = _inverse_cholesky(np.asarray(rhs, dtype=float))
-    return _smallest_pairs(l_inv @ lhs @ l_inv.T, l_inv, k)
-
-
-def solve_projection(data: KernelizedData, scatter, k: int) -> Projection:
+def solve_projection(data: WhitenedData, scatter, k: int) -> Projection:
     """Learn the k-dimensional projection for a combined alignment loss.
 
     Parameters
     ----------
-    data : KernelizedData
+    data : WhitenedData
         Output of :func:`gram_matrix`, which fixed ``lam`` and ``rhs_reg``.
-    scatter : ndarray (dim, dim)
+    scatter : ndarray (d, d)
         Whitened scatter ``L^-1 Z M Z.T L^-T`` of the combined alignment
-        matrix M, i.e. the scatter of ``data.whitened``, where dim is the
-        row count of the data matrix.  Only its lower triangle is read.
+        matrix M, i.e. the scatter of ``data.whitened``, where d is the
+        feature dimension.  Only its lower triangle is read.
         The ridge is added into it in place, so a float array passed here
         is overwritten with the whitened pencil.
     k : int
-        Number of eigenvectors, at most the row count of the data matrix.
+        Number of eigenvectors, at most the feature dimension d.
 
     Raises
     ------
@@ -210,15 +178,11 @@ def solve_projection(data: KernelizedData, scatter, k: int) -> Projection:
     _check_k(k, dim)
     scatter += data.ridge
     phi, a = _smallest_pairs(scatter, data.l_inv, k)
-    return Projection(a=a, eigenvalues=phi, mode=data.mode)
+    return Projection(a=a, eigenvalues=phi)
 
 
-def embed(proj: Projection, data: KernelizedData) -> np.ndarray:
+def embed(proj: Projection, data: WhitenedData) -> np.ndarray:
     """Project every sample into the learned subspace, one column each."""
-    if proj.mode != data.mode:
-        raise ValidationError(
-            f"projection mode {proj.mode!r} does not match data mode {data.mode!r}"
-        )
     if proj.a.shape[0] != data.matrix.shape[0]:
         raise ValidationError(
             f"projection rows {proj.a.shape[0]} do not match data rows {data.matrix.shape[0]}"

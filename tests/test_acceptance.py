@@ -49,9 +49,10 @@ from partialda.oracles import (
     build_mp,
     centering_matrix,
     combine,
+    generalized_eigh,
 )
 from partialda.pipeline import label_change_fraction
-from partialda.subspace import embed, generalized_eigh, gram_matrix, solve_projection
+from partialda.subspace import embed, gram_matrix, solve_projection
 from tests.test_alignment import (
     oracle_center_gap,
     oracle_cluster_gap,
@@ -130,7 +131,7 @@ def test_criterion_2_eigensolver_residuals():
         for _ in range(55):
             data, m_all = conditioned_instance(rng)
             z = data.matrix
-            n = data.n_samples
+            n = z.shape[1]
             lam = 0.1
             k = max(1, z.shape[0] // 2)
             w = data.whitened
@@ -271,10 +272,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
             config={}, overall_accuracy=None, per_class_accuracy=None,
             class_weights=[1.0], class_mask=[1], iterations_run=0,
         )
-        kernel_data = gram_matrix(np.eye(3), "linear")
-        raw_proj = solve_projection(
-            gram_matrix(np.eye(4), "none", 0.1), np.eye(4), 1
-        )
+        raw_proj = solve_projection(gram_matrix(np.eye(4), 0.1), np.eye(4), 1)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -285,7 +283,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (ValidationError, lambda: accuracy(np.array([]), np.array([]))),
             (ConfigurationError, lambda: AdaptationConfig(k=0)),
             (ConfigurationError, lambda: AdaptationConfig(lam=-1.0)),
-            (ConfigurationError, lambda: AdaptationConfig(kernel="rbf")),
+            (ConfigurationError, lambda: AdaptationConfig(delta=-1.0)),
             (ValidationError, lambda: compute_class_weights(np.zeros((2, 3)))),
             (ConfigurationError, lambda: binarize_weights(
                 ClassWeights(np.array([0.5, 0.5]), np.ones(2)), 0.9)),
@@ -299,8 +297,8 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 5)), "none", 0.1), np.eye(3), 2)),
-            (ValidationError, lambda: embed(raw_proj, kernel_data)),
+                gram_matrix(np.ones((3, 5)), 0.1), np.eye(3), 2)),
+            (ValidationError, lambda: embed(raw_proj, gram_matrix(np.eye(3)))),
             (ValidationError, lambda: build_graph(np.eye(2), np.eye(2), 0.0)),
             (NumericalError, lambda: propagate(singular_graph, y2)),
             (ValidationError, lambda: propagate(singular_graph, np.eye(3))),

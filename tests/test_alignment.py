@@ -294,7 +294,7 @@ def test_alignment_scatter_matches_dense_oracle():
         if i % 5 == 2:
             alpha_c = 0.0
         x = np.hstack([x_s, x_t])
-        z = x if i % 2 else x.T @ x  # raw features, then the linear kernel
+        z = x if i % 2 else x.T @ x  # the (d, n) features, then an (n, n) data matrix
         m_all = combine(
             build_m0(omega, x_t.shape[1]),
             build_mp(build_center_operators(y_s, p)),

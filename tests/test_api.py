@@ -1,11 +1,15 @@
 """The public API: the names ``partialda`` exports and what importing it loads."""
 
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import partialda
+from partialda import AdaptationConfig
+from partialda.cli import build_parser, main
 
 PUBLIC = [
     "adapt",
@@ -39,6 +43,45 @@ def test_public_api_is_pinned():
     assert sorted(partialda.__all__) == sorted(PUBLIC + ["__version__"])
     for name in partialda.__all__:
         assert getattr(partialda, name) is not None, name
+
+
+CONFIG_FIELDS = [
+    "alpha_p",
+    "alpha_c",
+    "lam",
+    "k",
+    "sigma",
+    "delta",
+    "max_iterations",
+    "convergence_tol",
+    "binary_sample_weights",
+    "rhs_reg",
+]
+IO_ARGUMENTS = ["source_features", "source_labels", "target_features", "target_labels", "out"]
+
+
+def test_config_knobs_are_pinned():
+    assert [f.name for f in dataclasses.fields(AdaptationConfig)] == CONFIG_FIELDS
+
+
+def test_adapt_flags_mirror_the_config_fields():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in commands.choices["adapt"]._actions if a.dest != "help"]
+    assert sorted(a.dest for a in actions) == sorted(CONFIG_FIELDS + IO_ARGUMENTS)
+    flags = {a.dest: a.option_strings for a in actions}
+    for name in CONFIG_FIELDS + IO_ARGUMENTS:
+        want = "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+        assert flags[name] == [want], name
+    defaults = AdaptationConfig()
+    for name in CONFIG_FIELDS:
+        assert commands.choices["adapt"].get_default(name) == getattr(defaults, name), name
+
+
+def test_removed_kernel_flag_is_a_usage_error(tmp_path, capsys):
+    io = [f"--{name.replace('_', '-')}={tmp_path / name}" for name in IO_ARGUMENTS]
+    assert main(["adapt", *io, "--kernel", "linear"]) == 1
+    assert "unrecognized arguments: --kernel linear" in capsys.readouterr().err
 
 
 def test_import_leaves_oracles_unloaded():

@@ -71,6 +71,13 @@ def test_gen_synth_rejects_bad_spec(tmp_path, capsys):
     assert "num_target_classes" in capsys.readouterr().err
 
 
+def test_gen_synth_non_finite_knob_exits_one(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["gen-synth", "--out-dir", str(out), "--noise-std", "nan"]) == 1
+    assert "noise_std must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adapt_writes_report_and_soft_labels(tmp_path, capsys):
     files = gen_dataset(tmp_path / "data")
     out = tmp_path / "run"

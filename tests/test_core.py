@@ -107,7 +107,6 @@ def test_config_defaults_and_validation():
     assert cfg.sigma == 0.1
     assert cfg.delta == 1e-3
     assert cfg.max_iterations == 10
-    assert cfg.kernel == "none"
     assert cfg.convergence_tol == 0.0
     for bad in (
         dict(lam=0.0),
@@ -120,7 +119,6 @@ def test_config_defaults_and_validation():
         dict(max_iterations=0),
         dict(max_iterations=-2),
         dict(max_iterations=2.5),
-        dict(kernel="rbf"),
         dict(alpha_p=-1.0),
         dict(convergence_tol=-1e-9),
         dict(rhs_reg=-1.0),

@@ -97,6 +97,17 @@ def test_spec_validation():
         SyntheticSpec(samples_per_class_target=0)
 
 
+@pytest.mark.parametrize(
+    "knob", ["cluster_radius", "noise_std", "shift_rotation_deg", "shift_translation"])
+def test_spec_rejects_non_finite_float_knobs(knob):
+    # NaN passes every range check, so each float knob is checked for finiteness
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match=f"^{knob} must be finite, got {value}$"):
+            SyntheticSpec(**{knob: value})
+    data = generate_synthetic(SyntheticSpec(**{knob: 1}))  # a Python int is fine
+    assert np.isfinite(data.x_s).all() and np.isfinite(data.x_t).all()
+
+
 def test_feature_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(50)
     x = rng.standard_normal((4, 7)) * np.pi

@@ -122,12 +122,11 @@ def test_baseline_single_target_shape():
 def test_k_exceeding_dimension_is_rejected():
     rng = np.random.default_rng(46)
     x, y, _ = separable_instance(rng)  # d = 6
-    with pytest.raises(ConfigurationError, match="k=7"):
+    with pytest.raises(ConfigurationError, match="k=7 exceeds the feature dimension 6"):
         adapt(x, y, x.copy(), AdaptationConfig(k=7))
-    # the kernel path is bounded by sample count instead
-    n = 2 * x.shape[1]
-    with pytest.raises(ConfigurationError, match=f"k={n + 1}"):
-        adapt(x, y, x.copy(), AdaptationConfig(k=n + 1, kernel="linear"))
+    # k = d is the largest subspace there is, and it runs
+    result = adapt(x, y, x.copy(), AdaptationConfig(k=6, max_iterations=2))
+    assert result.projection.a.shape == (6, 6)
 
 
 def test_input_validation():

@@ -15,10 +15,10 @@ from partialda.oracles import (
     build_mp,
     centering_matrix,
     combine,
+    generalized_eigh,
 )
 from partialda.subspace import (
     embed,
-    generalized_eigh,
     gram_matrix,
     projection_objective,
     solve_projection,
@@ -28,7 +28,7 @@ from tests.test_alignment import random_instance
 EPS = np.finfo(float).eps
 
 
-def solver_instance(rng, kernel="none"):
+def solver_instance(rng):
     """Random pencil built from actual alignment matrices."""
     x_s, y_s, x_t, p = random_instance(rng)
     omega = rng.random(x_s.shape[1]) + 0.1
@@ -39,7 +39,7 @@ def solver_instance(rng, kernel="none"):
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
     )
-    data = gram_matrix(np.hstack([x_s, x_t]), kernel)
+    data = gram_matrix(np.hstack([x_s, x_t]))
     return data, m_all
 
 
@@ -72,7 +72,7 @@ def conditioned_instance(rng):
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
     )
-    data = gram_matrix(np.hstack([x_s, x_t]), "none")
+    data = gram_matrix(np.hstack([x_s, x_t]))
     return data, m_all
 
 
@@ -90,14 +90,15 @@ def projected_scatter(proj, data, m_all):
 
 def dense_pencil(data, m_all, lam, rhs_reg):
     """The dense lhs and rhs of the pencil that gram_matrix factors."""
-    z, n = data.matrix, data.n_samples
+    z = data.matrix
+    n = z.shape[1]
     zhz = z @ centering_matrix(n) @ z.T
     lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
     rhs = zhz + rhs_reg * np.trace(zhz) / n * np.eye(z.shape[0])
     return lhs, rhs
 
 
-def factored_instance(rng, kernel="none", rhs_reg=1e-6, full_rank=None):
+def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
     """Random alignment instance solved the way the loop solves it.
 
     full_rank=True keeps n >= d + 2 samples, so the raw constraint side
@@ -120,7 +121,7 @@ def factored_instance(rng, kernel="none", rhs_reg=1e-6, full_rank=None):
         alpha_c,
     )
     lam = 0.1
-    data = gram_matrix(np.hstack([x_s, x_t]), kernel, lam, rhs_reg)
+    data = gram_matrix(np.hstack([x_s, x_t]), lam, rhs_reg)
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
     scatter = alignment_scatter(data.whitened, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
     proj = solve_projection(data, scatter, k)
@@ -168,18 +169,13 @@ def test_centering_matrix_properties():
         centering_matrix(0)
 
 
-def test_gram_matrix_modes():
+def test_gram_matrix_passes_features_through():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((6, 4))
-    raw = gram_matrix(x, "none")
-    assert raw.mode == "raw"
+    raw = gram_matrix(x)
     assert raw.matrix is x or np.array_equal(raw.matrix, x)
-    q, _ = np.linalg.qr(rng.standard_normal((7, 3)))
-    lin = gram_matrix(q, "linear")
-    assert lin.mode == "kernel"
-    assert np.allclose(lin.matrix, np.eye(3), atol=1e-14)
-    with pytest.raises(ValidationError):
-        gram_matrix(x, "rbf")
+    with pytest.raises(ValidationError, match="2-dimensional"):
+        gram_matrix(x[0])
 
 
 def test_generalized_eigh_diagonal_case():
@@ -192,6 +188,13 @@ def test_generalized_eigh_diagonal_case():
 def test_generalized_eigh_k_out_of_range():
     with pytest.raises(ValidationError, match="smaller k"):
         generalized_eigh(np.eye(3), np.eye(3), k=4)
+    # k < 1 is not cured by a smaller k
+    for k in (0, -1):
+        with pytest.raises(ValidationError, match=f"^k must be at least 1, got {k}$"):
+            generalized_eigh(np.eye(3), np.eye(3), k=k)
+    data, m_all = solver_instance(np.random.default_rng(35))
+    with pytest.raises(ValidationError, match="^k must be at least 1, got 0$"):
+        solve_projection(data, whitened_scatter(data, m_all), 0)
 
 
 def test_generalized_eigh_matches_full_spectrum():
@@ -223,7 +226,7 @@ def test_solve_projection_residual_and_constraint():
     for _ in range(40):
         data, m_all = conditioned_instance(rng)
         z = data.matrix
-        n = data.n_samples
+        n = z.shape[1]
         lam = 0.1
         k = max(1, z.shape[0] // 2)
         proj = solve_projection(data, whitened_scatter(data, m_all), k)
@@ -254,9 +257,9 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
             continue
         k = 2
         lhs = (z @ m_all @ z.T + (z @ m_all @ z.T).T) / 2 + lam * np.eye(d)
-        h = centering_matrix(data.n_samples)
+        h = centering_matrix(z.shape[1])
         zhz = (z @ h @ z.T + (z @ h @ z.T).T) / 2
-        rhs = zhz + 1e-6 * np.trace(zhz) / data.n_samples * np.eye(d)
+        rhs = zhz + 1e-6 * np.trace(zhz) / z.shape[1] * np.eye(d)
         import scipy.linalg
 
         phi, vecs = scipy.linalg.eigh(lhs, rhs)
@@ -304,9 +307,9 @@ def test_solve_projection_degenerate_data_is_numerical_error():
     # the constraint side is factored once, in gram_matrix, so it raises there
     x = np.ones((3, 5))
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(x, "none"), np.eye(3), 2)
+        solve_projection(gram_matrix(x), np.eye(3), 2)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 4)), "none"), np.eye(2), 1)
+        solve_projection(gram_matrix(np.zeros((2, 4))), np.eye(2), 1)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -320,16 +323,14 @@ def test_embed_linearity_and_errors():
     data, m_all = solver_instance(rng)
     proj = solve_projection(data, whitened_scatter(data, m_all), 2)
     z = embed(proj, data)
-    assert z.shape == (2, data.n_samples)
+    n = data.matrix.shape[1]
+    assert z.shape == (2, n)
     manual = proj.a.T @ data.matrix
     assert np.allclose(z, manual, atol=1e-12)
-    x2 = np.vstack([data.matrix, np.zeros((1, data.n_samples))])
-    data2 = gram_matrix(x2, "none")
+    x2 = np.vstack([data.matrix, np.zeros((1, n))])
+    data2 = gram_matrix(x2)
     with pytest.raises(ValidationError, match="rows"):
         embed(proj, data2)
-    data3 = gram_matrix(data.matrix, "linear")
-    with pytest.raises(ValidationError, match="mode"):
-        embed(proj, data3)
 
 
 def test_objective_matches_trace_identity():
@@ -346,10 +347,10 @@ def test_objective_matches_trace_identity():
 
 def test_gram_matrix_factors_the_constraint_side():
     rng = np.random.default_rng(29)
-    for kernel in ("none", "linear"):
-        x = rng.standard_normal((5, 9))
-        data = gram_matrix(x, kernel, lam=0.3, rhs_reg=1e-4)
-        z, n = data.matrix, data.n_samples
+    for shape in ((9, 5), (5, 9)):  # a singular constraint side, then a definite one
+        x = rng.standard_normal(shape)
+        data = gram_matrix(x, lam=0.3, rhs_reg=1e-4)
+        z, n = data.matrix, shape[1]
         _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, 1e-4)
         l_inv = data.l_inv
         assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
@@ -357,10 +358,10 @@ def test_gram_matrix_factors_the_constraint_side():
         assert np.allclose(data.whitened, l_inv @ z, rtol=1e-13, atol=1e-13)
         assert np.allclose(data.ridge, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
     with pytest.raises(ValidationError, match="lam"):
-        gram_matrix(x, "none", lam=0.0)
+        gram_matrix(x, lam=0.0)
     x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
     with pytest.raises(NumericalError, match="cond"):
-        gram_matrix(x, "none", rhs_reg=0.0)
+        gram_matrix(x, rhs_reg=0.0)
 
 
 def test_solve_projection_matches_dense_eigh_raw():
@@ -368,26 +369,25 @@ def test_solve_projection_matches_dense_eigh_raw():
     rng = np.random.default_rng(30)
     for i in range(80):
         rhs_reg = 1e-6 if i % 2 else 1e-10
-        proj, _, _, (lhs, rhs) = factored_instance(rng, "none", rhs_reg, full_rank=True)
+        proj, _, _, (lhs, rhs) = factored_instance(rng, rhs_reg, full_rank=True)
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs)
 
 
-def test_solve_projection_matches_dense_eigh_linear_kernel():
-    # The centred Gram matrix is always singular; only eps_r makes it definite.
+def test_solve_projection_matches_dense_eigh_singular_raw():
+    # With n <= d the centred constraint side is singular; only eps_r, at its
+    # default rhs_reg, makes it definite.
     rng = np.random.default_rng(31)
     for _ in range(80):
-        proj, _, _, (lhs, rhs) = factored_instance(rng, "linear")
+        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
         assert np.linalg.cond(rhs) > 1e5
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
 
 def test_solve_projection_matches_dense_eigh_ill_conditioned():
-    # rhs_reg=1e-10 on a singular constraint side: raw with n <= d, and kernel.
+    # rhs_reg=1e-10 on a singular constraint side: raw features with n <= d.
     rng = np.random.default_rng(32)
-    for i in range(80):
-        kernel = "linear" if i % 2 else "none"
-        proj, _, _, (lhs, rhs) = factored_instance(
-            rng, kernel, 1e-10, full_rank=False if kernel == "none" else None)
+    for _ in range(80):
+        proj, _, _, (lhs, rhs) = factored_instance(rng, 1e-10, full_rank=False)
         assert np.linalg.cond(rhs) > 1e8
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
@@ -415,7 +415,8 @@ def test_objective_matches_dense_trace_after_whitening():
     # embedding; it must equal tr(A'SA) + lam ||A||^2 in original coordinates.
     rng = np.random.default_rng(34)
     for i in range(100):
-        proj, data, m_all, _ = factored_instance(rng, "linear" if i % 2 else "none")
+        # alternately a singular constraint side (n <= d) and any shape
+        proj, data, m_all, _ = factored_instance(rng, full_rank=False if i % 2 else None)
         z, a = data.matrix, proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
