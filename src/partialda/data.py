@@ -26,6 +26,12 @@ from .errors import ParseError, ValidationError
 from .core import as_feature_matrix
 
 
+_INTEGER_FIELDS = (
+    "num_source_classes", "num_target_classes", "dim",
+    "samples_per_class_source", "samples_per_class_target", "seed",
+)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a partial-overlap two-domain benchmark.
@@ -59,6 +65,11 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not isinstance(value, int) and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) and not (math.isfinite(value) and int(value) == value):
+                raise ValidationError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))  # 20.0 would break the shapes
         if self.num_source_classes < 1:
             raise ValidationError("num_source_classes must be >= 1")
         if not 1 <= self.num_target_classes <= self.num_source_classes:
@@ -78,7 +89,7 @@ class SyntheticSpec:
             raise ValidationError("shift_translation must be non-negative")
         if self.shift_rotation_deg != 0 and self.dim < 2:
             raise ValidationError("a rotation needs dim >= 2")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
 

@@ -25,7 +25,7 @@ from .alignment import (
 )
 from .core import AdaptationConfig, as_feature_matrix, check_label_matrix, hard_labels
 from .errors import AdaptationError, ConfigurationError, ValidationError
-from .graph import build_graph, propagate, reweight_graph
+from .graph import propagate_labels
 from .subspace import Projection, embed, gram_matrix, projection_objective, solve_projection
 
 
@@ -119,7 +119,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         raise ConfigurationError(f"k={config.k} exceeds the feature dimension {d}")
     source_classes = np.argmax(y_s, axis=1)
 
-    p = propagate(build_graph(x_s, x_t, config.sigma), y_s)
+    p, _ = propagate_labels(x_s, x_t, config.sigma, y_s)
     weights = binarize_weights(compute_class_weights(p), config.delta)
     hard_prev = hard_labels(p)
 
@@ -140,9 +140,8 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
             objective = projection_objective(
                 proj, alignment_scatter(z, n_s, omega, y_s, p_masked,
                                         config.alpha_p, config.alpha_c), config.lam)
-            g = build_graph(z[:, :n_s], z[:, n_s:], config.sigma)
-            g, graph_fallbacks = reweight_graph(g, weights, source_classes)
-            p = propagate(g, y_s)
+            p, graph_fallbacks = propagate_labels(z[:, :n_s], z[:, n_s:], config.sigma,
+                                                  y_s, weights, source_classes)
             weights = binarize_weights(compute_class_weights(p), config.delta)
             hard = hard_labels(p)
 
@@ -174,8 +173,7 @@ def baseline_propagate(x_s, y_s, x_t, sigma: float = 0.1) -> AdaptationResult:
     reference point when judging whether adaptation helped.
     """
     x_s, y_s, x_t = _validated_inputs(x_s, y_s, x_t)
-    g = build_graph(x_s, x_t, sigma)
-    p = propagate(g, y_s)
+    p, _ = propagate_labels(x_s, x_t, sigma, y_s)
     return AdaptationResult(
         projection=None,
         soft_labels=p,

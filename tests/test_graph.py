@@ -15,6 +15,7 @@ from partialda.graph import (
     build_graph,
     cosine_distances,
     propagate,
+    propagate_labels,
     reweight_graph,
 )
 
@@ -400,3 +401,98 @@ def test_reweight_and_propagate_leave_their_graph_unchanged():
     kept = single.w_ts.copy()
     reweight_graph(single, ClassWeights(weights=np.ones(2), mask=np.zeros(2)), np.array([0, 1]))
     assert same_bits(single.w_ts, kept)
+
+
+# propagate_labels runs the same kernels as the three public functions on
+# buffers it owns; it must give the same bits, fallback count and errors.
+
+
+def chained(z_s, z_t, sigma, y, weights=None, classes=None):
+    g = build_graph(z_s, z_t, sigma)
+    n_dead = 0
+    if weights is not None:
+        g, n_dead = reweight_graph(g, weights, classes)
+    return propagate(g, y), n_dead
+
+
+def outcome(route, *args):
+    """Soft-label bits and fallback count, or the NumericalError text."""
+    try:
+        p, n_dead = route(*args)
+    except NumericalError as exc:
+        return str(exc)
+    return p.shape, p.tobytes(), n_dead
+
+
+def owned_cases(rng):
+    """graph_cases plus a single target and a W_tt with exact zeros off the diagonal."""
+    yield from graph_cases(rng)
+    yield rng.standard_normal((3, 5)), rng.standard_normal((3, 1)), 0.5  # n_t = 1
+    e = np.eye(4)
+    yield e[:, :1], e[:, 1:2], 1e-3  # n_t = 1 and its only row dead
+    # targets near orthogonal sources: cross-axis affinities underflow to 0.0
+    yield e, e + 1e-3 * rng.standard_normal((4, 4)), 0.02
+
+
+def test_propagate_labels_bit_identical_to_public_chain():
+    rng = np.random.default_rng(39)
+    for z_s, z_t, sigma in owned_cases(rng):
+        n_s = z_s.shape[1]
+        c = int(rng.integers(1, min(4, n_s) + 1))
+        classes = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
+        y = np.eye(c)[classes]
+        mask = (rng.random(c) > 0.3).astype(float)
+        for w in (
+            None,
+            ClassWeights(weights=rng.random(c), mask=mask),
+            ClassWeights(weights=rng.random(c), mask=np.zeros(c)),  # all masked
+        ):
+            args = (z_s, z_t, sigma, y) if w is None else (z_s, z_t, sigma, y, w, classes)
+            assert outcome(propagate_labels, *args) == outcome(chained, *args)
+
+
+def test_owned_cases_reach_the_edge_paths():
+    cases = list(owned_cases(np.random.default_rng(39)))
+    z_s, z_t, sigma = cases[-1]
+    w_tt = build_graph(z_s, z_t, sigma).w_tt
+    assert np.count_nonzero(w_tt == 0.0) > w_tt.shape[0]
+    z_s, z_t, sigma = cases[-3]
+    single = ClassWeights(weights=np.ones(1), mask=np.zeros(1))
+    p, n_dead = propagate_labels(z_s, z_t, sigma, np.ones((5, 1)), single, np.zeros(5, int))
+    assert n_dead == 1 and np.allclose(p, 1.0)
+
+
+def test_propagate_labels_singular_system_error_text():
+    # every class masked and two targets: only uniform target affinities are
+    # left, so I - W_tt has the all-ones vector in its null space
+    z_s = np.eye(3)[:, :2]
+    z_t = np.eye(3)[:, 1:]
+    w = ClassWeights(weights=np.array([0.5, 0.5]), mask=np.zeros(2))
+    args = (z_s, z_t, 0.5, np.eye(2), w, np.array([0, 1]))
+    with pytest.raises(NumericalError, match="singular") as owned:
+        propagate_labels(*args)
+    with pytest.raises(NumericalError) as public:
+        chained(*args)
+    assert str(owned.value) == str(public.value)
+
+
+def test_propagate_labels_validation_matches_public_functions():
+    ok = np.ones((2, 3))
+    y = np.eye(3)
+    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.ones(2))
+    classes = np.array([0, 1, 0])
+    for args in (
+        (ok, ok, np.nan, y),
+        (ok, ok, 0.0, y),
+        (ok, np.ones((3, 2)), 0.5, y),
+        (ok, np.ones((2, 0)), 0.5, y),
+        (ok, ok, 0.5, y, w, np.array([0])),
+        (ok, ok, 0.5, y, w, np.array([0, 5, 0])),
+        (ok, ok, 0.5, np.eye(4)),
+        (ok, ok, 0.5, np.eye(4), w, classes),
+    ):
+        with pytest.raises(ValidationError) as owned:
+            propagate_labels(*args)
+        with pytest.raises(ValidationError) as public:
+            chained(*args)
+        assert str(owned.value) == str(public.value)

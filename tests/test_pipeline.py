@@ -1,5 +1,7 @@
 """End-to-end behavior of the adaptation loop and the propagation baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from partialda import (
     AdaptationConfig,
     ConfigurationError,
     NumericalError,
+    SyntheticSpec,
     ValidationError,
     accuracy,
     adapt,
     baseline_propagate,
+    generate_synthetic,
+    make_one_hot,
 )
 from partialda.graph import build_graph, propagate
 from partialda.pipeline import label_change_fraction
@@ -136,3 +141,26 @@ def test_input_validation():
         adapt(x, y, np.ones((x.shape[0] + 1, 4)), AdaptationConfig(k=2))
     with pytest.raises(ValidationError):
         adapt(x, y[:-1], x.copy(), AdaptationConfig(k=2))
+
+
+def test_graph_working_set_stays_below_two_target_squares():
+    # numpy reports its array allocations to tracemalloc (LAPACK's scratch
+    # copy of the system is not counted): reweighting in place and dropping
+    # W_ts before the solve keeps the traced peak near 1.5 n_t^2 doubles,
+    # where a copied W_tt and a separate I - W_tt gave 2.5 to 3.3
+    data = generate_synthetic(SyntheticSpec(dim=32, samples_per_class_target=120))
+    y_s = make_one_hot(data.y_s, num_classes=10)
+    n_t = data.x_t.shape[1]
+    assert (data.x_s.shape[1], n_t) == (300, 600)
+    runs = (
+        lambda: baseline_propagate(data.x_s, y_s, data.x_t),
+        lambda: adapt(data.x_s, y_s, data.x_t, AdaptationConfig(k=5, max_iterations=2)),
+    )
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n_t**2
