@@ -11,25 +11,41 @@ down-weighting a class zeroes its columns so no target can inherit it.
 import numpy as np
 
 from partialda.alignment import ClassWeights
-from partialda.graph import CrossDomainGraph, build_graph, propagate, reweight_graph
+from partialda.graph import propagate_labels
 
-# 1. A tiny hand-made graph: two targets that each see one source clearly
-#    but also lean on each other.
-g = CrossDomainGraph(
-    w_ts=np.array([[0.5, 0.0], [0.0, 0.5]]),
-    w_tt=np.array([[0.0, 0.5], [0.5, 0.0]]),
-    sigma=0.1,
-)
+# 1. A tiny graph: sources s0, s1 and targets t0, t1 at 35 degree steps on
+#    a circle (s0, t0, t1, s1).  At sigma = 0.02 only neighbors connect, so
+#    each target sees one source clearly but also leans on the other target.
+angles = np.deg2rad([0.0, 35.0, 70.0, 105.0])
+points = np.vstack([np.cos(angles), np.sin(angles)])
+z_s, z_t = points[:, [0, 3]], points[:, [1, 2]]
+sigma = 0.02
 y_s = np.eye(2)  # source sample 0 is class 0, sample 1 is class 1
 
-p = propagate(g, y_s)
+p, _ = propagate_labels(z_s, z_t, sigma, y_s)
 print("closed-form propagation:")
 print(p)
 
-# 2. The same numbers emerge from literally repeating the averaging step.
+# 2. The same numbers emerge from literally repeating the averaging step on
+#    the graph, written out here: Gaussian affinities of the cosine
+#    distances, no self loops, rows normalized over sources and targets.
+def affinities(a, b):
+    cos = (a / np.linalg.norm(a, axis=0)).T @ (b / np.linalg.norm(b, axis=0))
+    return np.exp(-((1.0 - cos) / sigma) ** 2)
+
+
+w_ts = affinities(z_t, z_s)
+w_tt = affinities(z_t, z_t)
+np.fill_diagonal(w_tt, 0.0)
+rows = w_ts.sum(axis=1) + w_tt.sum(axis=1)
+w_ts, w_tt = w_ts / rows[:, None], w_tt / rows[:, None]
+print("\nW_ts (targets x sources) and W_tt (targets x targets):")
+print(np.round(w_ts, 3))
+print(np.round(w_tt, 3))
+
 f = np.zeros((2, 2))
 for _ in range(60):
-    f = g.w_ts @ y_s + g.w_tt @ f
+    f = w_ts @ y_s + w_tt @ f
 print("\nafter 60 averaging sweeps:")
 print(f.T)
 print(f"max difference: {np.abs(p - f.T).max():.2e}")
@@ -45,16 +61,14 @@ y[[0, 1], 0] = 1.0
 y[[2, 3], 1] = 1.0
 x_t = centers[:, [0, 0, 0]] + rng.normal(0, 1.0, (2, 3))  # only class 0
 
-g = build_graph(x_s, x_t, sigma=0.5)
-p_before = propagate(g, y)
+p_before, _ = propagate_labels(x_s, x_t, 0.5, y)
 print("\nsoft labels before down-weighting (rows = classes):")
 print(np.round(p_before, 3))
 
 # 4. Down-weighting class 1 zeroes its source columns; after the rows are
 #    renormalized, its leaked probability mass vanishes entirely.
 weights = ClassWeights(weights=np.array([1.0, 0.0]), mask=np.array([1.0, 0.0]))
-g_masked, n_dead = reweight_graph(g, weights, np.array([0, 0, 1, 1]))
-p_after = propagate(g_masked, y)
+p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, weights, np.array([0, 0, 1, 1]))
 print("\nsoft labels after masking class 1:")
 print(np.round(p_after, 3))
 print(f"rows with no mass left (repaired): {n_dead}")

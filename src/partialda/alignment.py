@@ -80,14 +80,10 @@ def binarize_weights(w: ClassWeights, delta: float) -> ClassWeights:
     return ClassWeights(weights=w.weights * mask, mask=mask)
 
 
-def source_sample_weights(w: ClassWeights, y_s, binary: bool = False) -> np.ndarray:
-    """Per-sample weights: each source sample inherits its class weight.
-
-    With ``binary=True`` the 0/1 mask is used instead of the masked
-    continuous weights.
-    """
+def source_sample_weights(w: ClassWeights, y_s) -> np.ndarray:
+    """Per-sample weights: each source sample inherits its masked class weight."""
     y_s = np.asarray(y_s, dtype=float)
-    values = w.mask if binary else w.masked
+    values = w.masked
     if y_s.ndim != 2 or y_s.shape[1] != values.size:
         raise ValidationError(
             f"label matrix shape {y_s.shape} does not match {values.size} class weights"

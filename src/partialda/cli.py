@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adapt.add_argument("--delta", type=float, default=1e-3)
     p_adapt.add_argument("--max-iterations", type=int, default=10)
     p_adapt.add_argument("--convergence-tol", type=float, default=0.0)
-    p_adapt.add_argument("--binary-sample-weights", action="store_true")
     p_adapt.add_argument("--rhs-reg", type=float, default=1e-6)
     p_adapt.set_defaults(func=cmd_adapt)
 
@@ -165,8 +164,7 @@ def cmd_adapt(args) -> int:
     config = AdaptationConfig(
         alpha_p=args.alpha_p, alpha_c=args.alpha_c, lam=args.lam, k=args.k,
         sigma=args.sigma, delta=args.delta, max_iterations=args.max_iterations,
-        convergence_tol=args.convergence_tol,
-        binary_sample_weights=args.binary_sample_weights, rhs_reg=args.rhs_reg,
+        convergence_tol=args.convergence_tol, rhs_reg=args.rhs_reg,
     )
     start = time.perf_counter()
     result = adapt(x_s, y_s, x_t, config)

@@ -141,8 +141,6 @@ class AdaptationConfig:
     delta : threshold under which a class weight is masked out.
     max_iterations : upper bound on alternating rounds.
     convergence_tol : stop once the fraction of changed hard labels is <= this.
-    binary_sample_weights : use the 0/1 mask instead of masked continuous
-        class weights when weighting source samples.
     rhs_reg : scale of the trace-proportional regularizer added to the
         constraint side of the eigenproblem.
     """
@@ -155,7 +153,6 @@ class AdaptationConfig:
     delta: float = 1e-3
     max_iterations: int = 10
     convergence_tol: float = 0.0
-    binary_sample_weights: bool = False
     rhs_reg: float = 1e-6
 
     def __post_init__(self):

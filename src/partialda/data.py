@@ -156,8 +156,17 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(x_s=x_s, y_s=y_s, x_t=x_t, y_t=y_t, centers=centers)
 
 
+def _read_text(path) -> str:
+    """The file's contents as UTF-8; raises ParseError naming the file otherwise."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} is "
+                         f"{exc.object[exc.start]:#04x}") from None
+
+
 def _read_rows(path) -> list[tuple[int, str]]:
-    text = Path(path).read_text()
+    text = _read_text(path)
     rows = [(i, line) for i, line in enumerate(text.splitlines(), start=1)]
     while rows and rows[-1][1].strip() == "":
         rows.pop()
@@ -259,6 +268,17 @@ def save_soft_labels(p, path) -> None:
     _write_rows(p.T, path)
 
 
+# The JSON type of each container field of a report document.
+_REPORT_CONTAINERS = {
+    "config": (dict, "an object"),
+    "per_class_accuracy": ((dict, type(None)), "an object or null"),
+    "class_weights": (list, "an array"),
+    "class_mask": (list, "an array"),
+    "history": (list, "an array"),
+    "warnings": (dict, "an object"),
+}
+
+
 @dataclass(frozen=True)
 class ResultReport:
     """Self-describing summary of one adaptation or baseline run."""
@@ -292,18 +312,25 @@ class ResultReport:
         for f in fields(cls):
             if f.name not in doc:
                 raise ParseError(f"report document has no {f.name!r} field")
-        per_class = doc.get("per_class_accuracy")
+        for name, (kind, json_type) in _REPORT_CONTAINERS.items():
+            if not isinstance(doc[name], kind):
+                raise ParseError(f"report field {name!r} must be {json_type}, got {doc[name]!r}")
+        per_class = doc["per_class_accuracy"]
         if per_class is not None:
-            per_class = {int(k): float(v) for k, v in per_class.items()}
+            try:
+                per_class = {int(k): float(v) for k, v in per_class.items()}
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError("report field 'per_class_accuracy' must map class ids "
+                                 f"to numbers, got {per_class!r}") from None
         return cls(
             config=doc["config"],
             overall_accuracy=doc["overall_accuracy"],
             per_class_accuracy=per_class,
-            class_weights=list(doc["class_weights"]),
-            class_mask=list(doc["class_mask"]),
+            class_weights=doc["class_weights"],
+            class_mask=doc["class_mask"],
             iterations_run=doc["iterations_run"],
-            history=list(doc["history"]),
-            warnings=dict(doc["warnings"]),
+            history=doc["history"],
+            warnings=doc["warnings"],
             duration_seconds=doc["duration_seconds"],
         )
 
@@ -314,9 +341,16 @@ def save_report(report: ResultReport, path) -> None:
 
 
 def load_report(path) -> ResultReport:
-    """Load a report saved by :func:`save_report`."""
+    """Load a report saved by :func:`save_report`.
+
+    Raises
+    ------
+    ParseError
+        If the file is not UTF-8 JSON, or not a report document: a field is
+        missing or one of its arrays or objects has another JSON type.
+    """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid report document: {exc}") from None
     return ResultReport.from_dict(doc)

@@ -6,39 +6,22 @@ targets by solving the harmonic system: each target distribution is the
 affinity-weighted average of its neighbors' distributions, source rows
 clamped to their one-hot labels.
 
-Three private kernels do the arithmetic, each in buffers its caller owns:
-one builds the two affinity blocks, one reweights them in place and one
-turns ``W_tt`` into ``I - W_tt`` in place and solves.  The public
-:func:`build_graph`, :func:`reweight_graph` and :func:`propagate` return
-fresh arrays and leave their arguments unchanged; the last two copy the
-graph before running their kernel on the copy.  :func:`propagate_labels`,
-which the adaptation loop and the baseline call, runs all three kernels on
-one set of buffers and drops ``W_ts`` before the solve, so at most
-``max(n_t*n_s + n_t**2, 2*n_t**2)`` doubles of graph are alive at once
-(the second ``n_t**2`` is numpy's LAPACK copy of the system).  Both routes
-give the same bits.
+:func:`propagate_labels` is the one route through the graph, and the
+adaptation loop and the baseline both call it.  Three private kernels do
+its arithmetic in two buffers it owns: one builds the affinity blocks
+``W_ts`` and ``W_tt``, one reweights them in place and one turns ``W_tt``
+into ``I - W_tt`` in place and solves.  ``W_ts`` is dropped before the
+solve, so at most ``max(n_t*n_s + n_t**2, 2*n_t**2)`` doubles of graph are
+alive at once (the second ``n_t**2`` is numpy's LAPACK copy of the system).
+Keeping the build and the solve in one call is what lets ``W_ts`` go
+before the ``n_t**2`` factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-
-
-@dataclass(frozen=True)
-class CrossDomainGraph:
-    """Row-stochastic affinities from targets to sources (w_ts) and targets (w_tt).
-
-    Every row of the concatenation [w_ts | w_tt] sums to one and the w_tt
-    diagonal is zero, so the propagation system is well posed.
-    """
-
-    w_ts: np.ndarray
-    w_tt: np.ndarray
-    sigma: float
 
 
 def cosine_distances(a, b) -> np.ndarray:
@@ -75,21 +58,6 @@ def _affinities(a, b, sigma: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _checked_domains(z_s, z_t, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both embeddings as float arrays, after checking them and sigma."""
-    z_s = np.asarray(z_s, dtype=float)
-    z_t = np.asarray(z_t, dtype=float)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
-    if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[0] != z_t.shape[0]:
-        raise ValidationError(
-            f"embedded domains disagree in dimension: {z_s.shape} vs {z_t.shape}"
-        )
-    if z_s.shape[1] < 1 or z_t.shape[1] < 1:
-        raise ValidationError("both domains need at least one sample")
-    return z_s, z_t
-
-
 def _class_factors(w, source_classes, n_s: int) -> np.ndarray:
     """Per-source-sample masked class weight, divided by its maximum when positive."""
     source_classes = np.asarray(source_classes)
@@ -107,16 +75,6 @@ def _class_factors(w, source_classes, n_s: int) -> np.ndarray:
     if top > 0:
         factors = factors / top
     return factors
-
-
-def _checked_labels(y_s, n_s: int) -> np.ndarray:
-    """The source label matrix as floats, after checking its row count."""
-    y_s = np.asarray(y_s, dtype=float)
-    if y_s.ndim != 2 or y_s.shape[0] != n_s:
-        raise ValidationError(
-            f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
-        )
-    return y_s
 
 
 def _build_blocks(z_s: np.ndarray, z_t: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,13 +128,28 @@ def _solve_harmonic(w_tt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return f.T
 
 
-def build_graph(z_s, z_t, sigma: float) -> CrossDomainGraph:
-    """Fully connected affinity graph over embedded source and target samples.
+def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
+                     source_classes=None) -> tuple[np.ndarray, int]:
+    """Build the graph, optionally reweight it, and propagate source labels.
 
-    Weights are ``exp(-(d / sigma)**2)`` of the cosine distance d.  Self
-    loops among targets are removed before row normalization.  If an entire
-    row underflows to zero (possible only for very small sigma) it falls
-    back to uniform affinities.  Both blocks are fresh arrays.
+    Affinities are ``exp(-(d / sigma)**2)`` of the cosine distance d
+    between embedded samples.  Self loops among targets are removed, then
+    each row of ``[W_ts | W_tt]`` is divided by its sum; a row that
+    underflows to zero everywhere (possible only for very small sigma)
+    falls back to uniform affinities.
+
+    With ``weights``, each source column is scaled by the masked weight of
+    its sample's class, divided by the largest such factor (so uniform
+    weights leave the graph as it was), and the rows are renormalized.  A
+    row left without mass falls back to uniform target affinities, or to
+    uniform source affinities when it is the only target; those rows are
+    counted.
+
+    The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
+    checked before the graph is built, and none is modified: the blocks
+    are this call's own buffers, reweighted in place, and ``W_ts`` is
+    released once ``W_ts Y_s`` is formed, before ``I - W_tt`` is written
+    over ``W_tt`` and solved.
 
     Parameters
     ----------
@@ -184,77 +157,47 @@ def build_graph(z_s, z_t, sigma: float) -> CrossDomainGraph:
         Embedded samples, one column each.
     sigma : float
         Positive bandwidth; smaller values sharpen the graph.
-    """
-    z_s, z_t = _checked_domains(z_s, z_t, sigma)
-    w_ts, w_tt = _build_blocks(z_s, z_t, sigma)
-    return CrossDomainGraph(w_ts=w_ts, w_tt=w_tt, sigma=float(sigma))
-
-
-def reweight_graph(g: CrossDomainGraph, w, source_classes) -> tuple[CrossDomainGraph, int]:
-    """Scale source affinities by the masked weight of each sample's class.
-
-    The factor vector is normalized by its maximum, which makes the
-    operation scale-free: a uniform weight vector reproduces the input
-    graph after renormalization.  Rows left without any mass (possible when
-    n_t = 1 and underflow removes all source affinity) fall back to uniform
-    target affinities, or uniform source affinities when there is no other
-    target; the count of such rows is returned.  The result is computed on
-    copies of both blocks, so ``g`` is left unchanged.
-
-    Parameters
-    ----------
-    g : CrossDomainGraph
-    w : ClassWeights
+    y_s : ndarray (n_s, C)
+        One-hot source labels.
+    weights : ClassWeights, optional
         Current class weights; masked classes contribute factor 0.
-    source_classes : ndarray (n_s,)
+    source_classes : ndarray (n_s,), required with ``weights``
         Hard class of every source sample.
-    """
-    factors = _class_factors(w, source_classes, g.w_ts.shape[1])
-    w_ts = g.w_ts.astype(float)
-    w_tt = g.w_tt.astype(float)
-    n_dead = _reweight_blocks(w_ts, w_tt, factors)
-    return CrossDomainGraph(w_ts=w_ts, w_tt=w_tt, sigma=g.sigma), n_dead
-
-
-def propagate(g: CrossDomainGraph, y_s) -> np.ndarray:
-    """Harmonic label propagation from source labels to target samples.
-
-    Solves ``(I - W_tt) F = W_ts Y_s`` and returns ``F.T``, the soft label
-    matrix with one column of class probabilities per target.  Because the
-    graph rows are stochastic, each column sums to one.  The system is
-    formed in a copy of ``W_tt``, so ``g`` is left unchanged.
-
-    Raises
-    ------
-    NumericalError
-        If ``I - W_tt`` is singular, which indicates targets disconnected
-        from every source; a larger sigma usually reconnects them.
-    """
-    y_s = _checked_labels(y_s, g.w_ts.shape[1])
-    return _solve_harmonic(g.w_tt.astype(float), g.w_ts @ y_s)
-
-
-def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
-                     source_classes=None) -> tuple[np.ndarray, int]:
-    """Build, optionally reweight, and propagate in buffers this call owns.
-
-    Gives bit for bit what ``build_graph``, then ``reweight_graph`` when
-    ``weights`` is given, then ``propagate`` give, and raises the same
-    errors, but copies nothing: the blocks are reweighted in place, and
-    ``W_ts`` is released once ``W_ts Y_s`` is formed, before ``I - W_tt``
-    is written over ``W_tt`` and solved.  Every input is checked before the
-    graph is built.
 
     Returns
     -------
     soft_labels : ndarray (C, n_t)
+        One column of class probabilities per target; each sums to one.
     graph_fallbacks : int
         Rows the reweighting left without mass (0 without ``weights``).
+
+    Raises
+    ------
+    ValidationError
+        On a non-positive or non-finite sigma, or inputs whose shapes or
+        class ids disagree.
+    NumericalError
+        If ``I - W_tt`` is singular or the solve is not finite, which
+        indicates targets disconnected from every source; a larger sigma
+        usually reconnects them.
     """
-    z_s, z_t = _checked_domains(z_s, z_t, sigma)
+    z_s = np.asarray(z_s, dtype=float)
+    z_t = np.asarray(z_t, dtype=float)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
+    if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[0] != z_t.shape[0]:
+        raise ValidationError(
+            f"embedded domains disagree in dimension: {z_s.shape} vs {z_t.shape}"
+        )
+    if z_s.shape[1] < 1 or z_t.shape[1] < 1:
+        raise ValidationError("both domains need at least one sample")
     n_s = z_s.shape[1]
     factors = None if weights is None else _class_factors(weights, source_classes, n_s)
-    y_s = _checked_labels(y_s, n_s)
+    y_s = np.asarray(y_s, dtype=float)
+    if y_s.ndim != 2 or y_s.shape[0] != n_s:
+        raise ValidationError(
+            f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
+        )
     w_ts, w_tt = _build_blocks(z_s, z_t, sigma)
     n_dead = 0 if factors is None else _reweight_blocks(w_ts, w_tt, factors)
     rhs = w_ts @ y_s

@@ -131,7 +131,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     for it in range(1, config.max_iterations + 1):
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
-            omega = source_sample_weights(weights, y_s, binary=config.binary_sample_weights)
+            omega = source_sample_weights(weights, y_s)
             scatter = alignment_scatter(data.whitened, n_s, omega, y_s, p_masked,
                                         config.alpha_p, config.alpha_c)
             proj = solve_projection(data, scatter, config.k)

@@ -41,7 +41,7 @@ from partialda.alignment import (
 )
 from partialda.cli import main as cli_main
 from partialda.core import hard_labels
-from partialda.graph import CrossDomainGraph, build_graph, propagate
+from partialda.graph import propagate_labels
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -60,7 +60,7 @@ from tests.test_alignment import (
     random_instance,
     trace_loss,
 )
-from tests.test_graph import fixed_point_oracle
+from tests.test_graph import fixed_point_oracle, textbook_graph
 from tests.test_subspace import conditioned_instance
 
 
@@ -158,21 +158,16 @@ def test_criterion_3_propagation_equivalence():
         for _ in range(55):
             n_s = int(rng.integers(2, 31))
             n_t = int(rng.integers(2, 51))
-            w_ts = rng.random((n_t, n_s)) + 0.05
-            w_tt = rng.random((n_t, n_t))
-            np.fill_diagonal(w_tt, 0.0)
-            totals = w_ts.sum(axis=1) + w_tt.sum(axis=1)
-            g = CrossDomainGraph(
-                w_ts=w_ts / totals[:, None],
-                w_tt=w_tt / totals[:, None],
-                sigma=0.1,
-            )
+            d = int(rng.integers(2, 9))
+            z_s = rng.standard_normal((d, n_s))
+            z_t = rng.standard_normal((d, n_t))
+            sigma = float(rng.uniform(0.3, 2.0))
             c = int(rng.integers(2, min(6, n_s + 1)))
             labels = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
             y = np.zeros((n_s, c))
             y[np.arange(n_s), labels] = 1.0
-            p = propagate(g, y)
-            oracle = fixed_point_oracle(g, y)
+            p, _ = propagate_labels(z_s, z_t, sigma, y)
+            oracle = fixed_point_oracle(*textbook_graph(z_s, z_t, sigma), y)
             assert np.abs(p - oracle).max() <= 1e-8
             assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-9
 
@@ -255,11 +250,10 @@ def test_criterion_7_documented_error_cases(tmp_path):
             weights=np.array([0.6, 0.4]), mask=np.array([0.0, 0.0])
         )
         y2 = np.eye(2)
-        singular_graph = CrossDomainGraph(
-            w_ts=np.zeros((2, 2)),
-            w_tt=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            sigma=0.1,
-        )
+        # two identical targets orthogonal to both sources: at this sigma
+        # they lean only on each other, so (I - W_tt) is singular
+        on_e1 = np.array([[1.0, 1.0], [0.0, 0.0]])
+        on_e2 = np.array([[0.0, 0.0], [1.0, 1.0]])
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("1.0\n2.0,3.0\n")
         bad_cell = tmp_path / "bad.csv"
@@ -299,9 +293,9 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (NumericalError, lambda: solve_projection(
                 gram_matrix(np.ones((3, 5)), 0.1), np.eye(3), 2)),
             (ValidationError, lambda: embed(raw_proj, gram_matrix(np.eye(3)))),
-            (ValidationError, lambda: build_graph(np.eye(2), np.eye(2), 0.0)),
-            (NumericalError, lambda: propagate(singular_graph, y2)),
-            (ValidationError, lambda: propagate(singular_graph, np.eye(3))),
+            (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),
+            (NumericalError, lambda: propagate_labels(on_e1, on_e2, 0.02, y2)),
+            (ValidationError, lambda: propagate_labels(on_e1, on_e2, 0.02, np.eye(3))),
             (ValidationError, lambda: label_change_fraction([0, 1], [0])),
             (ConfigurationError, lambda: adapt(
                 np.eye(3), np.eye(3), np.eye(3), AdaptationConfig(k=4))),

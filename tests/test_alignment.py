@@ -362,8 +362,6 @@ def test_source_sample_weights_inherit_class_weight():
     w = ClassWeights(weights=np.array([0.7, 0.3]), mask=np.array([1.0, 1.0]))
     omega = source_sample_weights(w, y_s)
     assert omega == pytest.approx([0.7, 0.3, 0.7])
-    binary = source_sample_weights(w, y_s, binary=True)
-    assert np.array_equal(binary, [1.0, 1.0, 1.0])
 
 
 def test_source_sample_weights_all_zero_is_configuration_error():

@@ -2,12 +2,14 @@
 
 import argparse
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import partialda
+import partialda.graph
 from partialda import AdaptationConfig
 from partialda.cli import build_parser, main
 
@@ -45,6 +47,17 @@ def test_public_api_is_pinned():
         assert getattr(partialda, name) is not None, name
 
 
+def test_graph_surface_is_pinned():
+    # one route through the graph: build, reweight and solve happen in one call
+    defined = sorted(
+        name for name, value in vars(partialda.graph).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == "partialda.graph"
+    )
+    assert defined == ["cosine_distances", "propagate_labels"]
+
+
 CONFIG_FIELDS = [
     "alpha_p",
     "alpha_c",
@@ -54,7 +67,6 @@ CONFIG_FIELDS = [
     "delta",
     "max_iterations",
     "convergence_tol",
-    "binary_sample_weights",
     "rhs_reg",
 ]
 IO_ARGUMENTS = ["source_features", "source_labels", "target_features", "target_labels", "out"]
@@ -80,8 +92,9 @@ def test_adapt_flags_mirror_the_config_fields():
 
 def test_removed_kernel_flag_is_a_usage_error(tmp_path, capsys):
     io = [f"--{name.replace('_', '-')}={tmp_path / name}" for name in IO_ARGUMENTS]
-    assert main(["adapt", *io, "--kernel", "linear"]) == 1
-    assert "unrecognized arguments: --kernel linear" in capsys.readouterr().err
+    for flag in (["--kernel", "linear"], ["--binary-sample-weights"]):
+        assert main(["adapt", *io, *flag]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_import_leaves_oracles_unloaded():

@@ -169,6 +169,31 @@ def test_missing_file_exit_code_names_path(tmp_path, capsys):
     assert "file not found" in err and "nope.csv" in err
 
 
+def test_non_utf8_features_exit_one(tmp_path, capsys):
+    files = gen_dataset(tmp_path / "data")
+    path = files["source_features"]
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+    assert main([
+        "baseline",
+        "--source-features", str(path),
+        "--source-labels", str(files["source_labels"]),
+        "--target-features", str(files["target_features"]),
+        "--out", str(tmp_path / "run"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err and "0xff" in err
+
+
+def test_non_utf8_labels_exit_one(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text("0.7,0.3\n0.2,0.8\n")
+    truth = tmp_path / "y.txt"
+    truth.write_bytes(b"0\n\xfe\n")
+    assert main(["eval", str(pred), str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert f"{truth}: not UTF-8 text: byte 2 is 0xfe" in err
+
+
 def test_pathological_delta_exits_one(tmp_path, capsys):
     files = gen_dataset(tmp_path / "data")
     args = adapt_args(files, tmp_path / "run", "--delta", "0.9")

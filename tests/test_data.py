@@ -334,6 +334,24 @@ def test_report_errors(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ParseError, match="not a JSON object"):
         load_report(path)
+    path.write_bytes(b'{"format": "partialda-\xfereport"}')
+    with pytest.raises(ParseError, match="broken.json: not UTF-8 text: byte 22 is 0xfe"):
+        load_report(path)
+    for name, value in (
+        ("per_class_accuracy", [1]),
+        ("per_class_accuracy", {"a": 1}),
+        ("per_class_accuracy", {"1": None}),
+        ("per_class_accuracy", {"1": 10**400}),
+        ("class_weights", 5),
+        ("class_mask", {"0": 1}),
+        ("history", 3),
+        ("warnings", [1]),
+        ("config", "x"),
+    ):
+        bad = {**doc, "history": [], name: value}
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ParseError, match=f"report field '{name}'"):
+            load_report(path)
     with pytest.raises(OSError):
         save_report(
             ResultReport(

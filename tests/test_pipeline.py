@@ -17,8 +17,9 @@ from partialda import (
     generate_synthetic,
     make_one_hot,
 )
-from partialda.graph import build_graph, propagate
+from partialda.graph import propagate_labels
 from partialda.pipeline import label_change_fraction
+from tests.test_graph import textbook_graph, textbook_propagate
 
 
 def separable_instance(rng, n_classes=3, d=6, per_class=8, spread=0.05):
@@ -107,8 +108,9 @@ def test_baseline_matches_direct_propagation():
     x, y, labels = separable_instance(rng)
     x_t = x + 0.1 * rng.standard_normal(x.shape)
     result = baseline_propagate(x, y, x_t, sigma=0.1)
-    direct = propagate(build_graph(x, x_t, 0.1), y)
+    direct, _ = propagate_labels(x, x_t, 0.1, y)
     assert np.array_equal(result.soft_labels, direct)
+    assert np.array_equal(direct, textbook_propagate(*textbook_graph(x, x_t, 0.1), y))
     assert result.projection is None
     assert result.history == []
     assert result.iterations_run == 0
