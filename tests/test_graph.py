@@ -170,23 +170,65 @@ def test_cosine_distances_closed_forms():
     assert cosine_distances(zero, e1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
+def weighted_cases(rng, z_s):
+    """Labels, class ids and two class weightings: some classes masked, all masked."""
+    n_s = z_s.shape[1]
+    c = int(rng.integers(1, min(4, n_s) + 1))
+    classes = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
+    y = np.eye(c)[classes]
+    mask = (rng.random(c) > 0.3).astype(float)
+    return y, classes, (
+        ClassWeights(weights=rng.random(c), mask=mask),
+        ClassWeights(weights=rng.random(c), mask=np.zeros(c)),  # all masked
+    )
+
+
+def test_build_graph_bit_identical_to_textbook():
+    # the graph is built in buffers propagate_labels owns; unweighted, its
+    # soft labels must be the textbook graph's bit for bit, including the
+    # underflow fallbacks of graph_cases
+    rng = np.random.default_rng(35)
+    for z_s, z_t, sigma in graph_cases(rng):
+        assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
+        y = random_labels(rng, z_s.shape[1]) if z_s.shape[1] > 1 else np.ones((1, 1))
+        assert outcome(z_s, z_t, sigma, y) == textbook_outcome(z_s, z_t, sigma, y)
+
+
 def test_reweight_and_propagate_bit_identical_to_textbook():
-    # the graph is built in buffers the call owns; it must reproduce the
-    # textbook chain bit for bit, not merely to a tolerance, with the same
-    # fallback count, and fail with NumericalError exactly where it fails
+    # class reweighting in place, dead-row fallbacks and the solve must
+    # reproduce the textbook chain bit for bit, with the same fallback count
+    rng = np.random.default_rng(36)
+    for z_s, z_t, sigma in graph_cases(rng):
+        y, classes, weightings = weighted_cases(rng, z_s)
+        for w in weightings:
+            args = (z_s, z_t, sigma, y, w, classes)
+            assert outcome(*args) == textbook_outcome(*args)
+
+
+def test_propagate_bit_identical_on_random_and_sparse_graphs():
+    # sparse_cases leave exact zeros in W_tt, as underflow does; the solve
+    # must not treat them differently from the textbook one
+    rng = np.random.default_rng(37)
+    for _ in range(25):
+        d = int(rng.integers(2, 6))
+        z_s = rng.standard_normal((d, int(rng.integers(2, 9))))
+        z_t = rng.standard_normal((d, int(rng.integers(2, 9))))
+        y = random_labels(rng, z_s.shape[1])
+        assert outcome(z_s, z_t, 0.5, y) == textbook_outcome(z_s, z_t, 0.5, y)
+    for z_s, z_t, sigma in sparse_cases(rng):
+        y = random_labels(rng, z_s.shape[1])
+        assert outcome(z_s, z_t, sigma, y) == textbook_outcome(z_s, z_t, sigma, y)
+
+
+def test_propagate_labels_bit_identical_to_public_chain():
+    # the whole call against the textbook chain over every owned case: the
+    # same soft-label bits, the same fallback count, and NumericalError with
+    # the same text exactly where the textbook solve fails
     rng = np.random.default_rng(39)
     for z_s, z_t, sigma in owned_cases(rng):
         assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
-        n_s = z_s.shape[1]
-        c = int(rng.integers(1, min(4, n_s) + 1))
-        classes = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
-        y = np.eye(c)[classes]
-        mask = (rng.random(c) > 0.3).astype(float)
-        for w in (
-            None,
-            ClassWeights(weights=rng.random(c), mask=mask),
-            ClassWeights(weights=rng.random(c), mask=np.zeros(c)),  # all masked
-        ):
+        y, classes, weightings = weighted_cases(rng, z_s)
+        for w in (None, *weightings):
             args = (z_s, z_t, sigma, y) if w is None else (z_s, z_t, sigma, y, w, classes)
             assert outcome(*args) == textbook_outcome(*args)
 
@@ -209,7 +251,7 @@ def test_owned_cases_reach_the_edge_paths():
     assert n_dead == 1 and np.allclose(p, 1.0)
 
 
-def test_propagate_single_target_no_coupling():
+def test_build_graph_gaussian_weights():
     # one target identical to source 0, orthogonal to source 1: with no
     # other target to lean on, its labels are the normalized raw affinities
     # exp(0) and exp(-1/sigma^2)
@@ -219,6 +261,40 @@ def test_propagate_single_target_no_coupling():
     raw = np.array([1.0, np.exp(-1.0)])
     assert n_dead == 0
     assert np.allclose(p[:, 0], raw / raw.sum(), atol=1e-14)
+
+
+def test_build_graph_row_stochastic_and_diagonal():
+    # the textbook graph is row-stochastic and non-negative with a zero
+    # diagonal; propagate_labels must give its soft labels bit for bit, and
+    # these make every solvable target a probability distribution
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        d = int(rng.integers(2, 6))
+        z_s = rng.standard_normal((d, int(rng.integers(2, 8))))
+        z_t = rng.standard_normal((d, int(rng.integers(1, 8))))
+        sigma = float(rng.uniform(0.05, 2.0))
+        y = random_labels(rng, z_s.shape[1])
+        w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
+        assert np.allclose(w_ts.sum(axis=1) + w_tt.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.diag(w_tt) == 0.0)
+        got = outcome(z_s, z_t, sigma, y)
+        assert got == textbook_outcome(z_s, z_t, sigma, y)
+        if isinstance(got, tuple):
+            p = np.frombuffer(got[1]).reshape(got[0])
+            assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+            assert np.all(p >= -1e-15)
+
+
+def test_propagate_single_target_no_coupling():
+    # source 1 sits at cosine distance sqrt(ln(7/3)) from the only target,
+    # which sits on source 0: at sigma = 1 the raw affinities are 1 and 3/7,
+    # so with no other target to lean on its labels are (0.7, 0.3)
+    t = 1.0 - np.sqrt(np.log(7.0 / 3.0))
+    z_s = np.array([[1.0, t], [0.0, np.sqrt(1.0 - t * t)]])
+    z_t = np.array([[1.0], [0.0]])
+    p, n_dead = propagate_labels(z_s, z_t, 1.0, np.eye(2))
+    assert n_dead == 0
+    assert np.allclose(p[:, 0], [0.7, 0.3], atol=1e-15)
 
 
 def test_propagate_two_target_coupling():
@@ -316,7 +392,7 @@ def test_propagate_shape_mismatch():
         propagate_labels(z, z[:, :1], 0.1, np.eye(3), w, np.array([0, 1]))
 
 
-def test_propagate_labels_validation_messages():
+def test_build_graph_validation():
     ok = np.ones((2, 3))
     y = np.eye(3)
     for args, message in (
@@ -332,6 +408,30 @@ def test_propagate_labels_validation_messages():
     ):
         with pytest.raises(ValidationError, match=message):
             propagate_labels(*args)
+
+
+def test_propagate_labels_validation_matches_public_functions():
+    # graph, class-id and label checks all run before any buffer is built,
+    # and each names the offending input in a fixed text
+    ok = np.ones((2, 3))
+    y = np.eye(3)
+    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.ones(2))
+    classes = np.array([0, 1, 0])
+    rows = "label matrix has 4 rows, expected 3 source samples"
+    for args, message in (
+        ((ok, ok, np.nan, y), "sigma must be positive and finite, got nan"),
+        ((ok, ok, 0.0, y), "sigma must be positive and finite, got 0.0"),
+        ((ok, np.ones((3, 2)), 0.5, y),
+         "embedded domains disagree in dimension: (2, 3) vs (3, 2)"),
+        ((ok, np.ones((2, 0)), 0.5, y), "both domains need at least one sample"),
+        ((ok, ok, 0.5, y, w, np.array([0])), "source_classes has length 1, expected 3"),
+        ((ok, ok, 0.5, y, w, np.array([0, 5, 0])), "source class ids must lie in [0, 2)"),
+        ((ok, ok, 0.5, np.eye(4)), rows),
+        ((ok, ok, 0.5, np.eye(4), w, classes), rows),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            propagate_labels(*args)
+        assert str(exc.value) == message
 
 
 def test_reweight_hand_example():
