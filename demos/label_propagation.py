@@ -10,7 +10,7 @@ down-weighting a class zeroes its columns so no target can inherit it.
 
 import numpy as np
 
-from partialda.alignment import ClassWeights
+from partialda.alignment import ClassWeights, source_sample_weights
 from partialda.graph import propagate_labels
 
 # 1. A tiny graph: sources s0, s1 and targets t0, t1 at 35 degree steps on
@@ -66,9 +66,13 @@ print("\nsoft labels before down-weighting (rows = classes):")
 print(np.round(p_before, 3))
 
 # 4. Down-weighting class 1 zeroes its source columns; after the rows are
-#    renormalized, its leaked probability mass vanishes entirely.
+#    renormalized, its leaked probability mass vanishes entirely.  Each source
+#    sample carries its class's masked weight, the same per-sample weight the
+#    adaptation loop puts on the alignment loss.
 weights = ClassWeights(weights=np.array([1.0, 0.0]), mask=np.array([1.0, 0.0]))
-p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, weights, np.array([0, 0, 1, 1]))
+omega = source_sample_weights(weights, y)
+print(f"\nper-sample source weights: {omega}")
+p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, omega)
 print("\nsoft labels after masking class 1:")
 print(np.round(p_after, 3))
 print(f"rows with no mass left (repaired): {n_dead}")

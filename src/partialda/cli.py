@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,59 +50,35 @@ def _add_io_arguments(sub):
     sub.add_argument("--out", required=True, help="output directory")
 
 
+def _add_field_flags(sub, cls) -> None:
+    """One ``--field-name`` flag per field of the dataclass ``cls``, typed and defaulted by it."""
+    for f in fields(cls):
+        flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+        sub.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
+
+
+def _from_args(cls, args):
+    """An instance of the dataclass ``cls`` built from the flags of its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="partialda", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_adapt = commands.add_parser("adapt", help="run the adaptation loop")
     _add_io_arguments(p_adapt)
-    p_adapt.add_argument("--alpha-p", type=float, default=1.0)
-    p_adapt.add_argument("--alpha-c", type=float, default=1.0)
-    p_adapt.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p_adapt.add_argument("--k", type=int, default=100)
-    p_adapt.add_argument("--sigma", type=float, default=0.1)
-    p_adapt.add_argument("--delta", type=float, default=1e-3)
-    p_adapt.add_argument("--max-iterations", type=int, default=10)
-    p_adapt.add_argument("--convergence-tol", type=float, default=0.0)
-    p_adapt.add_argument("--rhs-reg", type=float, default=1e-6)
+    _add_field_flags(p_adapt, AdaptationConfig)
     p_adapt.set_defaults(func=cmd_adapt)
 
     p_base = commands.add_parser("baseline", help="single propagation, no projection")
     _add_io_arguments(p_base)
-    p_base.add_argument("--sigma", type=float, default=0.1)
+    p_base.add_argument("--sigma", type=float, default=AdaptationConfig.sigma)
     p_base.set_defaults(func=cmd_baseline)
 
-    spec_defaults = SyntheticSpec()
     p_gen = commands.add_parser("gen-synth", help="write a synthetic benchmark")
     p_gen.add_argument("--out-dir", required=True)
-    p_gen.add_argument(
-        "--num-source-classes", type=int, default=spec_defaults.num_source_classes
-    )
-    p_gen.add_argument(
-        "--num-target-classes", type=int, default=spec_defaults.num_target_classes
-    )
-    p_gen.add_argument("--dim", type=int, default=spec_defaults.dim)
-    p_gen.add_argument(
-        "--samples-per-class-source",
-        type=int,
-        default=spec_defaults.samples_per_class_source,
-    )
-    p_gen.add_argument(
-        "--samples-per-class-target",
-        type=int,
-        default=spec_defaults.samples_per_class_target,
-    )
-    p_gen.add_argument(
-        "--cluster-radius", type=float, default=spec_defaults.cluster_radius
-    )
-    p_gen.add_argument("--noise-std", type=float, default=spec_defaults.noise_std)
-    p_gen.add_argument(
-        "--shift-rotation-deg", type=float, default=spec_defaults.shift_rotation_deg
-    )
-    p_gen.add_argument(
-        "--shift-translation", type=float, default=spec_defaults.shift_translation
-    )
-    p_gen.add_argument("--seed", type=int, default=spec_defaults.seed)
+    _add_field_flags(p_gen, SyntheticSpec)
     p_gen.set_defaults(func=cmd_gen_synth)
 
     p_eval = commands.add_parser("eval", help="score saved soft labels")
@@ -161,11 +137,7 @@ def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
 
 def cmd_adapt(args) -> int:
     x_s, y_s, x_t = _load_domains(args)
-    config = AdaptationConfig(
-        alpha_p=args.alpha_p, alpha_c=args.alpha_c, lam=args.lam, k=args.k,
-        sigma=args.sigma, delta=args.delta, max_iterations=args.max_iterations,
-        convergence_tol=args.convergence_tol, rhs_reg=args.rhs_reg,
-    )
+    config = _from_args(AdaptationConfig, args)
     start = time.perf_counter()
     result = adapt(x_s, y_s, x_t, config)
     duration = time.perf_counter() - start
@@ -185,18 +157,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
-        num_source_classes=args.num_source_classes,
-        num_target_classes=args.num_target_classes,
-        dim=args.dim,
-        samples_per_class_source=args.samples_per_class_source,
-        samples_per_class_target=args.samples_per_class_target,
-        cluster_radius=args.cluster_radius,
-        noise_std=args.noise_std,
-        shift_rotation_deg=args.shift_rotation_deg,
-        shift_translation=args.shift_translation,
-        seed=args.seed,
-    )
+    spec = _from_args(SyntheticSpec, args)
     dataset = generate_synthetic(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

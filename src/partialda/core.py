@@ -9,16 +9,11 @@ column of class probabilities per target sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-
-_NUMERIC_FIELDS = (
-    "alpha_p", "alpha_c", "lam", "k", "sigma", "delta", "max_iterations",
-    "convergence_tol", "rhs_reg",
-)
 
 
 def as_feature_matrix(x, name: str = "features") -> np.ndarray:
@@ -84,12 +79,14 @@ def make_one_hot(labels, num_classes: int) -> np.ndarray:
         raise ValidationError(
             f"label {int(labels[i])} out of range [0, {num_classes}) at index {i}"
         )
+    # check coverage before allocating: n labels cover at most n classes
+    present = np.unique(labels)
+    if present.size < num_classes:
+        gaps = np.flatnonzero(present != np.arange(present.size))
+        c = int(gaps[0]) if gaps.size else present.size
+        raise ValidationError(f"class {c} has no samples")
     y = np.zeros((labels.size, num_classes))
     y[np.arange(labels.size), labels] = 1.0
-    counts = y.sum(axis=0)
-    if (counts == 0).any():
-        c = int(np.flatnonzero(counts == 0)[0])
-        raise ValidationError(f"class {c} has no samples")
     return y
 
 
@@ -158,10 +155,10 @@ class AdaptationConfig:
     def __post_init__(self):
         # NaN passes every comparison below and inf overflows int(); a
         # Python int is finite (and may be too large for math.isfinite)
-        for name in _NUMERIC_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.alpha_p < 0 or self.alpha_c < 0:
             raise ConfigurationError("alpha_p and alpha_c must be non-negative")
         if self.lam <= 0:

@@ -26,12 +26,6 @@ from .errors import ParseError, ValidationError
 from .core import as_feature_matrix
 
 
-_INTEGER_FIELDS = (
-    "num_source_classes", "num_target_classes", "dim",
-    "samples_per_class_source", "samples_per_class_target", "seed",
-)
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a partial-overlap two-domain benchmark.
@@ -60,16 +54,17 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        # NaN passes every comparison below and inf yields non-finite samples
-        for name in ("cluster_radius", "noise_std", "shift_rotation_deg", "shift_translation"):
-            value = getattr(self, name)
-            if not isinstance(value, int) and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) and not (math.isfinite(value) and int(value) == value):
-                raise ValidationError(f"{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))  # 20.0 would break the shapes
+        # NaN passes every comparison below and inf yields non-finite samples;
+        # a field with an integer default must hold an integer
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                integral = isinstance(value, int) or (math.isfinite(value) and int(value) == value)
+                if not integral:
+                    raise ValidationError(f"{f.name} must be an integer, got {value}")
+                object.__setattr__(self, f.name, int(value))  # 20.0 would break the shapes
+            elif not isinstance(value, int) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.num_source_classes < 1:
             raise ValidationError("num_source_classes must be >= 1")
         if not 1 <= self.num_target_classes <= self.num_source_classes:
@@ -268,14 +263,27 @@ def save_soft_labels(p, path) -> None:
     _write_rows(p.T, path)
 
 
-# The JSON type of each container field of a report document.
-_REPORT_CONTAINERS = {
-    "config": (dict, "an object"),
-    "per_class_accuracy": ((dict, type(None)), "an object or null"),
-    "class_weights": (list, "an array"),
-    "class_mask": (list, "an array"),
-    "history": (list, "an array"),
-    "warnings": (dict, "an object"),
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON type of each field of a report document.
+_REPORT_FIELDS = {
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "overall_accuracy": (lambda v: v is None or _number(v), "a number or null"),
+    "per_class_accuracy": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "class_weights": (lambda v: isinstance(v, list) and all(map(_number, v)),
+                      "an array of numbers"),
+    "class_mask": (lambda v: isinstance(v, list) and all(map(_integer, v)),
+                   "an array of integers"),
+    "iterations_run": (_integer, "an integer"),
+    "history": (lambda v: isinstance(v, list), "an array"),
+    "warnings": (lambda v: isinstance(v, dict), "an object"),
+    "duration_seconds": (_number, "a number"),
 }
 
 
@@ -312,9 +320,10 @@ class ResultReport:
         for f in fields(cls):
             if f.name not in doc:
                 raise ParseError(f"report document has no {f.name!r} field")
-        for name, (kind, json_type) in _REPORT_CONTAINERS.items():
-            if not isinstance(doc[name], kind):
-                raise ParseError(f"report field {name!r} must be {json_type}, got {doc[name]!r}")
+            valid, json_type = _REPORT_FIELDS[f.name]
+            if not valid(doc[f.name]):
+                raise ParseError(
+                    f"report field {f.name!r} must be {json_type}, got {doc[f.name]!r}")
         per_class = doc["per_class_accuracy"]
         if per_class is not None:
             try:
@@ -322,17 +331,9 @@ class ResultReport:
             except (TypeError, ValueError, OverflowError):
                 raise ParseError("report field 'per_class_accuracy' must map class ids "
                                  f"to numbers, got {per_class!r}") from None
-        return cls(
-            config=doc["config"],
-            overall_accuracy=doc["overall_accuracy"],
-            per_class_accuracy=per_class,
-            class_weights=doc["class_weights"],
-            class_mask=doc["class_mask"],
-            iterations_run=doc["iterations_run"],
-            history=doc["history"],
-            warnings=doc["warnings"],
-            duration_seconds=doc["duration_seconds"],
-        )
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        values["per_class_accuracy"] = per_class
+        return cls(**values)
 
 
 def save_report(report: ResultReport, path) -> None:
@@ -347,7 +348,7 @@ def load_report(path) -> ResultReport:
     ------
     ParseError
         If the file is not UTF-8 JSON, or not a report document: a field is
-        missing or one of its arrays or objects has another JSON type.
+        missing or has another JSON type.
     """
     try:
         doc = json.loads(_read_text(path))

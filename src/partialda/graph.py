@@ -9,12 +9,13 @@ clamped to their one-hot labels.
 :func:`propagate_labels` is the one route through the graph, and the
 adaptation loop and the baseline both call it.  Three private kernels do
 its arithmetic in two buffers it owns: one builds the affinity blocks
-``W_ts`` and ``W_tt``, one reweights them in place and one turns ``W_tt``
-into ``I - W_tt`` in place and solves.  ``W_ts`` is dropped before the
-solve, so at most ``max(n_t*n_s + n_t**2, 2*n_t**2)`` doubles of graph are
-alive at once (the second ``n_t**2`` is numpy's LAPACK copy of the system).
-Keeping the build and the solve in one call is what lets ``W_ts`` go
-before the ``n_t**2`` factorization.
+``W_ts`` and ``W_tt``, one scales the source columns in place by one weight
+per source sample (the vector that also weights the alignment loss) and
+one turns ``W_tt`` into ``I - W_tt`` in place and solves.  ``W_ts`` is
+dropped before the solve, so at most ``max(n_t*n_s + n_t**2, 2*n_t**2)``
+doubles of graph are alive at once (the second ``n_t**2`` is numpy's
+LAPACK copy of the system).  Keeping the build and the solve in one call
+is what lets ``W_ts`` go before the ``n_t**2`` factorization.
 """
 
 from __future__ import annotations
@@ -56,25 +57,6 @@ def _affinities(a, b, sigma: float) -> np.ndarray:
     np.square(out, out=out)
     np.negative(out, out=out)
     return np.exp(out, out=out)
-
-
-def _class_factors(w, source_classes, n_s: int) -> np.ndarray:
-    """Per-source-sample masked class weight, divided by its maximum when positive."""
-    source_classes = np.asarray(source_classes)
-    if source_classes.ndim != 1 or source_classes.size != n_s:
-        raise ValidationError(
-            f"source_classes has length {source_classes.size}, expected {n_s}"
-        )
-    weights = w.masked
-    if source_classes.min() < 0 or source_classes.max() >= weights.size:
-        raise ValidationError(
-            f"source class ids must lie in [0, {weights.size})"
-        )
-    factors = weights[source_classes]
-    top = factors.max()
-    if top > 0:
-        factors = factors / top
-    return factors
 
 
 def _build_blocks(z_s: np.ndarray, z_t: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +110,8 @@ def _solve_harmonic(w_tt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return f.T
 
 
-def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
-                     source_classes=None) -> tuple[np.ndarray, int]:
+def propagate_labels(z_s, z_t, sigma: float, y_s,
+                     sample_weights=None) -> tuple[np.ndarray, int]:
     """Build the graph, optionally reweight it, and propagate source labels.
 
     Affinities are ``exp(-(d / sigma)**2)`` of the cosine distance d
@@ -138,12 +120,11 @@ def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
     underflows to zero everywhere (possible only for very small sigma)
     falls back to uniform affinities.
 
-    With ``weights``, each source column is scaled by the masked weight of
-    its sample's class, divided by the largest such factor (so uniform
-    weights leave the graph as it was), and the rows are renormalized.  A
-    row left without mass falls back to uniform target affinities, or to
-    uniform source affinities when it is the only target; those rows are
-    counted.
+    With ``sample_weights``, each source column is scaled by its sample's
+    weight divided by the largest weight (so uniform weights leave the
+    graph as it was), and the rows are renormalized.  A row left without
+    mass falls back to uniform target affinities, or to uniform source
+    affinities when it is the only target; those rows are counted.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified: the blocks
@@ -159,23 +140,23 @@ def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
         Positive bandwidth; smaller values sharpen the graph.
     y_s : ndarray (n_s, C)
         One-hot source labels.
-    weights : ClassWeights, optional
-        Current class weights; masked classes contribute factor 0.
-    source_classes : ndarray (n_s,), required with ``weights``
-        Hard class of every source sample.
+    sample_weights : ndarray (n_s,), optional
+        Finite, non-negative weight of every source sample, as
+        :func:`partialda.alignment.source_sample_weights` returns it: the
+        masked weight of the sample's class, so masked classes contribute 0.
 
     Returns
     -------
     soft_labels : ndarray (C, n_t)
         One column of class probabilities per target; each sums to one.
     graph_fallbacks : int
-        Rows the reweighting left without mass (0 without ``weights``).
+        Rows the reweighting left without mass (0 without ``sample_weights``).
 
     Raises
     ------
     ValidationError
-        On a non-positive or non-finite sigma, or inputs whose shapes or
-        class ids disagree.
+        On a non-positive or non-finite sigma, inputs whose shapes disagree,
+        or sample weights that are negative or not finite.
     NumericalError
         If ``I - W_tt`` is singular or the solve is not finite, which
         indicates targets disconnected from every source; a larger sigma
@@ -192,7 +173,20 @@ def propagate_labels(z_s, z_t, sigma: float, y_s, weights=None,
     if z_s.shape[1] < 1 or z_t.shape[1] < 1:
         raise ValidationError("both domains need at least one sample")
     n_s = z_s.shape[1]
-    factors = None if weights is None else _class_factors(weights, source_classes, n_s)
+    factors = None
+    if sample_weights is not None:
+        factors = np.asarray(sample_weights, dtype=float)
+        if factors.shape != (n_s,):
+            raise ValidationError(
+                f"sample_weights has shape {factors.shape}, expected ({n_s},)"
+            )
+        if not np.isfinite(factors).all():
+            raise ValidationError("sample_weights contains NaN or Inf entries")
+        if (factors < 0).any():
+            raise ValidationError("sample_weights must be non-negative")
+        top = factors.max()
+        if top > 0:
+            factors = factors / top
     y_s = np.asarray(y_s, dtype=float)
     if y_s.ndim != 2 or y_s.shape[0] != n_s:
         raise ValidationError(

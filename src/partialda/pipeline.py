@@ -117,7 +117,6 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     d, n_s = x_s.shape
     if config.k > d:
         raise ConfigurationError(f"k={config.k} exceeds the feature dimension {d}")
-    source_classes = np.argmax(y_s, axis=1)
 
     p, _ = propagate_labels(x_s, x_t, config.sigma, y_s)
     weights = binarize_weights(compute_class_weights(p), config.delta)
@@ -141,7 +140,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
                 proj, alignment_scatter(z, n_s, omega, y_s, p_masked,
                                         config.alpha_p, config.alpha_c), config.lam)
             p, graph_fallbacks = propagate_labels(z[:, :n_s], z[:, n_s:], config.sigma,
-                                                  y_s, weights, source_classes)
+                                                  y_s, omega)
             weights = binarize_weights(compute_class_weights(p), config.delta)
             hard = hard_labels(p)
 
@@ -166,7 +165,8 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     )
 
 
-def baseline_propagate(x_s, y_s, x_t, sigma: float = 0.1) -> AdaptationResult:
+def baseline_propagate(x_s, y_s, x_t,
+                       sigma: float = AdaptationConfig.sigma) -> AdaptationResult:
     """Single unweighted propagation on the original features, no projection.
 
     This reproduces the initialization of :func:`adapt` and serves as the

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import partialda
 import partialda.graph
-from partialda import AdaptationConfig
+from partialda import AdaptationConfig, SyntheticSpec
 from partialda.cli import build_parser, main
 
 PUBLIC = [
@@ -72,14 +74,32 @@ CONFIG_FIELDS = [
 IO_ARGUMENTS = ["source_features", "source_labels", "target_features", "target_labels", "out"]
 
 
+SPEC_FIELDS = {
+    "num_source_classes": int,
+    "num_target_classes": int,
+    "dim": int,
+    "samples_per_class_source": int,
+    "samples_per_class_target": int,
+    "cluster_radius": float,
+    "noise_std": float,
+    "shift_rotation_deg": float,
+    "shift_translation": float,
+    "seed": int,
+}
+
+
+def subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_config_knobs_are_pinned():
     assert [f.name for f in dataclasses.fields(AdaptationConfig)] == CONFIG_FIELDS
 
 
 def test_adapt_flags_mirror_the_config_fields():
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    actions = [a for a in commands.choices["adapt"]._actions if a.dest != "help"]
+    adapt = subcommands()["adapt"]
+    actions = [a for a in adapt._actions if a.dest != "help"]
     assert sorted(a.dest for a in actions) == sorted(CONFIG_FIELDS + IO_ARGUMENTS)
     flags = {a.dest: a.option_strings for a in actions}
     for name in CONFIG_FIELDS + IO_ARGUMENTS:
@@ -87,7 +107,31 @@ def test_adapt_flags_mirror_the_config_fields():
         assert flags[name] == [want], name
     defaults = AdaptationConfig()
     for name in CONFIG_FIELDS:
-        assert commands.choices["adapt"].get_default(name) == getattr(defaults, name), name
+        assert adapt.get_default(name) == getattr(defaults, name), name
+
+
+def test_gen_synth_flags_mirror_the_spec_fields():
+    assert [f.name for f in dataclasses.fields(SyntheticSpec)] == list(SPEC_FIELDS)
+    gen = subcommands()["gen-synth"]
+    actions = {a.dest: a for a in gen._actions if a.dest != "help"}
+    assert sorted(actions) == sorted([*SPEC_FIELDS, "out_dir"])
+    assert actions["out_dir"].option_strings == ["--out-dir"] and actions["out_dir"].required
+    defaults = SyntheticSpec()
+    for name, kind in SPEC_FIELDS.items():
+        assert actions[name].option_strings == ["--" + name.replace("_", "-")], name
+        assert actions[name].type is kind, name
+        assert gen.get_default(name) == getattr(defaults, name), name
+        assert type(getattr(defaults, name)) is kind, name
+
+
+def test_baseline_sigma_defaults_to_the_config_sigma():
+    assert subcommands()["baseline"].get_default("sigma") == AdaptationConfig().sigma
+
+
+@pytest.mark.parametrize("command", ["adapt", "baseline", "gen-synth", "eval"])
+def test_every_subcommand_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: partialda {command}")
 
 
 def test_removed_kernel_flag_is_a_usage_error(tmp_path, capsys):

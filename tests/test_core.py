@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def test_make_one_hot_out_of_range():
 def test_make_one_hot_empty_class():
     with pytest.raises(ValidationError, match=r"class 1 has no samples"):
         make_one_hot([0, 0, 2], 3)
+    # the first missing class is named wherever it sits: first, inside, last
+    for labels, num_classes, missing in (([1, 2], 3, 0), ([0, 2, 0], 4, 1), ([1, 0], 3, 2)):
+        with pytest.raises(ValidationError, match=f"^class {missing} has no samples$"):
+            make_one_hot(labels, num_classes)
+
+
+def test_make_one_hot_rejects_a_missing_class_before_allocating():
+    # two labels naming 10**7 + 1 classes: the (2, 10**7 + 1) encoding would
+    # take 160 MB, so the check must come before it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^class 1 has no samples$"):
+            make_one_hot([0, 10**7], 10**7 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_make_one_hot_rejects_bad_inputs():

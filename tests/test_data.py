@@ -347,6 +347,14 @@ def test_report_errors(tmp_path):
         ("history", 3),
         ("warnings", [1]),
         ("config", "x"),
+        ("iterations_run", "x"),
+        ("iterations_run", 2.0),
+        ("iterations_run", True),
+        ("overall_accuracy", "high"),
+        ("duration_seconds", None),
+        ("class_weights", ["a"]),
+        ("class_weights", [0.5, None]),
+        ("class_mask", [1, 0.5]),
     ):
         bad = {**doc, "history": [], name: value}
         path.write_text(json.dumps(bad))

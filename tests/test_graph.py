@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from partialda import NumericalError, ValidationError
-from partialda.alignment import ClassWeights
+import partialda.graph
+from partialda.alignment import ClassWeights, source_sample_weights
 from partialda.graph import cosine_distances, propagate_labels
 
 SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
@@ -62,7 +63,12 @@ def textbook_graph(z_s, z_t, sigma):
 
 
 def textbook_reweight(w_ts, w_tt, w, source_classes):
-    """Class-scaled ``(W_ts, W_tt)`` and the number of rows left without mass."""
+    """Class-scaled ``(W_ts, W_tt)`` and the number of rows left without mass.
+
+    The factors come from class weights and class ids, not from the
+    per-sample weights ``propagate_labels`` takes, so the two routes meet
+    only in their result.
+    """
     factors = w.masked[source_classes]
     if factors.max() > 0:
         factors = factors / factors.max()
@@ -95,8 +101,13 @@ def outcome(*args):
     return p.shape, p.tobytes(), n_dead
 
 
+def sample_weights(w, y):
+    """``source_sample_weights(w, y)`` minus its positive-sum check, which all-masked cases fail."""
+    return y @ w.masked
+
+
 def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
-    """What :func:`outcome` must give, from the textbook chain."""
+    """What :func:`outcome` gives for ``sample_weights(weights, y)``, from the textbook chain."""
     w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
     n_dead = 0
     if weights is not None:
@@ -201,8 +212,8 @@ def test_reweight_and_propagate_bit_identical_to_textbook():
     for z_s, z_t, sigma in graph_cases(rng):
         y, classes, weightings = weighted_cases(rng, z_s)
         for w in weightings:
-            args = (z_s, z_t, sigma, y, w, classes)
-            assert outcome(*args) == textbook_outcome(*args)
+            assert (outcome(z_s, z_t, sigma, y, sample_weights(w, y))
+                    == textbook_outcome(z_s, z_t, sigma, y, w, classes))
 
 
 def test_propagate_bit_identical_on_random_and_sparse_graphs():
@@ -228,9 +239,10 @@ def test_propagate_labels_bit_identical_to_public_chain():
     for z_s, z_t, sigma in owned_cases(rng):
         assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
         y, classes, weightings = weighted_cases(rng, z_s)
-        for w in (None, *weightings):
-            args = (z_s, z_t, sigma, y) if w is None else (z_s, z_t, sigma, y, w, classes)
-            assert outcome(*args) == textbook_outcome(*args)
+        assert outcome(z_s, z_t, sigma, y) == textbook_outcome(z_s, z_t, sigma, y)
+        for w in weightings:
+            assert (outcome(z_s, z_t, sigma, y, sample_weights(w, y))
+                    == textbook_outcome(z_s, z_t, sigma, y, w, classes))
 
 
 def test_owned_cases_reach_the_edge_paths():
@@ -246,8 +258,7 @@ def test_owned_cases_reach_the_edge_paths():
     w_tt = textbook_graph(z_s, z_t, sigma)[1]
     assert np.count_nonzero(w_tt == 0.0) > w_tt.shape[0]
     z_s, z_t, sigma = cases[-3]
-    single = ClassWeights(weights=np.ones(1), mask=np.zeros(1))
-    p, n_dead = propagate_labels(z_s, z_t, sigma, np.ones((5, 1)), single, np.zeros(5, int))
+    p, n_dead = propagate_labels(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(5))
     assert n_dead == 1 and np.allclose(p, 1.0)
 
 
@@ -376,20 +387,18 @@ def test_propagate_labels_singular_system_error_text():
     z_s = np.eye(3)[:, :2]
     z_t = np.eye(3)[:, 1:]
     w = ClassWeights(weights=np.array([0.5, 0.5]), mask=np.zeros(2))
-    args = (z_s, z_t, 0.5, np.eye(2), w, np.array([0, 1]))
     with pytest.raises(NumericalError) as exc:
-        propagate_labels(*args)
+        propagate_labels(z_s, z_t, 0.5, np.eye(2), sample_weights(w, np.eye(2)))
     assert str(exc.value) == SINGULAR
-    assert textbook_outcome(*args) == SINGULAR
+    assert textbook_outcome(z_s, z_t, 0.5, np.eye(2), w, np.array([0, 1])) == SINGULAR
 
 
 def test_propagate_shape_mismatch():
     z = np.ones((2, 2))
-    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.ones(2))
     with pytest.raises(ValidationError, match="rows"):
         propagate_labels(z, z[:, :1], 0.1, np.eye(3))
     with pytest.raises(ValidationError, match="rows"):
-        propagate_labels(z, z[:, :1], 0.1, np.eye(3), w, np.array([0, 1]))
+        propagate_labels(z, z[:, :1], 0.1, np.eye(3), np.array([0.8, 0.2]))
 
 
 def test_build_graph_validation():
@@ -410,13 +419,17 @@ def test_build_graph_validation():
             propagate_labels(*args)
 
 
-def test_propagate_labels_validation_matches_public_functions():
-    # graph, class-id and label checks all run before any buffer is built,
-    # and each names the offending input in a fixed text
+def no_buffers(*args):
+    raise AssertionError("a graph buffer was built before the inputs were checked")
+
+
+def test_propagate_labels_validation_matches_public_functions(monkeypatch):
+    # graph, sample-weight and label checks all run before any buffer is
+    # built, and each names the offending input in a fixed text
+    monkeypatch.setattr(partialda.graph, "_build_blocks", no_buffers)
     ok = np.ones((2, 3))
     y = np.eye(3)
-    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.ones(2))
-    classes = np.array([0, 1, 0])
+    omega = np.array([0.8, 0.2, 0.8])
     rows = "label matrix has 4 rows, expected 3 source samples"
     for args, message in (
         ((ok, ok, np.nan, y), "sigma must be positive and finite, got nan"),
@@ -424,10 +437,13 @@ def test_propagate_labels_validation_matches_public_functions():
         ((ok, np.ones((3, 2)), 0.5, y),
          "embedded domains disagree in dimension: (2, 3) vs (3, 2)"),
         ((ok, np.ones((2, 0)), 0.5, y), "both domains need at least one sample"),
-        ((ok, ok, 0.5, y, w, np.array([0])), "source_classes has length 1, expected 3"),
-        ((ok, ok, 0.5, y, w, np.array([0, 5, 0])), "source class ids must lie in [0, 2)"),
+        ((ok, ok, 0.5, y, omega[:1]), "sample_weights has shape (1,), expected (3,)"),
+        ((ok, ok, 0.5, y, omega[None, :]), "sample_weights has shape (1, 3), expected (3,)"),
+        ((ok, ok, 0.5, y, [0.8, -0.2, 0.8]), "sample_weights must be non-negative"),
+        ((ok, ok, 0.5, y, [0.8, np.nan, 0.8]), "sample_weights contains NaN or Inf entries"),
+        ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "sample_weights contains NaN or Inf entries"),
         ((ok, ok, 0.5, np.eye(4)), rows),
-        ((ok, ok, 0.5, np.eye(4), w, classes), rows),
+        ((ok, ok, 0.5, np.eye(4), omega), rows),
     ):
         with pytest.raises(ValidationError) as exc:
             propagate_labels(*args)
@@ -437,9 +453,8 @@ def test_propagate_labels_validation_matches_public_functions():
 def test_reweight_hand_example():
     # one target equidistant from two sources: weights [0.8, 0.2] over one
     # sample each turn (0.5*1.0, 0.5*0.25) / 0.625 into (0.8, 0.2)
-    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.array([1.0, 1.0]))
-    p, n_dead = propagate_labels(np.eye(2), np.ones((2, 1)), 0.1, np.eye(2), w,
-                                 np.array([0, 1]))
+    p, n_dead = propagate_labels(np.eye(2), np.ones((2, 1)), 0.1, np.eye(2),
+                                 np.array([0.8, 0.2]))
     assert n_dead == 0
     assert np.allclose(p[:, 0], [0.8, 0.2], atol=1e-15)
 
@@ -455,7 +470,7 @@ def test_reweight_uniform_weights_is_identity():
         c = y.shape[1]
         w = ClassWeights(weights=np.full(c, 1.0 / c), mask=np.ones(c))
         p1, _ = propagate_labels(z_s, z_t, 0.5, y)
-        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, w, np.argmax(y, axis=1))
+        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
         assert n_dead == 0
         assert np.abs(p1 - p2).max() <= 1e-12
 
@@ -469,7 +484,8 @@ def test_reweight_masked_class_columns_become_zero():
     w = ClassWeights(
         weights=np.array([0.8, 0.0, 0.2]), mask=np.array([1.0, 0.0, 1.0])
     )
-    p, n_dead = propagate_labels(z_s, z_t, 0.5, np.eye(3)[classes], w, classes)
+    y = np.eye(3)[classes]
+    p, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
     assert n_dead == 0
     assert np.all(p[1] == 0.0)
     assert np.all(p[[0, 2]] > 0.0)
@@ -477,13 +493,11 @@ def test_reweight_masked_class_columns_become_zero():
 
 
 def test_reweight_dead_row_fallbacks():
-    all_masked = ClassWeights(
-        weights=np.array([0.5, 0.5]), mask=np.array([0.0, 0.0])
-    )
-    # a single target falls back to uniform source affinities
+    # every class masked: a single target falls back to uniform source
+    # affinities
     rng = np.random.default_rng(40)
     p, n_dead = propagate_labels(np.eye(3)[:, :2], rng.standard_normal((3, 1)), 0.5,
-                                 np.eye(2), all_masked, np.array([0, 1]))
+                                 np.eye(2), np.zeros(2))
     assert n_dead == 1
     assert np.allclose(p, [[0.5], [0.5]], atol=1e-15)
 
@@ -493,21 +507,24 @@ def test_reweight_dead_row_fallbacks():
     # source
     e = np.eye(2)
     class_1_masked = ClassWeights(weights=np.array([0.5, 0.5]), mask=np.array([1.0, 0.0]))
-    p, n_dead = propagate_labels(e, e[:, [1, 0]], 0.02, np.eye(2), class_1_masked,
-                                 np.array([0, 1]))
+    p, n_dead = propagate_labels(e, e[:, [1, 0]], 0.02, np.eye(2),
+                                 source_sample_weights(class_1_masked, np.eye(2)))
     assert n_dead == 1
     assert np.array_equal(p, [[1.0, 1.0], [0.0, 0.0]])
 
 
-def test_reweight_validation():
-    w = ClassWeights(weights=np.array([0.8, 0.2]), mask=np.array([1.0, 1.0]))
-    args = (np.eye(2), np.ones((2, 1)), 0.1, np.eye(2), w)
-    with pytest.raises(ValidationError, match="length"):
-        propagate_labels(*args, np.array([0]))
-    with pytest.raises(ValidationError, match="class ids"):
-        propagate_labels(*args, np.array([0, 5]))
-    with pytest.raises(ValidationError, match="class ids"):
-        propagate_labels(*args, np.array([-1, 0]))
+def test_reweight_validation(monkeypatch):
+    monkeypatch.setattr(partialda.graph, "_build_blocks", no_buffers)
+    args = (np.eye(2), np.ones((2, 1)), 0.1, np.eye(2))
+    for omega, message in (
+        (np.array([0.8]), r"sample_weights has shape \(1,\), expected \(2,\)"),
+        (np.array([0.8, 0.2, 0.0]), r"sample_weights has shape \(3,\), expected \(2,\)"),
+        (np.array([-0.1, 0.2]), "sample_weights must be non-negative"),
+        (np.array([np.nan, 0.2]), "sample_weights contains NaN or Inf entries"),
+        (np.array([0.8, -np.inf]), "sample_weights contains NaN or Inf entries"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            propagate_labels(*args, omega)
 
 
 def test_propagate_labels_leaves_its_inputs_unchanged():
@@ -519,9 +536,10 @@ def test_propagate_labels_leaves_its_inputs_unchanged():
         z_t = rng.standard_normal((3, n_t))
         for mask in (None, np.array([1.0, 0.0, 1.0]), np.zeros(3)):  # last: dead rows
             w = None if mask is None else ClassWeights(np.array([0.8, 0.1, 0.2]), mask)
-            inputs = [z_s, z_t, y, classes] + ([] if w is None else [w.weights, w.mask])
+            omega = None if w is None else sample_weights(w, y)
+            inputs = [z_s, z_t, y] + ([] if w is None else [omega])
             before = [a.tobytes() for a in inputs]
-            args = (z_s, z_t, 0.5, y) if w is None else (z_s, z_t, 0.5, y, w, classes)
+            args = (z_s, z_t, 0.5, y) if w is None else (z_s, z_t, 0.5, y, omega)
             try:
                 propagate_labels(*args)
             except NumericalError:  # all masked with several targets is singular
