@@ -44,8 +44,7 @@ print(f"mean-gap loss     direct={float(gap @ gap):.6f}  via M0={quad(m0):.6f}")
 
 # 2. Center reconstruction: each target against its soft mix of source
 #    class means.
-ops = build_center_operators(y_s, p)
-mp = build_mp(ops)
+mp = build_mp(build_center_operators(y_s, p))
 means = np.column_stack(
     [x_s[:, y_s[:, k] == 1].mean(axis=1) for k in range(c)]
 )

@@ -10,7 +10,7 @@ down-weighting a class zeroes its columns so no target can inherit it.
 
 import numpy as np
 
-from partialda.alignment import ClassWeights, source_sample_weights
+from partialda.alignment import source_sample_weights
 from partialda.graph import propagate_labels
 
 # 1. A tiny graph: sources s0, s1 and targets t0, t1 at 35 degree steps on
@@ -67,10 +67,9 @@ print(np.round(p_before, 3))
 
 # 4. Down-weighting class 1 zeroes its source columns; after the rows are
 #    renormalized, its leaked probability mass vanishes entirely.  Each source
-#    sample carries its class's masked weight, the same per-sample weight the
-#    adaptation loop puts on the alignment loss.
-weights = ClassWeights(weights=np.array([1.0, 0.0]), mask=np.array([1.0, 0.0]))
-omega = source_sample_weights(weights, y)
+#    sample carries its class's weight, the same per-sample weight the
+#    adaptation loop puts on the alignment loss; a weight of 0 masks a class.
+omega = source_sample_weights(np.array([1.0, 0.0]), y)
 print(f"\nper-sample source weights: {omega}")
 p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, omega)
 print("\nsoft labels after masking class 1:")

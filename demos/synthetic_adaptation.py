@@ -43,8 +43,8 @@ for c in sorted(per_class):
 
 # 4. Why it works: the five outlier classes lose all their weight, so they
 #    stop pulling on the projection and the graph.
-print("\nfinal class weights (masked):")
-for c, w in enumerate(result.class_weights.masked):
+print("\nfinal class weights (0 = masked):")
+for c, w in enumerate(result.class_weights):
     tag = "shared " if c < spec.num_target_classes else "outlier"
     print(f"  class {c} ({tag}): {w:.4f}")
 

@@ -1,4 +1,8 @@
-"""Class weights, masks and the alignment losses coupling the two domains.
+"""Class weights and the alignment losses coupling the two domains.
+
+Class weights are one (C,) vector of estimated target class proportions.
+:func:`binarize_weights` zeroes the classes at or below ``delta``, and from
+then on a class is masked exactly when its weight is 0.
 
 The subspace solver minimizes three losses, each a quadratic form
 ``trace(A.T @ X @ M @ X.T @ A)`` in a projection A, for the
@@ -20,8 +24,6 @@ The dense matrices M themselves live in :mod:`partialda.oracles`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ValidationError
@@ -31,64 +33,46 @@ RIDGE_TRIGGER = 1e-8
 RIDGE_SCALE = 1e-9
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Continuous class weights together with the surviving-class mask."""
-
-    weights: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def masked(self) -> np.ndarray:
-        return self.weights * self.mask
-
-    @property
-    def surviving(self) -> int:
-        return int(self.mask.sum())
-
-
-def compute_class_weights(p) -> ClassWeights:
-    """Estimated target class proportions from a soft label matrix.
-
-    Row sums of ``p`` are normalized to sum to one.  The mask starts as all
-    ones; thresholding happens in :func:`binarize_weights`.
-    """
+def compute_class_weights(p) -> np.ndarray:
+    """Estimated target class proportions: the row sums of ``p``, normalized to sum to one."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
     total = p.sum()
     if total <= 0:
         raise ValidationError("soft label matrix sums to zero, cannot derive class weights")
-    w = p.sum(axis=1) / total
-    return ClassWeights(weights=w, mask=np.ones(w.size))
+    return p.sum(axis=1) / total
 
 
-def binarize_weights(w: ClassWeights, delta: float) -> ClassWeights:
+def binarize_weights(w, delta: float) -> np.ndarray:
     """Zero out classes whose weight does not exceed ``delta``.
 
-    Surviving weights are kept as-is, deliberately not renormalized, so a
-    weight of exactly 0 stays 0 and the operation is idempotent.
+    This is the one place a weight is compared with ``delta``; everywhere
+    else a class is masked exactly when its weight is 0.  Surviving weights
+    are kept as-is, deliberately not renormalized, so a weight of exactly 0
+    stays 0 and the operation is idempotent.
     """
     if delta < 0:
         raise ConfigurationError(f"delta must be non-negative, got {delta}")
-    mask = (w.weights > delta).astype(float)
-    if mask.sum() == 0:
+    w = np.asarray(w, dtype=float)
+    masked = w * (w > delta)
+    if not masked.any():
         raise ConfigurationError(
             f"no class survives threshold delta={delta} "
-            f"(largest class weight is {w.weights.max()})"
+            f"(largest class weight is {w.max()})"
         )
-    return ClassWeights(weights=w.weights * mask, mask=mask)
+    return masked
 
 
-def source_sample_weights(w: ClassWeights, y_s) -> np.ndarray:
+def source_sample_weights(w, y_s) -> np.ndarray:
     """Per-sample weights: each source sample inherits its masked class weight."""
+    w = np.asarray(w, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
-    values = w.masked
-    if y_s.ndim != 2 or y_s.shape[1] != values.size:
+    if y_s.ndim != 2 or y_s.shape[1] != w.size:
         raise ValidationError(
-            f"label matrix shape {y_s.shape} does not match {values.size} class weights"
+            f"label matrix shape {y_s.shape} does not match {w.size} class weights"
         )
-    omega = y_s @ values
+    omega = y_s @ w
     if omega.sum() <= 0:
         raise ConfigurationError(
             "all source sample weights are zero; every sample belongs to a masked class"
@@ -117,26 +101,27 @@ def solve_gram_system(gram: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarr
     return out
 
 
-def apply_mask(p, w: ClassWeights) -> tuple[np.ndarray, int]:
-    """Zero the soft label rows of masked classes.
+def apply_mask(p, w) -> tuple[np.ndarray, int]:
+    """Zero the soft label rows of masked classes, those whose weight in ``w`` is 0.
 
     Columns are not renormalized.  A column left all-zero is replaced by the
     uniform distribution over surviving classes; the number of such columns
     is returned alongside the masked matrix.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != w.mask.size:
+    keep = np.asarray(w, dtype=float) > 0
+    if p.ndim != 2 or p.shape[0] != keep.size:
         raise ValidationError(
-            f"soft labels shape {p.shape} does not match {w.mask.size} classes"
+            f"soft labels shape {p.shape} does not match {keep.size} classes"
         )
-    masked = p * w.mask[:, None]
+    masked = p * keep[:, None]
     dead = masked.sum(axis=0) == 0.0
     n_dead = int(dead.sum())
     if n_dead:
-        survivors = w.mask.sum()
+        survivors = keep.sum()
         if survivors == 0:
             raise ConfigurationError("cannot repair empty columns, no class survives the mask")
-        masked[:, dead] = (w.mask / survivors)[:, None]
+        masked[:, dead] = (keep / survivors)[:, None]
     return masked, n_dead
 
 

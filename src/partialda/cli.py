@@ -113,8 +113,8 @@ def _write_outputs(result: AdaptationResult, config_echo: dict, args,
         config=config_echo,
         overall_accuracy=overall,
         per_class_accuracy=per_class,
-        class_weights=[float(v) for v in result.class_weights.weights],
-        class_mask=[int(v) for v in result.class_weights.mask],
+        class_weights=[float(v) for v in result.class_weights],
+        class_mask=[int(v > 0) for v in result.class_weights],
         iterations_run=result.iterations_run,
         history=[asdict(rec) for rec in result.history],
         warnings={
@@ -131,7 +131,7 @@ def _write_outputs(result: AdaptationResult, config_echo: dict, args,
 def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
     acc = "n/a" if overall is None else f"{overall:.4f}"
     return (f"{kind}: accuracy={acc} "
-            f"surviving_classes={result.class_weights.surviving} "
+            f"surviving_classes={np.count_nonzero(result.class_weights)} "
             f"iterations={result.iterations_run}")
 
 

@@ -135,7 +135,7 @@ class AdaptationConfig:
     lam : ridge penalty on the projection columns, must be positive.
     k : embedding dimension, at most the feature dimension d.
     sigma : bandwidth of the graph affinity.
-    delta : threshold under which a class weight is masked out.
+    delta : threshold at or below which a class weight is set to 0, masking its class.
     max_iterations : upper bound on alternating rounds.
     convergence_tol : stop once the fraction of changed hard labels is <= this.
     rhs_reg : scale of the trace-proportional regularizer added to the

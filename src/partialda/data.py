@@ -275,14 +275,18 @@ def _integer(value) -> bool:
 _REPORT_FIELDS = {
     "config": (lambda v: isinstance(v, dict), "an object"),
     "overall_accuracy": (lambda v: v is None or _number(v), "a number or null"),
-    "per_class_accuracy": (lambda v: v is None or isinstance(v, dict), "an object or null"),
+    "per_class_accuracy": (
+        lambda v: v is None or isinstance(v, dict) and all(map(_number, v.values())),
+        "an object of numbers or null"),
     "class_weights": (lambda v: isinstance(v, list) and all(map(_number, v)),
                       "an array of numbers"),
-    "class_mask": (lambda v: isinstance(v, list) and all(map(_integer, v)),
-                   "an array of integers"),
+    "class_mask": (lambda v: isinstance(v, list) and all(_integer(b) and b in (0, 1) for b in v),
+                   "an array of 0s and 1s"),
     "iterations_run": (_integer, "an integer"),
-    "history": (lambda v: isinstance(v, list), "an array"),
-    "warnings": (lambda v: isinstance(v, dict), "an object"),
+    "history": (lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+                "an array of objects"),
+    "warnings": (lambda v: isinstance(v, dict) and all(map(_integer, v.values())),
+                 "an object of integers"),
     "duration_seconds": (_number, "a number"),
 }
 
@@ -324,11 +328,13 @@ class ResultReport:
             if not valid(doc[f.name]):
                 raise ParseError(
                     f"report field {f.name!r} must be {json_type}, got {doc[f.name]!r}")
+        if len(doc["class_mask"]) != len(doc["class_weights"]):
+            raise ParseError("report field 'class_mask' must have one entry per class weight")
         per_class = doc["per_class_accuracy"]
         if per_class is not None:
             try:
                 per_class = {int(k): float(v) for k, v in per_class.items()}
-            except (TypeError, ValueError, OverflowError):
+            except (ValueError, OverflowError):
                 raise ParseError("report field 'per_class_accuracy' must map class ids "
                                  f"to numbers, got {per_class!r}") from None
         values = {f.name: doc[f.name] for f in fields(cls)}
@@ -348,7 +354,8 @@ def load_report(path) -> ResultReport:
     ------
     ParseError
         If the file is not UTF-8 JSON, or not a report document: a field is
-        missing or has another JSON type.
+        missing or has another JSON type, or ``class_mask`` is not one 0 or 1
+        per class weight.
     """
     try:
         doc = json.loads(_read_text(path))

@@ -82,8 +82,8 @@ def _reweight_blocks(w_ts: np.ndarray, w_tt: np.ndarray, factors: np.ndarray) ->
         if w_tt.shape[0] > 1:
             w_tt[dead] = 1.0
             np.fill_diagonal(w_tt, 0.0)
-        else:
-            w_ts[dead] = 1.0
+        else:  # the uniform source row, reweighted, unless every weight is 0
+            w_ts[dead] = factors if factors.any() else 1.0
         _normalize_rows(w_ts, w_tt)
     return n_dead
 
@@ -123,8 +123,9 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     With ``sample_weights``, each source column is scaled by its sample's
     weight divided by the largest weight (so uniform weights leave the
     graph as it was), and the rows are renormalized.  A row left without
-    mass falls back to uniform target affinities, or to uniform source
-    affinities when it is the only target; those rows are counted.
+    mass falls back to uniform target affinities or, when it is the only
+    target, to the uniform source row reweighted the same way (plain
+    uniform only when every weight is 0); those rows are counted.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified: the blocks
@@ -143,7 +144,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     sample_weights : ndarray (n_s,), optional
         Finite, non-negative weight of every source sample, as
         :func:`partialda.alignment.source_sample_weights` returns it: the
-        masked weight of the sample's class, so masked classes contribute 0.
+        masked weight of the sample's class, so a class of weight 0
+        contributes 0 to every row, for any number of targets.
 
     Returns
     -------

@@ -21,27 +21,11 @@ The adaptation loop never imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .alignment import _ridge_eps, solve_gram_system
 from .errors import ValidationError
 from .subspace import _check_k, _inverse_cholesky, _smallest_pairs
-
-
-@dataclass(frozen=True)
-class CenterOperators:
-    """Reusable pieces of the center and cluster terms.
-
-    y_st reconstructs each target sample from source class centers:
-    ``X_s @ y_st`` has one expected center per target column.  y_c is the
-    (possibly ridged) projector onto the span of the stacked class
-    indicators.
-    """
-
-    y_st: np.ndarray
-    y_c: np.ndarray
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -78,8 +62,10 @@ def _class_projector(y_s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return y @ solve_gram_system(gram, y.T, eps)
 
 
-def build_center_operators(y_s, p) -> CenterOperators:
-    """The two indicator operators shared by the center and cluster terms.
+def build_center_operators(y_s, p) -> np.ndarray:
+    """The (n_s, n_t) operator Y_st rebuilding each target from source class centers.
+
+    ``X_s @ Y_st`` has one expected center per target column.
 
     Parameters
     ----------
@@ -96,17 +82,16 @@ def build_center_operators(y_s, p) -> CenterOperators:
         )
     gram = y_s.T @ y_s
     eps = _ridge_eps(gram, p.sum(axis=1))
-    y_st = y_s @ solve_gram_system(gram, p, eps)
-    return CenterOperators(y_st=y_st, y_c=_class_projector(y_s, p))
+    return y_s @ solve_gram_system(gram, p, eps)
 
 
-def build_mp(ops: CenterOperators) -> np.ndarray:
+def build_mp(y_st) -> np.ndarray:
     """Center term: distance of each target sample to its expected source center.
 
     Block form ``[[Y_st Y_st.T, -Y_st], [-Y_st.T, I]]`` so that
     ``trace(A.T X M X.T A) = ||A.T (X_t - X_s Y_st)||_F**2``.
     """
-    y_st = np.asarray(ops.y_st, dtype=float)
+    y_st = np.asarray(y_st, dtype=float)
     n_t = y_st.shape[1]
     m = np.block([
         [y_st @ y_st.T, -y_st],

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import (
-    ClassWeights,
     alignment_scatter,
     apply_mask,
     binarize_weights,
@@ -47,7 +46,7 @@ class AdaptationResult:
     projection: Projection | None
     soft_labels: np.ndarray
     hard_labels: np.ndarray
-    class_weights: ClassWeights
+    class_weights: np.ndarray  # (C,), 0 for every masked class
     history: list[IterationRecord] = field(default_factory=list)
     iterations_run: int = 0
 
@@ -148,7 +147,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
             history.append(IterationRecord(
                 objective=objective,
                 label_change_fraction=fraction,
-                surviving_classes=weights.surviving,
+                surviving_classes=int(np.count_nonzero(weights)),
                 mask_fallbacks=mask_fallbacks,
                 graph_fallbacks=graph_fallbacks,
             ))

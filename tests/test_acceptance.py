@@ -32,7 +32,6 @@ from partialda import (
     save_report,
 )
 from partialda.alignment import (
-    ClassWeights,
     apply_mask,
     binarize_weights,
     compute_class_weights,
@@ -182,7 +181,7 @@ def test_criterion_4_partial_adaptation_beats_baseline():
         assert overall > base_overall, (
             f"no gain: {overall:.4f} vs baseline {base_overall:.4f}"
         )
-        outlier_weights = result.class_weights.masked[5:]
+        outlier_weights = result.class_weights[5:]
         assert outlier_weights.shape == (5,)
         assert np.all(outlier_weights == 0.0), outlier_weights
         assert scenario["elapsed"] < 10.0, f"took {scenario['elapsed']:.2f}s"
@@ -246,9 +245,7 @@ def test_criterion_6_pipeline_determinism(tmp_path):
 
 def test_criterion_7_documented_error_cases(tmp_path):
     with criterion(7, "every documented failure raises its error class"):
-        masked_out = ClassWeights(
-            weights=np.array([0.6, 0.4]), mask=np.array([0.0, 0.0])
-        )
+        masked_out = np.zeros(2)  # every class masked
         y2 = np.eye(2)
         # two identical targets orthogonal to both sources: at this sigma
         # they lean only on each other, so (I - W_tt) is singular
@@ -279,8 +276,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (ConfigurationError, lambda: AdaptationConfig(lam=-1.0)),
             (ConfigurationError, lambda: AdaptationConfig(delta=-1.0)),
             (ValidationError, lambda: compute_class_weights(np.zeros((2, 3)))),
-            (ConfigurationError, lambda: binarize_weights(
-                ClassWeights(np.array([0.5, 0.5]), np.ones(2)), 0.9)),
+            (ConfigurationError, lambda: binarize_weights(np.array([0.5, 0.5]), 0.9)),
             (ConfigurationError, lambda: source_sample_weights(masked_out, y2)),
             (NumericalError, lambda: solve_gram_system(
                 np.zeros((2, 2)), np.eye(2), 0.0)),
@@ -332,7 +328,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
         assert hard_labels(np.array([[0.5], [0.5]]))[0] == 0  # tie-break
         repaired, n_dead = apply_mask(
             np.array([[0.0, 0.4], [0.0, 0.6]]),
-            ClassWeights(np.array([0.5, 0.5]), np.array([1.0, 1.0])),
+            np.array([0.5, 0.5]),
         )
         assert n_dead == 1  # dead column repaired, counted, not raised
         assert np.allclose(repaired[:, 0], [0.5, 0.5])

@@ -7,10 +7,11 @@ without going through the block constructions under test.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject
+from hypothesis import strategies as st
 
 from partialda import ConfigurationError, NumericalError, ValidationError
 from partialda.alignment import (
-    ClassWeights,
     alignment_scatter,
     apply_mask,
     binarize_weights,
@@ -18,8 +19,8 @@ from partialda.alignment import (
     solve_gram_system,
     source_sample_weights,
 )
+from partialda.graph import propagate_labels
 from partialda.oracles import (
-    CenterOperators,
     build_center_operators,
     build_m0,
     build_mc,
@@ -119,8 +120,7 @@ def test_mp_trace_identity_random():
     for _ in range(60):
         x_s, y_s, x_t, p = random_instance(rng)
         a = rng.standard_normal((x_s.shape[0], 2))
-        ops = build_center_operators(y_s, p)
-        mp = build_mp(ops)
+        mp = build_mp(build_center_operators(y_s, p))
         got = trace_loss(mp, np.hstack([x_s, x_t]), a)
         want = oracle_center_gap(x_s, y_s, x_t, p, a)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
@@ -133,8 +133,7 @@ def test_mp_hard_labels_measures_distance_to_own_center():
     t_labels = rng.integers(0, c_s, x_t.shape[1])
     p = np.zeros((c_s, x_t.shape[1]))
     p[t_labels, np.arange(x_t.shape[1])] = 1.0
-    ops = build_center_operators(y_s, p)
-    mp = build_mp(ops)
+    mp = build_mp(build_center_operators(y_s, p))
     got = trace_loss(mp, np.hstack([x_s, x_t]), np.eye(x_s.shape[0]))
     means = np.column_stack([x_s[:, y_s[:, c] == 1].mean(axis=1) for c in range(c_s)])
     want = sum(
@@ -148,8 +147,7 @@ def test_mp_zero_reconstruction_reduces_to_target_norm():
     rng = np.random.default_rng(11)
     x_s = rng.standard_normal((4, 3))
     x_t = rng.standard_normal((4, 2))
-    ops = CenterOperators(y_st=np.zeros((3, 2)), y_c=np.eye(5))
-    mp = build_mp(ops)
+    mp = build_mp(np.zeros((3, 2)))
     assert np.allclose(mp[:3, :3], 0.0)
     assert np.allclose(mp[3:, 3:], np.eye(2))
     got = trace_loss(mp, np.hstack([x_s, x_t]), np.eye(4))
@@ -160,8 +158,8 @@ def test_center_operators_uniform_soft_labels():
     # two source samples, one per class; uniform P averages both indicators
     y_s = np.eye(2)
     p = np.full((2, 3), 0.5)
-    ops = build_center_operators(y_s, p)
-    assert np.allclose(ops.y_st, np.full((2, 3), 0.5), atol=1e-15)
+    y_st = build_center_operators(y_s, p)
+    assert np.allclose(y_st, np.full((2, 3), 0.5), atol=1e-15)
 
 
 def test_center_operators_hard_labels_give_class_mean_rows():
@@ -172,9 +170,9 @@ def test_center_operators_hard_labels_give_class_mean_rows():
     t_labels = rng.integers(0, c_s, x_t.shape[1])
     p = np.zeros((c_s, x_t.shape[1]))
     p[t_labels, np.arange(x_t.shape[1])] = 1.0
-    ops = build_center_operators(y_s, p)
+    y_st = build_center_operators(y_s, p)
     for j in range(x_t.shape[1]):
-        col = ops.y_st[:, j]
+        col = y_st[:, j]
         members = y_s[:, t_labels[j]] == 1
         assert np.allclose(col[members], 1.0 / counts[t_labels[j]], atol=1e-12)
         assert np.allclose(col[~members], 0.0, atol=1e-12)
@@ -236,8 +234,7 @@ def test_combine_matches_scalar_sum():
     x_s, y_s, x_t, p = random_instance(rng)
     omega = rng.random(x_s.shape[1]) + 0.1
     m0 = build_m0(omega, x_t.shape[1])
-    ops = build_center_operators(y_s, p)
-    mp = build_mp(ops)
+    mp = build_mp(build_center_operators(y_s, p))
     mc = build_mc(y_s, p)
     alpha_p, alpha_c = 0.7, 2.5
     m_all = combine(m0, mp, mc, alpha_p, alpha_c)
@@ -328,63 +325,101 @@ def test_alignment_scatter_validation():
 def test_compute_class_weights_normalizes():
     p = np.array([[0.9, 0.6], [0.1, 0.4]])
     w = compute_class_weights(p)
-    assert w.weights == pytest.approx([0.75, 0.25])
-    assert w.weights.sum() == pytest.approx(1.0)
-    assert np.array_equal(w.mask, [1.0, 1.0])
+    assert w == pytest.approx([0.75, 0.25])
+    assert w.sum() == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         compute_class_weights(np.zeros((2, 3)))
 
 
 def test_binarize_weights_threshold_and_idempotence():
-    w = ClassWeights(weights=np.array([0.8, 0.1999, 0.0001]), mask=np.ones(3))
+    w = np.array([0.8, 0.1999, 0.0001])
     out = binarize_weights(w, 1e-3)
-    assert np.array_equal(out.mask, [1.0, 1.0, 0.0])
-    assert out.weights == pytest.approx([0.8, 0.1999, 0.0])
+    assert np.array_equal(out > 0, [True, True, False])
+    assert out == pytest.approx([0.8, 0.1999, 0.0])
     again = binarize_weights(out, 1e-3)
-    assert np.array_equal(again.mask, out.mask)
-    assert np.array_equal(again.weights, out.weights)
+    assert np.array_equal(again, out)
 
 
 def test_binarize_weights_delta_zero_keeps_strictly_positive():
-    w = ClassWeights(weights=np.array([0.5, 0.0, 0.5]), mask=np.ones(3))
-    out = binarize_weights(w, 0.0)
-    assert np.array_equal(out.mask, [1.0, 0.0, 1.0])
+    out = binarize_weights(np.array([0.5, 0.0, 0.5]), 0.0)
+    assert np.array_equal(out > 0, [True, False, True])
 
 
 def test_binarize_weights_all_masked_is_configuration_error():
-    w = ClassWeights(weights=np.array([0.4, 0.6]), mask=np.ones(2))
     with pytest.raises(ConfigurationError, match="no class survives threshold"):
-        binarize_weights(w, 0.9)
+        binarize_weights(np.array([0.4, 0.6]), 0.9)
 
 
 def test_source_sample_weights_inherit_class_weight():
     y_s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    w = ClassWeights(weights=np.array([0.7, 0.3]), mask=np.array([1.0, 1.0]))
-    omega = source_sample_weights(w, y_s)
+    omega = source_sample_weights(np.array([0.7, 0.3]), y_s)
     assert omega == pytest.approx([0.7, 0.3, 0.7])
 
 
 def test_source_sample_weights_all_zero_is_configuration_error():
     y_s = np.array([[1.0, 0.0], [1.0, 0.0]])
-    w = ClassWeights(weights=np.array([0.0, 1.0]), mask=np.array([0.0, 1.0]))
     with pytest.raises(ConfigurationError, match="all source sample weights are zero"):
-        source_sample_weights(w, y_s)
+        source_sample_weights(np.array([0.0, 1.0]), y_s)
 
 
 def test_apply_mask_zeroes_rows_without_renormalizing():
     p = np.array([[0.6, 0.2], [0.3, 0.3], [0.1, 0.5]])
-    w = ClassWeights(weights=np.array([0.5, 0.5, 0.0]), mask=np.array([1.0, 1.0, 0.0]))
-    masked, fallbacks = apply_mask(p, w)
+    masked, fallbacks = apply_mask(p, np.array([0.5, 0.5, 0.0]))
     assert fallbacks == 0
     assert np.array_equal(masked, [[0.6, 0.2], [0.3, 0.3], [0.0, 0.0]])
 
 
 def test_apply_mask_uniform_fallback_column():
     p = np.array([[0.0], [0.0], [1.0]])
-    w = ClassWeights(weights=np.array([0.5, 0.5, 0.0]), mask=np.array([1.0, 1.0, 0.0]))
-    masked, fallbacks = apply_mask(p, w)
+    masked, fallbacks = apply_mask(p, np.array([0.5, 0.5, 0.0]))
     assert fallbacks == 1
     assert np.allclose(masked[:, 0], [0.5, 0.5, 0.0])
+
+
+@st.composite
+def masking_cases(draw):
+    """Class weights with one class above delta, points on a circle, soft labels."""
+    c = draw(st.integers(2, 5))
+    delta = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+    weight = st.one_of(st.just(0.0), st.just(delta), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=c, max_size=c)))
+    w[draw(st.integers(0, c - 1))] = draw(st.floats(delta, 1.0, exclude_min=True))
+    degrees = st.floats(0.0, 360.0)
+    source_deg = draw(st.lists(degrees, min_size=c, max_size=8))
+    target_deg = draw(st.lists(degrees, min_size=1, max_size=4))
+    p = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(target_deg),
+                                        max_size=len(target_deg)), min_size=c, max_size=c)))
+    sigma = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    return w, delta, source_deg, target_deg, p, sigma
+
+
+@given(masking_cases())
+# one target sees only the class-0 source at this sigma; class 0 is masked,
+# so the reweighting empties its row and the fallback must keep class 0 at 0
+@example((np.array([0.0, 1.0]), 1e-3, [170.0, 0.0], [175.0], np.array([[0.5], [0.5]]), 0.02))
+def test_masking_invariants(case):
+    w, delta, source_deg, target_deg, p, sigma = case
+    out = binarize_weights(w, delta)
+    assert np.array_equal(binarize_weights(out, delta), out)
+    assert np.array_equal(out > 0, w > delta)
+    masked_rows = out == 0
+
+    masked, _ = apply_mask(p, out)
+    assert np.all(masked[masked_rows] == 0.0)
+    alive = p[~masked_rows].sum(axis=0) > 0  # other columns fall back to uniform
+    assert np.array_equal(masked[~masked_rows][:, alive], p[~masked_rows][:, alive])
+
+    def on_circle(deg):
+        rad = np.deg2rad(deg)
+        return np.vstack([np.cos(rad), np.sin(rad)])
+
+    y = np.eye(w.size)[np.arange(len(source_deg)) % w.size]
+    try:
+        soft, _ = propagate_labels(on_circle(source_deg), on_circle(target_deg), sigma, y,
+                                   source_sample_weights(out, y))
+    except NumericalError:  # every target cut off from the surviving sources
+        reject()
+    assert np.all(soft[masked_rows] == 0.0)
 
 
 def test_ridge_solve_singular_after_ridge_is_numerical_error():

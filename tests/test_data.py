@@ -355,6 +355,14 @@ def test_report_errors(tmp_path):
         ("class_weights", ["a"]),
         ("class_weights", [0.5, None]),
         ("class_mask", [1, 0.5]),
+        ("class_mask", [5, -3]),
+        ("class_mask", [True]),
+        ("class_mask", [1, 0]),  # one more entry than class_weights
+        ("history", [1, "x"]),
+        ("warnings", {"mask_fallbacks": "many"}),
+        ("warnings", {"mask_fallbacks": 1.5}),
+        ("per_class_accuracy", {"1": "0.5"}),
+        ("per_class_accuracy", {"2": True}),
     ):
         bad = {**doc, "history": [], name: value}
         path.write_text(json.dumps(bad))

@@ -12,7 +12,7 @@ import pytest
 
 from partialda import NumericalError, ValidationError
 import partialda.graph
-from partialda.alignment import ClassWeights, source_sample_weights
+from partialda.alignment import source_sample_weights
 from partialda.graph import cosine_distances, propagate_labels
 
 SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
@@ -69,7 +69,7 @@ def textbook_reweight(w_ts, w_tt, w, source_classes):
     per-sample weights ``propagate_labels`` takes, so the two routes meet
     only in their result.
     """
-    factors = w.masked[source_classes]
+    factors = w[source_classes]
     if factors.max() > 0:
         factors = factors / factors.max()
     w_ts, w_tt, dead = textbook_normalize(w_ts * factors[None, :], w_tt)
@@ -77,8 +77,8 @@ def textbook_reweight(w_ts, w_tt, w, source_classes):
         if w_tt.shape[0] > 1:
             w_tt[dead] = 1.0
             np.fill_diagonal(w_tt, 0.0)
-        else:
-            w_ts[dead] = 1.0
+        else:  # the uniform source row, reweighted, unless every weight is 0
+            w_ts[dead] = factors if factors.any() else 1.0
         w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
     return w_ts, w_tt, int(dead.sum())
 
@@ -103,7 +103,7 @@ def outcome(*args):
 
 def sample_weights(w, y):
     """``source_sample_weights(w, y)`` minus its positive-sum check, which all-masked cases fail."""
-    return y @ w.masked
+    return y @ w
 
 
 def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
@@ -188,10 +188,8 @@ def weighted_cases(rng, z_s):
     classes = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
     y = np.eye(c)[classes]
     mask = (rng.random(c) > 0.3).astype(float)
-    return y, classes, (
-        ClassWeights(weights=rng.random(c), mask=mask),
-        ClassWeights(weights=rng.random(c), mask=np.zeros(c)),  # all masked
-    )
+    # the all-masked weighting still draws its weights, so later cases keep their stream
+    return y, classes, (rng.random(c) * mask, rng.random(c) * 0.0)
 
 
 def test_build_graph_bit_identical_to_textbook():
@@ -386,7 +384,7 @@ def test_propagate_labels_singular_system_error_text():
     # left, so I - W_tt has the all-ones vector in its null space
     z_s = np.eye(3)[:, :2]
     z_t = np.eye(3)[:, 1:]
-    w = ClassWeights(weights=np.array([0.5, 0.5]), mask=np.zeros(2))
+    w = np.zeros(2)
     with pytest.raises(NumericalError) as exc:
         propagate_labels(z_s, z_t, 0.5, np.eye(2), sample_weights(w, np.eye(2)))
     assert str(exc.value) == SINGULAR
@@ -468,7 +466,7 @@ def test_reweight_uniform_weights_is_identity():
         z_t = rng.standard_normal((d, int(rng.integers(2, 7))))
         y = random_labels(rng, n_s)
         c = y.shape[1]
-        w = ClassWeights(weights=np.full(c, 1.0 / c), mask=np.ones(c))
+        w = np.full(c, 1.0 / c)
         p1, _ = propagate_labels(z_s, z_t, 0.5, y)
         p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
         assert n_dead == 0
@@ -481,9 +479,7 @@ def test_reweight_masked_class_columns_become_zero():
     z_s = rng.standard_normal((3, 6))
     z_t = rng.standard_normal((3, 4))
     classes = np.array([0, 1, 2, 0, 1, 2])
-    w = ClassWeights(
-        weights=np.array([0.8, 0.0, 0.2]), mask=np.array([1.0, 0.0, 1.0])
-    )
+    w = np.array([0.8, 0.0, 0.2])
     y = np.eye(3)[classes]
     p, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
     assert n_dead == 0
@@ -501,14 +497,22 @@ def test_reweight_dead_row_fallbacks():
     assert n_dead == 1
     assert np.allclose(p, [[0.5], [0.5]], atol=1e-15)
 
+    # class 0 masked: the single target at 175 degrees sees only the class-0
+    # source at 170 at this sigma, and its fallback row is the uniform row
+    # reweighted, so masked class 0 still gets no mass
+    angles = np.deg2rad([170.0, 0.0, 175.0])
+    z = np.vstack([np.cos(angles), np.sin(angles)])
+    p, n_dead = propagate_labels(z[:, :2], z[:, 2:], 0.02, np.eye(2), np.array([0.0, 1.0]))
+    assert n_dead == 1
+    assert np.array_equal(p, [[0.0], [1.0]])
+
     # target 0 sits on the class-1 source and sees nothing else at this
     # sigma; masking class 1 empties its row, which falls back to uniform
     # target affinities and so copies target 1, which sits on the class-0
     # source
     e = np.eye(2)
-    class_1_masked = ClassWeights(weights=np.array([0.5, 0.5]), mask=np.array([1.0, 0.0]))
     p, n_dead = propagate_labels(e, e[:, [1, 0]], 0.02, np.eye(2),
-                                 source_sample_weights(class_1_masked, np.eye(2)))
+                                 source_sample_weights(np.array([0.5, 0.0]), np.eye(2)))
     assert n_dead == 1
     assert np.array_equal(p, [[1.0, 1.0], [0.0, 0.0]])
 
@@ -535,7 +539,7 @@ def test_propagate_labels_leaves_its_inputs_unchanged():
         z_s = rng.standard_normal((3, 6))
         z_t = rng.standard_normal((3, n_t))
         for mask in (None, np.array([1.0, 0.0, 1.0]), np.zeros(3)):  # last: dead rows
-            w = None if mask is None else ClassWeights(np.array([0.8, 0.1, 0.2]), mask)
+            w = None if mask is None else np.array([0.8, 0.1, 0.2]) * mask
             omega = None if w is None else sample_weights(w, y)
             inputs = [z_s, z_t, y] + ([] if w is None else [omega])
             before = [a.tobytes() for a in inputs]

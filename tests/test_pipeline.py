@@ -99,7 +99,7 @@ def test_adapt_is_deterministic():
     assert np.array_equal(r1.hard_labels, r2.hard_labels)
     assert np.array_equal(r1.projection.a, r2.projection.a)
     assert np.array_equal(r1.projection.eigenvalues, r2.projection.eigenvalues)
-    assert np.array_equal(r1.class_weights.masked, r2.class_weights.masked)
+    assert np.array_equal(r1.class_weights, r2.class_weights)
     assert r1.history == r2.history
 
 
@@ -114,7 +114,7 @@ def test_baseline_matches_direct_propagation():
     assert result.projection is None
     assert result.history == []
     assert result.iterations_run == 0
-    assert np.all(result.class_weights.mask == 1.0)
+    assert np.all(result.class_weights > 0)  # unthresholded: every class keeps mass
     overall, _ = accuracy(result.hard_labels, labels)
     assert overall == 1.0
 
