@@ -19,7 +19,6 @@ from .data import (
     generate_synthetic,
     load_features_csv,
     load_labels,
-    load_report,
     save_features_csv,
     save_labels,
     save_report,
@@ -53,7 +52,6 @@ __all__ = [
     "generate_synthetic",
     "load_features_csv",
     "load_labels",
-    "load_report",
     "make_one_hot",
     "save_features_csv",
     "save_labels",

@@ -136,8 +136,8 @@ class AdaptationConfig:
     k : embedding dimension, at most the feature dimension d.
     sigma : bandwidth of the graph affinity.
     delta : threshold at or below which a class weight is set to 0, masking its class.
-    max_iterations : upper bound on alternating rounds.
-    convergence_tol : stop once the fraction of changed hard labels is <= this.
+    max_iterations : upper bound on alternating rounds; the loop stops
+        earlier after the first round that changes no hard label.
     rhs_reg : scale of the trace-proportional regularizer added to the
         constraint side of the eigenproblem.
     """
@@ -149,7 +149,6 @@ class AdaptationConfig:
     sigma: float = 0.1
     delta: float = 1e-3
     max_iterations: int = 10
-    convergence_tol: float = 0.0
     rhs_reg: float = 1e-6
 
     def __post_init__(self):
@@ -175,9 +174,5 @@ class AdaptationConfig:
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
-        if self.convergence_tol < 0:
-            raise ConfigurationError(
-                f"convergence_tol must be non-negative, got {self.convergence_tol}"
-            )
         if self.rhs_reg < 0:
             raise ConfigurationError(f"rhs_reg must be non-negative, got {self.rhs_reg}")

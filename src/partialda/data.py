@@ -3,7 +3,7 @@
 Feature CSV files hold one sample per row; label files hold one
 non-negative integer per line.  Values are written with ``repr`` so a
 round trip through text reproduces them bit for bit.  Reports are single
-JSON documents.
+JSON documents that the package writes and never reads back.
 
 Feature files are parsed by numpy's C reader (``np.loadtxt``).  A file it
 refuses goes through a line-by-line loop instead, which accepts exactly
@@ -251,7 +251,15 @@ def save_features_csv(x, path) -> None:
 
 
 def save_labels(labels, path) -> None:
+    """Write one non-negative integer per line; refuses what load_labels refuses."""
     labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "iuf":
+        raise ValidationError("labels must be a non-empty 1-dimensional array of numbers, "
+                              f"got shape {labels.shape} and dtype {labels.dtype}")
+    bad = ~np.isfinite(labels) | (labels < 0) | (labels != np.floor(labels))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValidationError(f"label {labels[i]} at index {i} is not a non-negative integer")
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 
@@ -261,34 +269,6 @@ def save_soft_labels(p, path) -> None:
     if p.ndim != 2:
         raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
     _write_rows(p.T, path)
-
-
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The JSON type of each field of a report document.
-_REPORT_FIELDS = {
-    "config": (lambda v: isinstance(v, dict), "an object"),
-    "overall_accuracy": (lambda v: v is None or _number(v), "a number or null"),
-    "per_class_accuracy": (
-        lambda v: v is None or isinstance(v, dict) and all(map(_number, v.values())),
-        "an object of numbers or null"),
-    "class_weights": (lambda v: isinstance(v, list) and all(map(_number, v)),
-                      "an array of numbers"),
-    "class_mask": (lambda v: isinstance(v, list) and all(_integer(b) and b in (0, 1) for b in v),
-                   "an array of 0s and 1s"),
-    "iterations_run": (_integer, "an integer"),
-    "history": (lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
-                "an array of objects"),
-    "warnings": (lambda v: isinstance(v, dict) and all(map(_integer, v.values())),
-                 "an object of integers"),
-    "duration_seconds": (_number, "a number"),
-}
 
 
 @dataclass(frozen=True)
@@ -315,50 +295,7 @@ class ResultReport:
             }
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ResultReport":
-        if not isinstance(doc, dict):
-            raise ParseError("report document is not a JSON object")
-        if doc.get("format") != "partialda-report":
-            raise ParseError("not a partialda report document")
-        for f in fields(cls):
-            if f.name not in doc:
-                raise ParseError(f"report document has no {f.name!r} field")
-            valid, json_type = _REPORT_FIELDS[f.name]
-            if not valid(doc[f.name]):
-                raise ParseError(
-                    f"report field {f.name!r} must be {json_type}, got {doc[f.name]!r}")
-        if len(doc["class_mask"]) != len(doc["class_weights"]):
-            raise ParseError("report field 'class_mask' must have one entry per class weight")
-        per_class = doc["per_class_accuracy"]
-        if per_class is not None:
-            try:
-                per_class = {int(k): float(v) for k, v in per_class.items()}
-            except (ValueError, OverflowError):
-                raise ParseError("report field 'per_class_accuracy' must map class ids "
-                                 f"to numbers, got {per_class!r}") from None
-        values = {f.name: doc[f.name] for f in fields(cls)}
-        values["per_class_accuracy"] = per_class
-        return cls(**values)
-
 
 def save_report(report: ResultReport, path) -> None:
     """Serialize a report as an indented JSON document."""
     Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def load_report(path) -> ResultReport:
-    """Load a report saved by :func:`save_report`.
-
-    Raises
-    ------
-    ParseError
-        If the file is not UTF-8 JSON, or not a report document: a field is
-        missing or has another JSON type, or ``class_mask`` is not one 0 or 1
-        per class weight.
-    """
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid report document: {exc}") from None
-    return ResultReport.from_dict(doc)

@@ -152,7 +152,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
                 graph_fallbacks=graph_fallbacks,
             ))
             hard_prev = hard
-        if fraction <= config.convergence_tol:
+        if fraction == 0.0:
             break
     return AdaptationResult(
         projection=proj,

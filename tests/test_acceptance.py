@@ -27,7 +27,6 @@ from partialda import (
     generate_synthetic,
     load_features_csv,
     load_labels,
-    load_report,
     make_one_hot,
     save_report,
 )

@@ -1,11 +1,12 @@
 """Command line interface: wiring, output files, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from partialda import load_features_csv, load_report
+from partialda import AdaptationConfig, IterationRecord, load_features_csv
 from partialda.cli import main
 
 
@@ -87,10 +88,10 @@ def test_adapt_writes_report_and_soft_labels(tmp_path, capsys):
     assert summary.startswith("adapt: accuracy=")
     assert "surviving_classes=" in summary
 
-    report = load_report(out / "report.json")
-    assert report.overall_accuracy is not None
-    assert report.config["k"] == 3
-    assert report.iterations_run == len(report.history)
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall_accuracy"] is not None
+    assert report["config"]["k"] == 3
+    assert report["iterations_run"] == len(report["history"])
     p = load_features_csv(out / "soft_labels.csv")
     assert p.shape[0] == 4  # one row of probabilities per source class
     assert np.allclose(p.sum(axis=0), 1.0, atol=1e-9)
@@ -104,7 +105,7 @@ def test_adapt_without_truth_reports_no_accuracy(tmp_path, capsys):
     del args[i:i + 2]
     assert main(args) == 0
     assert "accuracy=n/a" in capsys.readouterr().out
-    assert load_report(out / "report.json").overall_accuracy is None
+    assert json.loads((out / "report.json").read_text())["overall_accuracy"] is None
 
 
 def test_baseline_writes_report(tmp_path, capsys):
@@ -121,9 +122,49 @@ def test_baseline_writes_report(tmp_path, capsys):
     ])
     assert code == 0
     assert capsys.readouterr().out.startswith("baseline: accuracy=")
-    report = load_report(out / "report.json")
-    assert report.iterations_run == 0
-    assert report.history == []
+    report = json.loads((out / "report.json").read_text())
+    assert report["iterations_run"] == 0
+    assert report["history"] == []
+
+
+REPORT_KEYS = ["config", "overall_accuracy", "per_class_accuracy", "class_weights",
+               "class_mask", "iterations_run", "history", "warnings", "duration_seconds",
+               "format", "version"]
+
+
+def check_report_schema(report, config_types):
+    """The documented JSON type of every report field, and how the fields relate."""
+    assert list(report) == REPORT_KEYS
+    assert report["format"] == "partialda-report" and report["version"] == 1
+    assert {k: type(v) for k, v in report["config"].items()} == config_types
+    assert type(report["overall_accuracy"]) is float
+    per_class = report["per_class_accuracy"]
+    assert per_class and all(type(v) is float and k == str(int(k)) for k, v in per_class.items())
+    weights = report["class_weights"]
+    assert weights and all(type(w) is float for w in weights)
+    assert report["class_mask"] == [int(w > 0) for w in weights]
+    assert type(report["iterations_run"]) is int
+    assert len(report["history"]) == report["iterations_run"]
+    for entry in report["history"]:
+        assert [(k, type(v).__name__) for k, v in entry.items()] == [
+            (f.name, f.type) for f in fields(IterationRecord)]
+    warnings = report["warnings"]
+    assert set(warnings) == {"mask_fallbacks", "graph_fallbacks"}
+    assert all(type(v) is int for v in warnings.values())
+    assert type(report["duration_seconds"]) is float
+
+
+def test_report_schema_is_pinned(tmp_path):
+    files = gen_dataset(tmp_path / "data")
+    assert main(adapt_args(files, tmp_path / "adapt")) == 0
+    report = json.loads((tmp_path / "adapt" / "report.json").read_text())
+    check_report_schema(report, {f.name: type(f.default) for f in fields(AdaptationConfig)})
+    assert report["iterations_run"] >= 1
+    inputs = adapt_args(files, tmp_path / "baseline")[1:11]  # the five input and output flags
+    assert main(["baseline", *inputs]) == 0
+    report = json.loads((tmp_path / "baseline" / "report.json").read_text())
+    check_report_schema(report, {"sigma": float})
+    assert report["iterations_run"] == 0
 
 
 def test_eval_scores_soft_labels(tmp_path, capsys):

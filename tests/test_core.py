@@ -125,7 +125,6 @@ def test_config_defaults_and_validation():
     assert cfg.sigma == 0.1
     assert cfg.delta == 1e-3
     assert cfg.max_iterations == 10
-    assert cfg.convergence_tol == 0.0
     for bad in (
         dict(lam=0.0),
         dict(lam=-1.0),
@@ -138,7 +137,6 @@ def test_config_defaults_and_validation():
         dict(max_iterations=-2),
         dict(max_iterations=2.5),
         dict(alpha_p=-1.0),
-        dict(convergence_tol=-1e-9),
         dict(rhs_reg=-1.0),
     ):
         with pytest.raises(ConfigurationError):
@@ -147,7 +145,7 @@ def test_config_defaults_and_validation():
     # NaN passes every comparison and inf overflows int(): each numeric
     # knob must reject both with a ConfigurationError naming it
     numeric = ("alpha_p", "alpha_c", "lam", "k", "sigma", "delta",
-               "max_iterations", "convergence_tol", "rhs_reg")
+               "max_iterations", "rhs_reg")
     for name in numeric:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigurationError, match=f"{name} must be finite"):

@@ -1,10 +1,11 @@
-"""Synthetic generator, file formats and report round-trips.
+"""Synthetic generator, file formats and the report document.
 
 The generator oracle is an independent nearest-center classifier on the
 true cluster centers, never anything from the adaptation code.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from partialda import (
     generate_synthetic,
     load_features_csv,
     load_labels,
-    load_report,
     save_features_csv,
     save_labels,
     save_report,
@@ -283,7 +283,30 @@ def test_soft_label_csv_layout_and_round_trip(tmp_path):
     assert np.array_equal(load_features_csv(path), p)
 
 
+def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
+    path = tmp_path / "y.txt"
+    for labels, message in (
+        ([], r"shape \(0,\)"),
+        ([[0, 1], [1, 0]], r"shape \(2, 2\)"),
+        ([1.5, 2.0], "label 1.5 at index 0 is not a non-negative integer"),
+        ([0, -1, 2], "label -1 at index 1 is not a non-negative integer"),
+        ([0.0, math.nan], "label nan at index 1 is not a non-negative integer"),
+        ([math.inf], "label inf at index 0 is not a non-negative integer"),
+        (["1"], "dtype <U1"),
+        ([True, False], "dtype bool"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            save_labels(labels, path)
+        assert not path.exists()
+    save_labels(np.array([3.0, 0.0, 2.0]), path)
+    assert path.read_text() == "3\n0\n2\n"
+    assert np.array_equal(load_labels(path), [3, 0, 2])
+    save_labels(np.array([7, 0], dtype=np.uint8), path)
+    assert np.array_equal(load_labels(path), [7, 0])
+
+
 def test_report_round_trip(tmp_path):
+    # the document save_report writes, byte for byte: field order, then format and version
     report = ResultReport(
         config={"k": 5, "sigma": 0.1, "kernel": "none"},
         overall_accuracy=0.97,
@@ -297,7 +320,20 @@ def test_report_round_trip(tmp_path):
     )
     path = tmp_path / "report.json"
     save_report(report, path)
-    assert load_report(path) == report
+    want = {
+        "config": {"k": 5, "sigma": 0.1, "kernel": "none"},
+        "overall_accuracy": 0.97,
+        "per_class_accuracy": {"0": 1.0, "3": 0.9},
+        "class_weights": [0.5, 0.0, 0.5],
+        "class_mask": [1, 0, 1],
+        "iterations_run": 4,
+        "history": [{"objective": 1.25, "label_change_fraction": 0.0}],
+        "warnings": {"mask_fallbacks": 0},
+        "duration_seconds": 0.25,
+        "format": "partialda-report",
+        "version": 1,
+    }
+    assert path.read_text() == json.dumps(want, indent=2) + "\n"
 
 
 def test_report_without_accuracy(tmp_path):
@@ -311,63 +347,12 @@ def test_report_without_accuracy(tmp_path):
     )
     path = tmp_path / "report.json"
     save_report(report, path)
-    assert load_report(path) == report
+    doc = json.loads(path.read_text())
+    assert doc["overall_accuracy"] is None and doc["per_class_accuracy"] is None
+    assert doc["history"] == [] and doc["warnings"] == {} and doc["duration_seconds"] == 0.0
 
 
 def test_report_errors(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError, match="invalid report document"):
-        load_report(path)
-    path.write_text('{"format": "something-else"}')
-    with pytest.raises(ParseError, match="not a .* report"):
-        load_report(path)
-    path.write_text('{"format": "partialda-report"}')
-    with pytest.raises(ParseError, match="'config'"):
-        load_report(path)
-    doc = ResultReport(config={}, overall_accuracy=None, per_class_accuracy=None,
-                       class_weights=[1.0], class_mask=[1], iterations_run=0).to_dict()
-    del doc["history"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ParseError, match="'history'"):
-        load_report(path)
-    path.write_text("[1, 2]")
-    with pytest.raises(ParseError, match="not a JSON object"):
-        load_report(path)
-    path.write_bytes(b'{"format": "partialda-\xfereport"}')
-    with pytest.raises(ParseError, match="broken.json: not UTF-8 text: byte 22 is 0xfe"):
-        load_report(path)
-    for name, value in (
-        ("per_class_accuracy", [1]),
-        ("per_class_accuracy", {"a": 1}),
-        ("per_class_accuracy", {"1": None}),
-        ("per_class_accuracy", {"1": 10**400}),
-        ("class_weights", 5),
-        ("class_mask", {"0": 1}),
-        ("history", 3),
-        ("warnings", [1]),
-        ("config", "x"),
-        ("iterations_run", "x"),
-        ("iterations_run", 2.0),
-        ("iterations_run", True),
-        ("overall_accuracy", "high"),
-        ("duration_seconds", None),
-        ("class_weights", ["a"]),
-        ("class_weights", [0.5, None]),
-        ("class_mask", [1, 0.5]),
-        ("class_mask", [5, -3]),
-        ("class_mask", [True]),
-        ("class_mask", [1, 0]),  # one more entry than class_weights
-        ("history", [1, "x"]),
-        ("warnings", {"mask_fallbacks": "many"}),
-        ("warnings", {"mask_fallbacks": 1.5}),
-        ("per_class_accuracy", {"1": "0.5"}),
-        ("per_class_accuracy", {"2": True}),
-    ):
-        bad = {**doc, "history": [], name: value}
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ParseError, match=f"report field '{name}'"):
-            load_report(path)
     with pytest.raises(OSError):
         save_report(
             ResultReport(
