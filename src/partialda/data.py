@@ -222,8 +222,12 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+# Labels are stored as int64: a label file may hold 0 .. 2**63 - 1.
+_LABEL_LIMIT = 2**63
+
+
 def load_labels(path) -> np.ndarray:
-    """Parse a label file with one non-negative integer per line."""
+    """Parse a label file with one non-negative integer below 2**63 per line."""
     rows = _read_rows(path)
     if not rows:
         raise ValidationError(f"empty label file: {path}")
@@ -235,6 +239,8 @@ def load_labels(path) -> np.ndarray:
             raise ParseError(f"{path}: line {i}: not an integer: {line.strip()!r}") from None
         if value < 0:
             raise ParseError(f"{path}: line {i}: negative label {value}")
+        if value >= _LABEL_LIMIT:
+            raise ParseError(f"{path}: line {i}: label {value} is not below 2**63")
         labels.append(value)
     return np.array(labels, dtype=int)
 
@@ -256,10 +262,12 @@ def save_labels(labels, path) -> None:
     if labels.ndim != 1 or labels.size == 0 or labels.dtype.kind not in "iuf":
         raise ValidationError("labels must be a non-empty 1-dimensional array of numbers, "
                               f"got shape {labels.shape} and dtype {labels.dtype}")
-    bad = ~np.isfinite(labels) | (labels < 0) | (labels != np.floor(labels))
+    bad = (~np.isfinite(labels) | (labels < 0) | (labels != np.floor(labels))
+           | (labels >= _LABEL_LIMIT))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ValidationError(f"label {labels[i]} at index {i} is not a non-negative integer")
+        raise ValidationError(
+            f"label {labels[i]} at index {i} is not a non-negative integer below 2**63")
     Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
 
 

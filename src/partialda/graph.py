@@ -7,22 +7,42 @@ affinity-weighted average of its neighbors' distributions, source rows
 clamped to their one-hot labels.
 
 :func:`propagate_labels` is the one route through the graph, and the
-adaptation loop and the baseline both call it.  Three private kernels do
-its arithmetic in two buffers it owns: one builds the affinity blocks
-``W_ts`` and ``W_tt``, one scales the source columns in place by one weight
-per source sample (the vector that also weights the alignment loss) and
-one turns ``W_tt`` into ``I - W_tt`` in place and solves.  ``W_ts`` is
-dropped before the solve, so at most ``max(n_t*n_s + n_t**2, 2*n_t**2)``
-doubles of graph are alive at once (the second ``n_t**2`` is numpy's
-LAPACK copy of the system).  Keeping the build and the solve in one call
-is what lets ``W_ts`` go before the ``n_t**2`` factorization.
+adaptation loop and the baseline both call it.  It never holds the whole
+``W_ts`` or ``W_tt``: one kernel builds, reweights and normalizes the
+affinity rows of ``_BLOCK_ROWS`` targets at a time in two small buffers,
+writes their rows of ``W_ts Y_s`` into the right-hand side and their rows
+of ``I - W_tt``, transposed, into one ``n_t x n_t`` buffer.  That
+buffer is the system in the column-major order LAPACK reads, so numpy's
+own ``dgesv`` factors and solves it in place, called through ``ctypes``.
+At most ``n_t**2 + _BLOCK_ROWS * (n_s + n_t)`` doubles of graph are alive
+at once.  Where numpy's OpenBLAS does not export ``dgesv`` under the name
+looked for, ``np.linalg.solve`` solves the same matrix to the same bits
+from its own copy, one ``n_t**2`` more.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+
+# Target rows built per step.  The gemm bits of a row can depend on the
+# block's row count, so this is fixed rather than a knob.
+_BLOCK_ROWS = 256
+
+# Argument types of ILP64 LAPACK, which takes 64-bit integers
+_INT_P = ctypes.POINTER(ctypes.c_int64)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+def _unit_columns(a: np.ndarray) -> np.ndarray:
+    """Columns scaled to unit norm; a zero column stays zero."""
+    norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms > 0, norms, 1.0)
 
 
 def cosine_distances(a, b) -> np.ndarray:
@@ -30,14 +50,18 @@ def cosine_distances(a, b) -> np.ndarray:
 
     A zero column has similarity 0 with everything, hence distance 1.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na = np.linalg.norm(a, axis=0)
-    nb = np.linalg.norm(b, axis=0)
-    ua = a / np.where(na > 0, na, 1.0)
-    ub = b / np.where(nb > 0, nb, 1.0)
-    out = ua.T @ ub
+    out = _unit_columns(np.asarray(a, dtype=float)).T @ _unit_columns(np.asarray(b, dtype=float))
     return np.subtract(1.0, out, out=out)
+
+
+def _affinities(ua: np.ndarray, ub: np.ndarray, sigma: float, out: np.ndarray) -> None:
+    """``exp(-(d / sigma)**2)`` of the cosine distances of unit columns, written into ``out``."""
+    np.matmul(ua.T, ub, out=out)
+    np.subtract(1.0, out, out=out)
+    out /= sigma
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
 
 
 def _normalize_rows(w_ts: np.ndarray, w_tt: np.ndarray) -> np.ndarray:
@@ -50,58 +74,86 @@ def _normalize_rows(w_ts: np.ndarray, w_tt: np.ndarray) -> np.ndarray:
     return dead
 
 
-def _affinities(a, b, sigma: float) -> np.ndarray:
-    """``exp(-(d / sigma)**2)`` of the cosine distances, in the distance buffer."""
-    out = cosine_distances(a, b)
-    out /= sigma
-    np.square(out, out=out)
-    np.negative(out, out=out)
-    return np.exp(out, out=out)
+def _fill_rows(r0: int, u_s: np.ndarray, u_t: np.ndarray, sigma: float, y_s: np.ndarray,
+               factors: np.ndarray | None, w_ts: np.ndarray, w_tt: np.ndarray,
+               rhs: np.ndarray, system: np.ndarray) -> int:
+    """Graph rows ``r0:r0+len(w_ts)``: write ``W_ts Y_s`` and ``(I - W_tt).T`` (off the diagonal).
 
-
-def _build_blocks(z_s: np.ndarray, z_t: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalized ``W_ts`` and ``W_tt`` of checked inputs, in fresh buffers."""
-    w_ts = _affinities(z_t, z_s, sigma)
-    w_tt = _affinities(z_t, z_t, sigma)
-    np.fill_diagonal(w_tt, 0.0)
+    ``w_ts`` and ``w_tt`` are scratch rows; ``rhs`` and ``system`` receive
+    this block's rows and columns.  Returns the rows the reweighting left
+    without mass.
+    """
+    rows = slice(r0, r0 + w_ts.shape[0])
+    diagonal = (np.arange(w_ts.shape[0]), np.arange(rows.start, rows.stop))
+    _affinities(u_t[:, rows], u_s, sigma, w_ts)
+    _affinities(u_t[:, rows], u_t, sigma, w_tt)
+    w_tt[diagonal] = 0.0
     dead = _normalize_rows(w_ts, w_tt)
     if dead.any():
         w_ts[dead] = 1.0
         w_tt[dead] = 1.0
-        np.fill_diagonal(w_tt, 0.0)
+        w_tt[diagonal] = 0.0
         _normalize_rows(w_ts, w_tt)
-    return w_ts, w_tt
-
-
-def _reweight_blocks(w_ts: np.ndarray, w_tt: np.ndarray, factors: np.ndarray) -> int:
-    """Scale the source columns by ``factors`` and renormalize, in place; count dead rows."""
-    w_ts *= factors[None, :]
-    dead = _normalize_rows(w_ts, w_tt)
-    n_dead = int(dead.sum())
-    if n_dead:
-        if w_tt.shape[0] > 1:
-            w_tt[dead] = 1.0
-            np.fill_diagonal(w_tt, 0.0)
-        else:  # the uniform source row, reweighted, unless every weight is 0
-            w_ts[dead] = factors if factors.any() else 1.0
-        _normalize_rows(w_ts, w_tt)
+    n_dead = 0
+    if factors is not None:
+        w_ts *= factors[None, :]
+        dead = _normalize_rows(w_ts, w_tt)
+        n_dead = int(dead.sum())
+        if n_dead:
+            if w_tt.shape[1] > 1:
+                w_tt[dead] = 1.0
+                w_tt[diagonal] = 0.0
+            else:  # the uniform source row, reweighted, unless every weight is 0
+                w_ts[dead] = factors if factors.any() else 1.0
+            _normalize_rows(w_ts, w_tt)
+    np.matmul(w_ts, y_s, out=rhs[rows])
+    # 0 - w (not -w, which turns +0.0 into -0.0) is bit for bit the
+    # off-diagonal of np.eye(n_t) - w_tt
+    np.subtract(0.0, w_tt.T, out=system[:, rows])
     return n_dead
 
 
-def _solve_harmonic(w_tt: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(I - W_tt) F = rhs`` with ``I - W_tt`` written over ``w_tt``; return ``F.T``."""
-    # 0 - w (not -w, which turns +0.0 into -0.0) is bit for bit the
-    # off-diagonal of np.eye(n_t) - w_tt, and adding 1.0 to it is bit for
-    # bit the diagonal.
-    system = np.subtract(0.0, w_tt, out=w_tt)
-    system.flat[:: w_tt.shape[0] + 1] += 1.0
-    try:
-        f = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "(I - W_tt) is singular: some targets receive no source mass; "
-            "try a larger sigma or check graph connectivity"
-        ) from exc
+@functools.cache
+def _gesv():
+    """LAPACK ``dgesv`` of the OpenBLAS numpy ships (64-bit integers), or None if absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            gesv = ctypes.CDLL(str(path)).scipy_dgesv_64_
+        except (OSError, AttributeError):
+            continue
+        # n, nrhs, a, lda, ipiv, b, ldb, info, each by reference
+        gesv.argtypes = [_INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P]
+        gesv.restype = None
+        return gesv
+    return None
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``system.T F = rhs``, factoring ``system`` in place where it can; return ``F.T``."""
+    singular = NumericalError(
+        "(I - W_tt) is singular: some targets receive no source mass; "
+        "try a larger sigma or check graph connectivity"
+    )
+    gesv = _gesv()
+    if gesv is None:
+        try:
+            f = np.linalg.solve(system.T, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise singular from exc
+    else:
+        f = np.asfortranarray(rhs)
+        n, nrhs = (ctypes.c_int64(k) for k in f.shape)
+        info = ctypes.c_int64(0)
+        pivots = np.empty(f.shape[0], dtype=np.int64)
+        gesv(ctypes.byref(n), ctypes.byref(nrhs), system.ctypes.data_as(_DOUBLE_P),
+             ctypes.byref(n), pivots.ctypes.data_as(_INT_P), f.ctypes.data_as(_DOUBLE_P),
+             ctypes.byref(n), ctypes.byref(info))
+        if info.value > 0:
+            raise singular
+        # C order, as np.linalg.solve returns it, so that later reductions
+        # over the soft labels add in the same order
+        f = np.ascontiguousarray(f)
     if not np.isfinite(f).all():
         raise NumericalError(
             "label propagation produced non-finite values; "
@@ -128,10 +180,11 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     uniform only when every weight is 0); those rows are counted.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
-    checked before the graph is built, and none is modified: the blocks
-    are this call's own buffers, reweighted in place, and ``W_ts`` is
-    released once ``W_ts Y_s`` is formed, before ``I - W_tt`` is written
-    over ``W_tt`` and solved.
+    checked before the graph is built, and none is modified.  The graph is
+    built ``_BLOCK_ROWS`` target rows at a time in buffers this call owns:
+    each block is normalized and reweighted in place, and only its rows of
+    ``W_ts Y_s`` and of ``I - W_tt`` (stored transposed) are kept.  LAPACK
+    then factors that ``n_t x n_t`` system in place and solves it.
 
     Parameters
     ----------
@@ -194,8 +247,19 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         raise ValidationError(
             f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
         )
-    w_ts, w_tt = _build_blocks(z_s, z_t, sigma)
-    n_dead = 0 if factors is None else _reweight_blocks(w_ts, w_tt, factors)
-    rhs = w_ts @ y_s
-    del w_ts
-    return _solve_harmonic(w_tt, rhs), n_dead
+    n_t = z_t.shape[1]
+    u_s, u_t = _unit_columns(z_s), _unit_columns(z_t)
+    block = min(_BLOCK_ROWS, n_t)
+    w_ts = np.empty((block, n_s))
+    w_tt = np.empty((block, n_t))
+    rhs = np.empty((n_t, y_s.shape[1]))
+    system = np.empty((n_t, n_t))  # I - W_tt, transposed: the system in Fortran order
+    n_dead = 0
+    for r0 in range(0, n_t, block):
+        rows = min(block, n_t - r0)
+        n_dead += _fill_rows(r0, u_s, u_t, sigma, y_s, factors, w_ts[:rows], w_tt[:rows],
+                             rhs, system)
+    del w_ts, w_tt
+    # 1.0 added to the zero diagonal is bit for bit that of np.eye(n_t) - w_tt
+    system.reshape(-1)[:: n_t + 1] += 1.0
+    return _solve(system, rhs), n_dead

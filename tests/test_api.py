@@ -150,3 +150,15 @@ def test_import_leaves_oracles_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_look_up_lapack():
+    # numpy's dgesv is looked up on the first solve, not at import, which stays cheap
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import partialda, partialda.cli, partialda.graph as g; "
+            "assert g._gesv.cache_info().currsize == 0, g._gesv.cache_info()")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

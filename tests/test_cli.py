@@ -235,6 +235,16 @@ def test_non_utf8_labels_exit_one(tmp_path, capsys):
     assert f"{truth}: not UTF-8 text: byte 2 is 0xfe" in err
 
 
+def test_label_beyond_int64_exits_one(tmp_path, capsys):
+    pred = tmp_path / "p.csv"
+    pred.write_text("0.7,0.3\n0.2,0.8\n")
+    truth = tmp_path / "y.txt"
+    truth.write_text("0\n99999999999999999999\n")
+    assert main(["eval", str(pred), str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert f"{truth}: line 2: label 99999999999999999999 is not below 2**63" in err
+
+
 def test_pathological_delta_exits_one(tmp_path, capsys):
     files = gen_dataset(tmp_path / "data")
     args = adapt_args(files, tmp_path / "run", "--delta", "0.9")

@@ -272,6 +272,20 @@ def test_label_file_parse_errors(tmp_path):
         load_labels(path)
 
 
+def test_label_file_refuses_labels_beyond_int64(tmp_path):
+    # a label that int64 cannot hold is a ParseError naming its line, not an
+    # OverflowError out of the array conversion
+    path = tmp_path / "y.txt"
+    for text, line, value in (("0\n99999999999999999999\n", 2, "99999999999999999999"),
+                              (f"{2**63}\n1\n", 1, str(2**63))):
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_labels(path)
+        assert str(exc.value) == f"{path}: line {line}: label {value} is not below 2**63"
+    path.write_text(f"{2**63 - 1}\n0\n")
+    assert load_labels(path).tolist() == [2**63 - 1, 0]
+
+
 def test_soft_label_csv_layout_and_round_trip(tmp_path):
     path = tmp_path / "p.csv"
     save_soft_labels(np.array([[0.7], [0.3]]), path)
@@ -294,6 +308,10 @@ def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
         ([math.inf], "label inf at index 0 is not a non-negative integer"),
         (["1"], "dtype <U1"),
         ([True, False], "dtype bool"),
+        ([0, 1e300], r"label 1e\+300 at index 1 is not a non-negative integer below 2\*\*63"),
+        ([2.0**63], r"at index 0 is not a non-negative integer below 2\*\*63"),
+        (np.array([1, 2**63], dtype=np.uint64),
+         r"label 9223372036854775808 at index 1 is not a non-negative integer"),
     ):
         with pytest.raises(ValidationError, match=message):
             save_labels(labels, path)
@@ -303,6 +321,10 @@ def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
     assert np.array_equal(load_labels(path), [3, 0, 2])
     save_labels(np.array([7, 0], dtype=np.uint8), path)
     assert np.array_equal(load_labels(path), [7, 0])
+    for labels in (np.array([2**63 - 1, 0]), np.array([2**63 - 1], dtype=np.uint64),
+                   [2.0**62]):
+        save_labels(labels, path)
+        assert load_labels(path).tolist() == [int(v) for v in labels]
 
 
 def test_report_round_trip(tmp_path):

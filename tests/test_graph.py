@@ -7,6 +7,9 @@ expressions below, one fresh array per step, and a fixed-point iteration
 under test.
 """
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -424,7 +427,7 @@ def no_buffers(*args):
 def test_propagate_labels_validation_matches_public_functions(monkeypatch):
     # graph, sample-weight and label checks all run before any buffer is
     # built, and each names the offending input in a fixed text
-    monkeypatch.setattr(partialda.graph, "_build_blocks", no_buffers)
+    monkeypatch.setattr(partialda.graph, "_fill_rows", no_buffers)
     ok = np.ones((2, 3))
     y = np.eye(3)
     omega = np.array([0.8, 0.2, 0.8])
@@ -518,7 +521,7 @@ def test_reweight_dead_row_fallbacks():
 
 
 def test_reweight_validation(monkeypatch):
-    monkeypatch.setattr(partialda.graph, "_build_blocks", no_buffers)
+    monkeypatch.setattr(partialda.graph, "_fill_rows", no_buffers)
     args = (np.eye(2), np.ones((2, 1)), 0.1, np.eye(2))
     for omega, message in (
         (np.array([0.8]), r"sample_weights has shape \(1,\), expected \(2,\)"),
@@ -549,3 +552,146 @@ def test_propagate_labels_leaves_its_inputs_unchanged():
             except NumericalError:  # all masked with several targets is singular
                 assert n_t > 1 and mask is not None and not mask.any()
             assert [a.tobytes() for a in inputs] == before
+
+
+BLOCK = partialda.graph._BLOCK_ROWS
+LONELY = (300, 500, 511)  # alone on axes 5, 6, 7: every affinity underflows
+ON_MASKED = (400, 2 * BLOCK)  # the only targets on axes 3 and 4, whose classes get masked
+
+
+def multi_block_case(rng, pair=False):
+    """513 targets over three blocks, with the fallback rows past the first block.
+
+    Sources of classes 0-4 sit in tight clusters on axes 0-4 and most targets
+    on axes 0-2, at a sigma where every cross-axis affinity underflows to
+    0.0.  The ``LONELY`` rows fall back to uniform affinities when built; the
+    ``ON_MASKED`` rows lose all their mass when classes 3 and 4 are masked and
+    fall back to uniform target affinities; the last of them is alone in the
+    last block, yet it is not the only target.  With ``pair``, the first and
+    last lonely targets share axis 5, so they see only each other and
+    ``I - W_tt`` is singular.
+    """
+    n_t = 2 * BLOCK + 1
+    classes = np.repeat(np.arange(5), 12)
+    on_t = rng.integers(0, 3, n_t)
+    on_t[list(LONELY)] = (5, 6, 7)
+    on_t[list(ON_MASKED)] = (3, 4)
+    if pair:
+        on_t[LONELY[-1]] = 5
+    z_s = np.eye(8)[:, classes] + 0.01 * rng.standard_normal((8, classes.size))
+    z_t = np.eye(8)[:, on_t] + 0.01 * rng.standard_normal((8, n_t))
+    return z_s, z_t, 0.02, np.eye(5)[classes], classes
+
+
+def edge_cases(rng):
+    """The multi-block case, then single targets on its sources: plain, dead, masked out."""
+    z_s, z_t, sigma, y, classes = multi_block_case(rng)
+    yield z_s, z_t, sigma, y, classes
+    for z_t in (rng.standard_normal((8, 1)),  # n_t = 1
+                np.eye(8)[:, 7:8],  # its only row dead when built
+                np.eye(8)[:, 3:4]):  # sees only class 3, which gets masked
+        yield z_s, z_t, sigma, y, classes
+
+
+# no weights, classes 3 and 4 masked, every class masked
+WEIGHTINGS = (None, np.array([0.9, 0.5, 0.7, 0.0, 0.0]), np.zeros(5))
+
+
+def test_multi_block_matches_textbook_and_fixed_point():
+    # rows past the first block put their diagonal at column r0 + i; the
+    # fallbacks there and the single-target rule (keyed on n_t, not on the
+    # block) must match the textbook chain over the whole graph
+    rng = np.random.default_rng(41)
+    fallbacks = []
+    for z_s, z_t, sigma, y, classes in edge_cases(rng):
+        n_t = z_t.shape[1]
+        w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
+        if n_t > BLOCK:
+            for i in LONELY:
+                assert np.all(w_ts[i] == w_ts[i, 0]) and np.all(w_tt[i, :i] == w_ts[i, 0])
+        for w in WEIGHTINGS:
+            if w is None:
+                p, n_dead = propagate_labels(z_s, z_t, sigma, y)
+                g_ts, g_tt, want_dead = w_ts, w_tt, 0
+            else:
+                p, n_dead = propagate_labels(z_s, z_t, sigma, y, sample_weights(w, y))
+                g_ts, g_tt, want_dead = textbook_reweight(w_ts, w_tt, w, classes)
+            assert n_dead == want_dead
+            assert np.abs(p - textbook_propagate(g_ts, g_tt, y)).max() <= 1e-12
+            assert np.abs(p - fixed_point_oracle(g_ts, g_tt, y)).max() <= 1e-10
+            if w is not None:
+                fallbacks.append(n_dead)
+            if w is not None and w.any():
+                assert np.all(p[w == 0] == 0.0)
+    # masked, then all masked: past the first block only the ON_MASKED rows
+    # die, as the others keep their target mass; a single target dies when
+    # it sees only masked classes or when every class is masked
+    assert fallbacks == [len(ON_MASKED), len(ON_MASKED), 0, 1, 0, 1, 1, 1]
+
+
+def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
+    # without numpy's dgesv, np.linalg.solve factors a copy of the same
+    # Fortran-ordered system: the same bits and the same fallback counts
+    rng = np.random.default_rng(42)
+    cases = [(z_s, z_t, sigma, y, *(() if w is None else (sample_weights(w, y),)))
+             for z_s, z_t, sigma, y, _ in edge_cases(rng)
+             for w in WEIGHTINGS]
+    cases += [(z_s, z_t, sigma, random_labels(rng, z_s.shape[1]))
+              for z_s, z_t, sigma in owned_cases(rng) if z_s.shape[1] > 1]
+    in_place = [outcome(*args) for args in cases]
+    monkeypatch.setattr(partialda.graph, "_gesv", lambda: None)
+    assert [outcome(*args) for args in cases] == in_place
+
+
+@pytest.mark.parametrize("path", ["in place", "np.linalg.solve"])
+def test_singular_system_error_text_on_both_paths(monkeypatch, path):
+    if path != "in place":
+        monkeypatch.setattr(partialda.graph, "_gesv", lambda: None)
+    z_s, z_t, sigma, y, _ = multi_block_case(np.random.default_rng(43), pair=True)
+    w_tt = textbook_graph(z_s, z_t, sigma)[1]
+    assert w_tt[LONELY[0], LONELY[-1]] == w_tt[LONELY[-1], LONELY[0]] == 1.0
+    small = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]]), 0.02,
+             np.eye(2))
+    for args in ((z_s, z_t, sigma, y), (z_s, z_t, sigma, y, np.ones(y.shape[0])), small):
+        with pytest.raises(NumericalError) as exc:
+            propagate_labels(*args)
+        assert str(exc.value) == SINGULAR
+
+
+def test_graph_working_set_stays_below_one_and_a_half_target_squares():
+    # the graph is built a block of rows at a time: the n_t^2 system and two
+    # block buffers are all it allocates, where whole W_ts and W_tt blocks
+    # need 2 n_t^2 doubles at n_s = n_t
+    rng = np.random.default_rng(44)
+    n = 1200
+    z_s, z_t = rng.standard_normal((8, n)), rng.standard_normal((8, n))
+    y = random_labels(rng, n)
+    omega = rng.random(n)
+    for args in ((z_s, z_t, 0.5, y), (z_s, z_t, 0.5, y, omega)):
+        tracemalloc.start()
+        try:
+            propagate_labels(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n**2
+
+
+NUMPY_GESV = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                    .glob("libscipy_openblas64_*"))
+
+
+@pytest.mark.skipif(not NUMPY_GESV, reason="numpy ships no libscipy_openblas64_")
+def test_system_is_solved_in_place(monkeypatch):
+    # tracemalloc does not see LAPACK's copy of the system, so show that
+    # np.linalg.solve, which makes one, is not called
+    def copying_solve(*args):
+        raise AssertionError("np.linalg.solve copied the system")
+
+    monkeypatch.setattr(np.linalg, "solve", copying_solve)
+    rng = np.random.default_rng(45)
+    z_s, z_t = rng.standard_normal((4, 30)), rng.standard_normal((4, 600))
+    y = random_labels(rng, 30)
+    p, _ = propagate_labels(z_s, z_t, 0.5, y)
+    assert partialda.graph._gesv() is not None
+    assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
