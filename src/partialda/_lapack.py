@@ -1,0 +1,166 @@
+"""The three LAPACK routines numpy does not expose, from the OpenBLAS numpy ships.
+
+numpy's wheels bundle one OpenBLAS, ``numpy.libs/libscipy_openblas64_*``,
+built with 64-bit integers and exporting every LAPACK routine under a
+``scipy_`` prefix and ``_64_`` suffix.  The package calls three of them
+through ``ctypes``, so one BLAS thread pool still serves every step:
+
+* :func:`gesv` (``dgesv``) factors the propagation system in place, where
+  ``np.linalg.solve`` would first copy it;
+* :func:`syevr_smallest` (``dsyevr``) returns only the k smallest
+  eigenpairs, where ``np.linalg.eigh`` computes and back-transforms all of
+  them;
+* :func:`trtri_lower` (``dtrtri``) inverts a triangular factor as a
+  triangle, where ``np.linalg.inv`` runs a pivoting LU.
+
+The library is looked up on the first call, not at import.  Where it or a
+routine is missing, each wrapper computes the same result with
+``np.linalg``: bit for bit for :func:`gesv`, which runs the same routine on
+a copy, and to rounding for the other two.  Each wrapper raises
+``np.linalg.LinAlgError`` where the ``np.linalg`` call it replaces would, so
+a caller handles both paths alike.
+
+Every matrix here is a C-order numpy array handed to column-major LAPACK,
+which sees its transpose: the lower triangle of a C-order matrix is the
+upper triangle LAPACK reads with ``UPLO='U'``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
+
+import numpy as np
+
+_INT = ctypes.c_int64
+_INT_P = ctypes.POINTER(_INT)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_CHAR_P = ctypes.c_char_p
+_LEN = ctypes.c_size_t  # the hidden length gfortran appends for each string argument
+
+# Argument types of each routine as ILP64 LAPACK takes them, each by
+# reference; ctypes passes a scalar ``_INT`` or ``c_double`` by reference
+# where a pointer to it is declared
+_ARGTYPES = {
+    # n, nrhs, a, lda, ipiv, b, ldb, info
+    "dgesv": [_INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P],
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz,
+    # isuppz, work, lwork, iwork, liwork, info, and three string lengths
+    "dsyevr": [_CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
+               _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
+               _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P, _LEN, _LEN, _LEN],
+    # uplo, diag, n, a, lda, info, and two string lengths
+    "dtrtri": [_CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _LEN, _LEN],
+}
+
+
+@functools.cache
+def _lookup() -> dict:
+    """The routines of ``_ARGTYPES`` that numpy's OpenBLAS exports, typed, by name.
+
+    Empty where numpy ships no such library.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        found = {}
+        for name, argtypes in _ARGTYPES.items():
+            routine = getattr(lib, f"scipy_{name}_64_", None)
+            if routine is not None:
+                routine.argtypes = argtypes
+                routine.restype = None
+                found[name] = routine
+        return found
+    return {}
+
+
+def _ptr(a: np.ndarray, kind=_DOUBLE_P):
+    return a.ctypes.data_as(kind)
+
+
+def _check(name: str, info: ctypes.c_int64, failure: str) -> None:
+    """Raise what numpy raises where LAPACK ``info`` reports a failure."""
+    if info.value < 0:  # a wrong argument here, never a property of the data
+        raise ValueError(f"{name}: illegal value in argument {-info.value}")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(failure)
+
+
+def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` for a Fortran-ordered square ``a``; return x in C order.
+
+    ``a`` is overwritten with its LU factors.  ``b`` is not modified.
+    """
+    if a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError("gesv factors a Fortran-ordered float64 matrix in place")
+    routine = _lookup().get("dgesv")
+    if routine is None:
+        return np.linalg.solve(a, b)
+    x = np.asfortranarray(b, dtype=np.float64)
+    n, nrhs = (_INT(v) for v in x.shape)
+    info = _INT(0)
+    pivots = np.empty(x.shape[0], dtype=np.int64)
+    routine(n, nrhs, _ptr(a), n, _ptr(pivots, _INT_P), _ptr(x), n, info)
+    _check("dgesv", info, "Singular matrix")
+    # C order, as np.linalg.solve returns it, so that later reductions over
+    # the solution add in the same order
+    return np.ascontiguousarray(x)
+
+
+def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest eigenpairs of symmetric ``a``, eigenvalues ascending.
+
+    Only the lower triangle of ``a`` is read, as ``np.linalg.eigh`` reads
+    it, and ``a`` is not modified.  Returns the (k,) eigenvalues and the
+    (n, k) orthonormal eigenvectors, one column each.  LAPACK reduces ``a``
+    to tridiagonal form as ``eigh`` does, then finds the k eigenvalues by
+    bisection and their vectors by inverse iteration, and back-transforms
+    only those k vectors.
+    """
+    routine = _lookup().get("dsyevr")
+    if routine is None:
+        w, v = np.linalg.eigh(a)
+        return w[:k], v[:, :k]
+    n = a.shape[0]
+    work_a = np.array(a, dtype=float, order="C")  # dsyevr destroys its input
+    w = np.empty(n)
+    z = np.empty((k, n))  # the n x k eigenvectors in Fortran order
+    isuppz = np.empty(2 * k, dtype=np.int64)
+    size, m, info = _INT(n), _INT(0), _INT(0)
+    unused, abstol = ctypes.c_double(0.0), ctypes.c_double(0.0)  # abstol 0: LAPACK's default
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        routine(b"V", b"I", b"U", size, _ptr(work_a), size, unused, unused, _INT(1), _INT(k),
+                abstol, m, _ptr(w), _ptr(z), size, _ptr(isuppz, _INT_P),
+                _ptr(work), _INT(lwork), _ptr(iwork, _INT_P), _INT(liwork), info, 1, 1, 1)
+        _check("dsyevr", info, "Eigenvalues did not converge")
+
+    query, iquery = np.empty(1), np.empty(1, dtype=np.int64)
+    call(query, iquery, -1, -1)
+    lwork, liwork = int(query[0]), int(iquery[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
+    if m.value != k:  # as on a NaN entry, which leaves w and z unwritten
+        raise np.linalg.LinAlgError(f"dsyevr found {m.value} of {k} eigenpairs")
+    return w[:k], z.T
+
+
+def trtri_lower(l: np.ndarray) -> np.ndarray:
+    """Inverse of the C-ordered lower-triangular ``l``, computed in ``l`` where it can.
+
+    The strictly upper triangle is neither read nor written, so the zeros
+    of a Cholesky factor stay exact zeros.  Where ``dtrtri`` is missing,
+    ``np.linalg.inv`` returns a new array and ``l`` is left as it was.
+    """
+    if l.dtype != np.float64 or not l.flags.c_contiguous:
+        raise ValueError("trtri_lower inverts a C-ordered float64 matrix in place")
+    routine = _lookup().get("dtrtri")
+    if routine is None:
+        return np.linalg.inv(l)
+    n, info = _INT(l.shape[0]), _INT(0)
+    routine(b"U", b"N", n, _ptr(l), n, info, 1, 1)
+    _check("dtrtri", info, "Singular matrix")
+    return l

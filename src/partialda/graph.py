@@ -13,30 +13,31 @@ affinity rows of ``_BLOCK_ROWS`` targets at a time in two small buffers,
 writes their rows of ``W_ts Y_s`` into the right-hand side and their rows
 of ``I - W_tt``, transposed, into one ``n_t x n_t`` buffer.  That
 buffer is the system in the column-major order LAPACK reads, so numpy's
-own ``dgesv`` factors and solves it in place, called through ``ctypes``.
-At most ``n_t**2 + _BLOCK_ROWS * (n_s + n_t)`` doubles of graph are alive
-at once.  Where numpy's OpenBLAS does not export ``dgesv`` under the name
-looked for, ``np.linalg.solve`` solves the same matrix to the same bits
-from its own copy, one ``n_t**2`` more.
+own ``dgesv`` factors and solves it in place
+(:func:`partialda._lapack.gesv`).  At most
+``n_t**2 + _BLOCK_ROWS * (n_s + n_t)`` doubles of graph are alive at once.
+Where numpy's OpenBLAS does not export ``dgesv`` under the name looked for,
+``np.linalg.solve`` solves the same matrix to the same bits from its own
+copy, one ``n_t**2`` more.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from pathlib import Path
-
 import numpy as np
 
+from ._lapack import gesv
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
 # block's row count, so this is fixed rather than a knob.
 _BLOCK_ROWS = 256
 
-# Argument types of ILP64 LAPACK, which takes 64-bit integers
-_INT_P = ctypes.POINTER(ctypes.c_int64)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+# How far a target's soft labels may sum from 1 before it counts as having
+# received no source mass.  With one-hot source labels a target connected
+# to source mass sums to 1 up to rounding (within 1.8e-11 on the 4000
+# targets of the baseline-large benchmark); one cut off from every source
+# sums to about 0, or to whatever a nearly singular solve leaves.
+_MASS_TOL = 1e-6
 
 
 def _unit_columns(a: np.ndarray) -> np.ndarray:
@@ -103,8 +104,8 @@ def _fill_rows(r0: int, u_s: np.ndarray, u_t: np.ndarray, sigma: float, y_s: np.
             if w_tt.shape[1] > 1:
                 w_tt[dead] = 1.0
                 w_tt[diagonal] = 0.0
-            else:  # the uniform source row, reweighted, unless every weight is 0
-                w_ts[dead] = factors if factors.any() else 1.0
+            else:  # the uniform source row, reweighted
+                w_ts[dead] = factors
             _normalize_rows(w_ts, w_tt)
     np.matmul(w_ts, y_s, out=rhs[rows])
     # 0 - w (not -w, which turns +0.0 into -0.0) is bit for bit the
@@ -113,50 +114,26 @@ def _fill_rows(r0: int, u_s: np.ndarray, u_t: np.ndarray, sigma: float, y_s: np.
     return n_dead
 
 
-@functools.cache
-def _gesv():
-    """LAPACK ``dgesv`` of the OpenBLAS numpy ships (64-bit integers), or None if absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*")):
-        try:
-            gesv = ctypes.CDLL(str(path)).scipy_dgesv_64_
-        except (OSError, AttributeError):
-            continue
-        # n, nrhs, a, lda, ipiv, b, ldb, info, each by reference
-        gesv.argtypes = [_INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P]
-        gesv.restype = None
-        return gesv
-    return None
-
-
 def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``system.T F = rhs``, factoring ``system`` in place where it can; return ``F.T``."""
-    singular = NumericalError(
-        "(I - W_tt) is singular: some targets receive no source mass; "
-        "try a larger sigma or check graph connectivity"
-    )
-    gesv = _gesv()
-    if gesv is None:
-        try:
-            f = np.linalg.solve(system.T, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise singular from exc
-    else:
-        f = np.asfortranarray(rhs)
-        n, nrhs = (ctypes.c_int64(k) for k in f.shape)
-        info = ctypes.c_int64(0)
-        pivots = np.empty(f.shape[0], dtype=np.int64)
-        gesv(ctypes.byref(n), ctypes.byref(nrhs), system.ctypes.data_as(_DOUBLE_P),
-             ctypes.byref(n), pivots.ctypes.data_as(_INT_P), f.ctypes.data_as(_DOUBLE_P),
-             ctypes.byref(n), ctypes.byref(info))
-        if info.value > 0:
-            raise singular
-        # C order, as np.linalg.solve returns it, so that later reductions
-        # over the soft labels add in the same order
-        f = np.ascontiguousarray(f)
+    try:
+        f = gesv(system.T, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "(I - W_tt) is singular: some targets receive no source mass; "
+            "try a larger sigma or check graph connectivity"
+        ) from exc
     if not np.isfinite(f).all():
         raise NumericalError(
             "label propagation produced non-finite values; "
+            "try a larger sigma or check graph connectivity"
+        )
+    sums = f.sum(axis=1)
+    lost = np.flatnonzero(np.abs(sums - 1.0) > _MASS_TOL)
+    if lost.size:
+        raise NumericalError(
+            f"{lost.size} of {f.shape[0]} targets receive too little source mass "
+            f"(target {lost[0]}: labels sum to {sums[lost[0]]:.10g}, not 1); "
             "try a larger sigma or check graph connectivity"
         )
     return f.T
@@ -176,8 +153,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     weight divided by the largest weight (so uniform weights leave the
     graph as it was), and the rows are renormalized.  A row left without
     mass falls back to uniform target affinities or, when it is the only
-    target, to the uniform source row reweighted the same way (plain
-    uniform only when every weight is 0); those rows are counted.
+    target, to the uniform source row reweighted the same way; those rows
+    are counted.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified.  The graph is
@@ -195,7 +172,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     y_s : ndarray (n_s, C)
         One-hot source labels.
     sample_weights : ndarray (n_s,), optional
-        Finite, non-negative weight of every source sample, as
+        Finite, non-negative weight of every source sample, not all 0, as
         :func:`partialda.alignment.source_sample_weights` returns it: the
         masked weight of the sample's class, so a class of weight 0
         contributes 0 to every row, for any number of targets.
@@ -203,7 +180,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     Returns
     -------
     soft_labels : ndarray (C, n_t)
-        One column of class probabilities per target; each sums to one.
+        One column of class probabilities per target; each sums to one
+        within ``_MASS_TOL``.
     graph_fallbacks : int
         Rows the reweighting left without mass (0 without ``sample_weights``).
 
@@ -211,11 +189,12 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     ------
     ValidationError
         On a non-positive or non-finite sigma, inputs whose shapes disagree,
-        or sample weights that are negative or not finite.
+        or sample weights that are negative, not finite or all 0.
     NumericalError
-        If ``I - W_tt`` is singular or the solve is not finite, which
-        indicates targets disconnected from every source; a larger sigma
-        usually reconnects them.
+        If ``I - W_tt`` is singular, the solve is not finite, or a target's
+        soft labels miss a sum of one by more than ``_MASS_TOL``, all of
+        which indicate targets disconnected from every source mass; a
+        larger sigma usually reconnects them.
     """
     z_s = np.asarray(z_s, dtype=float)
     z_t = np.asarray(z_t, dtype=float)
@@ -240,8 +219,9 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         if (factors < 0).any():
             raise ValidationError("sample_weights must be non-negative")
         top = factors.max()
-        if top > 0:
-            factors = factors / top
+        if top == 0:
+            raise ValidationError("sample_weights are all 0: no source sample carries a label")
+        factors = factors / top
     y_s = np.asarray(y_s, dtype=float)
     if y_s.ndim != 2 or y_s.shape[0] != n_s:
         raise ValidationError(

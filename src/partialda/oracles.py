@@ -14,7 +14,9 @@ what the adaptation loop computes.  Which fast path each oracle checks:
   which forms the constraint side ``Z H Z.T`` by subtracting row means.
 * :func:`generalized_eigh` is the reference for
   :func:`partialda.subspace.solve_projection`: it takes the dense pencil
-  ``(lhs, rhs)`` that the solver only ever sees factored and whitened.
+  ``(lhs, rhs)`` that the solver only ever sees factored and whitened, and
+  solves it with ``numpy.linalg`` alone, not with the solver's LAPACK
+  routines.
 
 The adaptation loop never imports this module.
 """
@@ -24,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import _ridge_eps, solve_gram_system
-from .errors import ValidationError
-from .subspace import _check_k, _inverse_cholesky, _smallest_pairs
+from .errors import NumericalError, ValidationError
+from .subspace import _check_k, _cond
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -142,12 +144,22 @@ def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarr
     """k smallest eigenpairs of the symmetric pencil ``lhs a = phi rhs a``.
 
     rhs must be positive definite.  The pencil is reduced to standard form
-    with the Cholesky factor of rhs and solved on the path
-    :func:`partialda.subspace.solve_projection` takes.  Eigenvalues come
-    back ascending and each eigenvector is scaled so its largest-magnitude
-    entry is positive.
+    with the inverse Cholesky factor of rhs and solved for every eigenpair
+    by ``numpy.linalg.eigh``, the k smallest of which are kept.
+    Eigenvalues come back ascending and each eigenvector is scaled so its
+    largest-magnitude entry is positive.
     """
     lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     _check_k(k, lhs.shape[0])
-    l_inv = _inverse_cholesky(np.asarray(rhs, dtype=float))
-    return _smallest_pairs(l_inv @ lhs @ l_inv.T, l_inv, k)
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(rhs))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"constraint side is not positive definite (cond rhs {_cond(rhs):.3e}): {exc}"
+        ) from exc
+    phi, vecs = np.linalg.eigh(l_inv @ lhs @ l_inv.T)
+    a = l_inv.T @ vecs[:, :k]
+    flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
+    a[:, flip] *= -1.0
+    return phi[:k], a

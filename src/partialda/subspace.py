@@ -18,8 +18,13 @@ constraint side once per run, ``Z H Z.T + eps_r I = L L.T``, and keeps
 ``lam L^-1 L^-T``.  The loop builds the scatter from the whitened data
 (:func:`partialda.alignment.alignment_scatter` is linear in Z, so it
 returns ``L^-1 S L^-T``), and each round is then one standard symmetric
-``numpy.linalg.eigh`` whose eigenvectors v map back as ``a = L^-T v``.
-Everything runs on numpy's own BLAS/LAPACK.
+eigenproblem, of which only the k smallest eigenpairs are computed; their
+eigenvectors v map back as ``a = L^-T v``.
+Everything runs on numpy's own BLAS/LAPACK: ``numpy.linalg.cholesky``
+factors the constraint side, and LAPACK ``dtrtri`` (invert ``L`` as a
+triangle) and ``dsyevr`` (the k smallest eigenpairs only) are called from
+numpy's OpenBLAS through :mod:`partialda._lapack`, which falls back to
+``numpy.linalg.inv`` and a full ``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import syevr_smallest, trtri_lower
 from .errors import NumericalError, ValidationError
 
 
@@ -64,7 +70,7 @@ def _cond(m: np.ndarray) -> float:
 def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
     """``L^-1`` for ``rhs = L L.T``; only the lower triangle of rhs is read."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(rhs))
+        return trtri_lower(np.linalg.cholesky(rhs))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"constraint side is not positive definite (cond rhs {_cond(rhs):.3e}): {exc}"
@@ -89,13 +95,12 @@ def _smallest_pairs(pencil: np.ndarray, l_inv: np.ndarray,
     sign deterministically.
     """
     try:
-        phi, vecs = np.linalg.eigh(pencil)
+        phi, vecs = syevr_smallest(pencil, k)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed (cond pencil {_cond(pencil):.3e}): {exc}"
         ) from exc
-    phi = phi[:k]
-    a = l_inv.T @ vecs[:, :k]
+    a = l_inv.T @ vecs
     if not (np.isfinite(phi).all() and np.isfinite(a).all()):
         n_ok = int(np.isfinite(phi).cumprod().sum())
         raise NumericalError(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from partialda import NumericalError, ValidationError
+import partialda._lapack
 import partialda.graph
 from partialda.alignment import source_sample_weights
 from partialda.graph import cosine_distances, propagate_labels
@@ -22,6 +23,14 @@ SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
             "try a larger sigma or check graph connectivity")
 NON_FINITE = ("label propagation produced non-finite values; "
               "try a larger sigma or check graph connectivity")
+ALL_ZERO = "sample_weights are all 0: no source sample carries a label"
+
+
+def no_mass(lost, n_t, sums):
+    """The NumericalError text for targets whose soft labels do not sum to one."""
+    return (f"{len(lost)} of {n_t} targets receive too little source mass "
+            f"(target {lost[0]}: labels sum to {sums[lost[0]]:.10g}, not 1); "
+            "try a larger sigma or check graph connectivity")
 
 
 def fixed_point_oracle(w_ts, w_tt, y_s, tol=1e-12, max_sweeps=100_000):
@@ -73,15 +82,14 @@ def textbook_reweight(w_ts, w_tt, w, source_classes):
     only in their result.
     """
     factors = w[source_classes]
-    if factors.max() > 0:
-        factors = factors / factors.max()
+    factors = factors / factors.max()
     w_ts, w_tt, dead = textbook_normalize(w_ts * factors[None, :], w_tt)
     if dead.any():
         if w_tt.shape[0] > 1:
             w_tt[dead] = 1.0
             np.fill_diagonal(w_tt, 0.0)
-        else:  # the uniform source row, reweighted, unless every weight is 0
-            w_ts[dead] = factors if factors.any() else 1.0
+        else:  # the uniform source row, reweighted
+            w_ts[dead] = factors
         w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
     return w_ts, w_tt, int(dead.sum())
 
@@ -96,10 +104,10 @@ def same_bits(a, b):
 
 
 def outcome(*args):
-    """Soft-label bits and fallback count of ``propagate_labels``, or its NumericalError text."""
+    """Soft-label bits and fallback count of ``propagate_labels``, or its error text."""
     try:
         p, n_dead = propagate_labels(*args)
-    except NumericalError as exc:
+    except (NumericalError, ValidationError) as exc:
         return str(exc)
     return p.shape, p.tobytes(), n_dead
 
@@ -111,6 +119,8 @@ def sample_weights(w, y):
 
 def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
     """What :func:`outcome` gives for ``sample_weights(weights, y)``, from the textbook chain."""
+    if weights is not None and not weights[classes].any():
+        return ALL_ZERO
     w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
     n_dead = 0
     if weights is not None:
@@ -121,6 +131,10 @@ def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
         return SINGULAR
     if not np.isfinite(p).all():
         return NON_FINITE
+    sums = p.sum(axis=0)
+    lost = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if lost.size:
+        return no_mass(lost, p.shape[1], sums)
     return p.shape, p.tobytes(), n_dead
 
 
@@ -258,9 +272,10 @@ def test_owned_cases_reach_the_edge_paths():
     z_s, z_t, sigma = cases[-1]
     w_tt = textbook_graph(z_s, z_t, sigma)[1]
     assert np.count_nonzero(w_tt == 0.0) > w_tt.shape[0]
+    # an all-zero weighting, which once reached the single-target fallback,
+    # is refused before the graph is built
     z_s, z_t, sigma = cases[-3]
-    p, n_dead = propagate_labels(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(5))
-    assert n_dead == 1 and np.allclose(p, 1.0)
+    assert outcome(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(5)) == ALL_ZERO
 
 
 def test_build_graph_gaussian_weights():
@@ -383,15 +398,17 @@ def test_propagate_singular_system():
 
 
 def test_propagate_labels_singular_system_error_text():
-    # every class masked and two targets: only uniform target affinities are
-    # left, so I - W_tt has the all-ones vector in its null space
-    z_s = np.eye(3)[:, :2]
-    z_t = np.eye(3)[:, 1:]
-    w = np.zeros(2)
+    # two targets on the source of masked class 0; the class-1 source is
+    # orthogonal, so its affinity underflows to 0.0 at this sigma.  The
+    # targets lean only on each other, and I - W_tt has the all-ones vector
+    # in its null space
+    z_s = np.eye(2)
+    z_t = np.eye(2)[:, [0, 0]]
+    w = np.array([0.0, 1.0])
     with pytest.raises(NumericalError) as exc:
-        propagate_labels(z_s, z_t, 0.5, np.eye(2), sample_weights(w, np.eye(2)))
+        propagate_labels(z_s, z_t, 0.02, np.eye(2), sample_weights(w, np.eye(2)))
     assert str(exc.value) == SINGULAR
-    assert textbook_outcome(z_s, z_t, 0.5, np.eye(2), w, np.array([0, 1])) == SINGULAR
+    assert textbook_outcome(z_s, z_t, 0.02, np.eye(2), w, np.array([0, 1])) == SINGULAR
 
 
 def test_propagate_shape_mismatch():
@@ -443,6 +460,7 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok, ok, 0.5, y, [0.8, -0.2, 0.8]), "sample_weights must be non-negative"),
         ((ok, ok, 0.5, y, [0.8, np.nan, 0.8]), "sample_weights contains NaN or Inf entries"),
         ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "sample_weights contains NaN or Inf entries"),
+        ((ok, ok, 0.5, y, [0.0, 0.0, 0.0]), ALL_ZERO),
         ((ok, ok, 0.5, np.eye(4)), rows),
         ((ok, ok, 0.5, np.eye(4), omega), rows),
     ):
@@ -492,13 +510,13 @@ def test_reweight_masked_class_columns_become_zero():
 
 
 def test_reweight_dead_row_fallbacks():
-    # every class masked: a single target falls back to uniform source
-    # affinities
+    # every class masked leaves no source to fall back on, even for a single
+    # target: refused as input
     rng = np.random.default_rng(40)
-    p, n_dead = propagate_labels(np.eye(3)[:, :2], rng.standard_normal((3, 1)), 0.5,
-                                 np.eye(2), np.zeros(2))
-    assert n_dead == 1
-    assert np.allclose(p, [[0.5], [0.5]], atol=1e-15)
+    with pytest.raises(ValidationError) as exc:
+        propagate_labels(np.eye(3)[:, :2], rng.standard_normal((3, 1)), 0.5,
+                         np.eye(2), np.zeros(2))
+    assert str(exc.value) == ALL_ZERO
 
     # class 0 masked: the single target at 175 degrees sees only the class-0
     # source at 170 at this sigma, and its fallback row is the uniform row
@@ -549,8 +567,8 @@ def test_propagate_labels_leaves_its_inputs_unchanged():
             args = (z_s, z_t, 0.5, y) if w is None else (z_s, z_t, 0.5, y, omega)
             try:
                 propagate_labels(*args)
-            except NumericalError:  # all masked with several targets is singular
-                assert n_t > 1 and mask is not None and not mask.any()
+            except ValidationError:  # every class masked
+                assert mask is not None and not mask.any()
             assert [a.tobytes() for a in inputs] == before
 
 
@@ -593,8 +611,8 @@ def edge_cases(rng):
         yield z_s, z_t, sigma, y, classes
 
 
-# no weights, classes 3 and 4 masked, every class masked
-WEIGHTINGS = (None, np.array([0.9, 0.5, 0.7, 0.0, 0.0]), np.zeros(5))
+# no weights, classes 3 and 4 masked
+WEIGHTINGS = (None, np.array([0.9, 0.5, 0.7, 0.0, 0.0]))
 
 
 def test_multi_block_matches_textbook_and_fixed_point():
@@ -623,10 +641,9 @@ def test_multi_block_matches_textbook_and_fixed_point():
                 fallbacks.append(n_dead)
             if w is not None and w.any():
                 assert np.all(p[w == 0] == 0.0)
-    # masked, then all masked: past the first block only the ON_MASKED rows
-    # die, as the others keep their target mass; a single target dies when
-    # it sees only masked classes or when every class is masked
-    assert fallbacks == [len(ON_MASKED), len(ON_MASKED), 0, 1, 0, 1, 1, 1]
+    # past the first block only the ON_MASKED rows die, as the others keep
+    # their target mass; a single target dies when it sees only masked classes
+    assert fallbacks == [len(ON_MASKED), 0, 0, 1]
 
 
 def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
@@ -639,14 +656,14 @@ def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
     cases += [(z_s, z_t, sigma, random_labels(rng, z_s.shape[1]))
               for z_s, z_t, sigma in owned_cases(rng) if z_s.shape[1] > 1]
     in_place = [outcome(*args) for args in cases]
-    monkeypatch.setattr(partialda.graph, "_gesv", lambda: None)
+    monkeypatch.setattr(partialda._lapack, "_lookup", dict)
     assert [outcome(*args) for args in cases] == in_place
 
 
 @pytest.mark.parametrize("path", ["in place", "np.linalg.solve"])
 def test_singular_system_error_text_on_both_paths(monkeypatch, path):
     if path != "in place":
-        monkeypatch.setattr(partialda.graph, "_gesv", lambda: None)
+        monkeypatch.setattr(partialda._lapack, "_lookup", dict)
     z_s, z_t, sigma, y, _ = multi_block_case(np.random.default_rng(43), pair=True)
     w_tt = textbook_graph(z_s, z_t, sigma)[1]
     assert w_tt[LONELY[0], LONELY[-1]] == w_tt[LONELY[-1], LONELY[0]] == 1.0
@@ -656,6 +673,36 @@ def test_singular_system_error_text_on_both_paths(monkeypatch, path):
         with pytest.raises(NumericalError) as exc:
             propagate_labels(*args)
         assert str(exc.value) == SINGULAR
+
+
+def test_targets_without_source_mass_fail_loudly():
+    # targets 100-279 sit on the sources of masked class 1, and every other
+    # affinity underflows to 0.0 at this sigma.  The cluster leans only on
+    # itself, yet LU meets no exact zero pivot at this size: the solve
+    # succeeds and leaves those columns summing to 0 instead of 1
+    rng = np.random.default_rng(46)
+    on_t = np.zeros(300, dtype=int)
+    on_t[100:280] = 1
+    classes = np.repeat([0, 1], 10)
+    z_s = np.eye(3)[:, classes] + 0.01 * rng.standard_normal((3, 20))
+    z_t = np.eye(3)[:, on_t] + 0.01 * rng.standard_normal((3, 300))
+    y, w = np.eye(2)[classes], np.array([1.0, 0.0])
+    got = outcome(z_s, z_t, 0.02, y, sample_weights(w, y))
+    assert got.startswith("180 of 300 targets receive too little source mass (target 100: ")
+    assert got == textbook_outcome(z_s, z_t, 0.02, y, w, classes)
+
+
+def test_nearly_singular_solve_fails_loudly():
+    # two coincident targets at 27 degrees from both sources: their source
+    # affinities are ~1e-13 against a mutual affinity of 1, and the solve
+    # loses the labels' unit sum (0.99995 unweighted)
+    angles = np.deg2rad([0.0, 0.0, 27.0, 27.0])
+    z = np.vstack([np.cos(angles), np.sin(angles)])
+    for w in (None, np.array([1.0, 0.5])):
+        args = (z[:, :2], z[:, 2:], 0.02, np.eye(2)) + (() if w is None else (w,))
+        got = outcome(*args)
+        assert got.startswith("2 of 2 targets receive too little source mass (target 0: ")
+        assert got == textbook_outcome(*args[:4], w, None if w is None else np.arange(2))
 
 
 def test_graph_working_set_stays_below_one_and_a_half_target_squares():
@@ -693,5 +740,5 @@ def test_system_is_solved_in_place(monkeypatch):
     z_s, z_t = rng.standard_normal((4, 30)), rng.standard_normal((4, 600))
     y = random_labels(rng, 30)
     p, _ = propagate_labels(z_s, z_t, 0.5, y)
-    assert partialda.graph._gesv() is not None
+    assert "dgesv" in partialda._lapack._lookup()
     assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)

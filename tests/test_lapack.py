@@ -1,0 +1,141 @@
+"""The LAPACK routines called from numpy's OpenBLAS, and their np.linalg fallbacks.
+
+Each wrapper is checked against the full ``np.linalg`` call it replaces,
+with numpy's library and with the lookup patched to find nothing, which is
+what a numpy without that library gets.  The ``dgesv`` fallback is checked
+bit for bit in ``tests/test_graph.py``.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from partialda import AdaptationConfig, SyntheticSpec, adapt, generate_synthetic, make_one_hot
+import partialda._lapack as _lapack
+from partialda._lapack import syevr_smallest, trtri_lower
+from tests.test_subspace import assert_matches_dense_eigh, factored_instance
+
+EPS = np.finfo(float).eps
+NUMPY_OPENBLAS = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                        .glob("libscipy_openblas64_*"))
+PATHS = ["numpy's OpenBLAS", "np.linalg"]
+
+
+@pytest.fixture(params=PATHS)
+def path(request, monkeypatch):
+    if request.param == "np.linalg":
+        monkeypatch.setattr(_lapack, "_lookup", dict)
+    return request.param
+
+
+@pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
+def test_lookup_finds_every_routine():
+    # a routine not found falls back silently and loses its speed, so a
+    # numpy that ships the library must export all three under these names
+    assert sorted(_lapack._lookup()) == ["dgesv", "dsyevr", "dtrtri"]
+
+
+def symmetric_cases(rng):
+    """Random, clustered and exactly repeated spectra, each with k up to the dimension."""
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        b = rng.standard_normal((n, n))
+        yield (b + b.T) / 2, int(rng.integers(1, n + 1))
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        centers = rng.uniform(-5.0, 5.0, size=(n + 2) // 3)
+        if rng.random() < 0.5:  # clusters of three, 1e-9 apart
+            spectrum = np.concatenate([c * (1 + 1e-9 * np.arange(3)) for c in centers])[:n]
+        else:  # each eigenvalue three times over
+            spectrum = np.repeat(centers, 3)[:n]
+        yield q @ np.diag(spectrum) @ q.T, int(rng.integers(1, n + 1))
+
+
+def test_syevr_smallest_matches_full_eigh(path):
+    # the k smallest eigenvalues of the full eigh to 8 n eps ||a||; vectors
+    # orthonormal to 8 n eps with residuals below 8 n eps ||a||, which pins
+    # them down within clusters and repeated eigenvalues, where they are not
+    # unique; only the lower triangle is read and a is left as it was
+    rng = np.random.default_rng(50)
+    for a, k in symmetric_cases(rng):
+        n = a.shape[0]
+        scale = max(np.abs(a).max(), 1.0)
+        tol = 8 * n * EPS
+        noisy = np.tril(a) + np.triu(rng.standard_normal((n, n)), 1)
+        before = noisy.copy()
+        phi, v = syevr_smallest(noisy, k)
+        assert np.array_equal(noisy, before)
+        assert phi.shape == (k,) and v.shape == (n, k)
+        assert np.all(np.diff(phi) >= 0)
+        assert np.abs(phi - np.linalg.eigvalsh(a)[:k]).max() <= tol * scale
+        assert np.abs(v.T @ v - np.eye(k)).max() <= tol
+        assert np.abs(a @ v - v * phi).max() <= tol * scale
+
+
+@pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
+def test_syevr_smallest_without_eigenpairs_is_linalg_error():
+    # on a NaN, dsyevr reports success but finds no eigenpair and leaves its
+    # outputs unwritten; the wrapper raises what a failed eigh raises
+    a = np.eye(4)
+    a[2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^dsyevr found 0 of 2 eigenpairs$"):
+        syevr_smallest(a, 2)
+
+
+def test_trtri_lower_matches_inv(path):
+    # the inverse of a Cholesky factor to 4 n eps cond(L) of its largest
+    # entry, the forward error bound of a triangular inverse; dtrtri
+    # overwrites the factor and leaves the zeros above its diagonal exact
+    rng = np.random.default_rng(51)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        c = rng.standard_normal((n, n + int(rng.integers(0, 3))))
+        l = np.linalg.cholesky(c @ c.T + 1e-3 * np.eye(n))
+        want = np.linalg.inv(l)
+        bound = 4 * n * EPS * np.linalg.cond(l)
+        got = trtri_lower(l)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+        if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
+            assert got is l and np.all(np.triu(got, 1) == 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        trtri_lower(np.diag([1.0, 0.0, 2.0]))
+
+
+@pytest.mark.parametrize("rhs_reg, full_rank", [(1e-6, True), (1e-6, False), (1e-10, False)])
+def test_fallbacks_agree_on_factored_instances(monkeypatch, rhs_reg, full_rank):
+    # the same instances solved with numpy's LAPACK routines and with the
+    # np.linalg fallbacks: L^-1 agrees to 4 d eps cond(L) of its largest
+    # entry, and both paths' eigenpairs match the dense generalized eigh to
+    # the bounds of assert_matches_dense_eigh
+    def instances():
+        rng = np.random.default_rng(52)
+        return [factored_instance(rng, rhs_reg, full_rank) for _ in range(40)]
+
+    fast = instances()
+    monkeypatch.setattr(_lapack, "_lookup", dict)
+    slow = instances()
+    for (p_fast, d_fast, _, (lhs, rhs)), (p_slow, d_slow, _, _) in zip(fast, slow):
+        bound = 4 * lhs.shape[0] * EPS * np.sqrt(np.linalg.cond(rhs))
+        assert np.abs(d_fast.l_inv - d_slow.l_inv).max() <= bound * np.abs(d_slow.l_inv).max()
+        for proj in (p_fast, p_slow):
+            assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs,
+                                      singular=not full_rank)
+
+
+def test_adapt_is_the_same_on_both_paths(monkeypatch):
+    # the default synthetic benchmark at seed 0: the same rounds, survivors
+    # and hard labels with and without numpy's LAPACK routines
+    data = generate_synthetic(SyntheticSpec(seed=0))
+    y_s = make_one_hot(data.y_s, num_classes=10)
+    runs = []
+    for lookup in (_lapack._lookup, dict):
+        monkeypatch.setattr(_lapack, "_lookup", lookup)
+        runs.append(adapt(data.x_s, y_s, data.x_t, AdaptationConfig(k=5)))
+    fast, slow = runs
+    assert fast.iterations_run == slow.iterations_run
+    assert ([r.surviving_classes for r in fast.history]
+            == [r.surviving_classes for r in slow.history])
+    assert np.array_equal(fast.hard_labels, slow.hard_labels)
+    assert np.abs(fast.soft_labels - slow.soft_labels).max() <= 1e-10
