@@ -8,8 +8,8 @@ through ``ctypes``, so one BLAS thread pool still serves every step:
 * :func:`gesv` (``dgesv``) factors the propagation system in place, where
   ``np.linalg.solve`` would first copy it;
 * :func:`syevr_smallest` (``dsyevr``) returns only the k smallest
-  eigenpairs, where ``np.linalg.eigh`` computes and back-transforms all of
-  them;
+  eigenpairs, computed in the input matrix itself, where ``np.linalg.eigh``
+  copies it and computes and back-transforms all of them;
 * :func:`trtri_lower` (``dtrtri``) inverts a triangular factor as a
   triangle, where ``np.linalg.inv`` runs a pivoting LU.
 
@@ -112,21 +112,25 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenpairs of symmetric ``a``, eigenvalues ascending.
+    """The k smallest eigenpairs of the C-ordered symmetric ``a``, eigenvalues ascending.
 
     Only the lower triangle of ``a`` is read, as ``np.linalg.eigh`` reads
-    it, and ``a`` is not modified.  Returns the (k,) eigenvalues and the
-    (n, k) orthonormal eigenvectors, one column each.  LAPACK reduces ``a``
-    to tridiagonal form as ``eigh`` does, then finds the k eigenvalues by
-    bisection and their vectors by inverse iteration, and back-transforms
-    only those k vectors.
+    it, and ``a`` is destroyed: ``dsyevr`` works in it rather than in a
+    copy, so its contents are undefined after the call, on success or
+    failure.  (Where ``dsyevr`` is missing, ``np.linalg.eigh`` copies ``a``
+    and leaves it as it was.)  Returns the (k,) eigenvalues and the (n, k)
+    orthonormal eigenvectors, one column each, neither of which shares
+    memory with ``a``.  LAPACK reduces ``a`` to tridiagonal form as
+    ``eigh`` does, then finds the k eigenvalues by bisection and their
+    vectors by inverse iteration, and back-transforms only those k vectors.
     """
+    if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("syevr_smallest works in a writeable, C-ordered float64 matrix")
     routine = _lookup().get("dsyevr")
     if routine is None:
         w, v = np.linalg.eigh(a)
         return w[:k], v[:, :k]
     n = a.shape[0]
-    work_a = np.array(a, dtype=float, order="C")  # dsyevr destroys its input
     w = np.empty(n)
     z = np.empty((k, n))  # the n x k eigenvectors in Fortran order
     isuppz = np.empty(2 * k, dtype=np.int64)
@@ -134,7 +138,7 @@ def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     unused, abstol = ctypes.c_double(0.0), ctypes.c_double(0.0)  # abstol 0: LAPACK's default
 
     def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
-        routine(b"V", b"I", b"U", size, _ptr(work_a), size, unused, unused, _INT(1), _INT(k),
+        routine(b"V", b"I", b"U", size, _ptr(a), size, unused, unused, _INT(1), _INT(k),
                 abstol, m, _ptr(w), _ptr(z), size, _ptr(isuppz, _INT_P),
                 _ptr(work), _INT(lwork), _ptr(iwork, _INT_P), _INT(liwork), info, 1, 1, 1)
         _check("dsyevr", info, "Eigenvalues did not converge")

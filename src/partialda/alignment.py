@@ -19,6 +19,19 @@ size (n_s + n_t):
 :func:`alignment_scatter` forms the dim x dim matrix ``Z M Z.T`` of the
 combined loss straight from the rank-one, low-rank and class-indicator
 factors of the three terms, so no (n_s + n_t)-square array is ever built.
+It splits ``Z = Zc + mean 1.T`` into centred columns and their mean and
+sums two parts:
+
+* :func:`invariant_scatter`, ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``,
+  which depends on the data alone, so the adaptation loop computes it once
+  per run;
+* ``U N U.T`` from :func:`scatter_factors`, with U of width 3C + 4, which
+  carries everything the soft labels and the class weights change, so a
+  round costs O(dim n C + dim^2 C) instead of a dim^2 n product.
+
+The two parts cancel where the classes explain most of the spread, which
+is why the split is taken on centred data: the mean has columns of its own
+and no large offset cancels.
 The dense matrices M themselves live in :mod:`partialda.oracles`.
 """
 
@@ -125,65 +138,147 @@ def apply_mask(p, w) -> tuple[np.ndarray, int]:
     return masked, n_dead
 
 
+def _check_alphas(alpha_p: float, alpha_c: float) -> None:
+    # NaN passes ``< 0``, so finiteness is checked first
+    if not (np.isfinite(alpha_p) and np.isfinite(alpha_c)):
+        raise ValidationError(f"alpha_p and alpha_c must be finite, got {alpha_p}, {alpha_c}")
+    if alpha_p < 0 or alpha_c < 0:
+        raise ValidationError("alpha_p and alpha_c must be non-negative")
+
+
+def invariant_scatter(zc, n_s: int, alpha_p: float, alpha_c: float) -> np.ndarray:
+    """The part of the scatter that the soft labels and weights leave unchanged.
+
+    ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T`` for the (dim, n) data ``zc``,
+    whose target columns ``Zc_t`` follow its ``n_s`` source columns: the
+    identity term of the cluster loss and the target term of the center
+    loss.  :func:`scatter_factors` adds the rest.
+    """
+    _check_alphas(alpha_p, alpha_c)
+    zc_t = zc[:, n_s:]
+    scatter = zc @ zc.T
+    scatter *= alpha_c
+    target = zc_t @ zc_t.T
+    target *= alpha_p
+    scatter += target
+    return scatter
+
+
+def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
+                    alpha_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factors U and N with ``Z M Z.T = invariant_scatter(zc, ...) + U N U.T``.
+
+    ``Z = zc + mean 1.T`` is split into near-centred columns ``zc`` and a
+    common column ``mean``, and M is ``combine(M0, Mp, Mc)`` of
+    :mod:`partialda.oracles`.  With ``Y = [Y_s; P.T]``, ``G = Y.T Y``,
+    ``S = (G + eps I)^-1`` and ``B = (G_s + eps_s I)^-1 P`` (eps and eps_s
+    the ridges the dense oracles use, so the split stays exact under them):
+
+    * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y) S Y.T = R_c + mean r.T``,
+      ``r = 1 - Y S Y.T 1``, and ``R_c R_c.T = Zc Zc.T - (Zc Y) K (Zc Y).T``
+      for ``K = 2S - S G S``;
+    * ``Z Mp Z.T = D D.T`` with ``D = Z_s Y_s B - Z_t = D_c + mean d_p.T``,
+      ``d_p = B.T Y_s.T 1 - 1``, and ``D_c D_c.T`` the target Gram matrix
+      plus cross terms of ``Zc_s Y_s`` and ``Zc_t B.T``;
+    * ``Z M0 Z.T = (Zc e)(Zc e).T``, since the entries of e sum to 0.
+
+    ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | D_c d_p | R_c r]`` is
+    (dim, 3C + 4) and N is symmetric, (3C + 4)-square.  Each mean term is
+    carried by its own column, so nothing large cancels when the data sit
+    far from the origin, as long as ``zc`` is centred.
+
+    Parameters
+    ----------
+    zc : ndarray (dim, n_s + n_t)
+        Centred data, one column per sample, source columns first.
+    mean : ndarray (dim,)
+        The column added back to every sample of ``zc``.
+    n_s : int
+        Number of source columns.
+    omega : ndarray (n_s,)
+        Non-negative, finite source sample weights with a positive sum.
+    y_s : ndarray (n_s, C)
+        One-hot source labels.
+    p : ndarray (C, n_t)
+        Finite soft target labels, already masked.
+    alpha_p, alpha_c : float
+        Non-negative, finite weights of the center and cluster terms.
+    """
+    zc = np.asarray(zc, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    y_s = np.asarray(y_s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if (zc.ndim != 2 or mean.shape != zc.shape[:1] or omega.shape != (n_s,)
+            or y_s.ndim != 2 or p.ndim != 2
+            or y_s.shape[0] != n_s or y_s.shape[1] != p.shape[0]
+            or zc.shape[1] != n_s + p.shape[1]):
+        raise ValidationError(
+            f"inconsistent shapes: data {zc.shape}, {n_s} source samples, "
+            f"weights {omega.shape}, labels {y_s.shape}, soft labels {p.shape}"
+        )
+    # NaN passes every comparison below
+    if not (np.isfinite(omega).all() and np.isfinite(p).all()):
+        raise ValidationError("omega and the soft labels must be finite")
+    if (omega < 0).any() or omega.sum() <= 0:
+        raise ValidationError("omega must be non-negative with a positive sum")
+    _check_alphas(alpha_p, alpha_c)
+    zc_s, zc_t = zc[:, :n_s], zc[:, n_s:]
+    c = y_s.shape[1]
+    soft_mass = p.sum(axis=1)
+
+    ze = zc_s @ omega / omega.sum() - zc_t.mean(axis=1)
+
+    gram_s = y_s.T @ y_s
+    b = solve_gram_system(gram_s, p, _ridge_eps(gram_s, soft_mass))
+    a_s = zc_s @ y_s
+    d_p = b.T @ y_s.sum(axis=0) - 1.0
+    g_p = a_s @ (b @ d_p) - zc_t @ d_p
+
+    y = np.vstack([y_s, p.T])
+    gram = y.T @ y
+    s = solve_gram_system(gram, np.eye(c), _ridge_eps(gram, soft_mass))
+    b_c = zc @ y
+    r = 1.0 - y @ (s @ y.sum(axis=0))
+    g_c = zc @ r - b_c @ (s @ (y.T @ r))
+
+    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, mean, g_p, g_c])
+    n = np.zeros((3 * c + 4, 3 * c + 4))
+    src, tgt, cls = (slice(1 + i * c, 1 + (i + 1) * c) for i in range(3))
+    m = 3 * c + 1
+    n[0, 0] = 1.0
+    n[src, src] = alpha_p * (b @ b.T)
+    n[src, tgt] = n[tgt, src] = -alpha_p * np.eye(c)
+    n[cls, cls] = -alpha_c * (2.0 * s - s @ gram @ s)
+    n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (r @ r)
+    n[m, m + 1] = n[m + 1, m] = alpha_p
+    n[m, m + 2] = n[m + 2, m] = alpha_c
+    return u, n
+
+
 def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
                       alpha_c: float) -> np.ndarray:
-    """``Z @ combine(M0, Mp, Mc) @ Z.T`` formed from the factors of each term.
+    """``Z @ combine(M0, Mp, Mc) @ Z.T``, built as the adaptation loop builds it.
 
-    With ``e`` the mean-discrepancy vector of
-    :func:`partialda.oracles.build_m0`, each term is
-    a Gram matrix of a dim-row factor:
-
-    * ``Z M0 Z.T = (Z e)(Z e).T``,
-    * ``Z Mp Z.T = D D.T`` with ``D = (Z_s Y_s)(G_s + eps I)^-1 P - Z_t``,
-    * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y)(G + eps I)^-1 Y.T`` and
-      ``Y = [Y_s; P.T]``,
-
-    where G_s and G are the indicator Gram matrices and eps is the same
-    ridge the dense oracles use, so the result stays exact under it.
+    The row means of Z are split off, and the scatter is
+    :func:`invariant_scatter` of the centred data plus ``U N U.T`` of
+    :func:`scatter_factors`, the same two pieces the loop caches and
+    updates, so no (n_s + n_t)-square array is ever built.
 
     Parameters
     ----------
     z : ndarray (dim, n_s + n_t)
         Any data matrix with one column per sample, source columns first:
         the features, their whitened form or their embedding.
-    n_s : int
-        Number of source columns of ``z``.
-    omega : ndarray (n_s,)
-        Non-negative source sample weights.
-    y_s : ndarray (n_s, C)
-        One-hot source labels.
-    p : ndarray (C, n_t)
-        Soft target labels, already masked.
-    alpha_p, alpha_c : float
-        Non-negative weights of the center and cluster terms.
+    n_s, omega, y_s, p, alpha_p, alpha_c
+        As for :func:`scatter_factors`.
     """
     z = np.asarray(z, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if (z.ndim != 2 or omega.shape != (n_s,) or y_s.ndim != 2 or p.ndim != 2
-            or y_s.shape[0] != n_s or y_s.shape[1] != p.shape[0]
-            or z.shape[1] != n_s + p.shape[1]):
-        raise ValidationError(
-            f"inconsistent shapes: data {z.shape}, {n_s} source samples, "
-            f"weights {omega.shape}, labels {y_s.shape}, soft labels {p.shape}"
-        )
-    if (omega < 0).any() or omega.sum() <= 0:
-        raise ValidationError("omega must be non-negative with a positive sum")
-    if alpha_p < 0 or alpha_c < 0:
-        raise ValidationError("alpha_p and alpha_c must be non-negative")
-    z_s, z_t = z[:, :n_s], z[:, n_s:]
-    soft_mass = p.sum(axis=1)
-
-    ze = z_s @ omega / omega.sum() - z_t.mean(axis=1)
-    scatter = np.outer(ze, ze)
-
-    gram_s = y_s.T @ y_s
-    d = (z_s @ y_s) @ solve_gram_system(gram_s, p, _ridge_eps(gram_s, soft_mass)) - z_t
-    scatter += alpha_p * (d @ d.T)
-
-    y = np.vstack([y_s, p.T])
-    gram = y.T @ y
-    r = z - (z @ y) @ solve_gram_system(gram, y.T, _ridge_eps(gram, soft_mass))
-    scatter += alpha_c * (r @ r.T)
+    if z.ndim != 2:
+        raise ValidationError(f"inconsistent shapes: data {z.shape} is not 2-dimensional")
+    mean = z.mean(axis=1)
+    zc = z - mean[:, None]
+    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, alpha_p, alpha_c)
+    scatter = invariant_scatter(zc, n_s, alpha_p, alpha_c)
+    scatter += u @ (n @ u.T)
     return scatter

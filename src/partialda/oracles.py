@@ -9,7 +9,8 @@ what the adaptation loop computes.  Which fast path each oracle checks:
   :func:`build_center_operators` (center term), :func:`build_mc` (cluster
   term) and :func:`combine` (their weighted sum) check
   :func:`partialda.alignment.alignment_scatter`, which forms ``Z M Z.T``
-  from the factors of the three terms.
+  from the factors of the three terms, as the data-only part plus the
+  per-round update the loop uses.
 * :func:`centering_matrix` checks :func:`partialda.subspace.gram_matrix`,
   which forms the constraint side ``Z H Z.T`` by subtracting row means.
 * :func:`generalized_eigh` is the reference for

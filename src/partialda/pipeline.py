@@ -20,6 +20,7 @@ from .alignment import (
     apply_mask,
     binarize_weights,
     compute_class_weights,
+    scatter_factors,
     source_sample_weights,
 )
 from .core import AdaptationConfig, as_feature_matrix, check_label_matrix, hard_labels
@@ -122,7 +123,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     hard_prev = hard_labels(p)
 
     with _round(1):  # factored once per run, so its failures belong to round one
-        data = gram_matrix(np.hstack([x_s, x_t]), config.lam, config.rhs_reg)
+        data = gram_matrix(x_s, x_t, config.lam, config.rhs_reg, config.alpha_p, config.alpha_c)
 
     history: list[IterationRecord] = []
     proj: Projection | None = None
@@ -130,9 +131,9 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
             omega = source_sample_weights(weights, y_s)
-            scatter = alignment_scatter(data.whitened, n_s, omega, y_s, p_masked,
-                                        config.alpha_p, config.alpha_c)
-            proj = solve_projection(data, scatter, config.k)
+            u, n = scatter_factors(data.centred, data.mean, n_s, omega, y_s, p_masked,
+                                   config.alpha_p, config.alpha_c)
+            proj = solve_projection(data, u, n, config.k)
 
             z = embed(proj, data)
             objective = projection_objective(

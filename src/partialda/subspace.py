@@ -12,19 +12,27 @@ building it.
 Minimizing the alignment losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
 
-Only S changes between rounds, so :func:`gram_matrix` factors the
-constraint side once per run, ``Z H Z.T + eps_r I = L L.T``, and keeps
-``L^-1``, the whitened data ``L^-1 Z`` and the whitened ridge
-``lam L^-1 L^-T``.  The loop builds the scatter from the whitened data
-(:func:`partialda.alignment.alignment_scatter` is linear in Z, so it
-returns ``L^-1 S L^-T``), and each round is then one standard symmetric
+Between rounds only the soft labels and class weights change, so
+:func:`gram_matrix` does everything else once per run.  It factors the
+constraint side ``Z H Z.T + eps_r I = L L.T`` and keeps ``L^-1``, the
+whitened centred data ``Wc = L^-1 (Z - mu 1.T)``, the whitened mean
+``m = L^-1 mu`` and the round-invariant part of the whitened pencil,
+
+    base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T.
+
+Each round the rest of the whitened scatter is ``U N U.T`` for the
+(d, 3C + 4) factor U and the small N of
+:func:`partialda.alignment.scatter_factors`, so :func:`solve_projection`
+writes ``U N U.T + base`` into one d x d buffer kept with the data: a round
+makes no d x n array and no d^2 n product.  That is one standard symmetric
 eigenproblem, of which only the k smallest eigenpairs are computed; their
 eigenvectors v map back as ``a = L^-T v``.
 Everything runs on numpy's own BLAS/LAPACK: ``numpy.linalg.cholesky``
 factors the constraint side, and LAPACK ``dtrtri`` (invert ``L`` as a
-triangle) and ``dsyevr`` (the k smallest eigenpairs only) are called from
-numpy's OpenBLAS through :mod:`partialda._lapack`, which falls back to
-``numpy.linalg.inv`` and a full ``numpy.linalg.eigh`` where they are missing.
+triangle) and ``dsyevr`` (the k smallest eigenpairs only, computed in the
+buffer itself) are called from numpy's OpenBLAS through
+:mod:`partialda._lapack`, which falls back to ``numpy.linalg.inv`` and a
+full ``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -34,21 +42,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import syevr_smallest, trtri_lower
+from .alignment import invariant_scatter
 from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
 class WhitenedData:
-    """The (d, n) features fed to the solver plus their factored constraint side.
+    """Source and target features plus everything of the pencil that is fixed per run.
 
-    With ``Z H Z.T + eps_r I = L L.T`` for ``Z = matrix``, ``l_inv`` is
-    ``L^-1``, ``whitened`` is ``L^-1 Z`` and ``ridge`` is ``lam L^-1 L^-T``.
+    With ``Z = [x_s | x_t]``, ``mu`` its row means and
+    ``(Z - mu 1.T)(Z - mu 1.T).T + eps_r I = L L.T``: ``l_inv`` is ``L^-1``,
+    ``centred`` is ``L^-1 (Z - mu 1.T)``, ``mean`` is ``L^-1 mu`` and
+    ``base`` is the round-invariant part of the whitened pencil.
+    ``pencil`` is the d x d buffer each round's pencil is built and solved
+    in.
     """
 
-    matrix: np.ndarray
-    whitened: np.ndarray
+    x_s: np.ndarray
+    x_t: np.ndarray
+    centred: np.ndarray
+    mean: np.ndarray
     l_inv: np.ndarray
-    ridge: np.ndarray
+    base: np.ndarray
+    pencil: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,84 +102,92 @@ def _check_k(k: int, dim: int) -> None:
         )
 
 
-def _smallest_pairs(pencil: np.ndarray, l_inv: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs of a whitened pencil, mapped back by ``L^-T``.
+def gram_matrix(x_s, x_t, lam: float = 0.1, rhs_reg: float = 1e-6,
+                alpha_p: float = 0.0, alpha_c: float = 0.0) -> WhitenedData:
+    """Factor the constraint side and cache the round-invariant pencil, once per run.
 
-    Only the lower triangle of ``pencil`` is read.  Each eigenvector is
-    scaled so its largest-magnitude entry is positive, which pins down the
-    sign deterministically.
-    """
-    try:
-        phi, vecs = syevr_smallest(pencil, k)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed (cond pencil {_cond(pencil):.3e}): {exc}"
-        ) from exc
-    a = l_inv.T @ vecs
-    if not (np.isfinite(phi).all() and np.isfinite(a).all()):
-        n_ok = int(np.isfinite(phi).cumprod().sum())
-        raise NumericalError(
-            f"only {n_ok} numerically valid eigenpairs "
-            f"(cond pencil {_cond(pencil):.3e}); use a smaller k"
-        )
-    flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
-    a[:, flip] *= -1.0
-    return phi, a
-
-
-def gram_matrix(x, lam: float = 0.1, rhs_reg: float = 1e-6) -> WhitenedData:
-    """Wrap the (d, n) features for the solver and factor the constraint side once.
-
-    The constraint side ``Z H Z.T`` receives
+    The constraint side ``Z H Z.T`` of ``Z = [x_s | x_t]`` receives
     ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the pencil
     stays definite, and ``lam`` is the positive ridge on the projection
-    columns.
+    columns.  ``alpha_p`` and ``alpha_c`` weigh the round-invariant parts of
+    the center and cluster terms in ``base``; the rounds must pass
+    :func:`partialda.alignment.scatter_factors` the same two weights.  With
+    both 0, ``base`` is the whitened ridge alone and
+    :func:`solve_projection` takes the whole whitened scatter as its
+    factors.  Z is never stacked: ``x_s`` and ``x_t`` are kept as given.
 
     Raises
     ------
     ValidationError
-        On a bad shape or ``lam``.
+        On a bad shape, ``lam``, ``alpha_p`` or ``alpha_c``.
     NumericalError
         When the centred data has no variance or the constraint side is not
         positive definite.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
+    x_s = np.asarray(x_s, dtype=float)
+    x_t = np.asarray(x_t, dtype=float)
+    for x in (x_s, x_t):
+        if x.ndim != 2:
+            raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
+    if x_s.shape[0] != x_t.shape[0]:
+        raise ValidationError(
+            f"source and target feature dimensions differ: {x_s.shape[0]} vs {x_t.shape[0]}"
+        )
     if lam <= 0:
         raise ValidationError(f"lam must be positive, got {lam}")
-    n = x.shape[1]
-    centred = x - x.mean(axis=1, keepdims=True)
+    d, n_s = x_s.shape
+    n = n_s + x_t.shape[1]
+    mu = (x_s.sum(axis=1) + x_t.sum(axis=1)) / n
+    centred = np.empty((d, n))
+    np.subtract(x_s, mu[:, None], out=centred[:, :n_s])
+    np.subtract(x_t, mu[:, None], out=centred[:, n_s:])
     rhs = centred @ centred.T
-    del centred
     variance = float(np.trace(rhs))
-    if variance <= n * np.finfo(float).eps * max(1.0, float(np.vdot(x, x))):
+    scale = float(np.vdot(x_s, x_s) + np.vdot(x_t, x_t))
+    if variance <= n * np.finfo(float).eps * max(1.0, scale):
         raise NumericalError(
             f"centered data has no variance (trace {variance:.3e}); "
             "the constraint side cannot be regularized"
         )
-    rhs.flat[::rhs.shape[0] + 1] += rhs_reg * variance / n
+    rhs.flat[::d + 1] += rhs_reg * variance / n
     l_inv = _inverse_cholesky(rhs)
     del rhs
+    centred = l_inv @ centred
+    base = invariant_scatter(centred, n_s, alpha_p, alpha_c)
     ridge = l_inv @ l_inv.T
     ridge *= lam
-    return WhitenedData(matrix=x, whitened=l_inv @ x, l_inv=l_inv, ridge=ridge)
+    base += ridge
+    del ridge
+    return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
+                        base=base, pencil=np.empty((d, d)))
 
 
-def solve_projection(data: WhitenedData, scatter, k: int) -> Projection:
+def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``U N U.T + base``, written into the data's pencil buffer."""
+    pencil = np.matmul(u, n @ u.T, out=data.pencil)
+    pencil += data.base
+    return pencil
+
+
+def solve_projection(data: WhitenedData, u, n, k: int) -> Projection:
     """Learn the k-dimensional projection for a combined alignment loss.
+
+    The whitened pencil is ``U N U.T + data.base``, built in
+    ``data.pencil``, which the eigensolver then overwrites.
 
     Parameters
     ----------
     data : WhitenedData
-        Output of :func:`gram_matrix`, which fixed ``lam`` and ``rhs_reg``.
-    scatter : ndarray (d, d)
-        Whitened scatter ``L^-1 Z M Z.T L^-T`` of the combined alignment
-        matrix M, i.e. the scatter of ``data.whitened``, where d is the
-        feature dimension.  Only its lower triangle is read.
-        The ridge is added into it in place, so a float array passed here
-        is overwritten with the whitened pencil.
+        Output of :func:`gram_matrix`, which fixed ``lam``, ``rhs_reg`` and
+        the round-invariant part of the scatter.
+    u : ndarray (d, q)
+        Left factor of the round's part of the whitened scatter, where d is
+        the feature dimension.
+    n : ndarray (q, q)
+        Symmetric middle factor.  Together they give the rest of the
+        whitened scatter ``L^-1 Z M Z.T L^-T``: the ``U, N`` of
+        :func:`partialda.alignment.scatter_factors`, or the whitened data
+        and M itself when ``base`` holds only the ridge.
     k : int
         Number of eigenvectors, at most the feature dimension d.
 
@@ -172,27 +196,47 @@ def solve_projection(data: WhitenedData, scatter, k: int) -> Projection:
     ValidationError
         On shape mismatches or an infeasible ``k``.
     NumericalError
-        When the eigensolver fails or returns non-finite values.
+        When the eigensolver fails or returns non-finite values.  The
+        condition number it reports is that of the pencil as the
+        eigensolver received it.
     """
-    scatter = np.asarray(scatter, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = np.asarray(n, dtype=float)
     dim = data.l_inv.shape[0]
-    if scatter.shape != (dim, dim):
+    if u.ndim != 2 or u.shape[0] != dim or n.shape != (u.shape[1], u.shape[1]):
         raise ValidationError(
-            f"alignment scatter shape {scatter.shape} does not match the {dim} data rows"
+            f"scatter factors of shapes {u.shape} and {n.shape} do not match "
+            f"the {dim} data rows"
         )
     _check_k(k, dim)
-    scatter += data.ridge
-    phi, a = _smallest_pairs(scatter, data.l_inv, k)
+    try:
+        phi, vecs = syevr_smallest(_fill_pencil(data, u, n), k)
+    except np.linalg.LinAlgError as exc:
+        # the eigensolver overwrote the pencil, so it is built again
+        raise NumericalError(
+            f"eigensolver failed (cond pencil {_cond(_fill_pencil(data, u, n)):.3e}): {exc}"
+        ) from exc
+    a = data.l_inv.T @ vecs
+    if not (np.isfinite(phi).all() and np.isfinite(a).all()):
+        n_ok = int(np.isfinite(phi).cumprod().sum())
+        raise NumericalError(
+            f"only {n_ok} numerically valid eigenpairs "
+            f"(cond pencil {_cond(_fill_pencil(data, u, n)):.3e}); use a smaller k"
+        )
+    # scale each eigenvector so its largest-magnitude entry is positive,
+    # which pins down the sign deterministically
+    flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
+    a[:, flip] *= -1.0
     return Projection(a=a, eigenvalues=phi)
 
 
 def embed(proj: Projection, data: WhitenedData) -> np.ndarray:
-    """Project every sample into the learned subspace, one column each."""
-    if proj.a.shape[0] != data.matrix.shape[0]:
+    """Project every sample into the learned subspace, one column each, source first."""
+    if proj.a.shape[0] != data.x_s.shape[0]:
         raise ValidationError(
-            f"projection rows {proj.a.shape[0]} do not match data rows {data.matrix.shape[0]}"
+            f"projection rows {proj.a.shape[0]} do not match data rows {data.x_s.shape[0]}"
         )
-    return proj.a.T @ data.matrix
+    return np.hstack([proj.a.T @ data.x_s, proj.a.T @ data.x_t])
 
 
 def projection_objective(proj: Projection, scatter, lam: float) -> float:

@@ -59,7 +59,7 @@ from tests.test_alignment import (
     trace_loss,
 )
 from tests.test_graph import fixed_point_oracle, textbook_graph
-from tests.test_subspace import conditioned_instance
+from tests.test_subspace import conditioned_instance, stacked, whitened_factors
 
 
 @contextmanager
@@ -128,12 +128,11 @@ def test_criterion_2_eigensolver_residuals():
         checked = 0
         for _ in range(55):
             data, m_all = conditioned_instance(rng)
-            z = data.matrix
+            z = stacked(data)
             n = z.shape[1]
             lam = 0.1
             k = max(1, z.shape[0] // 2)
-            w = data.whitened
-            proj = solve_projection(data, w @ m_all @ w.T, k)
+            proj = solve_projection(data, *whitened_factors(data, m_all), k)
             a, phi = proj.a, proj.eigenvalues
 
             lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -262,7 +261,8 @@ def test_criterion_7_documented_error_cases(tmp_path):
             config={}, overall_accuracy=None, per_class_accuracy=None,
             class_weights=[1.0], class_mask=[1], iterations_run=0,
         )
-        raw_proj = solve_projection(gram_matrix(np.eye(4), 0.1), np.eye(4), 1)
+        raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], 0.1),
+                                    np.eye(4), np.eye(4), 1)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -286,8 +286,9 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 5)), 0.1), np.eye(3), 2)),
-            (ValidationError, lambda: embed(raw_proj, gram_matrix(np.eye(3)))),
+                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), 0.1), np.eye(3), np.eye(3), 2)),
+            (ValidationError, lambda: embed(
+                raw_proj, gram_matrix(np.eye(3)[:, :1], np.eye(3)[:, 1:]))),
             (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),
             (NumericalError, lambda: propagate_labels(on_e1, on_e2, 0.02, y2)),
             (ValidationError, lambda: propagate_labels(on_e1, on_e2, 0.02, np.eye(3))),

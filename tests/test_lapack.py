@@ -6,15 +6,30 @@ what a numpy without that library gets.  The ``dgesv`` fallback is checked
 bit for bit in ``tests/test_graph.py``.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from partialda import AdaptationConfig, SyntheticSpec, adapt, generate_synthetic, make_one_hot
+from partialda import (
+    AdaptationConfig,
+    NumericalError,
+    SyntheticSpec,
+    adapt,
+    generate_synthetic,
+    make_one_hot,
+)
 import partialda._lapack as _lapack
+import partialda.subspace as subspace
 from partialda._lapack import syevr_smallest, trtri_lower
-from tests.test_subspace import assert_matches_dense_eigh, factored_instance
+from partialda.subspace import solve_projection
+from tests.test_subspace import (
+    assert_matches_dense_eigh,
+    factored_instance,
+    solver_instance,
+    whitened_factors,
+)
 
 EPS = np.finfo(float).eps
 NUMPY_OPENBLAS = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
@@ -57,7 +72,8 @@ def test_syevr_smallest_matches_full_eigh(path):
     # the k smallest eigenvalues of the full eigh to 8 n eps ||a||; vectors
     # orthonormal to 8 n eps with residuals below 8 n eps ||a||, which pins
     # them down within clusters and repeated eigenvalues, where they are not
-    # unique; only the lower triangle is read and a is left as it was
+    # unique; only the lower triangle is read or overwritten, and the
+    # results share no memory with a, which the caller may reuse at once
     rng = np.random.default_rng(50)
     for a, k in symmetric_cases(rng):
         n = a.shape[0]
@@ -66,7 +82,11 @@ def test_syevr_smallest_matches_full_eigh(path):
         noisy = np.tril(a) + np.triu(rng.standard_normal((n, n)), 1)
         before = noisy.copy()
         phi, v = syevr_smallest(noisy, k)
-        assert np.array_equal(noisy, before)
+        assert np.array_equal(np.triu(noisy, 1), np.triu(before, 1))
+        if path == "np.linalg":
+            assert np.array_equal(noisy, before)
+        assert not (np.shares_memory(phi, noisy) or np.shares_memory(v, noisy))
+        noisy[...] = np.nan
         assert phi.shape == (k,) and v.shape == (n, k)
         assert np.all(np.diff(phi) >= 0)
         assert np.abs(phi - np.linalg.eigvalsh(a)[:k]).max() <= tol * scale
@@ -82,6 +102,80 @@ def test_syevr_smallest_without_eigenpairs_is_linalg_error():
     a[2, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="^dsyevr found 0 of 2 eigenpairs$"):
         syevr_smallest(a, 2)
+
+
+def test_syevr_smallest_works_in_its_input(path):
+    # dsyevr destroys the matrix it is given instead of a copy: the traced
+    # peak of a call stays below one n x n array, which a copy would need
+    # alone; the np.linalg fallback copies, and leaves a as it was.
+    # Arrays it cannot work in are refused rather than copied.
+    n, k = 400, 5
+    rng = np.random.default_rng(53)
+    b = rng.standard_normal((n, n))
+    a = (b + b.T) / 2
+    before = a.copy()
+    want = np.linalg.eigvalsh(a)[:k]
+    tracemalloc.start()
+    try:
+        phi, _ = syevr_smallest(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(phi - want).max() <= 8 * n * EPS * np.abs(before).max()
+    if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
+        assert peak < 8 * n * n
+        assert not np.array_equal(a, before)
+    else:
+        assert np.array_equal(a, before)
+    for bad in (before.T, before.astype(np.float32), np.broadcast_to(before, (n, n))):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            syevr_smallest(bad, k)
+
+
+def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
+    # the eigensolver overwrites the pencil, so solve_projection builds it
+    # again for the condition number in its message; an eigensolver that
+    # scribbles on the pencil before it fails shows that the number is that
+    # of the pencil as the eigensolver received it
+    data, m_all = solver_instance(np.random.default_rng(54))
+    u, n = whitened_factors(data, m_all)
+    k = 2
+    received = []
+
+    def scribbling(valid):
+        def eigensolver(a, k):
+            received.append(a.copy())
+            phi, v = syevr_smallest(a, k)
+            a[...] = 1.0
+            if valid is None:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            phi[valid:] = np.nan
+            return phi, v
+        return eigensolver
+
+    monkeypatch.setattr(subspace, "syevr_smallest", scribbling(None))
+    with pytest.raises(NumericalError) as failed:
+        solve_projection(data, u, n, k)
+    cond = np.linalg.cond(received[-1])
+    assert str(failed.value) == (
+        f"eigensolver failed (cond pencil {cond:.3e}): Eigenvalues did not converge")
+
+    monkeypatch.setattr(subspace, "syevr_smallest", scribbling(1))
+    with pytest.raises(NumericalError) as failed:
+        solve_projection(data, u, n, k)
+    cond = np.linalg.cond(received[-1])
+    assert str(failed.value) == (
+        f"only 1 numerically valid eigenpairs (cond pencil {cond:.3e}); use a smaller k")
+
+    # a NaN in the factors fails for real: dsyevr finds no eigenpair and
+    # the fallback's eigh returns NaN ones; the pencil's cond cannot be computed
+    monkeypatch.undo()  # this also reverts the path fixture's patch, so it is set again
+    if path == "np.linalg":
+        monkeypatch.setattr(_lapack, "_lookup", dict)
+    u = u.copy()
+    u[0, 0] = np.nan
+    with pytest.raises(NumericalError, match=r"\(cond pencil inf\)"):
+        solve_projection(data, u, n, k)
 
 
 def test_trtri_lower_matches_inv(path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from partialda import NumericalError, ValidationError
-from partialda.alignment import alignment_scatter
+from partialda.alignment import scatter_factors
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -39,7 +39,7 @@ def solver_instance(rng):
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
     )
-    data = gram_matrix(np.hstack([x_s, x_t]))
+    data = gram_matrix(x_s, x_t)
     return data, m_all
 
 
@@ -72,14 +72,22 @@ def conditioned_instance(rng):
         float(rng.uniform(0.1, 2.0)),
         float(rng.uniform(0.1, 2.0)),
     )
-    data = gram_matrix(np.hstack([x_s, x_t]))
+    data = gram_matrix(x_s, x_t)
     return data, m_all
 
 
-def whitened_scatter(data, m_all):
-    """The scatter the loop hands the solver: that of the whitened data."""
-    w = data.whitened
-    return w @ m_all @ w.T
+def stacked(data):
+    """The features ``Z = [X_s | X_t]`` that gram_matrix keeps as two blocks."""
+    return np.hstack([data.x_s, data.x_t])
+
+
+def whitened_factors(data, m_all):
+    """The whole whitened scatter ``W M W.T`` as solver factors: ``W = L^-1 Z`` and M.
+
+    With alpha_p = alpha_c = 0 in gram_matrix, ``base`` is the ridge alone,
+    so these give the pencil the dense formulation solves.
+    """
+    return data.centred + data.mean[:, None], m_all
 
 
 def projected_scatter(proj, data, m_all):
@@ -90,7 +98,7 @@ def projected_scatter(proj, data, m_all):
 
 def dense_pencil(data, m_all, lam, rhs_reg):
     """The dense lhs and rhs of the pencil that gram_matrix factors."""
-    z = data.matrix
+    z = stacked(data)
     n = z.shape[1]
     zhz = z @ centering_matrix(n) @ z.T
     lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -121,10 +129,11 @@ def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
         alpha_c,
     )
     lam = 0.1
-    data = gram_matrix(np.hstack([x_s, x_t]), lam, rhs_reg)
+    data = gram_matrix(x_s, x_t, lam, rhs_reg, alpha_p, alpha_c)
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
-    scatter = alignment_scatter(data.whitened, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
-    proj = solve_projection(data, scatter, k)
+    u, n_mid = scatter_factors(data.centred, data.mean, x_s.shape[1], omega, y_s, p,
+                               alpha_p, alpha_c)
+    proj = solve_projection(data, u, n_mid, k)
     return proj, data, m_all, dense_pencil(data, m_all, lam, rhs_reg)
 
 
@@ -172,10 +181,13 @@ def test_centering_matrix_properties():
 def test_gram_matrix_passes_features_through():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((6, 4))
-    raw = gram_matrix(x)
-    assert raw.matrix is x or np.array_equal(raw.matrix, x)
+    x_s, x_t = x[:, :3], x[:, 3:]
+    raw = gram_matrix(x_s, x_t)
+    assert raw.x_s is x_s and raw.x_t is x_t  # kept as given, never stacked
     with pytest.raises(ValidationError, match="2-dimensional"):
-        gram_matrix(x[0])
+        gram_matrix(x[0], x_t)
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        gram_matrix(x_s, x_t[1:])
 
 
 def test_generalized_eigh_diagonal_case():
@@ -194,7 +206,7 @@ def test_generalized_eigh_k_out_of_range():
             generalized_eigh(np.eye(3), np.eye(3), k=k)
     data, m_all = solver_instance(np.random.default_rng(35))
     with pytest.raises(ValidationError, match="^k must be at least 1, got 0$"):
-        solve_projection(data, whitened_scatter(data, m_all), 0)
+        solve_projection(data, *whitened_factors(data, m_all), 0)
 
 
 def test_generalized_eigh_matches_full_spectrum():
@@ -225,11 +237,11 @@ def test_solve_projection_residual_and_constraint():
     rng = np.random.default_rng(21)
     for _ in range(40):
         data, m_all = conditioned_instance(rng)
-        z = data.matrix
+        z = stacked(data)
         n = z.shape[1]
         lam = 0.1
         k = max(1, z.shape[0] // 2)
-        proj = solve_projection(data, whitened_scatter(data, m_all), k)
+        proj = solve_projection(data, *whitened_factors(data, m_all), k)
         a, phi = proj.a, proj.eigenvalues
         lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
         lhs = (lhs + lhs.T) / 2
@@ -250,7 +262,7 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
     hits = 0
     for _ in range(20):
         data, m_all = conditioned_instance(rng)
-        z = data.matrix
+        z = stacked(data)
         lam = 0.1
         d = z.shape[0]
         if d < 4:
@@ -275,10 +287,10 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
     data, m_all = solver_instance(rng)
-    scatter = whitened_scatter(data, m_all)
-    k = max(1, data.matrix.shape[0] // 2)
-    p1 = solve_projection(data, scatter.copy(), k)
-    p2 = solve_projection(data, scatter.copy(), k)
+    factors = whitened_factors(data, m_all)
+    k = max(1, data.l_inv.shape[0] // 2)
+    p1 = solve_projection(data, *factors, k)
+    p2 = solve_projection(data, *factors, k)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
     idx = np.argmax(np.abs(p1.a), axis=0)
@@ -292,14 +304,14 @@ def test_solve_projection_k_too_large():
     rng = np.random.default_rng(24)
     data, m_all = solver_instance(rng)
     with pytest.raises(ValidationError, match="smaller k"):
-        solve_projection(data, whitened_scatter(data, m_all), data.matrix.shape[0] + 1)
+        solve_projection(data, *whitened_factors(data, m_all), data.l_inv.shape[0] + 1)
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
     data, _ = solver_instance(rng)
     with pytest.raises(ValidationError):
-        solve_projection(data, np.eye(data.matrix.shape[0] + 1), 1)
+        solve_projection(data, np.eye(data.l_inv.shape[0] + 1), np.eye(data.l_inv.shape[0] + 1), 1)
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
@@ -307,9 +319,9 @@ def test_solve_projection_degenerate_data_is_numerical_error():
     # the constraint side is factored once, in gram_matrix, so it raises there
     x = np.ones((3, 5))
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(x), np.eye(3), 2)
+        solve_projection(gram_matrix(x[:, :2], x[:, 2:]), np.eye(3), np.eye(3), 2)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 4))), np.eye(2), 1)
+        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2))), np.eye(2), np.eye(2), 1)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -321,14 +333,15 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 def test_embed_linearity_and_errors():
     rng = np.random.default_rng(26)
     data, m_all = solver_instance(rng)
-    proj = solve_projection(data, whitened_scatter(data, m_all), 2)
+    proj = solve_projection(data, *whitened_factors(data, m_all), 2)
     z = embed(proj, data)
-    n = data.matrix.shape[1]
+    x, n_s = stacked(data), data.x_s.shape[1]
+    n = x.shape[1]
     assert z.shape == (2, n)
-    manual = proj.a.T @ data.matrix
+    manual = proj.a.T @ x
     assert np.allclose(z, manual, atol=1e-12)
-    x2 = np.vstack([data.matrix, np.zeros((1, n))])
-    data2 = gram_matrix(x2)
+    x2 = np.vstack([x, np.zeros((1, n))])
+    data2 = gram_matrix(x2[:, :n_s], x2[:, n_s:])
     with pytest.raises(ValidationError, match="rows"):
         embed(proj, data2)
 
@@ -336,8 +349,8 @@ def test_embed_linearity_and_errors():
 def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
     data, m_all = solver_instance(rng)
-    z = data.matrix
-    proj = solve_projection(data, whitened_scatter(data, m_all), 2)
+    z = stacked(data)
+    proj = solve_projection(data, *whitened_factors(data, m_all), 2)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
     )
@@ -349,19 +362,30 @@ def test_gram_matrix_factors_the_constraint_side():
     rng = np.random.default_rng(29)
     for shape in ((9, 5), (5, 9)):  # a singular constraint side, then a definite one
         x = rng.standard_normal(shape)
-        data = gram_matrix(x, lam=0.3, rhs_reg=1e-4)
-        z, n = data.matrix, shape[1]
+        x_s, x_t = x[:, :2], x[:, 2:]
+        data = gram_matrix(x_s, x_t, lam=0.3, rhs_reg=1e-4)
+        z, n = stacked(data), shape[1]
         _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, 1e-4)
         l_inv = data.l_inv
         assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
         assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
-        assert np.allclose(data.whitened, l_inv @ z, rtol=1e-13, atol=1e-13)
-        assert np.allclose(data.ridge, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
+        # the whitened data L^-1 Z, split into its centred part and its mean
+        assert np.allclose(data.centred + data.mean[:, None], l_inv @ z, rtol=1e-13, atol=1e-13)
+        assert np.allclose(data.centred.mean(axis=1), 0.0, atol=1e-13 * np.abs(l_inv).max())
+        ridge = 0.3 * l_inv @ l_inv.T
+        assert np.allclose(data.base, ridge, rtol=1e-13, atol=1e-13)
+        # with alignment weights, base adds their round-invariant part
+        wc = l_inv @ (z - z.mean(axis=1, keepdims=True))
+        want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + ridge
+        got = gram_matrix(x_s, x_t, lam=0.3, rhs_reg=1e-4, alpha_p=1.9, alpha_c=0.7).base
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     with pytest.raises(ValidationError, match="lam"):
-        gram_matrix(x, lam=0.0)
+        gram_matrix(x_s, x_t, lam=0.0)
+    with pytest.raises(ValidationError, match="alpha"):
+        gram_matrix(x_s, x_t, alpha_p=float("nan"))
     x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
     with pytest.raises(NumericalError, match="cond"):
-        gram_matrix(x, rhs_reg=0.0)
+        gram_matrix(x_s, x_t, rhs_reg=0.0)
 
 
 def test_solve_projection_matches_dense_eigh_raw():
@@ -417,7 +441,7 @@ def test_objective_matches_dense_trace_after_whitening():
     for i in range(100):
         # alternately a singular constraint side (n <= d) and any shape
         proj, data, m_all, _ = factored_instance(rng, full_rank=False if i % 2 else None)
-        z, a = data.matrix, proj.a
+        z, a = stacked(data), proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
         assert got == pytest.approx(want, rel=1e-10)
