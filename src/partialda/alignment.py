@@ -16,11 +16,11 @@ size (n_s + n_t):
 * a cluster term contracting every projected sample toward its class
   center, with target memberships taken from the current soft labels.
 
-:func:`alignment_scatter` forms the dim x dim matrix ``Z M Z.T`` of the
-combined loss straight from the rank-one, low-rank and class-indicator
-factors of the three terms, so no (n_s + n_t)-square array is ever built.
-It splits ``Z = Zc + mean 1.T`` into centred columns and their mean and
-sums two parts:
+:func:`partialda.subspace.solve_projection` needs only the dim x dim
+matrix ``Z M Z.T`` of the combined loss, and it is formed straight from the
+rank-one, low-rank and class-indicator factors of the three terms, so no
+(n_s + n_t)-square array is ever built.  With ``Z = Zc + mean 1.T`` split
+into centred columns and their mean, it is the sum of two parts:
 
 * :func:`invariant_scatter`, ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``,
   which depends on the data alone, so the adaptation loop computes it once
@@ -254,31 +254,3 @@ def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
     n[m, m + 1] = n[m + 1, m] = alpha_p
     n[m, m + 2] = n[m + 2, m] = alpha_c
     return u, n
-
-
-def alignment_scatter(z, n_s: int, omega, y_s, p, alpha_p: float,
-                      alpha_c: float) -> np.ndarray:
-    """``Z @ combine(M0, Mp, Mc) @ Z.T``, built as the adaptation loop builds it.
-
-    The row means of Z are split off, and the scatter is
-    :func:`invariant_scatter` of the centred data plus ``U N U.T`` of
-    :func:`scatter_factors`, the same two pieces the loop caches and
-    updates, so no (n_s + n_t)-square array is ever built.
-
-    Parameters
-    ----------
-    z : ndarray (dim, n_s + n_t)
-        Any data matrix with one column per sample, source columns first:
-        the features, their whitened form or their embedding.
-    n_s, omega, y_s, p, alpha_p, alpha_c
-        As for :func:`scatter_factors`.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValidationError(f"inconsistent shapes: data {z.shape} is not 2-dimensional")
-    mean = z.mean(axis=1)
-    zc = z - mean[:, None]
-    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, alpha_p, alpha_c)
-    scatter = invariant_scatter(zc, n_s, alpha_p, alpha_c)
-    scatter += u @ (n @ u.T)
-    return scatter

@@ -189,7 +189,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     ------
     ValidationError
         On a non-positive or non-finite sigma, inputs whose shapes disagree,
-        or sample weights that are negative, not finite or all 0.
+        non-finite embedded samples or labels, or sample weights that are
+        negative, not finite or all 0.
     NumericalError
         If ``I - W_tt`` is singular, the solve is not finite, or a target's
         soft labels miss a sum of one by more than ``_MASS_TOL``, all of
@@ -206,6 +207,9 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         )
     if z_s.shape[1] < 1 or z_t.shape[1] < 1:
         raise ValidationError("both domains need at least one sample")
+    for z, side in ((z_s, "source"), (z_t, "target")):
+        if not np.isfinite(z).all():
+            raise ValidationError(f"embedded {side} samples contain NaN or Inf entries")
     n_s = z_s.shape[1]
     factors = None
     if sample_weights is not None:
@@ -227,6 +231,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         raise ValidationError(
             f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
         )
+    if not np.isfinite(y_s).all():
+        raise ValidationError("label matrix contains NaN or Inf entries")
     n_t = z_t.shape[1]
     u_s, u_t = _unit_columns(z_s), _unit_columns(z_t)
     block = min(_BLOCK_ROWS, n_t)

@@ -8,9 +8,11 @@ what the adaptation loop computes.  Which fast path each oracle checks:
 * :func:`build_m0` (domain term), :func:`build_mp` with
   :func:`build_center_operators` (center term), :func:`build_mc` (cluster
   term) and :func:`combine` (their weighted sum) check
-  :func:`partialda.alignment.alignment_scatter`, which forms ``Z M Z.T``
-  from the factors of the three terms, as the data-only part plus the
-  per-round update the loop uses.
+  :func:`partialda.alignment.invariant_scatter` plus ``U N U.T`` of
+  :func:`partialda.alignment.scatter_factors`, the data-only part and the
+  per-round update from which the loop forms ``Z M Z.T``, and the round
+  objective ``trace(A.T Z M Z.T A) + lam ||A||^2`` that
+  :func:`partialda.subspace.solve_projection` returns.
 * :func:`centering_matrix` checks :func:`partialda.subspace.gram_matrix`,
   which forms the constraint side ``Z H Z.T`` by subtracting row means.
 * :func:`generalized_eigh` is the reference for

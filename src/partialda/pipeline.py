@@ -16,17 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import (
-    alignment_scatter,
     apply_mask,
     binarize_weights,
     compute_class_weights,
-    scatter_factors,
     source_sample_weights,
 )
 from .core import AdaptationConfig, as_feature_matrix, check_label_matrix, hard_labels
 from .errors import AdaptationError, ConfigurationError, ValidationError
 from .graph import propagate_labels
-from .subspace import Projection, embed, gram_matrix, projection_objective, solve_projection
+from .subspace import Projection, embed, gram_matrix, solve_projection
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,8 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
             omega = source_sample_weights(weights, y_s)
-            u, n = scatter_factors(data.centred, data.mean, n_s, omega, y_s, p_masked,
-                                   config.alpha_p, config.alpha_c)
-            proj = solve_projection(data, u, n, config.k)
-
+            proj = solve_projection(data, omega, y_s, p_masked, config.k)
             z = embed(proj, data)
-            objective = projection_objective(
-                proj, alignment_scatter(z, n_s, omega, y_s, p_masked,
-                                        config.alpha_p, config.alpha_c), config.lam)
             p, graph_fallbacks = propagate_labels(z[:, :n_s], z[:, n_s:], config.sigma,
                                                   y_s, omega)
             weights = binarize_weights(compute_class_weights(p), config.delta)
@@ -146,7 +138,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
 
             fraction = label_change_fraction(hard_prev, hard)
             history.append(IterationRecord(
-                objective=objective,
+                objective=proj.objective,
                 label_change_fraction=fraction,
                 surviving_classes=int(np.count_nonzero(weights)),
                 mask_fallbacks=mask_fallbacks,

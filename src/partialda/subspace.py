@@ -16,17 +16,27 @@ Between rounds only the soft labels and class weights change, so
 :func:`gram_matrix` does everything else once per run.  It factors the
 constraint side ``Z H Z.T + eps_r I = L L.T`` and keeps ``L^-1``, the
 whitened centred data ``Wc = L^-1 (Z - mu 1.T)``, the whitened mean
-``m = L^-1 mu`` and the round-invariant part of the whitened pencil,
+``m = L^-1 mu``, the three loss weights and the round-invariant part of the
+whitened pencil,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T.
 
 Each round the rest of the whitened scatter is ``U N U.T`` for the
-(d, 3C + 4) factor U and the small N of
-:func:`partialda.alignment.scatter_factors`, so :func:`solve_projection`
-writes ``U N U.T + base`` into one d x d buffer kept with the data: a round
-makes no d x n array and no d^2 n product.  That is one standard symmetric
-eigenproblem, of which only the k smallest eigenpairs are computed; their
-eigenvectors v map back as ``a = L^-T v``.
+(d, 3C + 4) factor U and the small N that
+:func:`partialda.alignment.scatter_factors` builds from the round's source
+weights and soft labels.  :func:`solve_projection` builds them, writes
+``U N U.T + base`` into one d x d buffer kept with the data, so a round
+makes no d x n array and no d^2 n product, and computes the k smallest
+eigenpairs of that standard symmetric eigenproblem; their eigenvectors V
+map back as ``A = L^-T V``.
+
+The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
+factors: the whitened scatter as quadratic forms in V, the ridge from A
+itself.  In exact arithmetic it is the sum of the k eigenvalues, but the
+whitened ridge ``lam L^-1 L^-T`` is large wherever the constraint side is
+nearly singular, and the eigenvalue sum then loses up to 1e-6 relative of
+a small objective.
+
 Everything runs on numpy's own BLAS/LAPACK: ``numpy.linalg.cholesky``
 factors the constraint side, and LAPACK ``dtrtri`` (invert ``L`` as a
 triangle) and ``dsyevr`` (the k smallest eigenpairs only, computed in the
@@ -42,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import syevr_smallest, trtri_lower
-from .alignment import invariant_scatter
+from .alignment import _check_alphas, invariant_scatter, scatter_factors
+from .core import as_feature_matrix
 from .errors import NumericalError, ValidationError
 
 
@@ -55,7 +66,8 @@ class WhitenedData:
     ``centred`` is ``L^-1 (Z - mu 1.T)``, ``mean`` is ``L^-1 mu`` and
     ``base`` is the round-invariant part of the whitened pencil.
     ``pencil`` is the d x d buffer each round's pencil is built and solved
-    in.
+    in.  ``lam``, ``alpha_p`` and ``alpha_c`` are the weights ``base`` was
+    built with, which every round uses again.
     """
 
     x_s: np.ndarray
@@ -65,14 +77,18 @@ class WhitenedData:
     l_inv: np.ndarray
     base: np.ndarray
     pencil: np.ndarray
+    lam: float
+    alpha_p: float
+    alpha_c: float
 
 
 @dataclass(frozen=True)
 class Projection:
-    """Learned projection with its eigenvalues, ascending."""
+    """Learned projection, its eigenvalues, ascending, and the round objective."""
 
     a: np.ndarray
     eigenvalues: np.ndarray
+    objective: float
 
 
 def _cond(m: np.ndarray) -> float:
@@ -94,6 +110,8 @@ def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
 
 
 def _check_k(k: int, dim: int) -> None:
+    if not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"k must be an integer, got {k}")
     if k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if k > dim:
@@ -109,32 +127,34 @@ def gram_matrix(x_s, x_t, lam: float = 0.1, rhs_reg: float = 1e-6,
     The constraint side ``Z H Z.T`` of ``Z = [x_s | x_t]`` receives
     ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the pencil
     stays definite, and ``lam`` is the positive ridge on the projection
-    columns.  ``alpha_p`` and ``alpha_c`` weigh the round-invariant parts of
-    the center and cluster terms in ``base``; the rounds must pass
-    :func:`partialda.alignment.scatter_factors` the same two weights.  With
-    both 0, ``base`` is the whitened ridge alone and
-    :func:`solve_projection` takes the whole whitened scatter as its
-    factors.  Z is never stacked: ``x_s`` and ``x_t`` are kept as given.
+    columns.  ``alpha_p`` and ``alpha_c`` weigh the center and cluster
+    terms; they and ``lam`` are kept on the result, from which
+    :func:`solve_projection` reads them every round.  Z is never stacked:
+    ``x_s`` and ``x_t`` are kept as given.  Every input is checked before
+    anything is factored.
 
     Raises
     ------
     ValidationError
-        On a bad shape, ``lam``, ``alpha_p`` or ``alpha_c``.
+        On a bad shape, non-finite features, a ``lam`` that is not positive
+        and finite, a negative or non-finite ``rhs_reg``, or a bad
+        ``alpha_p`` or ``alpha_c``.
     NumericalError
         When the centred data has no variance or the constraint side is not
         positive definite.
     """
-    x_s = np.asarray(x_s, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    for x in (x_s, x_t):
-        if x.ndim != 2:
-            raise ValidationError(f"features must be 2-dimensional, got shape {x.shape}")
+    x_s = as_feature_matrix(x_s, "source features")
+    x_t = as_feature_matrix(x_t, "target features")
     if x_s.shape[0] != x_t.shape[0]:
         raise ValidationError(
             f"source and target feature dimensions differ: {x_s.shape[0]} vs {x_t.shape[0]}"
         )
-    if lam <= 0:
-        raise ValidationError(f"lam must be positive, got {lam}")
+    # NaN passes every comparison, so finiteness is checked with it
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValidationError(f"lam must be positive and finite, got {lam}")
+    if not (np.isfinite(rhs_reg) and rhs_reg >= 0):
+        raise ValidationError(f"rhs_reg must be non-negative and finite, got {rhs_reg}")
+    _check_alphas(alpha_p, alpha_c)
     d, n_s = x_s.shape
     n = n_s + x_t.shape[1]
     mu = (x_s.sum(axis=1) + x_t.sum(axis=1)) / n
@@ -159,7 +179,8 @@ def gram_matrix(x_s, x_t, lam: float = 0.1, rhs_reg: float = 1e-6,
     base += ridge
     del ridge
     return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
-                        base=base, pencil=np.empty((d, d)))
+                        base=base, pencil=np.empty((d, d)), lam=lam, alpha_p=alpha_p,
+                        alpha_c=alpha_c)
 
 
 def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -169,46 +190,61 @@ def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray
     return pencil
 
 
-def solve_projection(data: WhitenedData, u, n, k: int) -> Projection:
-    """Learn the k-dimensional projection for a combined alignment loss.
+def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
+               a: np.ndarray) -> float:
+    """``trace(A.T Z M Z.T A) + lam ||A||_F^2`` for ``A = L^-T V``, without the whitened ridge.
 
-    The whitened pencil is ``U N U.T + data.base``, built in
-    ``data.pencil``, which the eigensolver then overwrites.
+    ``A.T Z M Z.T A`` is ``V.T (alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + U N U.T) V``.
+    """
+    vw = v.T @ data.centred
+    vu = v.T @ u
+    n_s = data.x_s.shape[1]
+    return float(data.alpha_c * np.sum(vw ** 2) + data.alpha_p * np.sum(vw[:, n_s:] ** 2)
+                 + np.sum((vu @ n) * vu) + data.lam * np.sum(a ** 2))
+
+
+def solve_projection(data: WhitenedData, omega, y_s, p, k: int) -> Projection:
+    """Learn the k-dimensional projection for one round's alignment loss.
+
+    The round's scatter factors U and N come from
+    :func:`partialda.alignment.scatter_factors` of the whitened data and the
+    weights kept on ``data``.  The whitened pencil ``U N U.T + data.base``
+    is built in ``data.pencil``, which the eigensolver then overwrites.
 
     Parameters
     ----------
     data : WhitenedData
-        Output of :func:`gram_matrix`, which fixed ``lam``, ``rhs_reg`` and
-        the round-invariant part of the scatter.
-    u : ndarray (d, q)
-        Left factor of the round's part of the whitened scatter, where d is
-        the feature dimension.
-    n : ndarray (q, q)
-        Symmetric middle factor.  Together they give the rest of the
-        whitened scatter ``L^-1 Z M Z.T L^-T``: the ``U, N`` of
-        :func:`partialda.alignment.scatter_factors`, or the whitened data
-        and M itself when ``base`` holds only the ridge.
+        Output of :func:`gram_matrix`, which fixed ``lam``, ``rhs_reg``,
+        ``alpha_p``, ``alpha_c`` and the round-invariant part of the
+        scatter.
+    omega : ndarray (n_s,)
+        Source sample weights.
+    y_s : ndarray (n_s, C)
+        One-hot source labels.
+    p : ndarray (C, n_t)
+        Soft target labels, already masked.
     k : int
         Number of eigenvectors, at most the feature dimension d.
+
+    Returns
+    -------
+    Projection
+        The (d, k) projection A, its k eigenvalues, and the round objective
+        ``trace(A.T Z M Z.T A) + lam ||A||_F^2``.
 
     Raises
     ------
     ValidationError
-        On shape mismatches or an infeasible ``k``.
+        On an infeasible ``k``, or inputs that
+        :func:`partialda.alignment.scatter_factors` refuses.
     NumericalError
         When the eigensolver fails or returns non-finite values.  The
         condition number it reports is that of the pencil as the
         eigensolver received it.
     """
-    u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=float)
-    dim = data.l_inv.shape[0]
-    if u.ndim != 2 or u.shape[0] != dim or n.shape != (u.shape[1], u.shape[1]):
-        raise ValidationError(
-            f"scatter factors of shapes {u.shape} and {n.shape} do not match "
-            f"the {dim} data rows"
-        )
-    _check_k(k, dim)
+    _check_k(k, data.l_inv.shape[0])
+    u, n = scatter_factors(data.centred, data.mean, data.x_s.shape[1], omega, y_s, p,
+                           data.alpha_p, data.alpha_c)
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), k)
     except np.linalg.LinAlgError as exc:
@@ -227,7 +263,7 @@ def solve_projection(data: WhitenedData, u, n, k: int) -> Projection:
     # which pins down the sign deterministically
     flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
     a[:, flip] *= -1.0
-    return Projection(a=a, eigenvalues=phi)
+    return Projection(a=a, eigenvalues=phi, objective=_objective(data, u, n, vecs, a))
 
 
 def embed(proj: Projection, data: WhitenedData) -> np.ndarray:
@@ -237,21 +273,3 @@ def embed(proj: Projection, data: WhitenedData) -> np.ndarray:
             f"projection rows {proj.a.shape[0]} do not match data rows {data.x_s.shape[0]}"
         )
     return np.hstack([proj.a.T @ data.x_s, proj.a.T @ data.x_t])
-
-
-def projection_objective(proj: Projection, scatter, lam: float) -> float:
-    """Value of trace(A.T S A) + lam ||A||_F^2 for a learned projection.
-
-    ``scatter`` is the k x k ``A.T S A``, the alignment scatter of the
-    embedded samples ``embed(proj, data)``:
-    :func:`partialda.alignment.alignment_scatter` is linear in its data, so
-    it forms this from the embedding directly, without the whitened ridge
-    whose norm would swamp a small objective.
-    """
-    scatter = np.asarray(scatter, dtype=float)
-    k = proj.a.shape[1]
-    if scatter.shape != (k, k):
-        raise ValidationError(
-            f"projected scatter shape {scatter.shape} does not match the {k} projection columns"
-        )
-    return float(np.trace(scatter) + lam * np.sum(proj.a ** 2))

@@ -59,7 +59,7 @@ from tests.test_alignment import (
     trace_loss,
 )
 from tests.test_graph import fixed_point_oracle, textbook_graph
-from tests.test_subspace import conditioned_instance, stacked, whitened_factors
+from tests.test_subspace import conditioned_instance, stacked
 
 
 @contextmanager
@@ -127,12 +127,12 @@ def test_criterion_2_eigensolver_residuals():
         start = time.perf_counter()
         checked = 0
         for _ in range(55):
-            data, m_all = conditioned_instance(rng)
+            data, m_all, labels = conditioned_instance(rng)
             z = stacked(data)
             n = z.shape[1]
             lam = 0.1
             k = max(1, z.shape[0] // 2)
-            proj = solve_projection(data, *whitened_factors(data, m_all), k)
+            proj = solve_projection(data, *labels, k)
             a, phi = proj.a, proj.eigenvalues
 
             lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -261,8 +261,9 @@ def test_criterion_7_documented_error_cases(tmp_path):
             config={}, overall_accuracy=None, per_class_accuracy=None,
             class_weights=[1.0], class_mask=[1], iterations_run=0,
         )
+        labels = (np.ones(2), np.eye(2), np.full((2, 2), 0.5))
         raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], 0.1),
-                                    np.eye(4), np.eye(4), 1)
+                                    *labels, 1)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -286,7 +287,8 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), 0.1), np.eye(3), np.eye(3), 2)),
+                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), 0.1), *labels[:2],
+                np.full((2, 3), 0.5), 2)),
             (ValidationError, lambda: embed(
                 raw_proj, gram_matrix(np.eye(3)[:, :1], np.eye(3)[:, 1:]))),
             (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from partialda import ConfigurationError, NumericalError, ValidationError
 from partialda.alignment import (
     _ridge_eps,
-    alignment_scatter,
     apply_mask,
     binarize_weights,
     compute_class_weights,
+    invariant_scatter,
+    scatter_factors,
     solve_gram_system,
     source_sample_weights,
 )
@@ -44,6 +45,14 @@ def random_instance(rng, with_mask=False):
     p = rng.random((c_s, n_t))
     p /= p.sum(axis=0)
     return x_s, y_s, x_t, p
+
+
+def factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c):
+    """``Z M Z.T`` as the solver forms it: the data-only part plus ``U N U.T``, on centred data."""
+    mean = z.mean(axis=1)
+    zc = z - mean[:, None]
+    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, alpha_p, alpha_c)
+    return invariant_scatter(zc, n_s, alpha_p, alpha_c) + u @ (n @ u.T)
 
 
 def trace_loss(m, x, a):
@@ -276,7 +285,7 @@ def test_combine_trace_identity_against_sum_of_oracles():
 
 
 def test_alignment_scatter_matches_dense_oracle():
-    # The factored scatter replaces Z @ combine(M0, Mp, Mc) @ Z.T in the loop.
+    # The factored scatter replaces Z @ combine(M0, Mp, Mc) @ Z.T in the solver.
     rng = np.random.default_rng(18)
     ridged = 0
     for i in range(120):
@@ -301,7 +310,7 @@ def test_alignment_scatter_matches_dense_oracle():
             alpha_c,
         )
         want = z @ m_all @ z.T
-        got = alignment_scatter(z, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
+        got = factored_scatter(z, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
         assert got.shape == (z.shape[0], z.shape[0])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert ridged >= 30
@@ -314,25 +323,25 @@ def test_alignment_scatter_validation():
     n_s = x_s.shape[1]
     omega = np.ones(n_s)
     with pytest.raises(ValidationError, match="shapes"):
-        alignment_scatter(z[:, 1:], n_s, omega, y_s, p, 1.0, 1.0)
+        factored_scatter(z[:, 1:], n_s, omega, y_s, p, 1.0, 1.0)
     with pytest.raises(ValidationError, match="shapes"):
-        alignment_scatter(z, n_s, omega, y_s, p[1:], 1.0, 1.0)
+        factored_scatter(z, n_s, omega, y_s, p[1:], 1.0, 1.0)
     with pytest.raises(ValidationError, match="omega"):
-        alignment_scatter(z, n_s, np.zeros(n_s), y_s, p, 1.0, 1.0)
+        factored_scatter(z, n_s, np.zeros(n_s), y_s, p, 1.0, 1.0)
     with pytest.raises(ValidationError, match="alpha"):
-        alignment_scatter(z, n_s, omega, y_s, p, -1.0, 1.0)
+        factored_scatter(z, n_s, omega, y_s, p, -1.0, 1.0)
     # NaN passes ``< 0`` and would make every entry NaN without an error
     for bad in (np.nan, np.inf):
         bad_omega, bad_p = omega.copy(), p.copy()
         bad_omega[0], bad_p[0, 0] = bad, bad
         with pytest.raises(ValidationError, match="finite"):
-            alignment_scatter(z, n_s, bad_omega, y_s, p, 1.0, 1.0)
+            factored_scatter(z, n_s, bad_omega, y_s, p, 1.0, 1.0)
         with pytest.raises(ValidationError, match="finite"):
-            alignment_scatter(z, n_s, omega, y_s, bad_p, 1.0, 1.0)
+            factored_scatter(z, n_s, omega, y_s, bad_p, 1.0, 1.0)
         with pytest.raises(ValidationError, match="alpha"):
-            alignment_scatter(z, n_s, omega, y_s, p, bad, 1.0)
+            factored_scatter(z, n_s, omega, y_s, p, bad, 1.0)
         with pytest.raises(ValidationError, match="alpha"):
-            alignment_scatter(z, n_s, omega, y_s, p, 1.0, bad)
+            factored_scatter(z, n_s, omega, y_s, p, 1.0, bad)
 
 
 def _long_double_solve(a, b):
@@ -398,7 +407,7 @@ def test_alignment_scatter_matches_long_double_direct_form():
         for offset in (0.0, 300.0, 3000.0):
             z = np.hstack([x_s, x_t]) + offset
             want = direct_scatter_long_double(z, n_s, omega, y_s, p, alpha_p, alpha_c)
-            got = alignment_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c)
+            got = factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c)
             err = np.linalg.norm((got - want).astype(float)) / np.linalg.norm(want.astype(float))
             assert err <= 1e-12, (i, offset, err)
     assert ridged >= 16

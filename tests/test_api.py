@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import partialda
+import partialda.alignment
 import partialda.graph
+import partialda.subspace
 from partialda import AdaptationConfig, SyntheticSpec
 from partialda.cli import build_parser, main
 
@@ -48,15 +50,32 @@ def test_public_api_is_pinned():
         assert getattr(partialda, name) is not None, name
 
 
-def test_graph_surface_is_pinned():
-    # one route through the graph: build, reweight and solve happen in one call
-    defined = sorted(
-        name for name, value in vars(partialda.graph).items()
+def public_definitions(module):
+    """The public functions and classes a module defines itself, sorted."""
+    return sorted(
+        name for name, value in vars(module).items()
         if not name.startswith("_")
         and (inspect.isfunction(value) or inspect.isclass(value))
-        and value.__module__ == "partialda.graph"
+        and value.__module__ == module.__name__
     )
-    assert defined == ["cosine_distances", "propagate_labels"]
+
+
+def test_graph_surface_is_pinned():
+    # one route through the graph: build, reweight and solve happen in one call
+    assert public_definitions(partialda.graph) == ["cosine_distances", "propagate_labels"]
+
+
+def test_subspace_surface_is_pinned():
+    # one call per round: solve_projection builds its factors and returns the objective
+    assert public_definitions(partialda.subspace) == [
+        "Projection", "WhitenedData", "embed", "gram_matrix", "solve_projection"]
+
+
+def test_alignment_surface_is_pinned():
+    # the scatter is only ever formed inside the solver, from these two parts
+    assert public_definitions(partialda.alignment) == [
+        "apply_mask", "binarize_weights", "compute_class_weights", "invariant_scatter",
+        "scatter_factors", "solve_gram_system", "source_sample_weights"]
 
 
 CONFIG_FIELDS = [

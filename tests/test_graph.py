@@ -449,6 +449,8 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
     y = np.eye(3)
     omega = np.array([0.8, 0.2, 0.8])
     rows = "label matrix has 4 rows, expected 3 source samples"
+    source_nan, target_nan = (f"embedded {side} samples contain NaN or Inf entries"
+                              for side in ("source", "target"))
     for args, message in (
         ((ok, ok, np.nan, y), "sigma must be positive and finite, got nan"),
         ((ok, ok, 0.0, y), "sigma must be positive and finite, got 0.0"),
@@ -463,6 +465,12 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok, ok, 0.5, y, [0.0, 0.0, 0.0]), ALL_ZERO),
         ((ok, ok, 0.5, np.eye(4)), rows),
         ((ok, ok, 0.5, np.eye(4), omega), rows),
+        ((ok * np.nan, ok, 0.5, y), source_nan),
+        ((ok, ok * np.inf, 0.5, y), target_nan),
+        ((ok, ok * -np.inf, 0.5, y, omega), target_nan),
+        ((ok, ok, 0.5, y * np.nan), "label matrix contains NaN or Inf entries"),
+        ((ok, ok, 0.5, np.where(y > 0, np.inf, y), omega),
+         "label matrix contains NaN or Inf entries"),
     ):
         with pytest.raises(ValidationError) as exc:
             propagate_labels(*args)

@@ -28,7 +28,6 @@ from tests.test_subspace import (
     assert_matches_dense_eigh,
     factored_instance,
     solver_instance,
-    whitened_factors,
 )
 
 EPS = np.finfo(float).eps
@@ -137,8 +136,7 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     # again for the condition number in its message; an eigensolver that
     # scribbles on the pencil before it fails shows that the number is that
     # of the pencil as the eigensolver received it
-    data, m_all = solver_instance(np.random.default_rng(54))
-    u, n = whitened_factors(data, m_all)
+    data, _, labels = solver_instance(np.random.default_rng(54))
     k = 2
     received = []
 
@@ -155,27 +153,26 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
 
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(None))
     with pytest.raises(NumericalError) as failed:
-        solve_projection(data, u, n, k)
+        solve_projection(data, *labels, k)
     cond = np.linalg.cond(received[-1])
     assert str(failed.value) == (
         f"eigensolver failed (cond pencil {cond:.3e}): Eigenvalues did not converge")
 
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(1))
     with pytest.raises(NumericalError) as failed:
-        solve_projection(data, u, n, k)
+        solve_projection(data, *labels, k)
     cond = np.linalg.cond(received[-1])
     assert str(failed.value) == (
         f"only 1 numerically valid eigenpairs (cond pencil {cond:.3e}); use a smaller k")
 
-    # a NaN in the factors fails for real: dsyevr finds no eigenpair and
+    # a NaN in the pencil fails for real: dsyevr finds no eigenpair and
     # the fallback's eigh returns NaN ones; the pencil's cond cannot be computed
     monkeypatch.undo()  # this also reverts the path fixture's patch, so it is set again
     if path == "np.linalg":
         monkeypatch.setattr(_lapack, "_lookup", dict)
-    u = u.copy()
-    u[0, 0] = np.nan
+    data.base[0, 0] = np.nan
     with pytest.raises(NumericalError, match=r"\(cond pencil inf\)"):
-        solve_projection(data, u, n, k)
+        solve_projection(data, *labels, k)
 
 
 def test_trtri_lower_matches_inv(path):

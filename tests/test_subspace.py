@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from partialda import NumericalError, ValidationError
-from partialda.alignment import scatter_factors
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -17,30 +16,34 @@ from partialda.oracles import (
     combine,
     generalized_eigh,
 )
-from partialda.subspace import (
-    embed,
-    gram_matrix,
-    projection_objective,
-    solve_projection,
-)
+from partialda.subspace import embed, gram_matrix, solve_projection
 from tests.test_alignment import random_instance
 
 EPS = np.finfo(float).eps
 
 
-def solver_instance(rng):
-    """Random pencil built from actual alignment matrices."""
-    x_s, y_s, x_t, p = random_instance(rng)
+def labelled_data(rng, x_s, y_s, x_t, p):
+    """Data, the dense combined M and the labels ``(omega, y_s, p)`` it is built from.
+
+    ``gram_matrix`` gets the same two weights as the dense ``combine``, so
+    ``solve_projection(data, *labels, k)`` solves the pencil of ``M``.
+    """
     omega = rng.random(x_s.shape[1]) + 0.1
+    alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
     m_all = combine(
         build_m0(omega, x_t.shape[1]),
         build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
-        float(rng.uniform(0.1, 2.0)),
-        float(rng.uniform(0.1, 2.0)),
+        alpha_p,
+        alpha_c,
     )
-    data = gram_matrix(x_s, x_t)
-    return data, m_all
+    data = gram_matrix(x_s, x_t, alpha_p=alpha_p, alpha_c=alpha_c)
+    return data, m_all, (omega, y_s, p)
+
+
+def solver_instance(rng):
+    """Random pencil built from actual alignment matrices."""
+    return labelled_data(rng, *random_instance(rng))
 
 
 def conditioned_instance(rng):
@@ -64,36 +67,12 @@ def conditioned_instance(rng):
     x_t = rng.standard_normal((d, n_t))
     p = rng.random((c_s, n_t)) + 0.05
     p /= p.sum(axis=0)
-    omega = rng.random(n_s) + 0.1
-    m_all = combine(
-        build_m0(omega, n_t),
-        build_mp(build_center_operators(y_s, p)),
-        build_mc(y_s, p),
-        float(rng.uniform(0.1, 2.0)),
-        float(rng.uniform(0.1, 2.0)),
-    )
-    data = gram_matrix(x_s, x_t)
-    return data, m_all
+    return labelled_data(rng, x_s, y_s, x_t, p)
 
 
 def stacked(data):
     """The features ``Z = [X_s | X_t]`` that gram_matrix keeps as two blocks."""
     return np.hstack([data.x_s, data.x_t])
-
-
-def whitened_factors(data, m_all):
-    """The whole whitened scatter ``W M W.T`` as solver factors: ``W = L^-1 Z`` and M.
-
-    With alpha_p = alpha_c = 0 in gram_matrix, ``base`` is the ridge alone,
-    so these give the pencil the dense formulation solves.
-    """
-    return data.centred + data.mean[:, None], m_all
-
-
-def projected_scatter(proj, data, m_all):
-    """``A.T Z M Z.T A``, the scatter of the embedded samples."""
-    e = embed(proj, data)
-    return e @ m_all @ e.T
 
 
 def dense_pencil(data, m_all, lam, rhs_reg):
@@ -131,9 +110,7 @@ def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
     lam = 0.1
     data = gram_matrix(x_s, x_t, lam, rhs_reg, alpha_p, alpha_c)
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
-    u, n_mid = scatter_factors(data.centred, data.mean, x_s.shape[1], omega, y_s, p,
-                               alpha_p, alpha_c)
-    proj = solve_projection(data, u, n_mid, k)
+    proj = solve_projection(data, omega, y_s, p, k)
     return proj, data, m_all, dense_pencil(data, m_all, lam, rhs_reg)
 
 
@@ -204,9 +181,14 @@ def test_generalized_eigh_k_out_of_range():
     for k in (0, -1):
         with pytest.raises(ValidationError, match=f"^k must be at least 1, got {k}$"):
             generalized_eigh(np.eye(3), np.eye(3), k=k)
-    data, m_all = solver_instance(np.random.default_rng(35))
+    data, _, labels = solver_instance(np.random.default_rng(35))
     with pytest.raises(ValidationError, match="^k must be at least 1, got 0$"):
-        solve_projection(data, *whitened_factors(data, m_all), 0)
+        solve_projection(data, *labels, 0)
+    # a fractional k is refused before it reaches the eigensolver or a slice
+    with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.5$"):
+        generalized_eigh(np.eye(3), np.eye(3), k=2.5)
+    with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.5$"):
+        solve_projection(data, *labels, 2.5)
 
 
 def test_generalized_eigh_matches_full_spectrum():
@@ -236,12 +218,12 @@ def test_generalized_eigh_matches_full_spectrum():
 def test_solve_projection_residual_and_constraint():
     rng = np.random.default_rng(21)
     for _ in range(40):
-        data, m_all = conditioned_instance(rng)
+        data, m_all, labels = conditioned_instance(rng)
         z = stacked(data)
         n = z.shape[1]
         lam = 0.1
         k = max(1, z.shape[0] // 2)
-        proj = solve_projection(data, *whitened_factors(data, m_all), k)
+        proj = solve_projection(data, *labels, k)
         a, phi = proj.a, proj.eigenvalues
         lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
         lhs = (lhs + lhs.T) / 2
@@ -261,7 +243,7 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
     rng = np.random.default_rng(22)
     hits = 0
     for _ in range(20):
-        data, m_all = conditioned_instance(rng)
+        data, m_all, _ = conditioned_instance(rng)
         z = stacked(data)
         lam = 0.1
         d = z.shape[0]
@@ -286,42 +268,43 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
-    data, m_all = solver_instance(rng)
-    factors = whitened_factors(data, m_all)
+    data, _, labels = solver_instance(rng)
     k = max(1, data.l_inv.shape[0] // 2)
-    p1 = solve_projection(data, *factors, k)
-    p2 = solve_projection(data, *factors, k)
+    p1 = solve_projection(data, *labels, k)
+    p2 = solve_projection(data, *labels, k)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
     idx = np.argmax(np.abs(p1.a), axis=0)
     assert (p1.a[idx, np.arange(k)] > 0).all()
-    assert projection_objective(p1, projected_scatter(p1, data, m_all), 0.1) == projection_objective(
-        p2, projected_scatter(p2, data, m_all), 0.1
-    )
+    assert p1.objective == p2.objective
 
 
 def test_solve_projection_k_too_large():
     rng = np.random.default_rng(24)
-    data, m_all = solver_instance(rng)
+    data, _, labels = solver_instance(rng)
     with pytest.raises(ValidationError, match="smaller k"):
-        solve_projection(data, *whitened_factors(data, m_all), data.l_inv.shape[0] + 1)
+        solve_projection(data, *labels, data.l_inv.shape[0] + 1)
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
-    data, _ = solver_instance(rng)
-    with pytest.raises(ValidationError):
-        solve_projection(data, np.eye(data.l_inv.shape[0] + 1), np.eye(data.l_inv.shape[0] + 1), 1)
+    data, _, (omega, y_s, p) = solver_instance(rng)
+    with pytest.raises(ValidationError, match="shapes"):
+        solve_projection(data, omega, y_s, p[:, 1:], 1)
+    with pytest.raises(ValidationError, match="shapes"):
+        solve_projection(data, omega[1:], y_s[1:], p, 1)
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
     # identical samples: centering removes everything, no variance remains
     # the constraint side is factored once, in gram_matrix, so it raises there
     x = np.ones((3, 5))
+    labels = (np.ones(2), np.eye(2), np.full((2, 3), 0.5))
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(x[:, :2], x[:, 2:]), np.eye(3), np.eye(3), 2)
+        solve_projection(gram_matrix(x[:, :2], x[:, 2:]), *labels, 2)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2))), np.eye(2), np.eye(2), 1)
+        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2))), *labels[:2],
+                         np.full((2, 2), 0.5), 1)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -332,8 +315,8 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 
 def test_embed_linearity_and_errors():
     rng = np.random.default_rng(26)
-    data, m_all = solver_instance(rng)
-    proj = solve_projection(data, *whitened_factors(data, m_all), 2)
+    data, _, labels = solver_instance(rng)
+    proj = solve_projection(data, *labels, 2)
     z = embed(proj, data)
     x, n_s = stacked(data), data.x_s.shape[1]
     n = x.shape[1]
@@ -348,14 +331,13 @@ def test_embed_linearity_and_errors():
 
 def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
-    data, m_all = solver_instance(rng)
+    data, m_all, labels = solver_instance(rng)
     z = stacked(data)
-    proj = solve_projection(data, *whitened_factors(data, m_all), 2)
+    proj = solve_projection(data, *labels, 2)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
     )
-    got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert proj.objective == pytest.approx(want, rel=1e-12)
 
 
 def test_gram_matrix_factors_the_constraint_side():
@@ -383,6 +365,21 @@ def test_gram_matrix_factors_the_constraint_side():
         gram_matrix(x_s, x_t, lam=0.0)
     with pytest.raises(ValidationError, match="alpha"):
         gram_matrix(x_s, x_t, alpha_p=float("nan"))
+    # NaN passes every comparison: each input is checked before anything is factored
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match=f"^lam must be positive and finite, got {bad}$"):
+            gram_matrix(x_s, x_t, lam=bad)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError,
+                           match=f"^rhs_reg must be non-negative and finite, got {bad}$"):
+            gram_matrix(x_s, x_t, rhs_reg=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, side in enumerate(("source", "target")):
+            args = [x_s.copy(), x_t.copy()]
+            args[i][0, 0] = bad
+            with pytest.raises(ValidationError,
+                               match=f"^{side} features contains NaN or Inf entries$"):
+                gram_matrix(*args)
     x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
     with pytest.raises(NumericalError, match="cond"):
         gram_matrix(x_s, x_t, rhs_reg=0.0)
@@ -435,18 +432,29 @@ def test_generalized_eigh_clustered_eigenvalues():
 
 
 def test_objective_matches_dense_trace_after_whitening():
-    # The loop evaluates the objective from the k x k scatter of the
-    # embedding; it must equal tr(A'SA) + lam ||A||^2 in original coordinates.
+    # The solver evaluates the objective from the whitened factors at its
+    # eigenvectors; it must equal tr(A'SA) + lam ||A||^2 in original coordinates.
     rng = np.random.default_rng(34)
     for i in range(100):
         # alternately a singular constraint side (n <= d) and any shape
         proj, data, m_all, _ = factored_instance(rng, full_rank=False if i % 2 else None)
         z, a = stacked(data), proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
-        got = projection_objective(proj, projected_scatter(proj, data, m_all), 0.1)
-        assert got == pytest.approx(want, rel=1e-10)
-    with pytest.raises(ValidationError, match="projected scatter"):
-        projection_objective(proj, np.eye(a.shape[0]), 0.1)
+        assert proj.objective == pytest.approx(want, rel=1e-10)
+
+
+def test_objective_is_not_swamped_by_the_whitened_ridge():
+    # At rhs_reg=1e-10 on a singular constraint side the whitened ridge
+    # lam L^-1 L^-T dwarfs the objective, so the sum of the eigenvalues, which
+    # carries it, is off by up to ~1e-6 relative; the objective taken from
+    # the scatter factors and lam ||A||^2 must still match the dense trace.
+    rng = np.random.default_rng(36)
+    for _ in range(80):
+        proj, data, m_all, _ = factored_instance(rng, 1e-10, full_rank=False)
+        z, a = stacked(data), proj.a
+        want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
+        assert 0.1 * np.linalg.norm(data.l_inv, 2) ** 2 >= 1e3 * want
+        assert proj.objective == pytest.approx(want, rel=1e-10)
 
 
 def test_import_leaves_scipy_unloaded():
