@@ -88,27 +88,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_domains(args):
+def _load_inputs(args):
+    """Domains, target labels and the output directory, all checked before any solve.
+
+    A missing or wrong-length label file, or an ``--out`` that cannot be a
+    directory, fails here rather than after the solve has run.
+    """
     x_s = load_features_csv(args.source_features)
     labels_s = load_labels(args.source_labels)
     y_s = make_one_hot(labels_s, num_classes=int(labels_s.max()) + 1)
     x_t = load_features_csv(args.target_features)
-    return x_s, y_s, x_t
-
-
-def _score(result: AdaptationResult, args):
-    if not args.target_labels:
-        return None, None
-    truth = load_labels(args.target_labels)
-    overall, per_class = accuracy(result.hard_labels, truth)
-    return overall, per_class
-
-
-def _write_outputs(result: AdaptationResult, config_echo: dict, args,
-                   duration: float) -> tuple[float | None, Path]:
-    overall, per_class = _score(result, args)
+    truth = None
+    if args.target_labels:
+        truth = load_labels(args.target_labels)
+        if truth.shape != (x_t.shape[1],):  # the text accuracy() would give after the solve
+            raise ValidationError(f"length mismatch between predictions {(x_t.shape[1],)} "
+                                  f"and truth {truth.shape}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return x_s, y_s, x_t, truth, out_dir
+
+
+def _write_outputs(result: AdaptationResult, config_echo: dict, truth, out_dir: Path,
+                   duration: float) -> float | None:
+    overall, per_class = (None, None) if truth is None else accuracy(result.hard_labels, truth)
     report = ResultReport(
         config=config_echo,
         overall_accuracy=overall,
@@ -125,7 +128,7 @@ def _write_outputs(result: AdaptationResult, config_echo: dict, args,
     )
     save_report(report, out_dir / "report.json")
     save_soft_labels(result.soft_labels, out_dir / "soft_labels.csv")
-    return overall, out_dir
+    return overall
 
 
 def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
@@ -136,22 +139,22 @@ def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
 
 
 def cmd_adapt(args) -> int:
-    x_s, y_s, x_t = _load_domains(args)
+    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
     config = _from_args(AdaptationConfig, args)
     start = time.perf_counter()
     result = adapt(x_s, y_s, x_t, config)
     duration = time.perf_counter() - start
-    overall, _ = _write_outputs(result, asdict(config), args, duration)
+    overall = _write_outputs(result, asdict(config), truth, out_dir, duration)
     print(_summary_line("adapt", overall, result))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    x_s, y_s, x_t = _load_domains(args)
+    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
     start = time.perf_counter()
     result = baseline_propagate(x_s, y_s, x_t, sigma=args.sigma)
     duration = time.perf_counter() - start
-    overall, _ = _write_outputs(result, {"sigma": args.sigma}, args, duration)
+    overall = _write_outputs(result, {"sigma": args.sigma}, truth, out_dir, duration)
     print(_summary_line("baseline", overall, result))
     return 0
 

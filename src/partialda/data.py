@@ -246,7 +246,8 @@ def load_labels(path) -> np.ndarray:
 
 
 def _write_rows(rows: np.ndarray, path) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+    """One line per row of a float array, each value the shortest repr that reads back exactly."""
+    lines = [",".join(map(repr, row)) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

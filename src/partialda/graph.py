@@ -8,17 +8,24 @@ clamped to their one-hot labels.
 
 :func:`propagate_labels` is the one route through the graph, and the
 adaptation loop and the baseline both call it.  It never holds the whole
-``W_ts`` or ``W_tt``: one kernel builds, reweights and normalizes the
-affinity rows of ``_BLOCK_ROWS`` targets at a time in two small buffers,
-writes their rows of ``W_ts Y_s`` into the right-hand side and their rows
-of ``I - W_tt``, transposed, into one ``n_t x n_t`` buffer.  That
-buffer is the system in the column-major order LAPACK reads, so numpy's
+``W_ts`` or ``W_tt``.  With ``D'`` the diagonal of row sums (the weighted
+source mass plus the target affinities), ``W_ts = D'^-1 K_ts Omega`` and
+``W_tt = D'^-1 K_tt`` for the raw Gaussian affinities ``K`` and the
+diagonal ``Omega`` of source weights, and ``K_tt`` is symmetric.  So one
+kernel computes, for ``_BLOCK_ROWS`` targets at a time, their ``K_ts``
+rows in one small buffer, keeps only ``K_ts @ [Omega Y_s | Omega 1 | 1]``
+(``W_ts Y_s`` and both source masses, unscaled), and writes their
+``K_tt`` rows up to the diagonal straight into one ``n_t x n_t`` buffer;
+the strictly lower triangle is then mirrored.  Dividing column j of that
+buffer by ``-D'_jj`` once gives ``I - K_tt D'^-1 = (I - W_tt).T`` off the
+diagonal: the system in the column-major order LAPACK reads, so numpy's
 own ``dgesv`` factors and solves it in place
-(:func:`partialda._lapack.gesv`).  At most
-``n_t**2 + _BLOCK_ROWS * (n_s + n_t)`` doubles of graph are alive at once.
-Where numpy's OpenBLAS does not export ``dgesv`` under the name looked for,
-``np.linalg.solve`` solves the same matrix to the same bits from its own
-copy, one ``n_t**2`` more.
+(:func:`partialda._lapack.gesv`).  The affinity ``exp`` runs over one
+triangle, nothing is normalized twice, and the one transposed copy is the
+mirrored half.  At most ``n_t**2 + _BLOCK_ROWS * n_s`` doubles of graph,
+plus O(n_s + n_t), are alive at once.  Where numpy's OpenBLAS does not
+export ``dgesv`` under the name looked for, ``np.linalg.solve`` solves the
+same matrix to the same bits from its own copy, one ``n_t**2`` more.
 """
 
 from __future__ import annotations
@@ -34,9 +41,9 @@ _BLOCK_ROWS = 256
 
 # How far a target's soft labels may sum from 1 before it counts as having
 # received no source mass.  With one-hot source labels a target connected
-# to source mass sums to 1 up to rounding (within 1.8e-11 on the 4000
-# targets of the baseline-large benchmark); one cut off from every source
-# sums to about 0, or to whatever a nearly singular solve leaves.
+# to source mass sums to 1 up to rounding (within 8.4e-11 on the 4000
+# targets of each baseline-large benchmark dataset); one cut off from every
+# source sums to about 0, or to whatever a nearly singular solve leaves.
 _MASS_TOL = 1e-6
 
 
@@ -55,63 +62,58 @@ def cosine_distances(a, b) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def _affinities(ua: np.ndarray, ub: np.ndarray, sigma: float, out: np.ndarray) -> None:
-    """``exp(-(d / sigma)**2)`` of the cosine distances of unit columns, written into ``out``."""
-    np.matmul(ua.T, ub, out=out)
-    np.subtract(1.0, out, out=out)
-    out /= sigma
+def _affinities(v_a: np.ndarray, u_b: np.ndarray, inv_sigma: float, out: np.ndarray) -> None:
+    """``exp(-(d / sigma)**2)`` of the cosine distances d between columns, written into ``out``.
+
+    ``v_a`` holds unit columns already divided by sigma and ``u_b`` unit
+    columns, so ``inv_sigma - v_a.T @ u_b`` is ``d / sigma``.
+    """
+    np.matmul(v_a.T, u_b, out=out)
+    np.subtract(inv_sigma, out, out=out)
     np.square(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
 
 
-def _normalize_rows(w_ts: np.ndarray, w_tt: np.ndarray) -> np.ndarray:
-    """Divide both blocks by their joint row sums in place; return the zero-sum rows."""
-    totals = w_ts.sum(axis=1) + w_tt.sum(axis=1)
-    dead = totals == 0.0
-    safe = np.where(dead, 1.0, totals)[:, None]
-    w_ts /= safe
-    w_tt /= safe
-    return dead
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strictly lower triangle of the square ``a`` onto its upper triangle."""
+    n = a.shape[0]
+    for c0 in range(0, n, _BLOCK_ROWS):
+        c1 = min(c0 + _BLOCK_ROWS, n)
+        a[c0:c1, c1:] = a[c1:, c0:c1].T
+        for i in range(c0, c1 - 1):  # inside the diagonal block, row by row
+            a[i, i + 1:c1] = a[i + 1:c1, i]
 
 
-def _fill_rows(r0: int, u_s: np.ndarray, u_t: np.ndarray, sigma: float, y_s: np.ndarray,
-               factors: np.ndarray | None, w_ts: np.ndarray, w_tt: np.ndarray,
-               rhs: np.ndarray, system: np.ndarray) -> int:
-    """Graph rows ``r0:r0+len(w_ts)``: write ``W_ts Y_s`` and ``(I - W_tt).T`` (off the diagonal).
+def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
+                     sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``K_tt`` with a zero diagonal, and ``K_ts @ sources``.
 
-    ``w_ts`` and ``w_tt`` are scratch rows; ``rhs`` and ``system`` receive
-    this block's rows and columns.  Returns the rows the reweighting left
-    without mass.
+    Each block of ``_BLOCK_ROWS`` targets computes its ``K_ts`` rows in one
+    scratch buffer, keeps only their product with ``sources``, and writes
+    its rows of ``K_tt`` up to the diagonal block straight into the
+    ``n_t x n_t`` result; the strictly lower triangle is then mirrored.
     """
-    rows = slice(r0, r0 + w_ts.shape[0])
-    diagonal = (np.arange(w_ts.shape[0]), np.arange(rows.start, rows.stop))
-    _affinities(u_t[:, rows], u_s, sigma, w_ts)
-    _affinities(u_t[:, rows], u_t, sigma, w_tt)
-    w_tt[diagonal] = 0.0
-    dead = _normalize_rows(w_ts, w_tt)
-    if dead.any():
-        w_ts[dead] = 1.0
-        w_tt[dead] = 1.0
-        w_tt[diagonal] = 0.0
-        _normalize_rows(w_ts, w_tt)
-    n_dead = 0
-    if factors is not None:
-        w_ts *= factors[None, :]
-        dead = _normalize_rows(w_ts, w_tt)
-        n_dead = int(dead.sum())
-        if n_dead:
-            if w_tt.shape[1] > 1:
-                w_tt[dead] = 1.0
-                w_tt[diagonal] = 0.0
-            else:  # the uniform source row, reweighted
-                w_ts[dead] = factors
-            _normalize_rows(w_ts, w_tt)
-    np.matmul(w_ts, y_s, out=rhs[rows])
-    # 0 - w (not -w, which turns +0.0 into -0.0) is bit for bit the
-    # off-diagonal of np.eye(n_t) - w_tt
-    np.subtract(0.0, w_tt.T, out=system[:, rows])
-    return n_dead
+    n_t = u_t.shape[1]
+    # below the smallest normal double 1/sigma overflows, but every nonzero
+    # distance underflows to affinity 0 at either sigma
+    sigma = max(sigma, np.finfo(float).tiny)
+    inv_sigma = 1.0 / sigma
+    block = min(_BLOCK_ROWS, n_t)
+    k_ts = np.empty((block, u_s.shape[1]))
+    masses = np.empty((n_t, sources.shape[1]))
+    k_tt = np.empty((n_t, n_t))
+    for r0 in range(0, n_t, block):
+        rows = slice(r0, min(r0 + block, n_t))
+        part = k_ts[: rows.stop - r0]
+        v_t = u_t[:, rows] / sigma
+        _affinities(v_t, u_s, inv_sigma, part)
+        np.matmul(part, sources, out=masses[rows])
+        _affinities(v_t, u_t[:, : rows.stop], inv_sigma, k_tt[rows, : rows.stop])
+    del k_ts, part
+    _mirror_lower(k_tt)
+    k_tt.reshape(-1)[:: n_t + 1] = 0.0
+    return k_tt, masses
 
 
 def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -158,10 +160,12 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified.  The graph is
-    built ``_BLOCK_ROWS`` target rows at a time in buffers this call owns:
-    each block is normalized and reweighted in place, and only its rows of
-    ``W_ts Y_s`` and of ``I - W_tt`` (stored transposed) are kept.  LAPACK
-    then factors that ``n_t x n_t`` system in place and solves it.
+    built ``_BLOCK_ROWS`` target rows at a time in buffers this call owns,
+    from one triangle of the symmetric target affinities, and scaled by its
+    row sums once, in the columns of the ``n_t x n_t`` system that LAPACK
+    then factors in place.  A row without affinities is by symmetry also a
+    zero column, so each fallback above replaces one system column and one
+    right-hand-side row.
 
     Parameters
     ----------
@@ -233,19 +237,32 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         )
     if not np.isfinite(y_s).all():
         raise ValidationError("label matrix contains NaN or Inf entries")
-    n_t = z_t.shape[1]
-    u_s, u_t = _unit_columns(z_s), _unit_columns(z_t)
-    block = min(_BLOCK_ROWS, n_t)
-    w_ts = np.empty((block, n_s))
-    w_tt = np.empty((block, n_t))
-    rhs = np.empty((n_t, y_s.shape[1]))
-    system = np.empty((n_t, n_t))  # I - W_tt, transposed: the system in Fortran order
-    n_dead = 0
-    for r0 in range(0, n_t, block):
-        rows = min(block, n_t - r0)
-        n_dead += _fill_rows(r0, u_s, u_t, sigma, y_s, factors, w_ts[:rows], w_tt[:rows],
-                             rhs, system)
-    del w_ts, w_tt
-    # 1.0 added to the zero diagonal is bit for bit that of np.eye(n_t) - w_tt
-    system.reshape(-1)[:: n_t + 1] += 1.0
-    return _solve(system, rhs), n_dead
+    n_t, c = z_t.shape[1], y_s.shape[1]
+    f = np.ones(n_s) if factors is None else factors
+    spread = f @ y_s  # W_ts Y_s of a uniform source row, before its scaling
+    # K_ts @ [f Y_s | f | 1]: W_ts Y_s and both source masses, each row unscaled
+    k_tt, masses = _affinity_blocks(_unit_columns(z_s), _unit_columns(z_t), sigma,
+                                    np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
+    rhs, weighted, raw = masses[:, :c], masses[:, c], masses[:, c + 1]
+    # K_tt is symmetric, so a row without affinities is also a zero column:
+    # each fallback below is one system column and one rhs row
+    degrees = k_tt.sum(axis=1)
+    dead = np.flatnonzero(raw + degrees == 0.0)  # underflowed: uniform, then weighted
+    k_tt[:, dead] = 1.0
+    rhs[dead] = spread
+    weighted[dead] = f.sum()
+    degrees[dead] = n_t - 1
+    degrees += weighted
+    lost = np.flatnonzero(degrees == 0.0)  # emptied by the weighting
+    if n_t > 1:  # uniform over the other targets
+        k_tt[:, lost] = 1.0
+        rhs[lost] = 0.0
+        degrees[lost] = n_t - 1
+    else:  # the uniform source row, reweighted
+        rhs[lost] = spread
+        degrees[lost] = f.sum()
+    # (I - D'^-1 K_tt).T = I - K_tt D'^-1, by columns: the system in Fortran order
+    np.divide(k_tt, -degrees, out=k_tt)
+    k_tt.reshape(-1)[:: n_t + 1] = 1.0
+    rhs /= degrees[:, None]
+    return _solve(k_tt, rhs), lost.size

@@ -20,6 +20,14 @@ what the adaptation loop computes.  Which fast path each oracle checks:
   ``(lhs, rhs)`` that the solver only ever sees factored and whitened, and
   solves it with ``numpy.linalg`` alone, not with the solver's LAPACK
   routines.
+* :func:`textbook_graph`, :func:`textbook_reweight` and
+  :func:`textbook_propagate` are the row-normalized graph ``(W_ts, W_tt)``,
+  its class reweighting and the harmonic solve written one fresh array per
+  step, as the paper states them; :func:`fixed_point_oracle` reaches the
+  same soft labels by iterating the harmonic update instead of solving.
+  Together they check :func:`partialda.graph.propagate_labels`, which
+  builds only one triangle of the unnormalized target affinities and
+  scales by the row sums once.
 
 The adaptation loop never imports this module.
 """
@@ -166,3 +174,72 @@ def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarr
     flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
     a[:, flip] *= -1.0
     return phi[:k], a
+
+
+def textbook_cosine(a, b) -> np.ndarray:
+    """Pairwise 1 - cosine similarity between columns of a and b; zero columns stay zero."""
+    na = np.linalg.norm(a, axis=0)
+    nb = np.linalg.norm(b, axis=0)
+    ua = a / np.where(na > 0, na, 1.0)
+    ub = b / np.where(nb > 0, nb, 1.0)
+    return 1.0 - ua.T @ ub
+
+
+def textbook_normalize(w_ts, w_tt):
+    """Both blocks divided by their joint row sums, and the rows that sum to 0."""
+    totals = w_ts.sum(axis=1) + w_tt.sum(axis=1)
+    dead = totals == 0.0
+    safe = np.where(dead, 1.0, totals)
+    return w_ts / safe[:, None], w_tt / safe[:, None], dead
+
+
+def textbook_graph(z_s, z_t, sigma):
+    """Row-normalized ``(W_ts, W_tt)``, rows that underflow everywhere made uniform."""
+    w_ts = np.exp(-(textbook_cosine(z_t, z_s) / sigma) ** 2)
+    w_tt = np.exp(-(textbook_cosine(z_t, z_t) / sigma) ** 2)
+    np.fill_diagonal(w_tt, 0.0)
+    w_ts, w_tt, dead = textbook_normalize(w_ts, w_tt)
+    if dead.any():
+        w_ts[dead] = 1.0
+        w_tt[dead] = 1.0
+        np.fill_diagonal(w_tt, 0.0)
+        w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
+    return w_ts, w_tt
+
+
+def textbook_reweight(w_ts, w_tt, w, source_classes):
+    """Class-scaled ``(W_ts, W_tt)`` and the number of rows left without mass.
+
+    The factors come from class weights and class ids, not from the
+    per-sample weights ``propagate_labels`` takes, so the two routes meet
+    only in their result.
+    """
+    factors = w[source_classes]
+    factors = factors / factors.max()
+    w_ts, w_tt, dead = textbook_normalize(w_ts * factors[None, :], w_tt)
+    if dead.any():
+        if w_tt.shape[0] > 1:
+            w_tt[dead] = 1.0
+            np.fill_diagonal(w_tt, 0.0)
+        else:  # the uniform source row, reweighted
+            w_ts[dead] = factors
+        w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
+    return w_ts, w_tt, int(dead.sum())
+
+
+def textbook_propagate(w_ts, w_tt, y_s):
+    """Soft labels ``(C, n_t)`` solving ``(I - W_tt) F = W_ts Y_s`` with ``np.linalg.solve``."""
+    n_t = w_tt.shape[0]
+    return np.linalg.solve(np.eye(n_t) - w_tt, w_ts @ y_s).T
+
+
+def fixed_point_oracle(w_ts, w_tt, y_s, tol=1e-12, max_sweeps=100_000):
+    """Iterate the harmonic update ``F <- W_ts Y_s + W_tt F`` until the labels stop moving."""
+    f = np.zeros((w_tt.shape[0], y_s.shape[1]))
+    base = w_ts @ y_s
+    for _ in range(max_sweeps):
+        nxt = base + w_tt @ f
+        if np.abs(nxt - f).max() < tol:
+            return nxt.T
+        f = nxt
+    raise AssertionError("fixed point iteration did not converge")

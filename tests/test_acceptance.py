@@ -47,7 +47,9 @@ from partialda.oracles import (
     build_mp,
     centering_matrix,
     combine,
+    fixed_point_oracle,
     generalized_eigh,
+    textbook_graph,
 )
 from partialda.pipeline import label_change_fraction
 from partialda.subspace import embed, gram_matrix, solve_projection
@@ -58,7 +60,6 @@ from tests.test_alignment import (
     random_instance,
     trace_loss,
 )
-from tests.test_graph import fixed_point_oracle, textbook_graph
 from tests.test_subspace import conditioned_instance, stacked
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import partialda.cli
 from partialda import AdaptationConfig, IterationRecord, load_features_csv
 from partialda.cli import main
 
@@ -198,6 +199,43 @@ def test_eval_length_mismatch_exits_one(tmp_path, capsys):
     truth.write_text("0\n")
     assert main(["eval", str(pred), str(truth)]) == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("the solve ran before the inputs were checked")
+
+
+@pytest.mark.parametrize("command", ["adapt", "baseline"])
+@pytest.mark.parametrize("case", ["missing labels", "labels of another length", "out is a file"])
+def test_scoring_and_output_errors_come_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                         command, case):
+    # the target labels are read and length-checked, and the output
+    # directory made, before the solve: each error keeps its text and exit
+    # code, and no run is spent on a result that would be discarded
+    monkeypatch.setattr(partialda.cli, "adapt", no_solve)
+    monkeypatch.setattr(partialda.cli, "baseline_propagate", no_solve)
+    files = gen_dataset(tmp_path / "data")
+    labels, out = files["target_labels"], tmp_path / "run"
+    if case == "missing labels":
+        labels = tmp_path / "nope.txt"
+        message = f"file not found: {labels}"
+    elif case == "labels of another length":
+        labels = tmp_path / "three.txt"
+        labels.write_text("0\n1\n0\n")
+        message = "length mismatch between predictions (12,) and truth (3,)"
+    else:
+        out.write_text("not a directory\n")
+        message = f"[Errno 17] File exists: '{out}'"
+    args = [command, "--source-features", str(files["source_features"]),
+            "--source-labels", str(files["source_labels"]),
+            "--target-features", str(files["target_features"]),
+            "--target-labels", str(labels), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"partialda: error: {message}\n"
+    if case == "out is a file":
+        assert out.read_text() == "not a directory\n"
+    else:
+        assert not (out / "report.json").exists()
 
 
 def test_missing_file_exit_code_names_path(tmp_path, capsys):

@@ -297,6 +297,21 @@ def test_soft_label_csv_layout_and_round_trip(tmp_path):
     assert np.array_equal(load_features_csv(path), p)
 
 
+def test_written_rows_match_the_per_value_repr(tmp_path):
+    # rows are formatted from Python floats in one pass; the bytes must be
+    # those of repr(float(v)) on every numpy scalar, signed zeros,
+    # subnormals and exponents included
+    rng = np.random.default_rng(52)
+    rows = np.vstack([[-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-7, 1.0 / 3.0],
+                      rng.standard_normal((6, 8)) * 10.0 ** rng.integers(-300, 300, (6, 8))])
+    path = tmp_path / "rows.csv"
+    data_module._write_rows(rows, path)
+    want = "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[0] == (
+        "-0.0,0.0,5e-324,-5e-324,1e+300,-1e+300,1e-07,0.3333333333333333")
+
+
 def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
     path = tmp_path / "y.txt"
     for labels, message in (

@@ -18,8 +18,8 @@ from partialda import (
     make_one_hot,
 )
 from partialda.graph import propagate_labels
+from partialda.oracles import textbook_graph, textbook_propagate
 from partialda.pipeline import label_change_fraction
-from tests.test_graph import textbook_graph, textbook_propagate
 
 
 def separable_instance(rng, n_classes=3, d=6, per_class=8, spread=0.05):
@@ -110,7 +110,7 @@ def test_baseline_matches_direct_propagation():
     result = baseline_propagate(x, y, x_t, sigma=0.1)
     direct, _ = propagate_labels(x, x_t, 0.1, y)
     assert np.array_equal(result.soft_labels, direct)
-    assert np.array_equal(direct, textbook_propagate(*textbook_graph(x, x_t, 0.1), y))
+    assert np.abs(direct - textbook_propagate(*textbook_graph(x, x_t, 0.1), y)).max() <= 1e-12
     assert result.projection is None
     assert result.history == []
     assert result.iterations_run == 0
