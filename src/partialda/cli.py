@@ -10,7 +10,9 @@ failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AdaptationConfig, accuracy, hard_labels, make_one_hot
+from .core import AdaptationConfig, accuracy, check_truth_shape, hard_labels, make_one_hot
 from .data import (
     ResultReport,
     SyntheticSpec,
@@ -91,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_inputs(args):
     """Domains, target labels and the output directory, all checked before any solve.
 
-    A missing or wrong-length label file, or an ``--out`` that cannot be a
-    directory, fails here rather than after the solve has run.
+    A missing or wrong-length label file, or an ``--out`` that exists and is
+    not a directory, fails here rather than after the solve has run.  The
+    directory itself is made only when there are results to write.
     """
     x_s = load_features_csv(args.source_features)
     labels_s = load_labels(args.source_labels)
@@ -101,17 +104,17 @@ def _load_inputs(args):
     truth = None
     if args.target_labels:
         truth = load_labels(args.target_labels)
-        if truth.shape != (x_t.shape[1],):  # the text accuracy() would give after the solve
-            raise ValidationError(f"length mismatch between predictions {(x_t.shape[1],)} "
-                                  f"and truth {truth.shape}")
+        check_truth_shape((x_t.shape[1],), truth)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not out_dir.is_dir():  # what mkdir would raise after the solve
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out_dir))
     return x_s, y_s, x_t, truth, out_dir
 
 
 def _write_outputs(result: AdaptationResult, config_echo: dict, truth, out_dir: Path,
                    duration: float) -> float | None:
     overall, per_class = (None, None) if truth is None else accuracy(result.hard_labels, truth)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = ResultReport(
         config=config_echo,
         overall_accuracy=overall,
@@ -139,8 +142,8 @@ def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
 
 
 def cmd_adapt(args) -> int:
-    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
     config = _from_args(AdaptationConfig, args)
+    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
     start = time.perf_counter()
     result = adapt(x_s, y_s, x_t, config)
     duration = time.perf_counter() - start

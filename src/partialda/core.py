@@ -100,6 +100,14 @@ def hard_labels(p) -> np.ndarray:
     return np.argmax(p, axis=0)
 
 
+def check_truth_shape(pred_shape: tuple[int, ...], truth: np.ndarray) -> None:
+    """Raise ``ValidationError`` unless ``truth`` is a label vector of ``pred_shape``."""
+    if truth.ndim != 1 or truth.shape != pred_shape:
+        raise ValidationError(
+            f"length mismatch between predictions {pred_shape} and truth {truth.shape}"
+        )
+
+
 def accuracy(pred, truth) -> tuple[float, dict[int, float]]:
     """Overall and per-class agreement between two hard label vectors.
 
@@ -112,10 +120,7 @@ def accuracy(pred, truth) -> tuple[float, dict[int, float]]:
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
-    if pred.ndim != 1 or truth.ndim != 1 or pred.shape != truth.shape:
-        raise ValidationError(
-            f"length mismatch between predictions {pred.shape} and truth {truth.shape}"
-        )
+    check_truth_shape(pred.shape, truth)
     if pred.size == 0:
         raise ValidationError("empty input")
     hits = pred == truth

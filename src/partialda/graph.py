@@ -46,6 +46,13 @@ _BLOCK_ROWS = 256
 # source sums to about 0, or to whatever a nearly singular solve leaves.
 _MASS_TOL = 1e-6
 
+# Below this row sum of affinities (2**-970), a row's products with the
+# source weights can fall among the subnormal doubles, where they lose bits
+# or round to 0.  Such a row is first multiplied by 1 / _FAINT, a power of
+# two, so exactly: its sum stays below 1, each nonzero affinity becomes at
+# least 2**-104, and the division by the row sums undoes the scaling.
+_FAINT = np.finfo(float).tiny / np.finfo(float).eps
+
 
 def _unit_columns(a: np.ndarray) -> np.ndarray:
     """Columns scaled to unit norm; a zero column stays zero."""
@@ -86,13 +93,19 @@ def _mirror_lower(a: np.ndarray) -> None:
 
 
 def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
-                     sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``K_tt`` with a zero diagonal, and ``K_ts @ sources``.
+                     sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``K_tt`` with a zero diagonal, ``K_ts @ sources`` and the row sums of ``K_tt``.
 
     Each block of ``_BLOCK_ROWS`` targets computes its ``K_ts`` rows in one
     scratch buffer, keeps only their product with ``sources``, and writes
     its rows of ``K_tt`` up to the diagonal block straight into the
     ``n_t x n_t`` result; the strictly lower triangle is then mirrored.
+
+    The last column of ``sources`` is all ones, so the product's last column
+    is each row's source mass.  A row whose affinities sum below ``_FAINT``
+    comes back multiplied by ``1 / _FAINT``: its ``K_ts`` product is
+    recomputed from the scaled row, and its ``K_tt`` row is scaled where the
+    system reads it, in its column, so the other rows keep theirs.
     """
     n_t = u_t.shape[1]
     # below the smallest normal double 1/sigma overflows, but every nonzero
@@ -113,7 +126,20 @@ def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
     del k_ts, part
     _mirror_lower(k_tt)
     k_tt.reshape(-1)[:: n_t + 1] = 0.0
-    return k_tt, masses
+    degrees = k_tt.sum(axis=1)
+    total = masses[:, -1] + degrees
+    faint = np.flatnonzero((total > 0.0) & (total < _FAINT))
+    for j in faint:  # one strided view at a time: no n_t x n_t temporary
+        k_tt[:, j] /= _FAINT
+    degrees[faint] /= _FAINT
+    k_ts = np.empty((min(block, faint.size), u_s.shape[1]))
+    for r0 in range(0, faint.size, block):
+        rows = faint[r0:r0 + block]
+        part = k_ts[: rows.size]
+        _affinities(u_t[:, rows] / sigma, u_s, inv_sigma, part)
+        part /= _FAINT
+        masses[rows] = part @ sources
+    return k_tt, masses, degrees
 
 
 def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -165,7 +191,9 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     row sums once, in the columns of the ``n_t x n_t`` system that LAPACK
     then factors in place.  A row without affinities is by symmetry also a
     zero column, so each fallback above replaces one system column and one
-    right-hand-side row.
+    right-hand-side row.  A row whose affinities are all subnormal is scaled
+    up by a power of two before it is weighted, so that, as when it is
+    divided by its sum first, weighting does not round its mass away.
 
     Parameters
     ----------
@@ -241,12 +269,12 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     f = np.ones(n_s) if factors is None else factors
     spread = f @ y_s  # W_ts Y_s of a uniform source row, before its scaling
     # K_ts @ [f Y_s | f | 1]: W_ts Y_s and both source masses, each row unscaled
-    k_tt, masses = _affinity_blocks(_unit_columns(z_s), _unit_columns(z_t), sigma,
-                                    np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
+    k_tt, masses, degrees = _affinity_blocks(
+        _unit_columns(z_s), _unit_columns(z_t), sigma,
+        np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
     rhs, weighted, raw = masses[:, :c], masses[:, c], masses[:, c + 1]
     # K_tt is symmetric, so a row without affinities is also a zero column:
     # each fallback below is one system column and one rhs row
-    degrees = k_tt.sum(axis=1)
     dead = np.flatnonzero(raw + degrees == 0.0)  # underflowed: uniform, then weighted
     k_tt[:, dead] = 1.0
     rhs[dead] = spread

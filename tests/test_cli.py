@@ -235,7 +235,17 @@ def test_scoring_and_output_errors_come_before_the_solve(tmp_path, capsys, monke
     if case == "out is a file":
         assert out.read_text() == "not a directory\n"
     else:
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+
+def test_bad_config_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
+    # the configuration is checked before the inputs are read, and --out is
+    # made only when there are results to write
+    monkeypatch.setattr(partialda.cli, "adapt", no_solve)
+    out = tmp_path / "run" / "nested"
+    assert main(adapt_args(gen_dataset(tmp_path / "data"), out, "--k", "0")) == 1
+    assert capsys.readouterr().err == "partialda: error: k must be an integer >= 1, got 0\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_file_exit_code_names_path(tmp_path, capsys):
@@ -323,6 +333,7 @@ def test_degenerate_data_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_flag_exits_one(capsys):

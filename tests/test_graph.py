@@ -37,11 +37,17 @@ NON_FINITE = ("label propagation produced non-finite values; "
 ALL_ZERO = "sample_weights are all 0: no source sample carries a label"
 
 # How far soft labels may stray from the textbook chain's: the row sums
-# are taken and applied in another order.  A solve amplifies that rounding
-# by the condition number of I - W_tt, so where eps * cond is larger it is
-# the bound: one weighted case of graph_cases has cond 6.6e6, and there the
-# textbook's soft labels are themselves 2.0e-10 from the exact ones
+# are taken and applied in another order
 TEXTBOOK_TOL = 1e-12
+# A solve amplifies that rounding by the condition number of I - W_tt.
+# One weighted case of graph_cases (seed 36) has cond 6.6e6, and there the
+# textbook's soft labels are themselves 2.0e-10 from the exact ones; it
+# alone is held to this bound
+ILL_CONDITIONED_TOL = 5e-10
+# The hypothesis graphs below reach cond ~3e5, so there the bound is
+# eps * cond where that is larger, for cond below this cap (a bound below
+# 2.3e-8); a larger cond fails the test rather than loosen the bound
+MAX_COND = 1e8
 
 
 def no_mass(lost, n_t, sums):
@@ -80,8 +86,7 @@ def sample_weights(w, y):
 def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
     """What :func:`solved` gives for ``sample_weights(weights, y)``, from the textbook chain.
 
-    Soft labels come with the bound they may be met to (TEXTBOOK_TOL, or
-    eps times the condition number of I - W_tt where that is larger).
+    Soft labels come with the condition number of I - W_tt.
     """
     if weights is not None and not weights[classes].any():
         return ALL_ZERO
@@ -99,16 +104,15 @@ def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
     lost = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if lost.size:
         return no_mass(lost, p.shape[1], sums)
-    cond = np.linalg.cond(np.eye(w_tt.shape[0]) - w_tt)
-    return p, n_dead, max(TEXTBOOK_TOL, np.finfo(float).eps * cond)
+    return p, n_dead, np.linalg.cond(np.eye(w_tt.shape[0]) - w_tt)
 
 
-def assert_near_textbook(got, want):
-    """The textbook's error text exactly, or its fallback count and soft labels to its bound."""
+def assert_near_textbook(got, want, tol=TEXTBOOK_TOL):
+    """The textbook's error text exactly, or its fallback count and soft labels to ``tol``."""
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
-    (p, n_dead), (q, want_dead, tol) = got, want
+    (p, n_dead), (q, want_dead, _) = got, want
     assert n_dead == want_dead
     assert p.shape == q.shape
     assert np.abs(p - q).max() <= tol
@@ -199,14 +203,20 @@ def test_build_graph_bit_identical_to_textbook():
 
 def test_reweight_and_propagate_bit_identical_to_textbook():
     # the class reweighting, the dead-row fallbacks and the solve must
-    # reproduce the textbook chain to its bound, with the same fallback
-    # count
+    # reproduce the textbook chain to TEXTBOOK_TOL, with the same fallback
+    # count; the one ill-conditioned case to ILL_CONDITIONED_TOL
     rng = np.random.default_rng(36)
+    ill = []
     for z_s, z_t, sigma in graph_cases(rng):
         y, classes, weightings = weighted_cases(rng, z_s)
         for w in weightings:
-            assert_near_textbook(solved(z_s, z_t, sigma, y, sample_weights(w, y)),
-                                 textbook_outcome(z_s, z_t, sigma, y, w, classes))
+            want = textbook_outcome(z_s, z_t, sigma, y, w, classes)
+            tol = TEXTBOOK_TOL
+            if not isinstance(want, str) and want[2] > 5e6:
+                ill.append(want[2])
+                tol = ILL_CONDITIONED_TOL
+            assert_near_textbook(solved(z_s, z_t, sigma, y, sample_weights(w, y)), want, tol)
+    assert len(ill) == 1 and 6e6 < ill[0] < 7e6
 
 
 def test_propagate_bit_identical_on_random_and_sparse_graphs():
@@ -269,10 +279,17 @@ def axis_graphs(draw):
 # n_t = 1: its row emptied by the weighting, then dead when built
 @example(([0, 1], [1], [0, 1], 2, [0.4, 0.0], 0.02, 0))
 @example(([0, 1], [2], [0, 1], 2, [0.4, 0.0], 0.02, 0))
+# the target's one nonzero affinity is 5e-324, to a source of weight 0.4
+@example(([0, 2], [1], [0, 1], 2, [0.4, 1.0], 0.03594, 0))
+# all its affinities are subnormal, of two classes weighted 0.4 and 1.0
+@example(([0, 2], [1], [0, 1], 2, [0.4, 1.0], 0.0374, 3))
+# and beside a second target, whose row keeps its own scale
+@example(([0, 2], [1, 0], [0, 1], 2, [0.4, 1.0], 0.0374, 3))
 def test_propagate_labels_matches_textbook_on_axis_graphs(case):
     # every fallback, alone or mixed with live rows: the textbook's fallback
-    # count and soft labels to its bound, a NumericalError wherever the
-    # textbook solve fails, and a masked class exactly 0 on every target
+    # count and soft labels to TEXTBOOK_TOL or eps * cond, a NumericalError
+    # wherever the textbook solve fails, and a masked class exactly 0 on
+    # every target
     on_s, on_t, classes, c, weights, sigma, seed = case
     rng = np.random.default_rng(seed)
     z_s = np.eye(AXES)[:, on_s] + 0.01 * rng.standard_normal((AXES, len(on_s)))
@@ -287,7 +304,11 @@ def test_propagate_labels_matches_textbook_on_axis_graphs(case):
         # depends on the rounding of its exactly singular block
         assert isinstance(got, str) and got.endswith("or check graph connectivity")
         return
-    assert_near_textbook(got, want)
+    tol = TEXTBOOK_TOL
+    if isinstance(want, tuple):
+        assert want[2] < MAX_COND
+        tol = max(TEXTBOOK_TOL, np.finfo(float).eps * want[2])
+    assert_near_textbook(got, want, tol)
     if w is not None and isinstance(got, tuple):
         assert np.all(got[0][w == 0] == 0.0)
 
@@ -412,6 +433,20 @@ def test_subnormal_sigma_underflows_like_a_tiny_one():
             want = textbook_outcome(e[:, :3], e[:, 3:], sigma, y)
         assert_near_textbook(got, want)
         assert np.allclose(got[0], [[2.0 / 3.0] * 2, [1.0 / 3.0] * 2], atol=1e-12)
+
+
+def test_subnormal_affinities_keep_their_weighted_mass():
+    # two sources and 300 targets, all mutually orthogonal, at a sigma where
+    # every affinity is exp(-741) ~ 1.5e-322, a subnormal: every row, over two
+    # blocks, is scaled up before it is weighted.  The rows being alike,
+    # each target's labels are the sources' classes in proportion to their
+    # weights, 0.4 : 1.0, as if each row had been divided by its sum first
+    e = np.eye(2 + 300)
+    assert 0.0 < np.exp(-741.0) < np.finfo(float).tiny
+    p, n_dead = propagate_labels(e[:, :2], e[:, 2:], 741.0 ** -0.5, np.eye(2),
+                                 np.array([0.4, 1.0]))
+    assert n_dead == 0
+    assert np.abs(p - np.array([[0.4], [1.0]]) / 1.4).max() <= 1e-12
 
 
 def test_propagate_permutation_equivariance():
