@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import as_sample_weights
 from .errors import ConfigurationError, NumericalError, ValidationError
 
 # Class soft mass below this triggers a ridge on indicator Gram inversions.
@@ -206,22 +207,19 @@ def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
     """
     zc = np.asarray(zc, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    omega = np.asarray(omega, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     p = np.asarray(p, dtype=float)
-    if (zc.ndim != 2 or mean.shape != zc.shape[:1] or omega.shape != (n_s,)
+    if (zc.ndim != 2 or mean.shape != zc.shape[:1]
             or y_s.ndim != 2 or p.ndim != 2
             or y_s.shape[0] != n_s or y_s.shape[1] != p.shape[0]
             or zc.shape[1] != n_s + p.shape[1]):
         raise ValidationError(
             f"inconsistent shapes: data {zc.shape}, {n_s} source samples, "
-            f"weights {omega.shape}, labels {y_s.shape}, soft labels {p.shape}"
+            f"weights {np.shape(omega)}, labels {y_s.shape}, soft labels {p.shape}"
         )
-    # NaN passes every comparison below
-    if not (np.isfinite(omega).all() and np.isfinite(p).all()):
-        raise ValidationError("omega and the soft labels must be finite")
-    if (omega < 0).any() or omega.sum() <= 0:
-        raise ValidationError("omega must be non-negative with a positive sum")
+    omega = as_sample_weights(omega, n_s, "omega")
+    if not np.isfinite(p).all():
+        raise ValidationError("the soft labels must be finite")
     _check_alphas(alpha_p, alpha_c)
     zc_s, zc_t = zc[:, :n_s], zc[:, n_s:]
     c = y_s.shape[1]

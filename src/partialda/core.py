@@ -28,6 +28,31 @@ def as_feature_matrix(x, name: str = "features") -> np.ndarray:
     return x
 
 
+def as_domain_pair(x_s, x_t) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target feature matrices, checked alike and in the same dimension d."""
+    x_s = as_feature_matrix(x_s, "source features")
+    x_t = as_feature_matrix(x_t, "target features")
+    if x_s.shape[0] != x_t.shape[0]:
+        raise ValidationError(
+            f"source and target feature dimensions differ: {x_s.shape[0]} vs {x_t.shape[0]}"
+        )
+    return x_s, x_t
+
+
+def as_sample_weights(w, n: int, name: str) -> np.ndarray:
+    """Coerce ``w`` to ``n`` finite, non-negative weights, not all 0; errors name it ``name``."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValidationError(f"{name} has shape {w.shape}, expected ({n},)")
+    if not np.isfinite(w).all():
+        raise ValidationError(f"{name} contains NaN or Inf entries")
+    if (w < 0).any():
+        raise ValidationError(f"{name} must be non-negative")
+    if not w.any():
+        raise ValidationError(f"{name} are all 0: no source sample carries a label")
+    return w
+
+
 def check_label_matrix(y, n_samples: int | None = None) -> np.ndarray:
     """Validate a one-hot label matrix: 0/1 entries, one 1 per row, no empty class."""
     y = np.asarray(y, dtype=float)
@@ -181,3 +206,8 @@ class AdaptationConfig:
         object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if self.rhs_reg < 0:
             raise ConfigurationError(f"rhs_reg must be non-negative, got {self.rhs_reg}")
+
+    def check_k(self, d: int) -> None:
+        """Raise ``ConfigurationError`` unless ``k`` fits the feature dimension ``d``."""
+        if self.k > d:
+            raise ConfigurationError(f"k={self.k} exceeds the feature dimension {d}")

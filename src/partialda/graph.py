@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lapack import gesv
+from .core import as_sample_weights
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
@@ -55,18 +56,21 @@ _FAINT = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _unit_columns(a: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit norm; a zero column stays zero."""
-    norms = np.linalg.norm(a, axis=0)
-    return a / np.where(norms > 0, norms, 1.0)
+    """Columns scaled to unit norm; a zero column stays zero.
 
-
-def cosine_distances(a, b) -> np.ndarray:
-    """Pairwise 1 - cosine similarity between columns of a and columns of b.
-
-    A zero column has similarity 0 with everything, hence distance 1.
+    Squares overflow above 2**511 and lose bits below 2**-511, so a column
+    whose norm is out of range is first scaled to about 1 by a power of two,
+    exactly; then all norms are taken again, as a column subset's would sum
+    in another order.
     """
-    out = _unit_columns(np.asarray(a, dtype=float)).T @ _unit_columns(np.asarray(b, dtype=float))
-    return np.subtract(1.0, out, out=out)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a, axis=0)
+    odd = ~((norms > 2.0 ** -500) & (norms < np.inf))
+    if odd.any():
+        exponents = np.frexp(np.abs(a).max(axis=0, initial=0.0))[1]
+        a = a * np.ldexp(1.0, np.where(odd, -exponents, 0))
+        norms = np.linalg.norm(a, axis=0)
+    return a / np.where(norms > 0, norms, 1.0)
 
 
 def _affinities(v_a: np.ndarray, u_b: np.ndarray, inv_sigma: float, out: np.ndarray) -> None:
@@ -77,7 +81,8 @@ def _affinities(v_a: np.ndarray, u_b: np.ndarray, inv_sigma: float, out: np.ndar
     """
     np.matmul(v_a.T, u_b, out=out)
     np.subtract(inv_sigma, out, out=out)
-    np.square(out, out=out)
+    with np.errstate(over="ignore"):  # below sigma ~1e-154: inf, whose exp is the 0 it stands for
+        np.square(out, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
 
@@ -243,21 +248,10 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         if not np.isfinite(z).all():
             raise ValidationError(f"embedded {side} samples contain NaN or Inf entries")
     n_s = z_s.shape[1]
-    factors = None
+    f = np.ones(n_s)  # each source's factor: its weight over the largest
     if sample_weights is not None:
-        factors = np.asarray(sample_weights, dtype=float)
-        if factors.shape != (n_s,):
-            raise ValidationError(
-                f"sample_weights has shape {factors.shape}, expected ({n_s},)"
-            )
-        if not np.isfinite(factors).all():
-            raise ValidationError("sample_weights contains NaN or Inf entries")
-        if (factors < 0).any():
-            raise ValidationError("sample_weights must be non-negative")
-        top = factors.max()
-        if top == 0:
-            raise ValidationError("sample_weights are all 0: no source sample carries a label")
-        factors = factors / top
+        f = as_sample_weights(sample_weights, n_s, "sample_weights")
+        f = f / f.max()
     y_s = np.asarray(y_s, dtype=float)
     if y_s.ndim != 2 or y_s.shape[0] != n_s:
         raise ValidationError(
@@ -266,7 +260,6 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     if not np.isfinite(y_s).all():
         raise ValidationError("label matrix contains NaN or Inf entries")
     n_t, c = z_t.shape[1], y_s.shape[1]
-    f = np.ones(n_s) if factors is None else factors
     spread = f @ y_s  # W_ts Y_s of a uniform source row, before its scaling
     # K_ts @ [f Y_s | f | 1]: W_ts Y_s and both source masses, each row unscaled
     k_tt, masses, degrees = _affinity_blocks(

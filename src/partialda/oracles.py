@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import _ridge_eps, solve_gram_system
+from .alignment import _check_alphas, _ridge_eps, solve_gram_system
+from .core import as_sample_weights
 from .errors import NumericalError, ValidationError
-from .subspace import _check_k, _cond
+from .subspace import _cond
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -53,17 +54,10 @@ def build_m0(omega, n_t: int) -> np.ndarray:
     ``omega_i * omega_j / S**2``, the target block ``1 / n_t**2`` and the
     cross blocks ``-omega_i / (S * n_t)``.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1 or omega.size == 0:
-        raise ValidationError("omega must be a non-empty vector")
-    if (omega < 0).any():
-        raise ValidationError("omega entries must be non-negative")
+    omega = as_sample_weights(omega, np.size(omega), "omega")
     if n_t < 1:
         raise ValidationError(f"n_t must be >= 1, got {n_t}")
-    total = omega.sum()
-    if total <= 0:
-        raise ValidationError("omega sums to zero")
-    e = np.concatenate([omega / total, -np.ones(n_t) / n_t])
+    e = np.concatenate([omega / omega.sum(), -np.ones(n_t) / n_t])
     return symmetrize(np.outer(e, e))
 
 
@@ -139,8 +133,7 @@ def combine(m0, mp, mc, alpha_p: float, alpha_c: float) -> np.ndarray:
         raise ValidationError(
             f"alignment matrices disagree in shape: {m0.shape}, {mp.shape}, {mc.shape}"
         )
-    if alpha_p < 0 or alpha_c < 0:
-        raise ValidationError("alpha_p and alpha_c must be non-negative")
+    _check_alphas(alpha_p, alpha_c)
     return symmetrize(m0 + alpha_p * mp + alpha_c * mc)
 
 
@@ -149,6 +142,17 @@ def centering_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError(f"centering matrix needs n >= 1, got {n}")
     return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def _check_k(k, dim: int) -> None:
+    if not isinstance(k, (int, np.integer)):
+        raise ValidationError(f"k must be an integer, got {k}")
+    if k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
+    if k > dim:
+        raise ValidationError(
+            f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
+        )
 
 
 def generalized_eigh(lhs: np.ndarray, rhs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

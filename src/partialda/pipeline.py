@@ -21,8 +21,8 @@ from .alignment import (
     compute_class_weights,
     source_sample_weights,
 )
-from .core import AdaptationConfig, as_feature_matrix, check_label_matrix, hard_labels
-from .errors import AdaptationError, ConfigurationError, ValidationError
+from .core import AdaptationConfig, as_domain_pair, check_label_matrix, hard_labels
+from .errors import AdaptationError, ValidationError
 from .graph import propagate_labels
 from .subspace import Projection, embed, gram_matrix, solve_projection
 
@@ -64,14 +64,8 @@ def label_change_fraction(previous, current) -> float:
 
 
 def _validated_inputs(x_s, y_s, x_t):
-    x_s = as_feature_matrix(x_s, "source features")
-    x_t = as_feature_matrix(x_t, "target features")
-    if x_s.shape[0] != x_t.shape[0]:
-        raise ValidationError(
-            f"source and target feature dimensions differ: {x_s.shape[0]} vs {x_t.shape[0]}"
-        )
-    y_s = check_label_matrix(y_s, n_samples=x_s.shape[1])
-    return x_s, y_s, x_t
+    x_s, x_t = as_domain_pair(x_s, x_t)
+    return x_s, check_label_matrix(y_s, n_samples=x_s.shape[1]), x_t
 
 
 @contextmanager
@@ -113,15 +107,14 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     config = config or AdaptationConfig()
     x_s, y_s, x_t = _validated_inputs(x_s, y_s, x_t)
     d, n_s = x_s.shape
-    if config.k > d:
-        raise ConfigurationError(f"k={config.k} exceeds the feature dimension {d}")
+    config.check_k(d)  # before the first propagation, which costs more
 
     p, _ = propagate_labels(x_s, x_t, config.sigma, y_s)
     weights = binarize_weights(compute_class_weights(p), config.delta)
     hard_prev = hard_labels(p)
 
     with _round(1):  # factored once per run, so its failures belong to round one
-        data = gram_matrix(x_s, x_t, config.lam, config.rhs_reg, config.alpha_p, config.alpha_c)
+        data = gram_matrix(x_s, x_t, config)
 
     history: list[IterationRecord] = []
     proj: Projection | None = None
@@ -129,7 +122,7 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
             omega = source_sample_weights(weights, y_s)
-            proj = solve_projection(data, omega, y_s, p_masked, config.k)
+            proj = solve_projection(data, omega, y_s, p_masked)
             z = embed(proj, data)
             p, graph_fallbacks = propagate_labels(z[:, :n_s], z[:, n_s:], config.sigma,
                                                   y_s, omega)

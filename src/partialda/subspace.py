@@ -13,22 +13,23 @@ Minimizing the alignment losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
 
 Between rounds only the soft labels and class weights change, so
-:func:`gram_matrix` does everything else once per run.  It factors the
-constraint side ``Z H Z.T + eps_r I = L L.T`` and keeps ``L^-1``, the
-whitened centred data ``Wc = L^-1 (Z - mu 1.T)``, the whitened mean
-``m = L^-1 mu``, the three loss weights and the round-invariant part of the
-whitened pencil,
+``gram_matrix(x_s, x_t, config)`` does everything else once per run, with
+the knobs of the :class:`partialda.core.AdaptationConfig`, which checked
+them when it was built.  It factors the constraint side
+``Z H Z.T + eps_r I = L L.T`` and keeps ``L^-1``, the whitened centred data
+``Wc = L^-1 (Z - mu 1.T)``, the whitened mean ``m = L^-1 mu``, the
+configuration and the round-invariant part of the whitened pencil,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T.
 
 Each round the rest of the whitened scatter is ``U N U.T`` for the
 (d, 3C + 4) factor U and the small N that
 :func:`partialda.alignment.scatter_factors` builds from the round's source
-weights and soft labels.  :func:`solve_projection` builds them, writes
-``U N U.T + base`` into one d x d buffer kept with the data, so a round
-makes no d x n array and no d^2 n product, and computes the k smallest
-eigenpairs of that standard symmetric eigenproblem; their eigenvectors V
-map back as ``A = L^-T V``.
+weights and soft labels.  ``solve_projection(data, omega, y_s, p)`` builds
+them, writes ``U N U.T + base`` into one d x d buffer kept with the data, so
+a round makes no d x n array and no d^2 n product, and computes the k
+smallest eigenpairs of that standard symmetric eigenproblem; their
+eigenvectors V map back as ``A = L^-T V``.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
 factors: the whitened scatter as quadratic forms in V, the ridge from A
@@ -52,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import syevr_smallest, trtri_lower
-from .alignment import _check_alphas, invariant_scatter, scatter_factors
-from .core import as_feature_matrix
+from .alignment import invariant_scatter, scatter_factors
+from .core import AdaptationConfig, as_domain_pair
 from .errors import NumericalError, ValidationError
 
 
@@ -66,8 +67,7 @@ class WhitenedData:
     ``centred`` is ``L^-1 (Z - mu 1.T)``, ``mean`` is ``L^-1 mu`` and
     ``base`` is the round-invariant part of the whitened pencil.
     ``pencil`` is the d x d buffer each round's pencil is built and solved
-    in.  ``lam``, ``alpha_p`` and ``alpha_c`` are the weights ``base`` was
-    built with, which every round uses again.
+    in.  ``config``, which ``base`` was built with, is read again every round.
     """
 
     x_s: np.ndarray
@@ -77,9 +77,7 @@ class WhitenedData:
     l_inv: np.ndarray
     base: np.ndarray
     pencil: np.ndarray
-    lam: float
-    alpha_p: float
-    alpha_c: float
+    config: AdaptationConfig
 
 
 @dataclass(frozen=True)
@@ -109,78 +107,61 @@ def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _check_k(k: int, dim: int) -> None:
-    if not isinstance(k, (int, np.integer)):
-        raise ValidationError(f"k must be an integer, got {k}")
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
-    if k > dim:
-        raise ValidationError(
-            f"k={k} exceeds the {dim} numerically valid eigenpairs; use a smaller k"
-        )
-
-
-def gram_matrix(x_s, x_t, lam: float = 0.1, rhs_reg: float = 1e-6,
-                alpha_p: float = 0.0, alpha_c: float = 0.0) -> WhitenedData:
+def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     """Factor the constraint side and cache the round-invariant pencil, once per run.
 
     The constraint side ``Z H Z.T`` of ``Z = [x_s | x_t]`` receives
-    ``eps_r = rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the pencil
-    stays definite, and ``lam`` is the positive ridge on the projection
-    columns.  ``alpha_p`` and ``alpha_c`` weigh the center and cluster
-    terms; they and ``lam`` are kept on the result, from which
-    :func:`solve_projection` reads them every round.  Z is never stacked:
-    ``x_s`` and ``x_t`` are kept as given.  Every input is checked before
-    anything is factored.
+    ``eps_r = config.rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the
+    pencil stays definite, and ``config.lam`` is the ridge on the projection
+    columns.  ``config``, whose type checked every knob, is kept on the
+    result for :func:`solve_projection`; only ``k`` is checked here, against
+    d.  Z is never stacked: ``x_s`` and ``x_t`` are kept as given.  Every
+    input is checked before anything is factored.
 
     Raises
     ------
     ValidationError
-        On a bad shape, non-finite features, a ``lam`` that is not positive
-        and finite, a negative or non-finite ``rhs_reg``, or a bad
-        ``alpha_p`` or ``alpha_c``.
+        On a bad shape or non-finite features.
+    ConfigurationError
+        When ``config.k`` exceeds the feature dimension d.
     NumericalError
-        When the centred data has no variance or the constraint side is not
-        positive definite.
+        When the centred data has no variance, its trace overflows, or the
+        constraint side is not positive definite.
     """
-    x_s = as_feature_matrix(x_s, "source features")
-    x_t = as_feature_matrix(x_t, "target features")
-    if x_s.shape[0] != x_t.shape[0]:
-        raise ValidationError(
-            f"source and target feature dimensions differ: {x_s.shape[0]} vs {x_t.shape[0]}"
-        )
-    # NaN passes every comparison, so finiteness is checked with it
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValidationError(f"lam must be positive and finite, got {lam}")
-    if not (np.isfinite(rhs_reg) and rhs_reg >= 0):
-        raise ValidationError(f"rhs_reg must be non-negative and finite, got {rhs_reg}")
-    _check_alphas(alpha_p, alpha_c)
+    x_s, x_t = as_domain_pair(x_s, x_t)
     d, n_s = x_s.shape
+    config.check_k(d)
     n = n_s + x_t.shape[1]
     mu = (x_s.sum(axis=1) + x_t.sum(axis=1)) / n
     centred = np.empty((d, n))
     np.subtract(x_s, mu[:, None], out=centred[:, :n_s])
     np.subtract(x_t, mu[:, None], out=centred[:, n_s:])
-    rhs = centred @ centred.T
-    variance = float(np.trace(rhs))
-    scale = float(np.vdot(x_s, x_s) + np.vdot(x_t, x_t))
-    if variance <= n * np.finfo(float).eps * max(1.0, scale):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        rhs = centred @ centred.T
+        variance = float(np.trace(rhs))
+        scale = float(np.vdot(x_s, x_s) + np.vdot(x_t, x_t))
+    if not np.isfinite(variance):
+        raise NumericalError(
+            f"centered data overflows (trace {variance:.3e}); scale the features down"
+        )
+    # relative to the data's own scale, so any power-of-two scaling of the
+    # features is refused or accepted alike; constant data has trace 0
+    if variance <= n * np.finfo(float).eps * scale:
         raise NumericalError(
             f"centered data has no variance (trace {variance:.3e}); "
             "the constraint side cannot be regularized"
         )
-    rhs.flat[::d + 1] += rhs_reg * variance / n
+    rhs.flat[::d + 1] += config.rhs_reg * variance / n
     l_inv = _inverse_cholesky(rhs)
     del rhs
     centred = l_inv @ centred
-    base = invariant_scatter(centred, n_s, alpha_p, alpha_c)
+    base = invariant_scatter(centred, n_s, config.alpha_p, config.alpha_c)
     ridge = l_inv @ l_inv.T
-    ridge *= lam
+    ridge *= config.lam
     base += ridge
     del ridge
     return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
-                        base=base, pencil=np.empty((d, d)), lam=lam, alpha_p=alpha_p,
-                        alpha_c=alpha_c)
+                        base=base, pencil=np.empty((d, d)), config=config)
 
 
 def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -199,32 +180,32 @@ def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
     vw = v.T @ data.centred
     vu = v.T @ u
     n_s = data.x_s.shape[1]
-    return float(data.alpha_c * np.sum(vw ** 2) + data.alpha_p * np.sum(vw[:, n_s:] ** 2)
-                 + np.sum((vu @ n) * vu) + data.lam * np.sum(a ** 2))
+    config = data.config
+    return float(config.alpha_c * np.sum(vw ** 2) + config.alpha_p * np.sum(vw[:, n_s:] ** 2)
+                 + np.sum((vu @ n) * vu) + config.lam * np.sum(a ** 2))
 
 
-def solve_projection(data: WhitenedData, omega, y_s, p, k: int) -> Projection:
-    """Learn the k-dimensional projection for one round's alignment loss.
+def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
+    """Learn the ``data.config.k``-dimensional projection for one round's alignment loss.
 
     The round's scatter factors U and N come from
     :func:`partialda.alignment.scatter_factors` of the whitened data and the
-    weights kept on ``data``.  The whitened pencil ``U N U.T + data.base``
-    is built in ``data.pencil``, which the eigensolver then overwrites.
+    loss weights of ``data.config``.  The whitened pencil
+    ``U N U.T + data.base`` is built in ``data.pencil``, which the
+    eigensolver then overwrites.
 
     Parameters
     ----------
     data : WhitenedData
-        Output of :func:`gram_matrix`, which fixed ``lam``, ``rhs_reg``,
-        ``alpha_p``, ``alpha_c`` and the round-invariant part of the
-        scatter.
+        Output of :func:`gram_matrix`, which fixed the configuration,
+        checked its ``k`` against the feature dimension and cached the
+        round-invariant part of the scatter.
     omega : ndarray (n_s,)
         Source sample weights.
     y_s : ndarray (n_s, C)
         One-hot source labels.
     p : ndarray (C, n_t)
         Soft target labels, already masked.
-    k : int
-        Number of eigenvectors, at most the feature dimension d.
 
     Returns
     -------
@@ -235,18 +216,17 @@ def solve_projection(data: WhitenedData, omega, y_s, p, k: int) -> Projection:
     Raises
     ------
     ValidationError
-        On an infeasible ``k``, or inputs that
-        :func:`partialda.alignment.scatter_factors` refuses.
+        On inputs that :func:`partialda.alignment.scatter_factors` refuses.
     NumericalError
         When the eigensolver fails or returns non-finite values.  The
         condition number it reports is that of the pencil as the
         eigensolver received it.
     """
-    _check_k(k, data.l_inv.shape[0])
+    config = data.config
     u, n = scatter_factors(data.centred, data.mean, data.x_s.shape[1], omega, y_s, p,
-                           data.alpha_p, data.alpha_c)
+                           config.alpha_p, config.alpha_c)
     try:
-        phi, vecs = syevr_smallest(_fill_pencil(data, u, n), k)
+        phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)
     except np.linalg.LinAlgError as exc:
         # the eigensolver overwrote the pencil, so it is built again
         raise NumericalError(
@@ -261,7 +241,7 @@ def solve_projection(data: WhitenedData, omega, y_s, p, k: int) -> Projection:
         )
     # scale each eigenvector so its largest-magnitude entry is positive,
     # which pins down the sign deterministically
-    flip = a[np.argmax(np.abs(a), axis=0), np.arange(k)] < 0
+    flip = a[np.argmax(np.abs(a), axis=0), np.arange(config.k)] < 0
     a[:, flip] *= -1.0
     return Projection(a=a, eigenvalues=phi, objective=_objective(data, u, n, vecs, a))
 

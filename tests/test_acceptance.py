@@ -60,7 +60,7 @@ from tests.test_alignment import (
     random_instance,
     trace_loss,
 )
-from tests.test_subspace import conditioned_instance, stacked
+from tests.test_subspace import RIDGE_ONLY, conditioned_instance, stacked, with_k
 
 
 @contextmanager
@@ -133,7 +133,7 @@ def test_criterion_2_eigensolver_residuals():
             n = z.shape[1]
             lam = 0.1
             k = max(1, z.shape[0] // 2)
-            proj = solve_projection(data, *labels, k)
+            proj = solve_projection(with_k(data, k), *labels)
             a, phi = proj.a, proj.eigenvalues
 
             lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -263,8 +263,8 @@ def test_criterion_7_documented_error_cases(tmp_path):
             class_weights=[1.0], class_mask=[1], iterations_run=0,
         )
         labels = (np.ones(2), np.eye(2), np.full((2, 2), 0.5))
-        raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], 0.1),
-                                    *labels, 1)
+        raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], RIDGE_ONLY),
+                                    *labels)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -288,10 +288,12 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), 0.1), *labels[:2],
-                np.full((2, 3), 0.5), 2)),
+                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), RIDGE_ONLY), *labels[:2],
+                np.full((2, 3), 0.5))),
+            (ConfigurationError, lambda: gram_matrix(
+                np.eye(3)[:, :1], np.eye(3)[:, 1:], AdaptationConfig(k=4))),
             (ValidationError, lambda: embed(
-                raw_proj, gram_matrix(np.eye(3)[:, :1], np.eye(3)[:, 1:]))),
+                raw_proj, gram_matrix(np.eye(3)[:, :1], np.eye(3)[:, 1:], RIDGE_ONLY))),
             (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),
             (NumericalError, lambda: propagate_labels(on_e1, on_e2, 0.02, y2)),
             (ValidationError, lambda: propagate_labels(on_e1, on_e2, 0.02, np.eye(3))),

@@ -326,15 +326,20 @@ def test_alignment_scatter_validation():
         factored_scatter(z[:, 1:], n_s, omega, y_s, p, 1.0, 1.0)
     with pytest.raises(ValidationError, match="shapes"):
         factored_scatter(z, n_s, omega, y_s, p[1:], 1.0, 1.0)
-    with pytest.raises(ValidationError, match="omega"):
+    # the one sample-weight check of propagate_labels, naming omega
+    with pytest.raises(ValidationError, match="^omega are all 0: no source sample carries"):
         factored_scatter(z, n_s, np.zeros(n_s), y_s, p, 1.0, 1.0)
+    with pytest.raises(ValidationError, match="^omega must be non-negative$"):
+        factored_scatter(z, n_s, -omega, y_s, p, 1.0, 1.0)
+    with pytest.raises(ValidationError, match=rf"^omega has shape \({n_s - 1},\), expected"):
+        factored_scatter(z, n_s, omega[1:], y_s, p, 1.0, 1.0)
     with pytest.raises(ValidationError, match="alpha"):
         factored_scatter(z, n_s, omega, y_s, p, -1.0, 1.0)
     # NaN passes ``< 0`` and would make every entry NaN without an error
     for bad in (np.nan, np.inf):
         bad_omega, bad_p = omega.copy(), p.copy()
         bad_omega[0], bad_p[0, 0] = bad, bad
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="^omega contains NaN or Inf entries$"):
             factored_scatter(z, n_s, bad_omega, y_s, p, 1.0, 1.0)
         with pytest.raises(ValidationError, match="finite"):
             factored_scatter(z, n_s, omega, y_s, bad_p, 1.0, 1.0)

@@ -62,7 +62,7 @@ def public_definitions(module):
 
 def test_graph_surface_is_pinned():
     # one route through the graph: build, reweight and solve happen in one call
-    assert public_definitions(partialda.graph) == ["cosine_distances", "propagate_labels"]
+    assert public_definitions(partialda.graph) == ["propagate_labels"]
 
 
 def test_subspace_surface_is_pinned():

@@ -22,3 +22,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    # the documented library example must keep up with the API
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

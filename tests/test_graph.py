@@ -21,7 +21,7 @@ from partialda import NumericalError, ValidationError
 import partialda._lapack
 import partialda.graph
 from partialda.alignment import source_sample_weights
-from partialda.graph import cosine_distances, propagate_labels
+from partialda.graph import propagate_labels
 from partialda.oracles import (
     fixed_point_oracle,
     textbook_cosine,
@@ -55,10 +55,6 @@ def no_mass(lost, n_t, sums):
     return (f"{len(lost)} of {n_t} targets receive too little source mass "
             f"(target {lost[0]}: labels sum to {sums[lost[0]]:.10g}, not 1); "
             "try a larger sigma or check graph connectivity")
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def solved(*args):
@@ -168,14 +164,16 @@ def owned_cases(rng):
     yield e, e + 1e-3 * rng.standard_normal((4, 4)), 0.02
 
 
-def test_cosine_distances_closed_forms():
+def test_textbook_cosine_closed_forms():
+    # the distances every textbook graph is built from; propagate_labels
+    # computes them inline, in its affinity kernel
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    assert cosine_distances(e1, e1)[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert cosine_distances(e1, e2)[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert cosine_distances(e1, -e1)[0, 0] == pytest.approx(2.0, abs=1e-15)
+    assert textbook_cosine(e1, e1)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert textbook_cosine(e1, e2)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert textbook_cosine(e1, -e1)[0, 0] == pytest.approx(2.0, abs=1e-15)
     zero = np.zeros((2, 1))
-    assert cosine_distances(zero, e1)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert textbook_cosine(zero, e1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def weighted_cases(rng, z_s):
@@ -190,13 +188,11 @@ def weighted_cases(rng, z_s):
 
 
 def test_build_graph_bit_identical_to_textbook():
-    # the cosine distances are the textbook's bit for bit; built from one
-    # triangle in buffers propagate_labels owns, the unweighted graph gives
-    # the textbook's soft labels to its bound, including the underflow
-    # fallbacks of graph_cases
+    # built from one triangle in buffers propagate_labels owns, the
+    # unweighted graph gives the textbook's soft labels to its bound,
+    # including the underflow fallbacks of graph_cases
     rng = np.random.default_rng(35)
     for z_s, z_t, sigma in graph_cases(rng):
-        assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
         y = random_labels(rng, z_s.shape[1]) if z_s.shape[1] > 1 else np.ones((1, 1))
         assert_near_textbook(solved(z_s, z_t, sigma, y), textbook_outcome(z_s, z_t, sigma, y))
 
@@ -240,7 +236,6 @@ def test_propagate_labels_bit_identical_to_public_chain():
     # with the same text exactly where the textbook solve fails
     rng = np.random.default_rng(39)
     for z_s, z_t, sigma in owned_cases(rng):
-        assert same_bits(cosine_distances(z_t, z_s), textbook_cosine(z_t, z_s))
         y, classes, weightings = weighted_cases(rng, z_s)
         assert_near_textbook(solved(z_s, z_t, sigma, y), textbook_outcome(z_s, z_t, sigma, y))
         for w in weightings:
@@ -423,16 +418,38 @@ def test_underflow_falls_back_to_uniform_affinities():
 
 
 def test_subnormal_sigma_underflows_like_a_tiny_one():
-    # 1/sigma overflows below the smallest normal double; the affinities
-    # must still underflow to the uniform fallback, as in the textbook chain
+    # (d / sigma)**2 overflows below sigma ~1e-154 and 1/sigma below the
+    # smallest normal double; the affinities must still underflow to the
+    # uniform fallback, as in the textbook chain, and propagate_labels must
+    # not warn about it (every warning is an error here)
     e = np.eye(5)
     y = np.eye(2)[[0, 0, 1]]
-    for sigma in (1e-300, 1e-310):
+    for sigma in (1e-160, 1e-300, 1e-310, 5e-324):
+        got = solved(e[:, :3], e[:, 3:], sigma, y)
         with np.errstate(over="ignore"):
-            got = solved(e[:, :3], e[:, 3:], sigma, y)
             want = textbook_outcome(e[:, :3], e[:, 3:], sigma, y)
         assert_near_textbook(got, want)
         assert np.allclose(got[0], [[2.0 / 3.0] * 2, [1.0 / 3.0] * 2], atol=1e-12)
+
+
+def test_huge_and_tiny_features_give_the_soft_labels_of_unscaled_ones():
+    # squares overflow above about 1.3e154 and underflow below about
+    # 1.5e-154, so such a column's norm is inf or loses its bits; scaled by a
+    # power of two first, it keeps its unit column, bit for bit, and the
+    # columns around it keep theirs
+    rng = np.random.default_rng(41)
+    z_s, z_t = rng.standard_normal((4, 30)), rng.standard_normal((4, 20))
+    y = random_labels(rng, 30)
+    w = rng.random(30)
+    for weights in ((), (w,)):
+        want = outcome(z_s, z_t, 0.5, y, *weights)
+        assert not isinstance(want, str)
+        for scale in (2.0 ** 520, 2.0 ** 1000, 2.0 ** -560, 2.0 ** -900):
+            assert outcome(z_s * scale, z_t * scale, 0.5, y, *weights) == want
+            some_s, some_t = z_s.copy(), z_t.copy()
+            some_s[:, [0, 7]] *= scale
+            some_t[:, 3] *= scale
+            assert outcome(some_s, some_t, 0.5, y, *weights) == want
 
 
 def test_subnormal_affinities_keep_their_weighted_mass():

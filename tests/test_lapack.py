@@ -28,6 +28,7 @@ from tests.test_subspace import (
     assert_matches_dense_eigh,
     factored_instance,
     solver_instance,
+    with_k,
 )
 
 EPS = np.finfo(float).eps
@@ -137,7 +138,7 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     # scribbles on the pencil before it fails shows that the number is that
     # of the pencil as the eigensolver received it
     data, _, labels = solver_instance(np.random.default_rng(54))
-    k = 2
+    data = with_k(data, 2)
     received = []
 
     def scribbling(valid):
@@ -153,14 +154,14 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
 
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(None))
     with pytest.raises(NumericalError) as failed:
-        solve_projection(data, *labels, k)
+        solve_projection(data, *labels)
     cond = np.linalg.cond(received[-1])
     assert str(failed.value) == (
         f"eigensolver failed (cond pencil {cond:.3e}): Eigenvalues did not converge")
 
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(1))
     with pytest.raises(NumericalError) as failed:
-        solve_projection(data, *labels, k)
+        solve_projection(data, *labels)
     cond = np.linalg.cond(received[-1])
     assert str(failed.value) == (
         f"only 1 numerically valid eigenpairs (cond pencil {cond:.3e}); use a smaller k")
@@ -172,7 +173,7 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
         monkeypatch.setattr(_lapack, "_lookup", dict)
     data.base[0, 0] = np.nan
     with pytest.raises(NumericalError, match=r"\(cond pencil inf\)"):
-        solve_projection(data, *labels, k)
+        solve_projection(data, *labels)
 
 
 def test_trtri_lower_matches_inv(path):

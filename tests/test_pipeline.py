@@ -1,6 +1,7 @@
 """End-to-end behavior of the adaptation loop and the propagation baseline."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from partialda import (
     generate_synthetic,
     make_one_hot,
 )
+import partialda.pipeline
 from partialda.graph import propagate_labels
 from partialda.oracles import textbook_graph, textbook_propagate
 from partialda.pipeline import label_change_fraction
@@ -119,6 +121,45 @@ def test_baseline_matches_direct_propagation():
     assert overall == 1.0
 
 
+SCALED_SPECS = [SyntheticSpec(),
+                SyntheticSpec(num_source_classes=6, num_target_classes=3, dim=12, seed=7)]
+
+
+@pytest.mark.parametrize("spec", SCALED_SPECS, ids=["default", "small"])
+def test_lam_is_an_absolute_ridge(spec):
+    # features scaled by 2**s and lam by 2**(2s) pose the same problem, so
+    # every label, weight and objective is the same bit for bit and the
+    # projection is scaled by 2**-s exactly, small scales included
+    data = generate_synthetic(spec)
+    y_s = make_one_hot(data.y_s, spec.num_source_classes)
+    config = AdaptationConfig(k=5)
+    want = adapt(data.x_s, y_s, data.x_t, config)
+    for s in (-30, 30, -200):
+        got = adapt(np.ldexp(data.x_s, s), y_s, np.ldexp(data.x_t, s),
+                    replace(config, lam=np.ldexp(config.lam, 2 * s)))
+        assert got.soft_labels.tobytes() == want.soft_labels.tobytes(), s
+        assert np.array_equal(got.hard_labels, want.hard_labels)
+        assert got.class_weights.tobytes() == want.class_weights.tobytes()
+        assert got.history == want.history
+        assert got.projection.a.tobytes() == np.ldexp(want.projection.a, -s).tobytes()
+        assert got.projection.eigenvalues.tobytes() == want.projection.eigenvalues.tobytes()
+
+
+def test_huge_features_are_propagated_or_refused_by_name():
+    # squares overflow above about 1.3e154 and underflow below about
+    # 1.5e-154: the graph rescales such columns exactly, and the projection
+    # names an overflow instead of calling it "no variance"
+    data = generate_synthetic(SyntheticSpec())
+    y_s = make_one_hot(data.y_s, 10)
+    want = baseline_propagate(data.x_s, y_s, data.x_t)
+    assert accuracy(want.hard_labels, data.y_t)[0] > 0.9
+    for scale in (2.0 ** 520, 2.0 ** -560):
+        got = baseline_propagate(scale * data.x_s, y_s, scale * data.x_t)
+        assert got.soft_labels.tobytes() == want.soft_labels.tobytes()
+    with pytest.raises(NumericalError, match=r"^iteration 1: centered data overflows \(trace "):
+        adapt(2.0 ** 520 * data.x_s, y_s, 2.0 ** 520 * data.x_t, AdaptationConfig(k=5))
+
+
 def test_baseline_single_target_shape():
     rng = np.random.default_rng(45)
     x, y, _ = separable_instance(rng)
@@ -126,11 +167,13 @@ def test_baseline_single_target_shape():
     assert result.soft_labels.shape == (y.shape[1], 1)
 
 
-def test_k_exceeding_dimension_is_rejected():
+def test_k_exceeding_dimension_is_rejected(monkeypatch):
     rng = np.random.default_rng(46)
     x, y, _ = separable_instance(rng)  # d = 6
-    with pytest.raises(ConfigurationError, match="k=7 exceeds the feature dimension 6"):
-        adapt(x, y, x.copy(), AdaptationConfig(k=7))
+    with monkeypatch.context() as patched:  # refused before the first propagation
+        patched.setattr(partialda.pipeline, "propagate_labels", None)
+        with pytest.raises(ConfigurationError, match="^k=7 exceeds the feature dimension 6$"):
+            adapt(x, y, x.copy(), AdaptationConfig(k=7))
     # k = d is the largest subspace there is, and it runs
     result = adapt(x, y, x.copy(), AdaptationConfig(k=6, max_iterations=2))
     assert result.projection.a.shape == (6, 6)

@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from partialda import NumericalError, ValidationError
+from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -20,13 +21,20 @@ from partialda.subspace import embed, gram_matrix, solve_projection
 from tests.test_alignment import random_instance
 
 EPS = np.finfo(float).eps
+# gram_matrix's knobs without the alignment terms: its pencil is the ridge alone
+RIDGE_ONLY = AdaptationConfig(k=1, alpha_p=0.0, alpha_c=0.0)
+
+
+def with_k(data, k):
+    """``data`` whose configuration asks ``solve_projection`` for k eigenvectors."""
+    return replace(data, config=replace(data.config, k=k))
 
 
 def labelled_data(rng, x_s, y_s, x_t, p):
     """Data, the dense combined M and the labels ``(omega, y_s, p)`` it is built from.
 
     ``gram_matrix`` gets the same two weights as the dense ``combine``, so
-    ``solve_projection(data, *labels, k)`` solves the pencil of ``M``.
+    ``solve_projection(with_k(data, k), *labels)`` solves the pencil of ``M``.
     """
     omega = rng.random(x_s.shape[1]) + 0.1
     alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
@@ -37,7 +45,7 @@ def labelled_data(rng, x_s, y_s, x_t, p):
         alpha_p,
         alpha_c,
     )
-    data = gram_matrix(x_s, x_t, alpha_p=alpha_p, alpha_c=alpha_c)
+    data = gram_matrix(x_s, x_t, AdaptationConfig(k=1, alpha_p=alpha_p, alpha_c=alpha_c))
     return data, m_all, (omega, y_s, p)
 
 
@@ -108,9 +116,10 @@ def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
         alpha_c,
     )
     lam = 0.1
-    data = gram_matrix(x_s, x_t, lam, rhs_reg, alpha_p, alpha_c)
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
-    proj = solve_projection(data, omega, y_s, p, k)
+    data = gram_matrix(x_s, x_t, AdaptationConfig(k=k, lam=lam, rhs_reg=rhs_reg,
+                                                  alpha_p=alpha_p, alpha_c=alpha_c))
+    proj = solve_projection(data, omega, y_s, p)
     return proj, data, m_all, dense_pencil(data, m_all, lam, rhs_reg)
 
 
@@ -159,12 +168,17 @@ def test_gram_matrix_passes_features_through():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((6, 4))
     x_s, x_t = x[:, :3], x[:, 3:]
-    raw = gram_matrix(x_s, x_t)
+    raw = gram_matrix(x_s, x_t, RIDGE_ONLY)
     assert raw.x_s is x_s and raw.x_t is x_t  # kept as given, never stacked
+    assert raw.config is RIDGE_ONLY
     with pytest.raises(ValidationError, match="2-dimensional"):
-        gram_matrix(x[0], x_t)
+        gram_matrix(x[0], x_t, RIDGE_ONLY)
     with pytest.raises(ValidationError, match="dimensions differ"):
-        gram_matrix(x_s, x_t[1:])
+        gram_matrix(x_s, x_t[1:], RIDGE_ONLY)
+    # k fits d or the data are refused, as adapt refuses them
+    gram_matrix(x_s, x_t, replace(RIDGE_ONLY, k=6))
+    with pytest.raises(ConfigurationError, match="^k=7 exceeds the feature dimension 6$"):
+        gram_matrix(x_s, x_t, replace(RIDGE_ONLY, k=7))
 
 
 def test_generalized_eigh_diagonal_case():
@@ -181,14 +195,9 @@ def test_generalized_eigh_k_out_of_range():
     for k in (0, -1):
         with pytest.raises(ValidationError, match=f"^k must be at least 1, got {k}$"):
             generalized_eigh(np.eye(3), np.eye(3), k=k)
-    data, _, labels = solver_instance(np.random.default_rng(35))
-    with pytest.raises(ValidationError, match="^k must be at least 1, got 0$"):
-        solve_projection(data, *labels, 0)
     # a fractional k is refused before it reaches the eigensolver or a slice
     with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.5$"):
         generalized_eigh(np.eye(3), np.eye(3), k=2.5)
-    with pytest.raises(ValidationError, match=r"^k must be an integer, got 2\.5$"):
-        solve_projection(data, *labels, 2.5)
 
 
 def test_generalized_eigh_matches_full_spectrum():
@@ -223,7 +232,7 @@ def test_solve_projection_residual_and_constraint():
         n = z.shape[1]
         lam = 0.1
         k = max(1, z.shape[0] // 2)
-        proj = solve_projection(data, *labels, k)
+        proj = solve_projection(with_k(data, k), *labels)
         a, phi = proj.a, proj.eigenvalues
         lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
         lhs = (lhs + lhs.T) / 2
@@ -270,8 +279,9 @@ def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
     data, _, labels = solver_instance(rng)
     k = max(1, data.l_inv.shape[0] // 2)
-    p1 = solve_projection(data, *labels, k)
-    p2 = solve_projection(data, *labels, k)
+    data = with_k(data, k)
+    p1 = solve_projection(data, *labels)
+    p2 = solve_projection(data, *labels)
     assert np.array_equal(p1.a, p2.a)
     assert np.array_equal(p1.eigenvalues, p2.eigenvalues)
     idx = np.argmax(np.abs(p1.a), axis=0)
@@ -280,19 +290,22 @@ def test_solve_projection_deterministic_and_signed():
 
 
 def test_solve_projection_k_too_large():
+    # k is checked against d once, when the data are factored, not every round
     rng = np.random.default_rng(24)
     data, _, labels = solver_instance(rng)
-    with pytest.raises(ValidationError, match="smaller k"):
-        solve_projection(data, *labels, data.l_inv.shape[0] + 1)
+    d = data.l_inv.shape[0]
+    assert solve_projection(with_k(data, d), *labels).a.shape == (d, d)
+    with pytest.raises(ConfigurationError, match=f"^k={d + 1} exceeds the feature dimension {d}$"):
+        gram_matrix(data.x_s, data.x_t, replace(data.config, k=d + 1))
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
     data, _, (omega, y_s, p) = solver_instance(rng)
     with pytest.raises(ValidationError, match="shapes"):
-        solve_projection(data, omega, y_s, p[:, 1:], 1)
+        solve_projection(data, omega, y_s, p[:, 1:])
     with pytest.raises(ValidationError, match="shapes"):
-        solve_projection(data, omega[1:], y_s[1:], p, 1)
+        solve_projection(data, omega[1:], y_s[1:], p)
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
@@ -301,10 +314,18 @@ def test_solve_projection_degenerate_data_is_numerical_error():
     x = np.ones((3, 5))
     labels = (np.ones(2), np.eye(2), np.full((2, 3), 0.5))
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(x[:, :2], x[:, 2:]), *labels, 2)
+        solve_projection(gram_matrix(x[:, :2], x[:, 2:], replace(RIDGE_ONLY, k=2)), *labels)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2))), *labels[:2],
-                         np.full((2, 2), 0.5), 1)
+        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2)), RIDGE_ONLY),
+                         *labels[:2], np.full((2, 2), 0.5))
+    # the variance is judged against the data's own scale: constant data is
+    # refused however small, and a trace that overflows is named as such
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        with pytest.raises(NumericalError, match="no variance"):
+            gram_matrix(scale * x[:, :2], scale * x[:, 2:], RIDGE_ONLY)
+    spread = np.arange(15.0).reshape(3, 5)
+    with pytest.raises(NumericalError, match=r"^centered data overflows \(trace inf\); "):
+        gram_matrix(1e155 * spread[:, :2], 1e155 * spread[:, 2:], RIDGE_ONLY)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -316,7 +337,7 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 def test_embed_linearity_and_errors():
     rng = np.random.default_rng(26)
     data, _, labels = solver_instance(rng)
-    proj = solve_projection(data, *labels, 2)
+    proj = solve_projection(with_k(data, 2), *labels)
     z = embed(proj, data)
     x, n_s = stacked(data), data.x_s.shape[1]
     n = x.shape[1]
@@ -324,7 +345,7 @@ def test_embed_linearity_and_errors():
     manual = proj.a.T @ x
     assert np.allclose(z, manual, atol=1e-12)
     x2 = np.vstack([x, np.zeros((1, n))])
-    data2 = gram_matrix(x2[:, :n_s], x2[:, n_s:])
+    data2 = gram_matrix(x2[:, :n_s], x2[:, n_s:], RIDGE_ONLY)
     with pytest.raises(ValidationError, match="rows"):
         embed(proj, data2)
 
@@ -333,7 +354,7 @@ def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
     data, m_all, labels = solver_instance(rng)
     z = stacked(data)
-    proj = solve_projection(data, *labels, 2)
+    proj = solve_projection(with_k(data, 2), *labels)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
     )
@@ -345,7 +366,8 @@ def test_gram_matrix_factors_the_constraint_side():
     for shape in ((9, 5), (5, 9)):  # a singular constraint side, then a definite one
         x = rng.standard_normal(shape)
         x_s, x_t = x[:, :2], x[:, 2:]
-        data = gram_matrix(x_s, x_t, lam=0.3, rhs_reg=1e-4)
+        knobs = replace(RIDGE_ONLY, lam=0.3, rhs_reg=1e-4)
+        data = gram_matrix(x_s, x_t, knobs)
         z, n = stacked(data), shape[1]
         _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, 1e-4)
         l_inv = data.l_inv
@@ -359,30 +381,20 @@ def test_gram_matrix_factors_the_constraint_side():
         # with alignment weights, base adds their round-invariant part
         wc = l_inv @ (z - z.mean(axis=1, keepdims=True))
         want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + ridge
-        got = gram_matrix(x_s, x_t, lam=0.3, rhs_reg=1e-4, alpha_p=1.9, alpha_c=0.7).base
+        got = gram_matrix(x_s, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-    with pytest.raises(ValidationError, match="lam"):
-        gram_matrix(x_s, x_t, lam=0.0)
-    with pytest.raises(ValidationError, match="alpha"):
-        gram_matrix(x_s, x_t, alpha_p=float("nan"))
-    # NaN passes every comparison: each input is checked before anything is factored
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match=f"^lam must be positive and finite, got {bad}$"):
-            gram_matrix(x_s, x_t, lam=bad)
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValidationError,
-                           match=f"^rhs_reg must be non-negative and finite, got {bad}$"):
-            gram_matrix(x_s, x_t, rhs_reg=bad)
+    # the knobs were checked when the AdaptationConfig was built
+    # (tests/test_core.py); each feature matrix is checked before anything is factored
     for bad in (np.nan, np.inf, -np.inf):
         for i, side in enumerate(("source", "target")):
             args = [x_s.copy(), x_t.copy()]
             args[i][0, 0] = bad
             with pytest.raises(ValidationError,
                                match=f"^{side} features contains NaN or Inf entries$"):
-                gram_matrix(*args)
+                gram_matrix(*args, RIDGE_ONLY)
     x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
     with pytest.raises(NumericalError, match="cond"):
-        gram_matrix(x_s, x_t, rhs_reg=0.0)
+        gram_matrix(x_s, x_t, replace(RIDGE_ONLY, rhs_reg=0.0))
 
 
 def test_solve_projection_matches_dense_eigh_raw():
