@@ -14,7 +14,8 @@ three terms without building the (n_s + n_t)-square M at all.
 
 import numpy as np
 
-from partialda.alignment import invariant_scatter, scatter_factors
+from partialda import AdaptationConfig
+from partialda.alignment import scatter_factors
 from partialda.oracles import build_center_operators, build_m0, build_mc, build_mp, combine
 
 rng = np.random.default_rng(5)
@@ -65,12 +66,14 @@ print(f"cluster loss      direct={resid:.6f}  via Mc={quad(mc):.6f}")
 m_all = combine(m0, mp, mc, alpha_p=1.0, alpha_c=1.0)
 print(f"combined loss     sum   ={quad(m0) + quad(mp) + quad(mc):.6f}  "
       f"via M ={quad(m_all):.6f}")
-# The centred data carry a data-only part; the labels and weights enter
-# through the small factors U (d x (3C + 4)) and N.
+# The centred data carry a data-only part, alpha_c Xc Xcᵀ + alpha_p Xc_t Xc_tᵀ;
+# the labels and weights enter through the small factors U (d x (3C + 4)) and N.
 mean = x.mean(axis=1)
 xc = x - mean[:, None]
-u, n = scatter_factors(xc, mean, n_s, omega, y_s, p, alpha_p=1.0, alpha_c=1.0)
-scatter = invariant_scatter(xc, n_s, alpha_p=1.0, alpha_c=1.0) + u @ n @ u.T
+xc_t = xc[:, n_s:]
+config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0)
+u, n = scatter_factors(xc, mean, n_s, omega, y_s, p, config)
+scatter = config.alpha_c * xc @ xc.T + config.alpha_p * xc_t @ xc_t.T + u @ n @ u.T
 dense = x @ m_all @ x.T
 gap = np.linalg.norm(scatter - dense) / np.linalg.norm(dense)
 print(f"factored scatter  X M Xᵀ ({d}x{d}) from factors, relative gap to dense={gap:.1e}  "

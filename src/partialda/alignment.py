@@ -22,9 +22,11 @@ rank-one, low-rank and class-indicator factors of the three terms, so no
 (n_s + n_t)-square array is ever built.  With ``Z = Zc + mean 1.T`` split
 into centred columns and their mean, it is the sum of two parts:
 
-* :func:`invariant_scatter`, ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``,
-  which depends on the data alone, so the adaptation loop computes it once
-  per run;
+* ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``, which depends on the data
+  alone, so :func:`partialda.subspace.gram_matrix` caches it once per run,
+  whitened; there ``Wc Wc.T = I - eps_r L^-1 L^-T`` follows from the
+  Cholesky factor of the constraint side, so only the target term costs a
+  product;
 * ``U N U.T`` from :func:`scatter_factors`, with U of width 3C + 4, which
   carries everything the soft labels and the class weights change, so a
   round costs O(dim n C + dim^2 C) instead of a dim^2 n product.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_sample_weights
+from .core import AdaptationConfig, as_sample_weights
 from .errors import ConfigurationError, NumericalError, ValidationError
 
 # Class soft mass below this triggers a ridge on indicator Gram inversions.
@@ -139,35 +141,9 @@ def apply_mask(p, w) -> tuple[np.ndarray, int]:
     return masked, n_dead
 
 
-def _check_alphas(alpha_p: float, alpha_c: float) -> None:
-    # NaN passes ``< 0``, so finiteness is checked first
-    if not (np.isfinite(alpha_p) and np.isfinite(alpha_c)):
-        raise ValidationError(f"alpha_p and alpha_c must be finite, got {alpha_p}, {alpha_c}")
-    if alpha_p < 0 or alpha_c < 0:
-        raise ValidationError("alpha_p and alpha_c must be non-negative")
-
-
-def invariant_scatter(zc, n_s: int, alpha_p: float, alpha_c: float) -> np.ndarray:
-    """The part of the scatter that the soft labels and weights leave unchanged.
-
-    ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T`` for the (dim, n) data ``zc``,
-    whose target columns ``Zc_t`` follow its ``n_s`` source columns: the
-    identity term of the cluster loss and the target term of the center
-    loss.  :func:`scatter_factors` adds the rest.
-    """
-    _check_alphas(alpha_p, alpha_c)
-    zc_t = zc[:, n_s:]
-    scatter = zc @ zc.T
-    scatter *= alpha_c
-    target = zc_t @ zc_t.T
-    target *= alpha_p
-    scatter += target
-    return scatter
-
-
-def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
-                    alpha_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factors U and N with ``Z M Z.T = invariant_scatter(zc, ...) + U N U.T``.
+def scatter_factors(zc, mean, n_s: int, omega, y_s, p,
+                    config: AdaptationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Factors U and N with ``Z M Z.T = alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T + U N U.T``.
 
     ``Z = zc + mean 1.T`` is split into near-centred columns ``zc`` and a
     common column ``mean``, and M is ``combine(M0, Mp, Mc)`` of
@@ -202,8 +178,9 @@ def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
         One-hot source labels.
     p : ndarray (C, n_t)
         Finite soft target labels, already masked.
-    alpha_p, alpha_c : float
-        Non-negative, finite weights of the center and cluster terms.
+    config : AdaptationConfig
+        Its ``alpha_p`` and ``alpha_c`` weight the center and cluster terms;
+        the configuration checked them when it was built.
     """
     zc = np.asarray(zc, dtype=float)
     mean = np.asarray(mean, dtype=float)
@@ -220,7 +197,7 @@ def scatter_factors(zc, mean, n_s: int, omega, y_s, p, alpha_p: float,
     omega = as_sample_weights(omega, n_s, "omega")
     if not np.isfinite(p).all():
         raise ValidationError("the soft labels must be finite")
-    _check_alphas(alpha_p, alpha_c)
+    alpha_p, alpha_c = config.alpha_p, config.alpha_c
     zc_s, zc_t = zc[:, :n_s], zc[:, n_s:]
     c = y_s.shape[1]
     soft_mass = p.sum(axis=1)

@@ -8,9 +8,11 @@ what the adaptation loop computes.  Which fast path each oracle checks:
 * :func:`build_m0` (domain term), :func:`build_mp` with
   :func:`build_center_operators` (center term), :func:`build_mc` (cluster
   term) and :func:`combine` (their weighted sum) check
-  :func:`partialda.alignment.invariant_scatter` plus ``U N U.T`` of
-  :func:`partialda.alignment.scatter_factors`, the data-only part and the
-  per-round update from which the loop forms ``Z M Z.T``, and the round
+  the data-only part ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T`` that
+  :func:`partialda.subspace.gram_matrix` caches, whitened and with
+  ``Wc Wc.T`` read off the Cholesky factor as ``I - eps_r L^-1 L^-T``, plus
+  ``U N U.T`` of :func:`partialda.alignment.scatter_factors`, the per-round
+  update from which the loop forms ``Z M Z.T``, and the round
   objective ``trace(A.T Z M Z.T A) + lam ||A||^2`` that
   :func:`partialda.subspace.solve_projection` returns.
 * :func:`centering_matrix` checks :func:`partialda.subspace.gram_matrix`,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import _check_alphas, _ridge_eps, solve_gram_system
+from .alignment import _ridge_eps, solve_gram_system
 from .core import as_sample_weights
 from .errors import NumericalError, ValidationError
 from .subspace import _cond
@@ -133,7 +135,11 @@ def combine(m0, mp, mc, alpha_p: float, alpha_c: float) -> np.ndarray:
         raise ValidationError(
             f"alignment matrices disagree in shape: {m0.shape}, {mp.shape}, {mc.shape}"
         )
-    _check_alphas(alpha_p, alpha_c)
+    # NaN passes ``< 0``, so finiteness is checked first
+    if not (np.isfinite(alpha_p) and np.isfinite(alpha_c)):
+        raise ValidationError(f"alpha_p and alpha_c must be finite, got {alpha_p}, {alpha_c}")
+    if alpha_p < 0 or alpha_c < 0:
+        raise ValidationError("alpha_p and alpha_c must be non-negative")
     return symmetrize(m0 + alpha_p * mp + alpha_c * mc)
 
 

@@ -20,7 +20,11 @@ them when it was built.  It factors the constraint side
 ``Wc = L^-1 (Z - mu 1.T)``, the whitened mean ``m = L^-1 mu``, the
 configuration and the round-invariant part of the whitened pencil,
 
-    base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T.
+    base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
+         = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T,
+
+since ``L L.T = Zc Zc.T + eps_r I`` makes ``Wc Wc.T = I - eps_r L^-1 L^-T``
+exactly, so the d^2 n product ``Wc Wc.T`` is never formed.
 
 Each round the rest of the whitened scatter is ``U N U.T`` for the
 (d, 3C + 4) factor U and the small N that
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import syevr_smallest, trtri_lower
-from .alignment import invariant_scatter, scatter_factors
+from .alignment import scatter_factors
 from .core import AdaptationConfig, as_domain_pair
 from .errors import NumericalError, ValidationError
 
@@ -151,15 +155,20 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
             f"centered data has no variance (trace {variance:.3e}); "
             "the constraint side cannot be regularized"
         )
-    rhs.flat[::d + 1] += config.rhs_reg * variance / n
+    eps_r = config.rhs_reg * variance / n
+    rhs.flat[::d + 1] += eps_r
     l_inv = _inverse_cholesky(rhs)
     del rhs
     centred = l_inv @ centred
-    base = invariant_scatter(centred, n_s, config.alpha_p, config.alpha_c)
-    ridge = l_inv @ l_inv.T
-    ridge *= config.lam
-    base += ridge
-    del ridge
+    # Wc Wc.T = I - eps_r L^-1 L^-T, so only the target columns need a product
+    base = l_inv @ l_inv.T
+    base *= config.lam - config.alpha_c * eps_r
+    base.flat[::d + 1] += config.alpha_c
+    centred_t = centred[:, n_s:]
+    target = centred_t @ centred_t.T
+    target *= config.alpha_p
+    base += target
+    del target  # before the pencil buffer below is allocated
     return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
                         base=base, pencil=np.empty((d, d)), config=config)
 
@@ -223,8 +232,7 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
         eigensolver received it.
     """
     config = data.config
-    u, n = scatter_factors(data.centred, data.mean, data.x_s.shape[1], omega, y_s, p,
-                           config.alpha_p, config.alpha_c)
+    u, n = scatter_factors(data.centred, data.mean, data.x_s.shape[1], omega, y_s, p, config)
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)
     except np.linalg.LinAlgError as exc:

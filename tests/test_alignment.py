@@ -10,13 +10,12 @@ import pytest
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
-from partialda import ConfigurationError, NumericalError, ValidationError
+from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
 from partialda.alignment import (
     _ridge_eps,
     apply_mask,
     binarize_weights,
     compute_class_weights,
-    invariant_scatter,
     scatter_factors,
     solve_gram_system,
     source_sample_weights,
@@ -51,8 +50,10 @@ def factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c):
     """``Z M Z.T`` as the solver forms it: the data-only part plus ``U N U.T``, on centred data."""
     mean = z.mean(axis=1)
     zc = z - mean[:, None]
-    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, alpha_p, alpha_c)
-    return invariant_scatter(zc, n_s, alpha_p, alpha_c) + u @ (n @ u.T)
+    zc_t = zc[:, n_s:]
+    config = AdaptationConfig(alpha_p=alpha_p, alpha_c=alpha_c)
+    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, config)
+    return alpha_c * zc @ zc.T + alpha_p * zc_t @ zc_t.T + u @ (n @ u.T)
 
 
 def trace_loss(m, x, a):
@@ -259,6 +260,11 @@ def test_combine_matches_scalar_sum():
 def test_combine_shape_mismatch():
     with pytest.raises(ValidationError, match="shape"):
         combine(np.eye(3), np.eye(4), np.eye(3), 1.0, 1.0)
+    # the oracle takes its weights as plain floats, so it checks them itself;
+    # NaN passes ``< 0`` and would make every entry NaN without an error
+    for alpha_p, alpha_c in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValidationError, match="alpha"):
+            combine(np.eye(3), np.eye(3), np.eye(3), alpha_p, alpha_c)
 
 
 def test_combine_trace_identity_against_sum_of_oracles():
@@ -333,8 +339,6 @@ def test_alignment_scatter_validation():
         factored_scatter(z, n_s, -omega, y_s, p, 1.0, 1.0)
     with pytest.raises(ValidationError, match=rf"^omega has shape \({n_s - 1},\), expected"):
         factored_scatter(z, n_s, omega[1:], y_s, p, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="alpha"):
-        factored_scatter(z, n_s, omega, y_s, p, -1.0, 1.0)
     # NaN passes ``< 0`` and would make every entry NaN without an error
     for bad in (np.nan, np.inf):
         bad_omega, bad_p = omega.copy(), p.copy()
@@ -343,10 +347,6 @@ def test_alignment_scatter_validation():
             factored_scatter(z, n_s, bad_omega, y_s, p, 1.0, 1.0)
         with pytest.raises(ValidationError, match="finite"):
             factored_scatter(z, n_s, omega, y_s, bad_p, 1.0, 1.0)
-        with pytest.raises(ValidationError, match="alpha"):
-            factored_scatter(z, n_s, omega, y_s, p, bad, 1.0)
-        with pytest.raises(ValidationError, match="alpha"):
-            factored_scatter(z, n_s, omega, y_s, p, 1.0, bad)
 
 
 def _long_double_solve(a, b):
@@ -425,6 +425,8 @@ def test_compute_class_weights_normalizes():
     assert w.sum() == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         compute_class_weights(np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match="2-dimensional"):
+        compute_class_weights(np.array([0.9, 0.1]))
 
 
 def test_binarize_weights_threshold_and_idempotence():
@@ -444,12 +446,16 @@ def test_binarize_weights_delta_zero_keeps_strictly_positive():
 def test_binarize_weights_all_masked_is_configuration_error():
     with pytest.raises(ConfigurationError, match="no class survives threshold"):
         binarize_weights(np.array([0.4, 0.6]), 0.9)
+    with pytest.raises(ConfigurationError, match="delta must be non-negative"):
+        binarize_weights(np.array([0.4, 0.6]), -0.1)
 
 
 def test_source_sample_weights_inherit_class_weight():
     y_s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     omega = source_sample_weights(np.array([0.7, 0.3]), y_s)
     assert omega == pytest.approx([0.7, 0.3, 0.7])
+    with pytest.raises(ValidationError, match="does not match 3 class weights"):
+        source_sample_weights(np.array([0.7, 0.2, 0.1]), y_s)
 
 
 def test_source_sample_weights_all_zero_is_configuration_error():
@@ -463,6 +469,8 @@ def test_apply_mask_zeroes_rows_without_renormalizing():
     masked, fallbacks = apply_mask(p, np.array([0.5, 0.5, 0.0]))
     assert fallbacks == 0
     assert np.array_equal(masked, [[0.6, 0.2], [0.3, 0.3], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="does not match 2 classes"):
+        apply_mask(p, np.array([0.5, 0.5]))
 
 
 def test_apply_mask_uniform_fallback_column():
@@ -470,6 +478,9 @@ def test_apply_mask_uniform_fallback_column():
     masked, fallbacks = apply_mask(p, np.array([0.5, 0.5, 0.0]))
     assert fallbacks == 1
     assert np.allclose(masked[:, 0], [0.5, 0.5, 0.0])
+    # with every class masked there is no class to fall back to
+    with pytest.raises(ConfigurationError, match="no class survives the mask"):
+        apply_mask(p, np.zeros(3))
 
 
 @st.composite

@@ -363,26 +363,34 @@ def test_objective_matches_trace_identity():
 
 def test_gram_matrix_factors_the_constraint_side():
     rng = np.random.default_rng(29)
-    for shape in ((9, 5), (5, 9)):  # a singular constraint side, then a definite one
+    # two singular constraint sides, then two definite ones
+    for shape in ((9, 5), (40, 12), (12, 40), (5, 9)):
         x = rng.standard_normal(shape)
         x_s, x_t = x[:, :2], x[:, 2:]
-        knobs = replace(RIDGE_ONLY, lam=0.3, rhs_reg=1e-4)
-        data = gram_matrix(x_s, x_t, knobs)
-        z, n = stacked(data), shape[1]
-        _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, 1e-4)
-        l_inv = data.l_inv
-        assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
-        assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
-        # the whitened data L^-1 Z, split into its centred part and its mean
-        assert np.allclose(data.centred + data.mean[:, None], l_inv @ z, rtol=1e-13, atol=1e-13)
-        assert np.allclose(data.centred.mean(axis=1), 0.0, atol=1e-13 * np.abs(l_inv).max())
-        ridge = 0.3 * l_inv @ l_inv.T
-        assert np.allclose(data.base, ridge, rtol=1e-13, atol=1e-13)
-        # with alignment weights, base adds their round-invariant part
-        wc = l_inv @ (z - z.mean(axis=1, keepdims=True))
-        want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + ridge
-        got = gram_matrix(x_s, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        for rhs_reg in (1e-4, 1e-10):
+            knobs = replace(RIDGE_ONLY, lam=0.3, rhs_reg=rhs_reg)
+            data = gram_matrix(x_s, x_t, knobs)
+            z, n = stacked(data), shape[1]
+            l_inv = data.l_inv
+            assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
+            # the whitened data L^-1 Z, split into its centred part and its mean
+            assert np.allclose(data.centred + data.mean[:, None], l_inv @ z,
+                               rtol=1e-13, atol=1e-13)
+            assert np.allclose(data.centred.mean(axis=1), 0.0, atol=1e-13 * np.abs(l_inv).max())
+            # at 1e-10 a singular side has kappa(rhs) ~ 1e10, which leaves
+            # L^-1 rhs L^-T ~ 1e-6 off I and the small entries of lam L^-1 L^-T
+            # without 13 correct digits of their own
+            if rhs_reg == 1e-4:
+                _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, rhs_reg)
+                assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
+                assert np.allclose(data.base, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
+            # with alignment weights, base adds their round-invariant part,
+            # whose Wc Wc.T gram_matrix reads off the factor as I - eps_r L^-1 L^-T
+            l_ld = l_inv.astype(np.longdouble)
+            wc = l_ld @ (z - z.mean(axis=1, keepdims=True)).astype(np.longdouble)
+            want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + 0.3 * l_ld @ l_ld.T
+            got = gram_matrix(x_s, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     # the knobs were checked when the AdaptationConfig was built
     # (tests/test_core.py); each feature matrix is checked before anything is factored
     for bad in (np.nan, np.inf, -np.inf):
