@@ -1,12 +1,15 @@
-"""The three LAPACK routines numpy does not expose, from the OpenBLAS numpy ships.
+"""The four LAPACK routines numpy does not expose, from the OpenBLAS numpy ships.
 
 numpy's wheels bundle one OpenBLAS, ``numpy.libs/libscipy_openblas64_*``,
 built with 64-bit integers and exporting every LAPACK routine under a
-``scipy_`` prefix and ``_64_`` suffix.  The package calls three of them
+``scipy_`` prefix and ``_64_`` suffix.  The package calls four of them
 through ``ctypes``, so one BLAS thread pool still serves every step:
 
 * :func:`gesv` (``dgesv``) factors the propagation system in place, where
   ``np.linalg.solve`` would first copy it;
+* :func:`potrf_lower` (``dpotrf``) factors a symmetric positive definite
+  matrix in place, where ``np.linalg.cholesky`` first copies it into a
+  Fortran-ordered work array;
 * :func:`syevr_smallest` (``dsyevr``) returns only the k smallest
   eigenpairs, computed in the input matrix itself, where ``np.linalg.eigh``
   copies it and computes and back-transforms all of them;
@@ -15,10 +18,10 @@ through ``ctypes``, so one BLAS thread pool still serves every step:
 
 The library is looked up on the first call, not at import.  Where it or a
 routine is missing, each wrapper computes the same result with
-``np.linalg``: bit for bit for :func:`gesv`, which runs the same routine on
-a copy, and to rounding for the other two.  Each wrapper raises
-``np.linalg.LinAlgError`` where the ``np.linalg`` call it replaces would, so
-a caller handles both paths alike.
+``np.linalg``: bit for bit for :func:`gesv` and :func:`potrf_lower`, which
+run the same routine on a copy, and to rounding for the other two.  Each
+wrapper raises ``np.linalg.LinAlgError`` where the ``np.linalg`` call it
+replaces would, so a caller handles both paths alike.
 
 Every matrix here is a C-order numpy array handed to column-major LAPACK,
 which sees its transpose: the lower triangle of a C-order matrix is the
@@ -50,6 +53,8 @@ _ARGTYPES = {
     "dsyevr": [_CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
                _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
                _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P, _LEN, _LEN, _LEN],
+    # uplo, n, a, lda, info, and one string length
+    "dpotrf": [_CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _LEN],
     # uplo, diag, n, a, lda, info, and two string lengths
     "dtrtri": [_CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _LEN, _LEN],
 }
@@ -109,6 +114,29 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # C order, as np.linalg.solve returns it, so that later reductions over
     # the solution add in the same order
     return np.ascontiguousarray(x)
+
+
+def potrf_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the C-ordered symmetric positive definite ``a``.
+
+    Returns what ``np.linalg.cholesky(a)`` returns, bit for bit, as a new
+    array, and destroys ``a``: ``dpotrf`` factors it in place, and numpy's
+    ``cholesky`` runs the same ``UPLO='L'`` factorization on a Fortran copy.
+    LAPACK, which sees the transpose of ``a``, reads and writes only its
+    upper triangle, so ``a`` must be symmetric; the factor, left there as
+    its transpose, is copied into the lower triangle of the result.  (Where
+    ``dpotrf`` is missing, ``np.linalg.cholesky`` reads the lower triangle
+    and leaves ``a`` as it was.)
+    """
+    if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
+        raise ValueError("potrf_lower factors a writeable, C-ordered float64 matrix in place")
+    routine = _lookup().get("dpotrf")
+    if routine is None:
+        return np.linalg.cholesky(a)
+    n, info = _INT(a.shape[0]), _INT(0)
+    routine(b"L", n, _ptr(a), n, info, 1)
+    _check("dpotrf", info, "Matrix is not positive definite")
+    return np.tril(a.T)
 
 
 def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,16 +5,19 @@ non-negative integer per line.  Values are written with ``repr`` so a
 round trip through text reproduces them bit for bit.  Reports are single
 JSON documents that the package writes and never reads back.
 
-Feature files are parsed by numpy's C reader (``np.loadtxt``).  A file it
-refuses goes through a line-by-line loop instead, which accepts exactly
-what ``float()`` accepts and names the row and value of the first bad
-cell, so both paths agree on every file and the C reader only makes the
-common case fast.
+Feature files are parsed by numpy's C reader (``np.loadtxt``), fed one
+line at a time from the open file, so that only one line is held as text
+while the array fills.  A file it refuses, or that holds a character at
+which ``str.splitlines`` and a file iterator break lines differently, is
+read again by a line-by-line loop instead, which accepts exactly what
+``float()`` accepts and names the row and value of the first bad cell.
+Both paths agree on every file; the C reader only makes the common case
+fast and small.  Files are written a row at a time.
 """
 
 from __future__ import annotations
 
-import contextlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -168,30 +171,74 @@ def _read_rows(path) -> list[tuple[int, str]]:
     return rows
 
 
+# Where str.splitlines breaks a line and a file iterator does not, besides
+# the non-ASCII U+0085, U+2028 and U+2029, plus the U+001F that np.loadtxt
+# strips as whitespace and float() does not
+_LINE_LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_c(path) -> np.ndarray | None:
+    """The file as parsed by np.loadtxt, a line at a time; None where the line loop decides.
+
+    The lines come from the open file with the universal newlines that
+    ``_read_text`` applies, so they are the lines ``_read_rows`` sees unless
+    one is non-ASCII or holds one of ``_LINE_LOOP_ONLY``; such a line stops
+    the reader.  Blank lines are counted and not handed on, so the parsed
+    rows must number the lines up to the last non-blank one.
+    """
+    rows = 0  # lines up to the last non-blank one
+    blanks = 0  # blank lines since then
+
+    def lines(file):
+        nonlocal rows, blanks
+        for line in file:
+            if not line.isascii() or any(c in line for c in _LINE_LOOP_ONLY):
+                raise ValueError("a line only the line loop reads alike")
+            if line.isspace():
+                blanks += 1
+            else:
+                rows += blanks + 1
+                blanks = 0
+                yield line
+
+    with open(path, encoding="utf-8") as file:
+        stream = lines(file)
+        try:  # a UnicodeDecodeError is a ValueError too
+            first = next(stream, None)
+            if first is None:  # np.loadtxt warns on a file without data
+                return None
+            parsed = np.loadtxt(itertools.chain((first,), stream), delimiter=",",
+                                comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            return None
+    return parsed if parsed.shape[0] == rows else None
+
+
 def load_features_csv(path) -> np.ndarray:
     """Parse a feature CSV with one sample per row into a (d, n) matrix.
 
-    The C reader parses the file first.  When it refuses a line, skips one
-    (it drops blank lines, which are an error here) or the file holds a
-    U+001F, which it strips as whitespace and ``float()`` does not, the
-    line loop parses the file instead and reports the first bad row.
+    The C reader parses the file first, one line at a time.  When it
+    refuses a line, the file is not UTF-8, a line is non-ASCII or holds a
+    character at which ``str.splitlines`` breaks lines and a file iterator
+    does not (or U+001F, which the C reader strips as whitespace and
+    ``float()`` does not), a blank line precedes a row, or the file holds no
+    row, the line loop reads the file again and reports the first bad row.
 
     Raises
     ------
     ParseError
-        On ragged rows or non-numeric cells, naming the offending line.
+        On ragged rows, non-numeric cells or text that is not UTF-8,
+        naming the offending line or byte.
     ValidationError
         On an empty file or non-finite values.
+    OSError
+        When the file cannot be read.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"empty feature file: {path}")
-    lines = [line for _, line in rows]
-    parsed = None
-    if not any("\x1f" in line for line in lines):
-        with contextlib.suppress(ValueError):
-            parsed = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-    if parsed is None or parsed.shape[0] != len(lines):
+    parsed = _parse_c(path)
+    if parsed is None:
+        rows = _read_rows(path)
+        if not rows:
+            raise ValidationError(f"empty feature file: {path}")
         parsed = _parse_rows(path, rows)
     return as_feature_matrix(parsed.T, name=f"features from {path}")
 
@@ -247,8 +294,9 @@ def load_labels(path) -> np.ndarray:
 
 def _write_rows(rows: np.ndarray, path) -> None:
     """One line per row of a float array, each value the shortest repr that reads back exactly."""
-    lines = [",".join(map(repr, row)) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as file:
+        for row in rows:  # a row at a time: no copy of the file is held
+            file.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def save_features_csv(x, path) -> None:

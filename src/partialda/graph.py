@@ -40,6 +40,11 @@ from .errors import NumericalError, ValidationError
 # block's row count, so this is fixed rather than a knob.
 _BLOCK_ROWS = 256
 
+# Side of the square tiles in which the lower triangle of the target
+# affinities is mirrored; of 64, 128 and 256, 128 was fastest at n_t = 1000
+# and 4000 on two x86-64 cores.
+_TILE = 128
+
 # How far a target's soft labels may sum from 1 before it counts as having
 # received no source mass.  With one-hot source labels a target connected
 # to source mass sums to 1 up to rounding (within 8.4e-11 on the 4000
@@ -88,13 +93,20 @@ def _affinities(v_a: np.ndarray, u_b: np.ndarray, inv_sigma: float, out: np.ndar
 
 
 def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strictly lower triangle of the square ``a`` onto its upper triangle."""
+    """Copy the strictly lower triangle of the square ``a`` onto its upper triangle.
+
+    The copy runs in ``_TILE x _TILE`` tiles, so the transposed reads and
+    the writes of each tile stay within a few pages.
+    """
     n = a.shape[0]
-    for c0 in range(0, n, _BLOCK_ROWS):
-        c1 = min(c0 + _BLOCK_ROWS, n)
-        a[c0:c1, c1:] = a[c1:, c0:c1].T
-        for i in range(c0, c1 - 1):  # inside the diagonal block, row by row
-            a[i, i + 1:c1] = a[i + 1:c1, i]
+    above = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+    for r0 in range(0, n, _TILE):
+        r1 = min(r0 + _TILE, n)
+        for c0 in range(r1, n, _TILE):
+            c1 = min(c0 + _TILE, n)
+            a[r0:r1, c0:c1] = a[c0:c1, r0:r1].T
+        diagonal = a[r0:r1, r0:r1]
+        np.copyto(diagonal, diagonal.T.copy(), where=above[:r1 - r0, :r1 - r0])
 
 
 def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,

@@ -42,12 +42,12 @@ whitened ridge ``lam L^-1 L^-T`` is large wherever the constraint side is
 nearly singular, and the eigenvalue sum then loses up to 1e-6 relative of
 a small objective.
 
-Everything runs on numpy's own BLAS/LAPACK: ``numpy.linalg.cholesky``
-factors the constraint side, and LAPACK ``dtrtri`` (invert ``L`` as a
-triangle) and ``dsyevr`` (the k smallest eigenpairs only, computed in the
-buffer itself) are called from numpy's OpenBLAS through
-:mod:`partialda._lapack`, which falls back to ``numpy.linalg.inv`` and a
-full ``numpy.linalg.eigh`` where they are missing.
+Everything runs on numpy's own BLAS/LAPACK: LAPACK ``dpotrf`` (factor the
+constraint side in place), ``dtrtri`` (invert ``L`` as a triangle) and
+``dsyevr`` (the k smallest eigenpairs only, computed in the buffer itself)
+are called from numpy's OpenBLAS through :mod:`partialda._lapack`, which
+falls back to ``numpy.linalg.cholesky``, ``numpy.linalg.inv`` and a full
+``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import syevr_smallest, trtri_lower
+from ._lapack import potrf_lower, syevr_smallest, trtri_lower
 from .alignment import scatter_factors
 from .core import AdaptationConfig, as_domain_pair
 from .errors import NumericalError, ValidationError
@@ -101,13 +101,23 @@ def _cond(m: np.ndarray) -> float:
         return float("inf")
 
 
-def _inverse_cholesky(rhs: np.ndarray) -> np.ndarray:
-    """``L^-1`` for ``rhs = L L.T``; only the lower triangle of rhs is read."""
+def _constraint_side(centred: np.ndarray, eps_r: float) -> np.ndarray:
+    """``Zc Zc.T + eps_r I`` for the centred data ``Zc``; symmetric bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller, by name
+        rhs = centred @ centred.T
+    rhs.flat[::rhs.shape[0] + 1] += eps_r
+    return rhs
+
+
+def _inverse_cholesky(centred: np.ndarray, eps_r: float, rhs: np.ndarray) -> np.ndarray:
+    """``L^-1`` for ``rhs = L L.T``, the constraint side of ``centred``; rhs is destroyed."""
     try:
-        return trtri_lower(np.linalg.cholesky(rhs))
+        return trtri_lower(potrf_lower(rhs))
     except np.linalg.LinAlgError as exc:
+        # the factorization overwrote rhs, so it is built again
+        cond = _cond(_constraint_side(centred, eps_r))
         raise NumericalError(
-            f"constraint side is not positive definite (cond rhs {_cond(rhs):.3e}): {exc}"
+            f"constraint side is not positive definite (cond rhs {cond:.3e}): {exc}"
         ) from exc
 
 
@@ -129,8 +139,8 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     ConfigurationError
         When ``config.k`` exceeds the feature dimension d.
     NumericalError
-        When the centred data has no variance, its trace overflows, or the
-        constraint side is not positive definite.
+        When the centred data has no variance, its trace overflows or
+        underflows, or the constraint side is not positive definite.
     """
     x_s, x_t = as_domain_pair(x_s, x_t)
     d, n_s = x_s.shape
@@ -140,24 +150,33 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     centred = np.empty((d, n))
     np.subtract(x_s, mu[:, None], out=centred[:, :n_s])
     np.subtract(x_t, mu[:, None], out=centred[:, n_s:])
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-        rhs = centred @ centred.T
-        variance = float(np.trace(rhs))
-        scale = float(np.vdot(x_s, x_s) + np.vdot(x_t, x_t))
+    rhs = _constraint_side(centred, 0.0)
+    variance = float(np.trace(rhs))
     if not np.isfinite(variance):
         raise NumericalError(
             f"centered data overflows (trace {variance:.3e}); scale the features down"
         )
-    # relative to the data's own scale, so any power-of-two scaling of the
-    # features is refused or accepted alike; constant data has trace 0
-    if variance <= n * np.finfo(float).eps * scale:
+    # Judged relative to the data's own scale, so any power-of-two scaling of
+    # the features is refused or accepted alike; constant data has trace 0.
+    # The data's sum of squares is the trace plus n |mu|^2.  Both sides are
+    # scaled by the power of two that brings the largest centred or mean
+    # entry near 1, so neither overflows, and the largest centred entry
+    # squared stands in for a trace whose squares underflow.
+    spread = max(float(centred.max()), -float(centred.min()))
+    shift = -int(np.frexp(max(spread, float(np.abs(mu).max())))[1])
+    scaled = max(np.ldexp(variance, 2 * shift), np.ldexp(spread, shift) ** 2)
+    if scaled <= n * np.finfo(float).eps * (scaled + n * float(np.sum(np.ldexp(mu, shift) ** 2))):
         raise NumericalError(
             f"centered data has no variance (trace {variance:.3e}); "
             "the constraint side cannot be regularized"
         )
+    if variance < np.finfo(float).tiny:
+        raise NumericalError(
+            f"centered data underflows (trace {variance:.3e}); scale the features up"
+        )
     eps_r = config.rhs_reg * variance / n
     rhs.flat[::d + 1] += eps_r
-    l_inv = _inverse_cholesky(rhs)
+    l_inv = _inverse_cholesky(centred, eps_r, rhs)
     del rhs
     centred = l_inv @ centred
     # Wc Wc.T = I - eps_r L^-1 L^-T, so only the target columns need a product

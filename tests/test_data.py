@@ -7,6 +7,7 @@ true cluster centers, never anything from the adaptation code.
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,12 @@ def test_feature_csv_parse_errors(tmp_path):
     with pytest.raises(ValidationError, match="NaN or Inf"):
         load_features_csv(nonfinite)
 
+    # a file that cannot be read raises the operating system's error
+    with pytest.raises(FileNotFoundError):
+        load_features_csv(tmp_path / "missing.csv")
+    with pytest.raises(IsADirectoryError):
+        load_features_csv(tmp_path)
+
 
 def line_loop(path):
     """The line-by-line parser called directly, with the loader's checks."""
@@ -203,7 +210,20 @@ ODD_FILES = {
     "single_column": "1\n2\n3\n",
     "no_final_newline": "1,2\n3,4",
     "only_blank_lines": "\n\n",
+    "only_whitespace_lines": " \n\t\r\n  ",
+    "trailing_whitespace_lines": "1,2\n3,4\n \t\n\t\n",
+    "trailing_whitespace_no_final_newline": "1,2\n3,4\n \t\n  ",
+    "byte_order_mark": "\ufeff1,2\n3,4\n",
+    "lone_cr_mid_row": "1,\r2\n3,4\n",
+    "lone_cr_between_rows": "1,2\r3,4\r",
+    # invalid UTF-8 past the reader's first chunks: the byte offset named is
+    # that of the whole file
+    "invalid_utf8_deep": b"1.25,2.5\n" * 40000 + b"3,\xff4\n",
 }
+# str.splitlines breaks lines at these and a file iterator does not
+for _char in "\x1c\x1d\x1e\x85\u2028\u2029":
+    ODD_FILES[f"u{ord(_char):04x}_between_rows"] = f"1,2{_char}3,4\n"
+    ODD_FILES[f"u{ord(_char):04x}_in_cell"] = f"1{_char},2\n3,4\n"
 
 
 @pytest.mark.parametrize("name", sorted(ODD_FILES))
@@ -211,7 +231,8 @@ def test_feature_csv_odd_inputs_match_line_loop(tmp_path, name):
     # the C reader may only speed the loader up: on every input it must
     # return what the line loop returns, or fail exactly as it fails
     path = tmp_path / f"{name}.csv"
-    path.write_text(ODD_FILES[name])
+    content = ODD_FILES[name]
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     try:
         want = line_loop(path)
     except (ParseError, ValidationError) as exc:
@@ -224,9 +245,10 @@ def test_feature_csv_odd_inputs_match_line_loop(tmp_path, name):
 
 
 def test_well_formed_feature_csv_skips_line_loop(tmp_path, monkeypatch):
-    def refuse(path, rows):
+    def refuse(path, *rows):
         raise AssertionError(f"{path} reached the line loop")
 
+    monkeypatch.setattr(data_module, "_read_text", refuse)
     monkeypatch.setattr(data_module, "_parse_rows", refuse)
     rng = np.random.default_rng(52)
     saved = tmp_path / "saved.csv"
@@ -236,6 +258,29 @@ def test_well_formed_feature_csv_skips_line_loop(tmp_path, monkeypatch):
     hand = tmp_path / "hand.csv"
     hand.write_text(" 1 ,+2\r\n3e0,\t4.\r\n\r\n")
     assert np.array_equal(load_features_csv(hand), [[1.0, 3.0], [2.0, 4.0]])
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of one call, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path):
+    # loading holds one line of text besides the array it fills, not the
+    # decoded file and its lines; saving holds one row's text, not the file
+    x = np.random.default_rng(53).standard_normal((64, 3000))
+    path = tmp_path / "x.csv"
+    saved, _ = traced_peak(save_features_csv, x, path)
+    size = path.stat().st_size
+    loaded, got = traced_peak(load_features_csv, path)
+    assert np.array_equal(got, x)
+    assert loaded < x.nbytes + size / 4
+    assert saved < size / 4
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),

@@ -763,6 +763,16 @@ def test_multi_block_matches_textbook_and_fixed_point():
     assert fallbacks == [len(ON_MASKED), 0, 0, 1]
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_mirror_lower_copies_the_lower_triangle_tile_by_tile(n):
+    # one tile, one short of it, exactly one, one past it, and a partial
+    # last tile: the upper triangle is the lower one transposed, bit for bit
+    a = np.random.default_rng(60).standard_normal((n, n))
+    want = np.tril(a) + np.tril(a, -1).T
+    partialda.graph._mirror_lower(a)
+    assert a.tobytes() == want.tobytes()
+
+
 def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
     # without numpy's dgesv, np.linalg.solve factors a copy of the same
     # Fortran-ordered system: the same bits and the same fallback counts

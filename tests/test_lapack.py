@@ -22,7 +22,7 @@ from partialda import (
 )
 import partialda._lapack as _lapack
 import partialda.subspace as subspace
-from partialda._lapack import syevr_smallest, trtri_lower
+from partialda._lapack import potrf_lower, syevr_smallest, trtri_lower
 from partialda.subspace import solve_projection
 from tests.test_subspace import (
     assert_matches_dense_eigh,
@@ -47,8 +47,8 @@ def path(request, monkeypatch):
 @pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
 def test_lookup_finds_every_routine():
     # a routine not found falls back silently and loses its speed, so a
-    # numpy that ships the library must export all three under these names
-    assert sorted(_lapack._lookup()) == ["dgesv", "dsyevr", "dtrtri"]
+    # numpy that ships the library must export all four under these names
+    assert sorted(_lapack._lookup()) == ["dgesv", "dpotrf", "dsyevr", "dtrtri"]
 
 
 def symmetric_cases(rng):
@@ -193,6 +193,49 @@ def test_trtri_lower_matches_inv(path):
             assert got is l and np.all(np.triu(got, 1) == 0.0)
     with pytest.raises(np.linalg.LinAlgError):
         trtri_lower(np.diag([1.0, 0.0, 2.0]))
+
+
+def test_potrf_lower_is_cholesky_bit_for_bit(path):
+    # dpotrf with UPLO='L' on the C-order buffer runs numpy's own
+    # factorization: the same bits, for the exactly symmetric products the
+    # constraint side is built from; dpotrf works in its input, the
+    # fallback leaves it as it was, and neither result shares its memory
+    rng = np.random.default_rng(55)
+    for n in (1, 2, 7, 64, 300):
+        c = rng.standard_normal((n, n + 3))
+        a = c @ c.T
+        a.flat[::n + 1] += 1e-3
+        want = np.linalg.cholesky(a)
+        work = a.copy()
+        got = potrf_lower(work)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, work)
+        if path == "np.linalg" or not NUMPY_OPENBLAS:
+            assert np.array_equal(work, a)
+    with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+        potrf_lower(np.diag([1.0, -1.0, 2.0]))
+    for bad in (a.T, a.astype(np.float32), np.broadcast_to(a, a.shape)):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            potrf_lower(bad)
+
+
+def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypatch):
+    # the factorization overwrites the constraint side, so gram_matrix
+    # builds it again for the condition number in its message
+    x = np.random.default_rng(56).standard_normal((6, 20))
+    received = []
+
+    def scribbling(a):
+        received.append(a.copy())
+        a[...] = 1.0
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(subspace, "potrf_lower", scribbling)
+    with pytest.raises(NumericalError) as failed:
+        subspace.gram_matrix(x[:, :8], x[:, 8:], AdaptationConfig(k=2))
+    assert str(failed.value) == (
+        f"constraint side is not positive definite (cond rhs "
+        f"{np.linalg.cond(received[-1]):.3e}): Matrix is not positive definite")
 
 
 @pytest.mark.parametrize("rhs_reg, full_rank", [(1e-6, True), (1e-6, False), (1e-10, False)])

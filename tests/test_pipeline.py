@@ -160,6 +160,23 @@ def test_huge_features_are_propagated_or_refused_by_name():
         adapt(2.0 ** 520 * data.x_s, y_s, 2.0 ** 520 * data.x_t, AdaptationConfig(k=5))
 
 
+def test_offset_and_tiny_features_are_judged_by_name():
+    # a common offset of 1e153 overflows the data's sum of squares while the
+    # centred data vary, so such data are accepted; centred squares that
+    # underflow are named as such instead of as "no variance"
+    rng = np.random.default_rng(47)
+    x = 1e153 + 1e151 * rng.standard_normal((4, 200))
+    y_s = make_one_hot(rng.integers(0, 3, 100), 3)
+    result = adapt(x[:, :100], y_s, x[:, 100:], AdaptationConfig(k=2))
+    assert np.isfinite(result.projection.a).all()
+    assert np.abs(result.soft_labels.sum(axis=0) - 1.0).max() <= 1e-12
+    data = generate_synthetic(SyntheticSpec())
+    y_s = make_one_hot(data.y_s, 10)
+    with pytest.raises(NumericalError, match=r"^iteration 1: centered data underflows "
+                       r"\(trace 0\.000e\+00\); scale the features up$"):
+        adapt(2.0 ** -560 * data.x_s, y_s, 2.0 ** -560 * data.x_t, AdaptationConfig(k=5))
+
+
 def test_baseline_single_target_shape():
     rng = np.random.default_rng(45)
     x, y, _ = separable_instance(rng)
