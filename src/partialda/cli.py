@@ -171,7 +171,8 @@ def cmd_gen_synth(args) -> int:
     save_labels(dataset.y_s, out_dir / "source_labels.txt")
     save_features_csv(dataset.x_t, out_dir / "target_features.csv")
     save_labels(dataset.y_t, out_dir / "target_labels.txt")
-    (out_dir / "spec.json").write_text(json.dumps(asdict(spec), indent=2) + "\n")
+    (out_dir / "spec.json").write_text(json.dumps(asdict(spec), indent=2) + "\n",
+                                       encoding="utf-8")
     print(f"gen-synth: wrote {dataset.x_s.shape[1]} source and "
           f"{dataset.x_t.shape[1]} target samples to {out_dir}")
     return 0

@@ -154,6 +154,19 @@ def accuracy(pred, truth) -> tuple[float, dict[int, float]]:
     return overall, per_class
 
 
+def is_finite_number(value, name: str, error: type[ValueError]) -> bool:
+    """Whether a field's ``value`` is finite; raises ``error`` naming it unless it is a number.
+
+    A Python int is finite (and may be too large for math.isfinite).
+    """
+    if isinstance(value, int):
+        return True
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise error(f"{name} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     """Knobs of the adaptation loop.
@@ -182,11 +195,10 @@ class AdaptationConfig:
     rhs_reg: float = 1e-6
 
     def __post_init__(self):
-        # NaN passes every comparison below and inf overflows int(); a
-        # Python int is finite (and may be too large for math.isfinite)
+        # NaN passes every comparison below and inf overflows int()
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) and not math.isfinite(value):
+            if not is_finite_number(value, f.name, ConfigurationError):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.alpha_p < 0 or self.alpha_c < 0:
             raise ConfigurationError("alpha_p and alpha_c must be non-negative")

@@ -5,28 +5,28 @@ non-negative integer per line.  Values are written with ``repr`` so a
 round trip through text reproduces them bit for bit.  Reports are single
 JSON documents that the package writes and never reads back.
 
-Feature files are parsed by numpy's C reader (``np.loadtxt``), fed one
-line at a time from the open file, so that only one line is held as text
-while the array fills.  A file it refuses, or that holds a character at
-which ``str.splitlines`` and a file iterator break lines differently, is
-read again by a line-by-line loop instead, which accepts exactly what
-``float()`` accepts and names the row and value of the first bad cell.
-Both paths agree on every file; the C reader only makes the common case
-fast and small.  Files are written a row at a time.
+Every text file is read as UTF-8 through one line generator, so the
+format has one rule: lines are what Python's universal newlines split (at
+LF, CR LF or a lone CR), blank lines after the last row are dropped, a
+feature value is what ``np.loadtxt`` reads and a label what ``int()``
+reads.  The generator feeds numpy's C reader a line at a time, so one
+line of text is held while the array fills, and the row the reader
+refuses is the last line it was handed.  Files are written as UTF-8, a
+row at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .core import as_feature_matrix
+from .core import as_feature_matrix, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class SyntheticSpec:
         # a field with an integer default must hold an integer
         for f in fields(self):
             value = getattr(self, f.name)
+            finite = is_finite_number(value, f.name, ValidationError)
             if isinstance(f.default, int):
-                integral = isinstance(value, int) or (math.isfinite(value) and int(value) == value)
-                if not integral:
+                if not (finite and int(value) == value):
                     raise ValidationError(f"{f.name} must be an integer, got {value}")
                 object.__setattr__(self, f.name, int(value))  # 20.0 would break the shapes
-            elif not isinstance(value, int) and not math.isfinite(value):
+            elif not finite:
                 raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.num_source_classes < 1:
             raise ValidationError("num_source_classes must be >= 1")
@@ -154,116 +154,92 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(x_s=x_s, y_s=y_s, x_t=x_t, y_t=y_t, centers=centers)
 
 
-def _read_text(path) -> str:
-    """The file's contents as UTF-8; raises ParseError naming the file otherwise."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} is "
-                         f"{exc.object[exc.start]:#04x}") from None
+def _lines(path):
+    """Yield (number, line) for each line of a UTF-8 text file up to its last non-blank one.
 
-
-def _read_rows(path) -> list[tuple[int, str]]:
-    text = _read_text(path)
-    rows = [(i, line) for i, line in enumerate(text.splitlines(), start=1)]
-    while rows and rows[-1][1].strip() == "":
-        rows.pop()
-    return rows
-
-
-# Where str.splitlines breaks a line and a file iterator does not, besides
-# the non-ASCII U+0085, U+2028 and U+2029, plus the U+001F that np.loadtxt
-# strips as whitespace and float() does not
-_LINE_LOOP_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _parse_c(path) -> np.ndarray | None:
-    """The file as parsed by np.loadtxt, a line at a time; None where the line loop decides.
-
-    The lines come from the open file with the universal newlines that
-    ``_read_text`` applies, so they are the lines ``_read_rows`` sees unless
-    one is non-ASCII or holds one of ``_LINE_LOOP_ONLY``; such a line stops
-    the reader.  Blank lines are counted and not handed on, so the parsed
-    rows must number the lines up to the last non-blank one.
+    Lines are split by Python's universal newlines and numbered from 1; a
+    blank line before a later one is yielded too, for the reader to refuse.
+    Raises ParseError naming the offset of the first byte that is not UTF-8.
     """
-    rows = 0  # lines up to the last non-blank one
-    blanks = 0  # blank lines since then
-
-    def lines(file):
-        nonlocal rows, blanks
-        for line in file:
-            if not line.isascii() or any(c in line for c in _LINE_LOOP_ONLY):
-                raise ValueError("a line only the line loop reads alike")
-            if line.isspace():
-                blanks += 1
-            else:
-                rows += blanks + 1
-                blanks = 0
-                yield line
-
+    blanks = []
     with open(path, encoding="utf-8") as file:
-        stream = lines(file)
-        try:  # a UnicodeDecodeError is a ValueError too
-            first = next(stream, None)
-            if first is None:  # np.loadtxt warns on a file without data
-                return None
-            parsed = np.loadtxt(itertools.chain((first,), stream), delimiter=",",
-                                comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            return None
-    return parsed if parsed.shape[0] == rows else None
+        try:
+            for number, line in enumerate(file, start=1):
+                if line.isspace():
+                    blanks.append((number, line))
+                    continue
+                yield from blanks
+                blanks.clear()
+                yield number, line
+        except UnicodeDecodeError:
+            # the decoder counts from its chunk: the file's offset needs the whole file
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8 text: byte {exc.start} is "
+                                 f"{raw[exc.start]:#04x}") from None
+            raise
 
 
 def load_features_csv(path) -> np.ndarray:
     """Parse a feature CSV with one sample per row into a (d, n) matrix.
 
-    The C reader parses the file first, one line at a time.  When it
-    refuses a line, the file is not UTF-8, a line is non-ASCII or holds a
-    character at which ``str.splitlines`` breaks lines and a file iterator
-    does not (or U+001F, which the C reader strips as whitespace and
-    ``float()`` does not), a blank line precedes a row, or the file holds no
-    row, the line loop reads the file again and reports the first bad row.
+    Each line is handed to ``np.loadtxt`` as it is read, so one line of
+    text is held besides the array it fills, and the reader accepts exactly
+    the values ``np.loadtxt`` reads.  It stops at the first row it refuses,
+    the last line handed on, and that row's cells name the error.
 
     Raises
     ------
     ParseError
-        On ragged rows, non-numeric cells or text that is not UTF-8,
-        naming the offending line or byte.
+        On ragged rows, non-numeric cells, a blank line before a row or
+        text that is not UTF-8, naming the offending row or byte.
     ValidationError
         On an empty file or non-finite values.
     OSError
         When the file cannot be read.
     """
-    parsed = _parse_c(path)
-    if parsed is None:
-        rows = _read_rows(path)
-        if not rows:
+    with closing(_lines(path)) as lines:
+        first = last = next(lines, None)
+        if first is None:  # np.loadtxt warns on a file without data
             raise ValidationError(f"empty feature file: {path}")
-        parsed = _parse_rows(path, rows)
+
+        def rows():
+            nonlocal last
+            for last in itertools.chain((first,), lines):
+                if last[1].isspace():  # np.loadtxt would skip it
+                    raise ValueError("a blank line before a row")
+                yield last[1]
+
+        try:
+            parsed = np.loadtxt(rows(), delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ParseError:
+            raise
+        except ValueError:
+            raise _refused_row(path, first[1], *last) from None
     return as_feature_matrix(parsed.T, name=f"features from {path}")
 
 
-def _parse_rows(path, rows: list[tuple[int, str]]) -> np.ndarray:
-    """Parse numbered lines cell by cell with ``float()``; raises ParseError."""
-    width = None
-    parsed = []
-    for i, line in rows:
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise ParseError(f"{path}: row {i} has {len(parts)} columns, expected {width}")
-        try:
-            parsed.append([float(cell) for cell in parts])
-        except ValueError:
-            bad = next(cell for cell in parts if not _is_float(cell))
-            raise ParseError(f"{path}: row {i}: non-numeric value {bad.strip()!r}") from None
-    return np.array(parsed)
+def _refused_row(path, first: str, number: int, line: str) -> ParseError:
+    """The error naming a row ``np.loadtxt`` refused, given the first row.
+
+    A row whose cell count differs from the first row's is ragged;
+    otherwise its first cell that ``np.loadtxt`` refuses is named.
+    """
+    cells, width = line.split(","), first.count(",") + 1
+    if len(cells) != width:
+        return ParseError(f"{path}: row {number} has {len(cells)} columns, expected {width}")
+    # a blank line's one cell is empty, and np.loadtxt would skip the line
+    bad = next(cell for column, cell in enumerate(cells)
+               if line.isspace() or not _reads(line, column))
+    return ParseError(f"{path}: row {number}: non-numeric value {bad.strip()!r}")
 
 
-def _is_float(cell: str) -> bool:
+def _reads(line: str, column: int) -> bool:
+    """Whether ``np.loadtxt`` reads the cell of ``line`` in ``column``."""
     try:
-        float(cell)
+        np.loadtxt([line], delimiter=",", comments=None, dtype=float, usecols=[column])
         return True
     except ValueError:
         return False
@@ -275,25 +251,25 @@ _LABEL_LIMIT = 2**63
 
 def load_labels(path) -> np.ndarray:
     """Parse a label file with one non-negative integer below 2**63 per line."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"empty label file: {path}")
     labels = []
-    for i, line in rows:
-        try:
-            value = int(line.strip())
-        except ValueError:
-            raise ParseError(f"{path}: line {i}: not an integer: {line.strip()!r}") from None
-        if value < 0:
-            raise ParseError(f"{path}: line {i}: negative label {value}")
-        if value >= _LABEL_LIMIT:
-            raise ParseError(f"{path}: line {i}: label {value} is not below 2**63")
-        labels.append(value)
+    with closing(_lines(path)) as lines:
+        for i, line in lines:
+            try:
+                value = int(line.strip())
+            except ValueError:
+                raise ParseError(f"{path}: line {i}: not an integer: {line.strip()!r}") from None
+            if value < 0:
+                raise ParseError(f"{path}: line {i}: negative label {value}")
+            if value >= _LABEL_LIMIT:
+                raise ParseError(f"{path}: line {i}: label {value} is not below 2**63")
+            labels.append(value)
+    if not labels:
+        raise ValidationError(f"empty label file: {path}")
     return np.array(labels, dtype=int)
 
 
 def _write_rows(rows: np.ndarray, path) -> None:
-    """One line per row of a float array, each value the shortest repr that reads back exactly."""
+    """One UTF-8 line per row of an array, each value the shortest repr that reads back exactly."""
     with open(path, "w", encoding="utf-8") as file:
         for row in rows:  # a row at a time: no copy of the file is held
             file.write(",".join(map(repr, row.tolist())) + "\n")
@@ -317,7 +293,7 @@ def save_labels(labels, path) -> None:
         i = int(np.flatnonzero(bad)[0])
         raise ValidationError(
             f"label {labels[i]} at index {i} is not a non-negative integer below 2**63")
-    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+    _write_rows(labels.astype(np.int64)[:, None], path)  # a Python int's repr is its digits
 
 
 def save_soft_labels(p, path) -> None:
@@ -355,4 +331,4 @@ class ResultReport:
 
 def save_report(report: ResultReport, path) -> None:
     """Serialize a report as an indented JSON document."""
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")

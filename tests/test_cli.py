@@ -1,7 +1,11 @@
 """Command line interface: wiring, output files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ GEN_FLAGS = [
 def gen_dataset(directory):
     code = main(["gen-synth", "--out-dir", str(directory), *GEN_FLAGS])
     assert code == 0
+    return dataset_files(directory)
+
+
+def dataset_files(directory):
     return {
         "source_features": directory / "source_features.csv",
         "source_labels": directory / "source_labels.txt",
@@ -55,6 +63,22 @@ def test_gen_synth_writes_five_files(tmp_path):
     spec = json.loads(files["spec"].read_text())
     assert spec["num_source_classes"] == 4
     assert spec["seed"] == 7
+
+
+def test_every_text_file_names_its_encoding(tmp_path):
+    # with EncodingWarning an error, a file opened in the locale's encoding
+    # stops the command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    files, run = dataset_files(tmp_path / "data"), tmp_path / "run"
+    for args in (["gen-synth", "--out-dir", str(tmp_path / "data"), *GEN_FLAGS],
+                 adapt_args(files, run),
+                 ["eval", str(run / "soft_labels.csv"), str(files["target_labels"])]):
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "partialda.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_gen_synth_is_deterministic(tmp_path):

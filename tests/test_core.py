@@ -150,6 +150,11 @@ def test_config_defaults_and_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
                 AdaptationConfig(**{name: value})
+        # a value that is no number is refused by name, not by math.isfinite
+        for value in ("5", None):
+            message = f"^{name} must be a number, got {value!r}$"
+            with pytest.raises(ConfigurationError, match=message):
+                AdaptationConfig(**{name: value})
 
     # integral floats are stored as ints and run exactly like them
     as_float = AdaptationConfig(k=5.0, max_iterations=3.0)

@@ -105,6 +105,9 @@ def test_spec_rejects_non_finite_float_knobs(knob):
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match=f"^{knob} must be finite, got {value}$"):
             SyntheticSpec(**{knob: value})
+    for value in ("1.0", None):  # not a TypeError out of math.isfinite
+        with pytest.raises(ValidationError, match=f"^{knob} must be a number, got {value!r}$"):
+            SyntheticSpec(**{knob: value})
     data = generate_synthetic(SyntheticSpec(**{knob: 1}))  # a Python int is fine
     assert np.isfinite(data.x_s).all() and np.isfinite(data.x_t).all()
 
@@ -118,6 +121,9 @@ def test_spec_rejects_non_integral_integer_fields(field):
     # bare TypeError, ValueError or OverflowError
     for value in (2.5, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value}$"):
+            SyntheticSpec(**{field: value})
+    for value in ("5", None):
+        with pytest.raises(ValidationError, match=f"^{field} must be a number, got {value!r}$"):
             SyntheticSpec(**{field: value})
     spec = SyntheticSpec(**{field: 5.0})  # an integral float is taken as an int
     assert type(getattr(spec, field)) is int
@@ -153,6 +159,14 @@ def test_feature_csv_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="non-numeric value 'oops'"):
         load_features_csv(bad)
 
+    # the row named is the one the reader stopped at, however deep
+    for row, message in (("1.5,x\n", "row 15000: non-numeric value 'x'"),
+                         ("1.5\n", "row 15000 has 1 columns, expected 2")):
+        bad.write_text("1.5,2\n" * 14999 + row + "1.5,2\n" * 5000)
+        with pytest.raises(ParseError) as exc:
+            load_features_csv(bad)
+        assert str(exc.value) == f"{bad}: {message}"
+
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValidationError, match="empty feature file"):
@@ -170,94 +184,87 @@ def test_feature_csv_parse_errors(tmp_path):
         load_features_csv(tmp_path)
 
 
-def line_loop(path):
-    """The line-by-line parser called directly, with the loader's checks."""
-    rows = data_module._read_rows(path)
-    if not rows:
-        raise ValidationError(f"empty feature file: {path}")
-    parsed = data_module._parse_rows(path, rows)
-    return data_module.as_feature_matrix(parsed.T, name=f"features from {path}")
+EMPTY = (ValidationError, "empty feature file: {path}")
+NON_FINITE = (ValidationError, "features from {path} contains NaN or Inf entries")
 
 
+def refused(row, value):
+    return ParseError, f"{{path}}: row {row}: non-numeric value {value!r}"
+
+
+def ragged(row, columns, expected):
+    return ParseError, f"{{path}}: row {row} has {columns} columns, expected {expected}"
+
+
+# each input with the samples it parses to (one list per row) or the error
+# it raises; lines are what universal newlines split, values what
+# np.loadtxt reads
 ODD_FILES = {
-    "blank_line_mid_file": "1,2\n\n3,4\n",
-    "whitespace_only_line": "1,2\n \t\n3,4\n",
-    "trailing_blank_lines": "1,2\n3,4\n\n  \n",
-    "crlf": "1,2\r\n3,4\r\n",
-    "spaces_and_tabs": " 1.5 ,\t2\t\n  3 , 4 \n",
-    "leading_plus": "+1,2\n3,+4e-2\n",
-    "underscore": "1_0,2\n3,4\n",
-    "non_ascii_digit": "\u0661,2\n3,\u0664.5\n",
-    "fullwidth_digit": "\uff11,2\n",
-    "non_ascii_space": "1\u00a0,\u20032\n",
-    "hash": "#1,2\n3,4\n",
-    "hash_after_value": "1,2 # note\n",
-    "quoted_cell": '"1",2\n',
-    "empty_cell": "1,,2\n",
-    "trailing_comma": "1,2,\n3,4,\n",
-    "ragged": "1,2\n3\n",
-    "nan": "nan,1\n",
-    "inf": "1,inf\n",
-    "infinity": "-Infinity,1\n",
-    "vertical_tab": "1,2\x0b3,4\n",
-    "vertical_tab_in_cell": "1\x0b,2\n",
-    "form_feed": "1\x0c2\n",
-    "unit_separator": "1\x1f,2\n",
-    "nul": "1\x00,2\n",
-    "hex": "0x10,2\n",
-    "overflow": "1e999,1\n",
-    "single_value": "7\n",
-    "single_column": "1\n2\n3\n",
-    "no_final_newline": "1,2\n3,4",
-    "only_blank_lines": "\n\n",
-    "only_whitespace_lines": " \n\t\r\n  ",
-    "trailing_whitespace_lines": "1,2\n3,4\n \t\n\t\n",
-    "trailing_whitespace_no_final_newline": "1,2\n3,4\n \t\n  ",
-    "byte_order_mark": "\ufeff1,2\n3,4\n",
-    "lone_cr_mid_row": "1,\r2\n3,4\n",
-    "lone_cr_between_rows": "1,2\r3,4\r",
+    "blank_line_mid_file": ("1,2\n\n3,4\n", ragged(2, 1, 2)),
+    "whitespace_only_line": ("1,2\n \t\n3,4\n", ragged(2, 1, 2)),
+    "leading_blank_line": ("\n1,2\n", refused(1, "")),
+    "blank_line_single_column": ("1\n\n2\n", refused(2, "")),
+    "trailing_blank_lines": ("1,2\n3,4\n\n  \n", [[1, 2], [3, 4]]),
+    "crlf": ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    "crlf_and_whitespace": (" 1 ,+2\r\n3e0,\t4.\r\n\r\n", [[1, 2], [3, 4]]),
+    "spaces_and_tabs": (" 1.5 ,\t2\t\n  3 , 4 \n", [[1.5, 2], [3, 4]]),
+    "leading_plus": ("+1,2\n3,+4e-2\n", [[1, 2], [3, 0.04]]),
+    "underscore": ("1_0,2\n3,4\n", refused(1, "1_0")),
+    "non_ascii_digit": ("\u0661,2\n3,\u0664.5\n", refused(1, "\u0661")),
+    "fullwidth_digit": ("\uff11,2\n", refused(1, "\uff11")),
+    "non_ascii_space": ("1\u00a0,\u20032\n", [[1, 2]]),
+    "hash": ("#1,2\n3,4\n", refused(1, "#1")),
+    "hash_after_value": ("1,2 # note\n", refused(1, "2 # note")),
+    "quoted_cell": ('"1",2\n', refused(1, '"1"')),
+    "empty_cell": ("1,,2\n", refused(1, "")),
+    "trailing_comma": ("1,2,\n3,4,\n", refused(1, "")),
+    "ragged": ("1,2\n3\n", ragged(2, 1, 2)),
+    "nan": ("nan,1\n", NON_FINITE),
+    "inf": ("1,inf\n", NON_FINITE),
+    "infinity": ("-Infinity,1\n", NON_FINITE),
+    "vertical_tab": ("1,2\x0b3,4\n", refused(1, "2\x0b3")),
+    "vertical_tab_in_cell": ("1\x0b,2\n", [[1, 2]]),
+    "form_feed": ("1\x0c2\n", refused(1, "1\x0c2")),
+    "unit_separator": ("1\x1f,2\n", [[1, 2]]),
+    "nul": ("1\x00,2\n", refused(1, "1\x00")),
+    "hex": ("0x10,2\n", refused(1, "0x10")),
+    "overflow": ("1e999,1\n", NON_FINITE),
+    "single_value": ("7\n", [[7]]),
+    "single_column": ("1\n2\n3\n", [[1], [2], [3]]),
+    "no_final_newline": ("1,2\n3,4", [[1, 2], [3, 4]]),
+    "only_blank_lines": ("\n\n", EMPTY),
+    "only_whitespace_lines": (" \n\t\r\n  ", EMPTY),
+    "trailing_whitespace_lines": ("1,2\n3,4\n \t\n\t\n", [[1, 2], [3, 4]]),
+    "trailing_whitespace_no_final_newline": ("1,2\n3,4\n \t\n  ", [[1, 2], [3, 4]]),
+    "byte_order_mark": ("\ufeff1,2\n3,4\n", refused(1, "\ufeff1")),
+    "lone_cr_mid_row": ("1,\r2\n3,4\n", refused(1, "")),
+    "lone_cr_between_rows": ("1,2\r3,4\r", [[1, 2], [3, 4]]),
     # invalid UTF-8 past the reader's first chunks: the byte offset named is
     # that of the whole file
-    "invalid_utf8_deep": b"1.25,2.5\n" * 40000 + b"3,\xff4\n",
+    "invalid_utf8_deep": (b"1.25,2.5\n" * 40000 + b"3,\xff4\n",
+                          (ParseError, "{path}: not UTF-8 text: byte 360002 is 0xff")),
 }
-# str.splitlines breaks lines at these and a file iterator does not
+# str.splitlines breaks lines at these, universal newlines do not, and
+# np.loadtxt strips them as whitespace
 for _char in "\x1c\x1d\x1e\x85\u2028\u2029":
-    ODD_FILES[f"u{ord(_char):04x}_between_rows"] = f"1,2{_char}3,4\n"
-    ODD_FILES[f"u{ord(_char):04x}_in_cell"] = f"1{_char},2\n3,4\n"
+    ODD_FILES[f"u{ord(_char):04x}_between_rows"] = (f"1,2{_char}3,4\n", refused(1, f"2{_char}3"))
+    ODD_FILES[f"u{ord(_char):04x}_in_cell"] = (f"1{_char},2\n3,4\n", [[1, 2], [3, 4]])
 
 
 @pytest.mark.parametrize("name", sorted(ODD_FILES))
 def test_feature_csv_odd_inputs_match_line_loop(tmp_path, name):
-    # the C reader may only speed the loader up: on every input it must
-    # return what the line loop returns, or fail exactly as it fails
+    # every case's outcome is pinned: its array bit for bit, or its error text
     path = tmp_path / f"{name}.csv"
-    content = ODD_FILES[name]
+    content, want = ODD_FILES[name]
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
-    try:
-        want = line_loop(path)
-    except (ParseError, ValidationError) as exc:
-        with pytest.raises(type(exc)) as got:
-            load_features_csv(path)
-        assert str(got.value) == str(exc)
-    else:
-        got = load_features_csv(path)
+    if isinstance(want, list):
+        got, want = load_features_csv(path), np.array(want, dtype=float).T
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_well_formed_feature_csv_skips_line_loop(tmp_path, monkeypatch):
-    def refuse(path, *rows):
-        raise AssertionError(f"{path} reached the line loop")
-
-    monkeypatch.setattr(data_module, "_read_text", refuse)
-    monkeypatch.setattr(data_module, "_parse_rows", refuse)
-    rng = np.random.default_rng(52)
-    saved = tmp_path / "saved.csv"
-    x = rng.standard_normal((6, 9))
-    save_features_csv(x, saved)
-    assert np.array_equal(load_features_csv(saved), x)
-    hand = tmp_path / "hand.csv"
-    hand.write_text(" 1 ,+2\r\n3e0,\t4.\r\n\r\n")
-    assert np.array_equal(load_features_csv(hand), [[1.0, 3.0], [2.0, 4.0]])
+    else:
+        error, text = want
+        with pytest.raises(error) as got:
+            load_features_csv(path)
+        assert str(got.value) == text.format(path=path)
 
 
 def traced_peak(call, *args):
@@ -272,15 +279,20 @@ def traced_peak(call, *args):
 
 def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path):
     # loading holds one line of text besides the array it fills, not the
-    # decoded file and its lines; saving holds one row's text, not the file
-    x = np.random.default_rng(53).standard_normal((64, 3000))
+    # decoded file and its lines; saving holds one row's text, not the file.
+    # One non-ASCII character changes neither: every file takes one path.
+    x = np.random.default_rng(53).standard_normal((256, 4000))
     path = tmp_path / "x.csv"
     saved, _ = traced_peak(save_features_csv, x, path)
     size = path.stat().st_size
-    loaded, got = traced_peak(load_features_csv, path)
-    assert np.array_equal(got, x)
-    assert loaded < x.nbytes + size / 4
     assert saved < size / 4
+    text = path.read_text(encoding="utf-8")
+    i = text.index(",", len(text) // 2)
+    for odd in ("", "\u00a0"):
+        path.write_text(text[:i] + odd + text[i:], encoding="utf-8")
+        loaded, got = traced_peak(load_features_csv, path)
+        assert np.array_equal(got, x)
+        assert loaded < x.nbytes + size / 4
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -302,6 +314,8 @@ def test_label_file_round_trip(tmp_path):
     assert np.array_equal(load_labels(path), [0, 1, 1])
     path.write_text("2\n")
     assert np.array_equal(load_labels(path), [2])
+    path.write_bytes(b"2\r\n0\r 1 \n\n\t\n")  # universal newlines; trailing blank lines dropped
+    assert np.array_equal(load_labels(path), [2, 0, 1])
 
 
 def test_label_file_parse_errors(tmp_path):
@@ -315,6 +329,13 @@ def test_label_file_parse_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValidationError, match="empty label file"):
         load_labels(path)
+    # a blank line before a label is refused; U+000B does not end a line
+    for text, message in (("0\n\n1\n", "line 2: not an integer: ''"),
+                          ("0\n1\x0b2\n", "line 2: not an integer: '1\\x0b2'")):
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_labels(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 def test_label_file_refuses_labels_beyond_int64(tmp_path):

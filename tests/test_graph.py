@@ -481,6 +481,30 @@ def test_propagate_permutation_equivariance():
         p2, _ = propagate_labels(z_s[:, perm], z_t, 0.5, y[perm])
         assert np.abs(p1 - p2).max() <= 1e-15
 
+    # permuting the targets permutes their soft labels, to rounding, though
+    # the permuted triangle falls in other _BLOCK_ROWS blocks; the same rows
+    # fall back.  Sources and targets lie in the e1-e2 plane, besides one
+    # source of masked class 0 and one target on e3: at this sigma their
+    # affinities to the plane underflow, so the weighting empties that
+    # target's row
+    def in_plane(n):
+        angles = rng.uniform(0, 2 * np.pi, n)
+        return np.vstack([np.cos(angles), np.sin(angles), np.zeros(n)])
+
+    n_s, sigma = 12, 0.03
+    z_s = in_plane(n_s)
+    z_s[:, 0] = [0.0, 0.0, 1.0]
+    y = np.eye(4)[np.concatenate([[0], rng.integers(1, 4, n_s - 1)])]
+    for n_t in (5, 257, 600):
+        z_t = in_plane(n_t)
+        z_t[:, -1] = [0.0, 0.0, 1.0]
+        perm = rng.permutation(n_t)
+        for weights, fallbacks in ((None, 0), (sample_weights([0.0, 0.5, 1.0, 0.7], y), 1)):
+            p1, f1 = propagate_labels(z_s, z_t, sigma, y, weights)
+            p2, f2 = propagate_labels(z_s, z_t[:, perm], sigma, y, weights)
+            assert f1 == f2 == fallbacks
+            assert np.abs(p1[:, perm] - p2).max() <= 1e-12
+
 
 def test_propagate_singular_system():
     # two identical targets orthogonal to both sources: the source
