@@ -15,8 +15,8 @@ three terms without building the (n_s + n_t)-square M at all.
 import numpy as np
 
 from partialda import AdaptationConfig
-from partialda.alignment import scatter_factors
 from partialda.oracles import build_center_operators, build_m0, build_mc, build_mp, combine
+from partialda.subspace import _scatter_factors
 
 rng = np.random.default_rng(5)
 
@@ -72,7 +72,7 @@ mean = x.mean(axis=1)
 xc = x - mean[:, None]
 xc_t = xc[:, n_s:]
 config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0)
-u, n = scatter_factors(xc, mean, n_s, omega, y_s, p, config)
+u, n = _scatter_factors(xc, mean, n_s, omega, y_s, p, config)
 scatter = config.alpha_c * xc @ xc.T + config.alpha_p * xc_t @ xc_t.T + u @ n @ u.T
 dense = x @ m_all @ x.T
 gap = np.linalg.norm(scatter - dense) / np.linalg.norm(dense)

@@ -10,8 +10,8 @@ down-weighting a class zeroes its columns so no target can inherit it.
 
 import numpy as np
 
-from partialda.alignment import source_sample_weights
 from partialda.graph import propagate_labels
+from partialda.pipeline import source_sample_weights
 
 # 1. A tiny graph: sources s0, s1 and targets t0, t1 at 35 degree steps on
 #    a circle (s0, t0, t1, s1).  At sigma = 0.02 only neighbors connect, so

@@ -157,8 +157,11 @@ def accuracy(pred, truth) -> tuple[float, dict[int, float]]:
 def is_finite_number(value, name: str, error: type[ValueError]) -> bool:
     """Whether a field's ``value`` is finite; raises ``error`` naming it unless it is a number.
 
-    A Python int is finite (and may be too large for math.isfinite).
+    A bool is not a number here, though Python counts it as an int; any
+    other Python int is finite (and may be too large for math.isfinite).
     """
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a number, got {value!r}")
     if isinstance(value, int):
         return True
     try:

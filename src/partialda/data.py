@@ -7,12 +7,12 @@ JSON documents that the package writes and never reads back.
 
 Every text file is read as UTF-8 through one line generator, so the
 format has one rule: lines are what Python's universal newlines split (at
-LF, CR LF or a lone CR), blank lines after the last row are dropped, a
-feature value is what ``np.loadtxt`` reads and a label what ``int()``
-reads.  The generator feeds numpy's C reader a line at a time, so one
-line of text is held while the array fills, and the row the reader
-refuses is the last line it was handed.  Files are written as UTF-8, a
-row at a time.
+LF, CR LF or a lone CR), blank lines after the last row are dropped, and
+a feature value is what ``np.loadtxt`` reads as a float, a label what it
+reads as an int64.  The generator feeds numpy's C reader a line at a
+time, so one line of text is held while the array fills, and the row the
+reader refuses is the last line it was handed.  Files are written as
+UTF-8, a row at a time.
 """
 
 from __future__ import annotations
@@ -182,13 +182,44 @@ def _lines(path):
             raise
 
 
+def _load_rows(path, kind: str, dtype, refused, width: int | None = None) -> np.ndarray:
+    """``np.loadtxt`` of a text file's comma-separated rows, handed on a line at a time.
+
+    It stops at the first row it refuses, the last line handed on, and
+    ``refused(path, first, number, line)``, given the first line, returns
+    the error naming it.  A blank line before a row is refused, and so is
+    the first row when the rows do not have ``width`` cells.
+    """
+    with closing(_lines(path)) as lines:
+        first = last = next(lines, None)
+        if first is None:  # np.loadtxt warns on a file without data
+            raise ValidationError(f"empty {kind} file: {path}")
+
+        def rows():
+            nonlocal last
+            for last in itertools.chain((first,), lines):
+                if last[1].isspace():  # np.loadtxt would skip it
+                    raise ValueError("a blank line before a row")
+                yield last[1]
+
+        try:
+            parsed = np.loadtxt(rows(), delimiter=",", comments=None, dtype=dtype, ndmin=2)
+        except ParseError:
+            raise
+        except ValueError:
+            raise refused(path, first[1], *last) from None
+    if width is not None and parsed.shape[1] != width:  # every row has the first's cells
+        raise refused(path, first[1], *first)
+    return parsed
+
+
 def load_features_csv(path) -> np.ndarray:
     """Parse a feature CSV with one sample per row into a (d, n) matrix.
 
     Each line is handed to ``np.loadtxt`` as it is read, so one line of
     text is held besides the array it fills, and the reader accepts exactly
-    the values ``np.loadtxt`` reads.  It stops at the first row it refuses,
-    the last line handed on, and that row's cells name the error.
+    the values ``np.loadtxt`` reads.  The first row it refuses is named by
+    its cells.
 
     Raises
     ------
@@ -200,24 +231,7 @@ def load_features_csv(path) -> np.ndarray:
     OSError
         When the file cannot be read.
     """
-    with closing(_lines(path)) as lines:
-        first = last = next(lines, None)
-        if first is None:  # np.loadtxt warns on a file without data
-            raise ValidationError(f"empty feature file: {path}")
-
-        def rows():
-            nonlocal last
-            for last in itertools.chain((first,), lines):
-                if last[1].isspace():  # np.loadtxt would skip it
-                    raise ValueError("a blank line before a row")
-                yield last[1]
-
-        try:
-            parsed = np.loadtxt(rows(), delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ParseError:
-            raise
-        except ValueError:
-            raise _refused_row(path, first[1], *last) from None
+    parsed = _load_rows(path, "feature", float, _refused_row)
     return as_feature_matrix(parsed.T, name=f"features from {path}")
 
 
@@ -245,27 +259,42 @@ def _reads(line: str, column: int) -> bool:
         return False
 
 
+def load_labels(path) -> np.ndarray:
+    """Parse a label file with one non-negative integer below 2**63 per line.
+
+    A label is what ``np.loadtxt`` reads as an int64, and the file is read
+    a line at a time, as a feature file is.  Every line is a row, so array
+    index i holds line i + 1.
+    """
+    labels = _load_rows(path, "label", np.int64, _refused_label, width=1)[:, 0]
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        i = int(negative[0])
+        raise ParseError(f"{path}: line {i + 1}: negative label {labels[i]}")
+    return labels
+
+
+def _refused_label(path, first: str, number: int, line: str) -> ParseError:
+    """The error naming a label line ``np.loadtxt`` refused, given the first line.
+
+    A first line holding a comma is the one refused, since the reader
+    measured every later line against its cells.  A refused line of ASCII
+    digits, signed or not, holds an integer that int64 cannot.
+    """
+    if "," in first:
+        number, line = 1, first
+    text = line.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return ParseError(f"{path}: line {number}: not an integer: {text!r}")
+    value = int(text)
+    if value < 0:
+        return ParseError(f"{path}: line {number}: negative label {value}")
+    return ParseError(f"{path}: line {number}: label {value} is not below 2**63")
+
+
 # Labels are stored as int64: a label file may hold 0 .. 2**63 - 1.
 _LABEL_LIMIT = 2**63
-
-
-def load_labels(path) -> np.ndarray:
-    """Parse a label file with one non-negative integer below 2**63 per line."""
-    labels = []
-    with closing(_lines(path)) as lines:
-        for i, line in lines:
-            try:
-                value = int(line.strip())
-            except ValueError:
-                raise ParseError(f"{path}: line {i}: not an integer: {line.strip()!r}") from None
-            if value < 0:
-                raise ParseError(f"{path}: line {i}: negative label {value}")
-            if value >= _LABEL_LIMIT:
-                raise ParseError(f"{path}: line {i}: label {value} is not below 2**63")
-            labels.append(value)
-    if not labels:
-        raise ValidationError(f"empty label file: {path}")
-    return np.array(labels, dtype=int)
 
 
 def _write_rows(rows: np.ndarray, path) -> None:

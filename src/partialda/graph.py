@@ -22,10 +22,12 @@ diagonal: the system in the column-major order LAPACK reads, so numpy's
 own ``dgesv`` factors and solves it in place
 (:func:`partialda._lapack.gesv`).  The affinity ``exp`` runs over one
 triangle, nothing is normalized twice, and the one transposed copy is the
-mirrored half.  At most ``n_t**2 + _BLOCK_ROWS * n_s`` doubles of graph,
-plus O(n_s + n_t), are alive at once.  Where numpy's OpenBLAS does not
-export ``dgesv`` under the name looked for, ``np.linalg.solve`` solves the
-same matrix to the same bits from its own copy, one ``n_t**2`` more.
+mirrored half.  At most ``n_t**2 + _BLOCK_ROWS * n_s + d * (n_s + n_t)``
+doubles of graph, the last term the unit-normalized copies of both
+domains, plus O(n_s + n_t), are alive at once.  Where numpy's OpenBLAS
+does not export ``dgesv`` under the name looked for, ``np.linalg.solve``
+solves the same matrix to the same bits from its own copy, one ``n_t**2``
+more.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         One-hot source labels.
     sample_weights : ndarray (n_s,), optional
         Finite, non-negative weight of every source sample, not all 0, as
-        :func:`partialda.alignment.source_sample_weights` returns it: the
+        :func:`partialda.pipeline.source_sample_weights` returns it: the
         masked weight of the sample's class, so a class of weight 0
         contributes 0 to every row, for any number of targets.
 

@@ -7,13 +7,9 @@ what the adaptation loop computes.  Which fast path each oracle checks:
 
 * :func:`build_m0` (domain term), :func:`build_mp` with
   :func:`build_center_operators` (center term), :func:`build_mc` (cluster
-  term) and :func:`combine` (their weighted sum) check
-  the data-only part ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T`` that
-  :func:`partialda.subspace.gram_matrix` caches, whitened and with
-  ``Wc Wc.T`` read off the Cholesky factor as ``I - eps_r L^-1 L^-T``, plus
-  ``U N U.T`` of :func:`partialda.alignment.scatter_factors`, the per-round
-  update from which the loop forms ``Z M Z.T``, and the round
-  objective ``trace(A.T Z M Z.T A) + lam ||A||^2`` that
+  term) and :func:`combine` (their weighted sum) check the scatter
+  ``Z M Z.T`` that :mod:`partialda.subspace` forms in two parts, without
+  M, and the round objective ``trace(A.T Z M Z.T A) + lam ||A||^2`` that
   :func:`partialda.subspace.solve_projection` returns.
 * :func:`centering_matrix` checks :func:`partialda.subspace.gram_matrix`,
   which forms the constraint side ``Z H Z.T`` by subtracting row means.
@@ -38,10 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignment import _ridge_eps, solve_gram_system
 from .core import as_sample_weights
 from .errors import NumericalError, ValidationError
-from .subspace import _cond
+from .subspace import _cond, _ridge_eps, solve_gram_system
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

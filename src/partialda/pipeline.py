@@ -3,9 +3,12 @@
 One round first learns a projection for the current target soft labels and
 class weights, then rebuilds the cross-domain graph in the projected space,
 down-weights source samples from low-mass classes and re-propagates labels.
-Class weights are re-estimated from every fresh propagation, so source
-classes absent from the target lose their influence over the rounds instead
-of dragging the projection toward them.
+Class weights, one (C,) vector of estimated target class proportions, are
+re-estimated from every fresh propagation, so source classes absent from
+the target lose their influence over the rounds instead of dragging the
+projection toward them.  :func:`binarize_weights` zeroes the classes at or
+below ``delta``, and from then on a class is masked exactly when its
+weight is 0.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import (
-    apply_mask,
-    binarize_weights,
-    compute_class_weights,
-    source_sample_weights,
-)
 from .core import AdaptationConfig, as_domain_pair, check_label_matrix, hard_labels
-from .errors import AdaptationError, ValidationError
+from .errors import AdaptationError, ConfigurationError, ValidationError
 from .graph import propagate_labels
 from .subspace import Projection, embed, gram_matrix, solve_projection
 
@@ -61,6 +58,76 @@ def label_change_fraction(previous, current) -> float:
     if previous.size == 0:
         raise ValidationError("empty input")
     return float(np.mean(previous != current))
+
+
+def compute_class_weights(p) -> np.ndarray:
+    """Estimated target class proportions: the row sums of ``p``, normalized to sum to one."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2:
+        raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
+    total = p.sum()
+    if total <= 0:
+        raise ValidationError("soft label matrix sums to zero, cannot derive class weights")
+    return p.sum(axis=1) / total
+
+
+def binarize_weights(w, delta: float) -> np.ndarray:
+    """Zero out classes whose weight does not exceed ``delta``.
+
+    This is the one place a weight is compared with ``delta``.  Surviving
+    weights are kept as-is, deliberately not renormalized, so a weight of
+    exactly 0 stays 0 and the operation is idempotent.
+    """
+    if delta < 0:
+        raise ConfigurationError(f"delta must be non-negative, got {delta}")
+    w = np.asarray(w, dtype=float)
+    masked = w * (w > delta)
+    if not masked.any():
+        raise ConfigurationError(
+            f"no class survives threshold delta={delta} "
+            f"(largest class weight is {w.max()})"
+        )
+    return masked
+
+
+def source_sample_weights(w, y_s) -> np.ndarray:
+    """Per-sample weights: each source sample inherits its masked class weight."""
+    w = np.asarray(w, dtype=float)
+    y_s = np.asarray(y_s, dtype=float)
+    if y_s.ndim != 2 or y_s.shape[1] != w.size:
+        raise ValidationError(
+            f"label matrix shape {y_s.shape} does not match {w.size} class weights"
+        )
+    omega = y_s @ w
+    if omega.sum() <= 0:
+        raise ConfigurationError(
+            "all source sample weights are zero; every sample belongs to a masked class"
+        )
+    return omega
+
+
+def apply_mask(p, w) -> tuple[np.ndarray, int]:
+    """Zero the soft label rows of masked classes, those whose weight in ``w`` is 0.
+
+    Columns are not renormalized.  A column left all-zero is replaced by the
+    uniform distribution over surviving classes; the number of such columns
+    is returned alongside the masked matrix.
+    """
+    p = np.asarray(p, dtype=float)
+    keep = np.asarray(w, dtype=float) > 0
+    if p.ndim != 2 or p.shape[0] != keep.size:
+        raise ValidationError(
+            f"soft labels shape {p.shape} does not match {keep.size} classes"
+        )
+    masked = p * keep[:, None]
+    dead = masked.sum(axis=0) == 0.0
+    n_dead = int(dead.sum())
+    if n_dead:
+        survivors = keep.sum()
+        if survivors == 0:
+            raise ConfigurationError("cannot repair empty columns, no class survives the mask")
+        masked[:, dead] = (keep / survivors)[:, None]
+    return masked, n_dead
 
 
 def _validated_inputs(x_s, y_s, x_t):

@@ -1,24 +1,46 @@
-"""Projection learning via a symmetric-definite generalized eigenproblem.
+"""Projection learning: the alignment losses and the pencil they define.
 
-Given the (d, n) feature matrix Z and the d x d scatter ``S = Z M Z.T`` of
-the combined alignment matrix M, the projection A stacks the eigenvectors
-of
+The projection A minimizes three losses, each a quadratic form
+``trace(A.T Z M Z.T A)`` in A for the (d, n) feature matrix
+``Z = [x_s | x_t]``, one column per sample, and a symmetric n x n matrix M:
+
+* a domain term for the squared distance between the weighted source mean
+  and the target mean,
+* a center term for the squared distance between each projected target
+  sample and its probability-weighted combination of source class centers,
+* a cluster term contracting every projected sample toward its class
+  center, with target memberships taken from the current soft labels.
+
+The dense matrices M live in :mod:`partialda.oracles`; this module never
+builds one.  With ``S = Z M Z.T`` the scatter of the combined loss, A stacks
+the eigenvectors of
 
     (S + lam I) a = phi (Z H Z.T + eps_r I) a
 
 belonging to the k smallest eigenvalues, where H is the n x n centering
-matrix; :func:`gram_matrix` subtracts the row means of Z instead of
-building it.
-Minimizing the alignment losses subject to unit projected variance amounts
+matrix.  Minimizing the losses subject to unit projected variance amounts
 to exactly this pencil, so the smallest eigenvalues are the right end.
 
-Between rounds only the soft labels and class weights change, so
-``gram_matrix(x_s, x_t, config)`` does everything else once per run, with
-the knobs of the :class:`partialda.core.AdaptationConfig`, which checked
-them when it was built.  It factors the constraint side
-``Z H Z.T + eps_r I = L L.T`` and keeps ``L^-1``, the whitened centred data
-``Wc = L^-1 (Z - mu 1.T)``, the whitened mean ``m = L^-1 mu``, the
-configuration and the round-invariant part of the whitened pencil,
+With ``Z = Zc + mu 1.T`` split into centred columns and their mean, S is
+the sum of two parts:
+
+* ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``, which depends on the data
+  alone, so :func:`gram_matrix` caches it once per run;
+* ``U N U.T``, for a (d, 3C + 4) factor U and a small N built from the
+  rank-one, low-rank and class-indicator factors of the three losses, which
+  carries everything the soft labels and the class weights change.
+
+The two parts cancel where the classes explain most of the spread, which
+is why the split is taken on centred data: the mean has columns of its own
+and no large offset cancels.
+
+``gram_matrix(x_s, x_t, config)`` does everything but the soft labels and
+class weights once per run, with the knobs of the
+:class:`partialda.core.AdaptationConfig`, which checked them when it was
+built.  It factors the constraint side ``Zc Zc.T + eps_r I = L L.T`` and
+keeps ``L^-1``, the whitened centred data ``Wc = L^-1 Zc``, the whitened
+mean ``m = L^-1 mu``, the configuration and the first part of the whitened
+pencil with the ridge,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
          = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T,
@@ -26,14 +48,12 @@ configuration and the round-invariant part of the whitened pencil,
 since ``L L.T = Zc Zc.T + eps_r I`` makes ``Wc Wc.T = I - eps_r L^-1 L^-T``
 exactly, so the d^2 n product ``Wc Wc.T`` is never formed.
 
-Each round the rest of the whitened scatter is ``U N U.T`` for the
-(d, 3C + 4) factor U and the small N that
-:func:`partialda.alignment.scatter_factors` builds from the round's source
-weights and soft labels.  ``solve_projection(data, omega, y_s, p)`` builds
-them, writes ``U N U.T + base`` into one d x d buffer kept with the data, so
-a round makes no d x n array and no d^2 n product, and computes the k
-smallest eigenpairs of that standard symmetric eigenproblem; their
-eigenvectors V map back as ``A = L^-T V``.
+Each round, ``solve_projection(data, omega, y_s, p)`` checks the round's
+source weights and soft labels, builds U and N from them on the whitened
+data, writes ``U N U.T + base`` into one d x d buffer kept with the data,
+so a round costs O(d n C + d^2 C), makes no d x n array and no d^2 n
+product, and computes the k smallest eigenpairs of that standard symmetric
+eigenproblem; their eigenvectors V map back as ``A = L^-T V``.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
 factors: the whitened scatter as quadratic forms in V, the ridge from A
@@ -57,21 +77,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import potrf_lower, syevr_smallest, trtri_lower
-from .alignment import scatter_factors
-from .core import AdaptationConfig, as_domain_pair
+from .core import AdaptationConfig, as_domain_pair, as_sample_weights
 from .errors import NumericalError, ValidationError
+
+# Class soft mass below this triggers a ridge on indicator Gram inversions.
+RIDGE_TRIGGER = 1e-8
+RIDGE_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
 class WhitenedData:
     """Source and target features plus everything of the pencil that is fixed per run.
 
-    With ``Z = [x_s | x_t]``, ``mu`` its row means and
-    ``(Z - mu 1.T)(Z - mu 1.T).T + eps_r I = L L.T``: ``l_inv`` is ``L^-1``,
-    ``centred`` is ``L^-1 (Z - mu 1.T)``, ``mean`` is ``L^-1 mu`` and
-    ``base`` is the round-invariant part of the whitened pencil.
-    ``pencil`` is the d x d buffer each round's pencil is built and solved
-    in.  ``config``, which ``base`` was built with, is read again every round.
+    In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``centred``
+    is ``Wc``, ``mean`` is m and ``base`` the cached part of the whitened
+    pencil.  ``pencil`` is the d x d buffer each round's pencil is built and
+    solved in.  ``config``, which ``base`` was built with, is read again
+    every round.
     """
 
     x_s: np.ndarray
@@ -192,6 +214,86 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
                         base=base, pencil=np.empty((d, d)), config=config)
 
 
+def _ridge_eps(gram: np.ndarray, soft_mass: np.ndarray) -> float:
+    """Ridge added to an indicator Gram matrix when some class lost its mass."""
+    if soft_mass.min() < RIDGE_TRIGGER:
+        return RIDGE_SCALE * float(np.mean(np.diag(gram)))
+    return 0.0
+
+
+def solve_gram_system(gram: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarray:
+    """Solve ``(gram + eps I) x = rhs`` for an indicator Gram matrix."""
+    g = gram + eps * np.eye(gram.shape[0])
+    try:
+        out = np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"class indicator Gram matrix is singular even after ridge {eps:g}"
+        ) from exc
+    if not np.isfinite(out).all():
+        raise NumericalError("class indicator Gram system produced non-finite values")
+    return out
+
+
+def _scatter_factors(zc: np.ndarray, mean: np.ndarray, n_s: int, omega: np.ndarray,
+                     y_s: np.ndarray, p: np.ndarray,
+                     config: AdaptationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Factors U and N with ``Z M Z.T = alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T + U N U.T``.
+
+    ``Z = zc + mean 1.T``, source columns first, and M is
+    ``combine(M0, Mp, Mc)`` of :mod:`partialda.oracles`.  With
+    ``Y = [Y_s; P.T]``, ``G = Y.T Y``, ``S = (G + eps I)^-1`` and
+    ``B = (G_s + eps_s I)^-1 P`` (eps and eps_s the ridges the dense oracles
+    use, so the split stays exact under them):
+
+    * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y) S Y.T = R_c + mean r.T``,
+      ``r = 1 - Y S Y.T 1``, and ``R_c R_c.T = Zc Zc.T - (Zc Y) K (Zc Y).T``
+      for ``K = 2S - S G S``;
+    * ``Z Mp Z.T = D D.T`` with ``D = Z_s Y_s B - Z_t = D_c + mean d_p.T``,
+      ``d_p = B.T Y_s.T 1 - 1``, and ``D_c D_c.T`` the target Gram matrix
+      plus cross terms of ``Zc_s Y_s`` and ``Zc_t B.T``;
+    * ``Z M0 Z.T = (Zc e)(Zc e).T``, since the entries of e sum to 0.
+
+    ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | D_c d_p | R_c r]`` is
+    (dim, 3C + 4) and N is symmetric, (3C + 4)-square.  The inputs are
+    those :func:`solve_projection` checked: ``omega`` the source sample
+    weights, ``y_s`` (n_s, C) one-hot and ``p`` (C, n_t) the masked soft
+    labels.
+    """
+    alpha_p, alpha_c = config.alpha_p, config.alpha_c
+    zc_s, zc_t = zc[:, :n_s], zc[:, n_s:]
+    c = y_s.shape[1]
+    soft_mass = p.sum(axis=1)
+
+    ze = zc_s @ omega / omega.sum() - zc_t.mean(axis=1)
+
+    gram_s = y_s.T @ y_s
+    b = solve_gram_system(gram_s, p, _ridge_eps(gram_s, soft_mass))
+    a_s = zc_s @ y_s
+    d_p = b.T @ y_s.sum(axis=0) - 1.0
+    g_p = a_s @ (b @ d_p) - zc_t @ d_p
+
+    y = np.vstack([y_s, p.T])
+    gram = y.T @ y
+    s = solve_gram_system(gram, np.eye(c), _ridge_eps(gram, soft_mass))
+    b_c = zc @ y
+    r = 1.0 - y @ (s @ y.sum(axis=0))
+    g_c = zc @ r - b_c @ (s @ (y.T @ r))
+
+    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, mean, g_p, g_c])
+    n = np.zeros((3 * c + 4, 3 * c + 4))
+    src, tgt, cls = (slice(1 + i * c, 1 + (i + 1) * c) for i in range(3))
+    m = 3 * c + 1
+    n[0, 0] = 1.0
+    n[src, src] = alpha_p * (b @ b.T)
+    n[src, tgt] = n[tgt, src] = -alpha_p * np.eye(c)
+    n[cls, cls] = -alpha_c * (2.0 * s - s @ gram @ s)
+    n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (r @ r)
+    n[m, m + 1] = n[m + 1, m] = alpha_p
+    n[m, m + 2] = n[m + 2, m] = alpha_c
+    return u, n
+
+
 def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``U N U.T + base``, written into the data's pencil buffer."""
     pencil = np.matmul(u, n @ u.T, out=data.pencil)
@@ -216,11 +318,9 @@ def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
 def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     """Learn the ``data.config.k``-dimensional projection for one round's alignment loss.
 
-    The round's scatter factors U and N come from
-    :func:`partialda.alignment.scatter_factors` of the whitened data and the
-    loss weights of ``data.config``.  The whitened pencil
+    The round's inputs are checked here, once; then the whitened pencil
     ``U N U.T + data.base`` is built in ``data.pencil``, which the
-    eigensolver then overwrites.
+    eigensolver overwrites.
 
     Parameters
     ----------
@@ -229,11 +329,11 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
         checked its ``k`` against the feature dimension and cached the
         round-invariant part of the scatter.
     omega : ndarray (n_s,)
-        Source sample weights.
+        Finite, non-negative source sample weights, not all 0.
     y_s : ndarray (n_s, C)
         One-hot source labels.
     p : ndarray (C, n_t)
-        Soft target labels, already masked.
+        Finite soft target labels, already masked.
 
     Returns
     -------
@@ -244,14 +344,26 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     Raises
     ------
     ValidationError
-        On inputs that :func:`partialda.alignment.scatter_factors` refuses.
+        When ``y_s`` or ``p`` disagree in shape with the data or each
+        other, or ``omega`` or ``p`` break the rules above.
     NumericalError
-        When the eigensolver fails or returns non-finite values.  The
-        condition number it reports is that of the pencil as the
-        eigensolver received it.
+        When an indicator Gram system or the eigensolver fails or returns
+        non-finite values.  The condition number reported for the
+        eigensolver is that of the pencil as it received it.
     """
     config = data.config
-    u, n = scatter_factors(data.centred, data.mean, data.x_s.shape[1], omega, y_s, p, config)
+    n_s, n_t = data.x_s.shape[1], data.x_t.shape[1]
+    y_s = np.asarray(y_s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if y_s.ndim != 2 or y_s.shape[0] != n_s or p.shape != (y_s.shape[1], n_t):
+        raise ValidationError(
+            f"inconsistent shapes: {n_s} source and {n_t} target samples, "
+            f"weights {np.shape(omega)}, labels {y_s.shape}, soft labels {p.shape}"
+        )
+    omega = as_sample_weights(omega, n_s, "omega")
+    if not np.isfinite(p).all():
+        raise ValidationError("the soft labels must be finite")
+    u, n = _scatter_factors(data.centred, data.mean, n_s, omega, y_s, p, config)
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)
     except np.linalg.LinAlgError as exc:

@@ -30,13 +30,6 @@ from partialda import (
     make_one_hot,
     save_report,
 )
-from partialda.alignment import (
-    apply_mask,
-    binarize_weights,
-    compute_class_weights,
-    solve_gram_system,
-    source_sample_weights,
-)
 from partialda.cli import main as cli_main
 from partialda.core import hard_labels
 from partialda.graph import propagate_labels
@@ -51,8 +44,14 @@ from partialda.oracles import (
     generalized_eigh,
     textbook_graph,
 )
-from partialda.pipeline import label_change_fraction
-from partialda.subspace import embed, gram_matrix, solve_projection
+from partialda.pipeline import (
+    apply_mask,
+    binarize_weights,
+    compute_class_weights,
+    label_change_fraction,
+    source_sample_weights,
+)
+from partialda.subspace import embed, gram_matrix, solve_gram_system, solve_projection
 from tests.test_alignment import (
     oracle_center_gap,
     oracle_cluster_gap,

@@ -11,15 +11,6 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
-from partialda.alignment import (
-    _ridge_eps,
-    apply_mask,
-    binarize_weights,
-    compute_class_weights,
-    scatter_factors,
-    solve_gram_system,
-    source_sample_weights,
-)
 from partialda.graph import propagate_labels
 from partialda.oracles import (
     build_center_operators,
@@ -27,6 +18,19 @@ from partialda.oracles import (
     build_mc,
     build_mp,
     combine,
+)
+from partialda.pipeline import (
+    apply_mask,
+    binarize_weights,
+    compute_class_weights,
+    source_sample_weights,
+)
+from partialda.subspace import (
+    _ridge_eps,
+    _scatter_factors,
+    gram_matrix,
+    solve_gram_system,
+    solve_projection,
 )
 
 
@@ -52,7 +56,7 @@ def factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c):
     zc = z - mean[:, None]
     zc_t = zc[:, n_s:]
     config = AdaptationConfig(alpha_p=alpha_p, alpha_c=alpha_c)
-    u, n = scatter_factors(zc, mean, n_s, omega, y_s, p, config)
+    u, n = _scatter_factors(zc, mean, n_s, omega, y_s, p, config)
     return alpha_c * zc @ zc.T + alpha_p * zc_t @ zc_t.T + u @ (n @ u.T)
 
 
@@ -323,30 +327,30 @@ def test_alignment_scatter_matches_dense_oracle():
 
 
 def test_alignment_scatter_validation():
+    # solve_projection checks the round's inputs once, before the factors
     rng = np.random.default_rng(19)
     x_s, y_s, x_t, p = random_instance(rng)
-    z = np.hstack([x_s, x_t])
+    data = gram_matrix(x_s, x_t, AdaptationConfig(k=1))
     n_s = x_s.shape[1]
     omega = np.ones(n_s)
-    with pytest.raises(ValidationError, match="shapes"):
-        factored_scatter(z[:, 1:], n_s, omega, y_s, p, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="shapes"):
-        factored_scatter(z, n_s, omega, y_s, p[1:], 1.0, 1.0)
+    for bad_y, bad_p in ((y_s[1:], p), (y_s, p[:, 1:]), (y_s, p[1:]), (y_s[:, 1:], p)):
+        with pytest.raises(ValidationError, match="^inconsistent shapes"):
+            solve_projection(data, omega, bad_y, bad_p)
     # the one sample-weight check of propagate_labels, naming omega
     with pytest.raises(ValidationError, match="^omega are all 0: no source sample carries"):
-        factored_scatter(z, n_s, np.zeros(n_s), y_s, p, 1.0, 1.0)
+        solve_projection(data, np.zeros(n_s), y_s, p)
     with pytest.raises(ValidationError, match="^omega must be non-negative$"):
-        factored_scatter(z, n_s, -omega, y_s, p, 1.0, 1.0)
+        solve_projection(data, -omega, y_s, p)
     with pytest.raises(ValidationError, match=rf"^omega has shape \({n_s - 1},\), expected"):
-        factored_scatter(z, n_s, omega[1:], y_s, p, 1.0, 1.0)
+        solve_projection(data, omega[1:], y_s, p)
     # NaN passes ``< 0`` and would make every entry NaN without an error
     for bad in (np.nan, np.inf):
         bad_omega, bad_p = omega.copy(), p.copy()
         bad_omega[0], bad_p[0, 0] = bad, bad
         with pytest.raises(ValidationError, match="^omega contains NaN or Inf entries$"):
-            factored_scatter(z, n_s, bad_omega, y_s, p, 1.0, 1.0)
-        with pytest.raises(ValidationError, match="finite"):
-            factored_scatter(z, n_s, omega, y_s, bad_p, 1.0, 1.0)
+            solve_projection(data, bad_omega, y_s, p)
+        with pytest.raises(ValidationError, match="^the soft labels must be finite$"):
+            solve_projection(data, omega, y_s, bad_p)
 
 
 def _long_double_solve(a, b):

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import partialda
-import partialda.alignment
 import partialda.graph
+import partialda.pipeline
 import partialda.subspace
 from partialda import AdaptationConfig, SyntheticSpec
 from partialda.cli import build_parser, main
@@ -66,17 +66,20 @@ def test_graph_surface_is_pinned():
 
 
 def test_subspace_surface_is_pinned():
-    # one call per round: solve_projection builds its factors and returns the objective
+    # one call per round: solve_projection checks its inputs, builds its
+    # factors and returns the objective; solve_gram_system is the ridge
+    # solve the dense oracles share with it
     assert public_definitions(partialda.subspace) == [
-        "Projection", "WhitenedData", "embed", "gram_matrix", "solve_projection"]
+        "Projection", "WhitenedData", "embed", "gram_matrix", "solve_gram_system",
+        "solve_projection"]
 
 
-def test_alignment_surface_is_pinned():
-    # the scatter is only ever formed inside the solver: the data-only part
-    # from the Cholesky factor in gram_matrix, the rest from scatter_factors
-    assert public_definitions(partialda.alignment) == [
-        "apply_mask", "binarize_weights", "compute_class_weights", "scatter_factors",
-        "solve_gram_system", "source_sample_weights"]
+def test_pipeline_surface_is_pinned():
+    # the loop, its baseline and the class-weight policy only the loop uses
+    assert public_definitions(partialda.pipeline) == [
+        "AdaptationResult", "IterationRecord", "adapt", "apply_mask", "baseline_propagate",
+        "binarize_weights", "compute_class_weights", "label_change_fraction",
+        "source_sample_weights"]
 
 
 CONFIG_FIELDS = [

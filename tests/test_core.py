@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -116,6 +117,19 @@ def test_accuracy_errors():
         accuracy([0, 1], [0, 1, 2])
     with pytest.raises(ValidationError, match="empty input"):
         accuracy([], [])
+
+
+@pytest.mark.parametrize("kind, error, name", [
+    *((AdaptationConfig, ConfigurationError, f.name)
+      for f in dataclasses.fields(AdaptationConfig)),
+    *((SyntheticSpec, ValidationError, f.name) for f in dataclasses.fields(SyntheticSpec)),
+])
+def test_numeric_fields_refuse_bools(kind, error, name):
+    # Python counts True as the int 1, so k=True used to be taken as k=1
+    # and alpha_p=True echoed as true into report.json
+    for value in (True, False, np.True_):
+        with pytest.raises(error, match=f"^{name} must be a number, got {value!r}$"):
+            kind(**{name: value})
 
 
 def test_config_defaults_and_validation():

@@ -329,10 +329,19 @@ def test_label_file_parse_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ValidationError, match="empty label file"):
         load_labels(path)
-    # a blank line before a label is refused; U+000B does not end a line
+    # a blank line before a label is refused; U+000B does not end a line;
+    # int() reads the last three as 10, 1 and 1, but a label is what
+    # np.loadtxt reads as an int64, as a feature value is what it reads
     for text, message in (("0\n\n1\n", "line 2: not an integer: ''"),
-                          ("0\n1\x0b2\n", "line 2: not an integer: '1\\x0b2'")):
-        path.write_text(text)
+                          ("0\n1\x0b2\n", "line 2: not an integer: '1\\x0b2'"),
+                          ("0\n1_0\n", "line 2: not an integer: '1_0'"),
+                          ("0\n\u0661\n", "line 2: not an integer: '\u0661'"),
+                          ("\uff11\n", "line 1: not an integer: '\uff11'"),
+                          # the first line's cells set every row's: it is the one refused
+                          ("1,2\n3\n", "line 1: not an integer: '1,2'"),
+                          ("1,2\n3,4\n", "line 1: not an integer: '1,2'"),
+                          ("3\n4,5\n", "line 2: not an integer: '4,5'")):
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as exc:
             load_labels(path)
         assert str(exc.value) == f"{path}: {message}"

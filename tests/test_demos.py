@@ -1,6 +1,7 @@
-"""Every walkthrough under demos/ runs to completion."""
+"""Every walkthrough under demos/ runs to completion, and README keeps up with the code."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,13 @@ def test_readme_quick_start_runs():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block lists each module of the package once, and no other
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```\n", 2)[1]
+    named = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = [path.name for path in (ROOT / "src" / "partialda").glob("*.py")
+               if path.name != "__init__.py"]
+    assert sorted(named) == sorted(modules)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from partialda import NumericalError, ValidationError
 import partialda._lapack
 import partialda.graph
-from partialda.alignment import source_sample_weights
 from partialda.graph import propagate_labels
 from partialda.oracles import (
     fixed_point_oracle,
@@ -29,6 +28,7 @@ from partialda.oracles import (
     textbook_propagate,
     textbook_reweight,
 )
+from partialda.pipeline import source_sample_weights
 
 SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
             "try a larger sigma or check graph connectivity")
