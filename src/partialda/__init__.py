@@ -13,7 +13,6 @@ dense reference matrices from ``partialda.oracles``.
 from .core import AdaptationConfig, accuracy, make_one_hot
 from .pipeline import AdaptationResult, IterationRecord, adapt, baseline_propagate
 from .data import (
-    ResultReport,
     SyntheticDataset,
     SyntheticSpec,
     generate_synthetic,
@@ -21,7 +20,6 @@ from .data import (
     load_labels,
     save_features_csv,
     save_labels,
-    save_report,
     save_soft_labels,
 )
 from .errors import (
@@ -42,7 +40,6 @@ __all__ = [
     "IterationRecord",
     "NumericalError",
     "ParseError",
-    "ResultReport",
     "SyntheticDataset",
     "SyntheticSpec",
     "ValidationError",
@@ -55,7 +52,6 @@ __all__ = [
     "make_one_hot",
     "save_features_csv",
     "save_labels",
-    "save_report",
     "save_soft_labels",
     "__version__",
 ]

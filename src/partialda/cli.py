@@ -22,14 +22,12 @@ import numpy as np
 
 from .core import AdaptationConfig, accuracy, check_truth_shape, hard_labels, make_one_hot
 from .data import (
-    ResultReport,
     SyntheticSpec,
     generate_synthetic,
     load_features_csv,
     load_labels,
     save_features_csv,
     save_labels,
-    save_report,
     save_soft_labels,
 )
 from .errors import ConfigurationError, NumericalError, ParseError, ValidationError
@@ -113,53 +111,57 @@ def _load_inputs(args):
 
 def _write_outputs(result: AdaptationResult, config_echo: dict, truth, out_dir: Path,
                    duration: float) -> float | None:
+    """Write ``report.json`` and ``soft_labels.csv`` into ``out_dir``; return the accuracy."""
     overall, per_class = (None, None) if truth is None else accuracy(result.hard_labels, truth)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = ResultReport(
-        config=config_echo,
-        overall_accuracy=overall,
-        per_class_accuracy=per_class,
-        class_weights=[float(v) for v in result.class_weights],
-        class_mask=[int(v > 0) for v in result.class_weights],
-        iterations_run=result.iterations_run,
-        history=[asdict(rec) for rec in result.history],
-        warnings={
+    report = {
+        "config": config_echo,
+        "overall_accuracy": overall,
+        "per_class_accuracy": per_class,  # json writes the class ids as strings
+        "class_weights": result.class_weights.tolist(),
+        "class_mask": [int(v > 0) for v in result.class_weights],
+        "iterations_run": result.iterations_run,
+        "history": [asdict(rec) for rec in result.history],
+        "warnings": {
             "mask_fallbacks": sum(r.mask_fallbacks for r in result.history),
             "graph_fallbacks": sum(r.graph_fallbacks for r in result.history),
         },
-        duration_seconds=duration,
-    )
-    save_report(report, out_dir / "report.json")
+        "duration_seconds": duration,
+        "format": "partialda-report",
+        "version": 1,
+    }
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     save_soft_labels(result.soft_labels, out_dir / "soft_labels.csv")
     return overall
 
 
-def _summary_line(kind: str, overall, result: AdaptationResult) -> str:
+def _run(args, kind: str, solve, config_echo: dict) -> int:
+    """Load and check the inputs, time ``solve(x_s, y_s, x_t)``, write the outputs, summarize.
+
+    ``solve`` looks ``adapt`` or ``baseline_propagate`` up on this module
+    when it runs, so a wrapper set there sees the call.
+    """
+    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
+    start = time.perf_counter()
+    result = solve(x_s, y_s, x_t)
+    duration = time.perf_counter() - start
+    overall = _write_outputs(result, config_echo, truth, out_dir, duration)
     acc = "n/a" if overall is None else f"{overall:.4f}"
-    return (f"{kind}: accuracy={acc} "
-            f"surviving_classes={np.count_nonzero(result.class_weights)} "
-            f"iterations={result.iterations_run}")
+    print(f"{kind}: accuracy={acc} "
+          f"surviving_classes={np.count_nonzero(result.class_weights)} "
+          f"iterations={result.iterations_run}")
+    return 0
 
 
 def cmd_adapt(args) -> int:
-    config = _from_args(AdaptationConfig, args)
-    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
-    start = time.perf_counter()
-    result = adapt(x_s, y_s, x_t, config)
-    duration = time.perf_counter() - start
-    overall = _write_outputs(result, asdict(config), truth, out_dir, duration)
-    print(_summary_line("adapt", overall, result))
-    return 0
+    config = _from_args(AdaptationConfig, args)  # checked before any file is read
+    return _run(args, "adapt", lambda *domains: adapt(*domains, config), asdict(config))
 
 
 def cmd_baseline(args) -> int:
-    x_s, y_s, x_t, truth, out_dir = _load_inputs(args)
-    start = time.perf_counter()
-    result = baseline_propagate(x_s, y_s, x_t, sigma=args.sigma)
-    duration = time.perf_counter() - start
-    overall = _write_outputs(result, {"sigma": args.sigma}, truth, out_dir, duration)
-    print(_summary_line("baseline", overall, result))
-    return 0
+    return _run(args, "baseline",
+                lambda *domains: baseline_propagate(*domains, sigma=args.sigma),
+                {"sigma": args.sigma})
 
 
 def cmd_gen_synth(args) -> int:

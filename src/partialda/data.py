@@ -1,9 +1,8 @@
-"""Synthetic benchmark generation, file formats and run reports.
+"""Synthetic benchmark generation and file formats.
 
 Feature CSV files hold one sample per row; label files hold one
 non-negative integer per line.  Values are written with ``repr`` so a
-round trip through text reproduces them bit for bit.  Reports are single
-JSON documents that the package writes and never reads back.
+round trip through text reproduces them bit for bit.
 
 Every text file is read as UTF-8 through one line generator, so the
 format has one rule: lines are what Python's universal newlines split (at
@@ -18,9 +17,8 @@ UTF-8, a row at a time.
 from __future__ import annotations
 
 import itertools
-import json
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -331,33 +329,3 @@ def save_soft_labels(p, path) -> None:
     if p.ndim != 2:
         raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
     _write_rows(p.T, path)
-
-
-@dataclass(frozen=True)
-class ResultReport:
-    """Self-describing summary of one adaptation or baseline run."""
-
-    config: dict
-    overall_accuracy: float | None
-    per_class_accuracy: dict[int, float] | None
-    class_weights: list[float]
-    class_mask: list[int]
-    iterations_run: int
-    history: list[dict] = field(default_factory=list)
-    warnings: dict = field(default_factory=dict)
-    duration_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["format"] = "partialda-report"
-        doc["version"] = 1
-        if self.per_class_accuracy is not None:
-            doc["per_class_accuracy"] = {
-                str(k): v for k, v in self.per_class_accuracy.items()
-            }
-        return doc
-
-
-def save_report(report: ResultReport, path) -> None:
-    """Serialize a report as an indented JSON document."""
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")

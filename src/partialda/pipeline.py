@@ -44,7 +44,11 @@ class AdaptationResult:
     hard_labels: np.ndarray
     class_weights: np.ndarray  # (C,), 0 for every masked class
     history: list[IterationRecord] = field(default_factory=list)
-    iterations_run: int = 0
+
+    @property
+    def iterations_run(self) -> int:
+        """The number of completed rounds, one record each."""
+        return len(self.history)
 
 
 def label_change_fraction(previous, current) -> float:
@@ -213,7 +217,6 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
         hard_labels=hard_prev,
         class_weights=weights,
         history=history,
-        iterations_run=len(history),
     )
 
 
@@ -231,6 +234,4 @@ def baseline_propagate(x_s, y_s, x_t,
         soft_labels=p,
         hard_labels=hard_labels(p),
         class_weights=compute_class_weights(p),
-        history=[],
-        iterations_run=0,
     )

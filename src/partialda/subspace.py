@@ -50,9 +50,9 @@ exactly, so the d^2 n product ``Wc Wc.T`` is never formed.
 
 Each round, ``solve_projection(data, omega, y_s, p)`` checks the round's
 source weights and soft labels, builds U and N from them on the whitened
-data, writes ``U N U.T + base`` into one d x d buffer kept with the data,
-so a round costs O(d n C + d^2 C), makes no d x n array and no d^2 n
-product, and computes the k smallest eigenpairs of that standard symmetric
+data, forms ``U N U.T + base`` as one new d x d array, so a round costs
+O(d n C + d^2 C), makes no d x n array and no d^2 n product, and
+computes the k smallest eigenpairs of that standard symmetric
 eigenproblem; their eigenvectors V map back as ``A = L^-T V``.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
@@ -64,10 +64,10 @@ a small objective.
 
 Everything runs on numpy's own BLAS/LAPACK: LAPACK ``dpotrf`` (factor the
 constraint side in place), ``dtrtri`` (invert ``L`` as a triangle) and
-``dsyevr`` (the k smallest eigenpairs only, computed in the buffer itself)
-are called from numpy's OpenBLAS through :mod:`partialda._lapack`, which
-falls back to ``numpy.linalg.cholesky``, ``numpy.linalg.inv`` and a full
-``numpy.linalg.eigh`` where they are missing.
+``dsyevr`` (the k smallest eigenpairs only, computed in the round's pencil
+itself) are called from numpy's OpenBLAS through :mod:`partialda._lapack`,
+which falls back to ``numpy.linalg.cholesky``, ``numpy.linalg.inv`` and a
+full ``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ class WhitenedData:
 
     In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``centred``
     is ``Wc``, ``mean`` is m and ``base`` the cached part of the whitened
-    pencil.  ``pencil`` is the d x d buffer each round's pencil is built and
-    solved in.  ``config``, which ``base`` was built with, is read again
-    every round.
+    pencil.  ``config``, which ``base`` was built with, is read again every
+    round.
     """
 
     x_s: np.ndarray
@@ -102,7 +101,6 @@ class WhitenedData:
     mean: np.ndarray
     l_inv: np.ndarray
     base: np.ndarray
-    pencil: np.ndarray
     config: AdaptationConfig
 
 
@@ -209,9 +207,8 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     target = centred_t @ centred_t.T
     target *= config.alpha_p
     base += target
-    del target  # before the pencil buffer below is allocated
     return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
-                        base=base, pencil=np.empty((d, d)), config=config)
+                        base=base, config=config)
 
 
 def _ridge_eps(gram: np.ndarray, soft_mass: np.ndarray) -> float:
@@ -295,8 +292,8 @@ def _scatter_factors(zc: np.ndarray, mean: np.ndarray, n_s: int, omega: np.ndarr
 
 
 def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``U N U.T + base``, written into the data's pencil buffer."""
-    pencil = np.matmul(u, n @ u.T, out=data.pencil)
+    """``U N U.T + base`` as a new array, which the eigensolver may overwrite."""
+    pencil = u @ (n @ u.T)
     pencil += data.base
     return pencil
 
@@ -319,8 +316,8 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     """Learn the ``data.config.k``-dimensional projection for one round's alignment loss.
 
     The round's inputs are checked here, once; then the whitened pencil
-    ``U N U.T + data.base`` is built in ``data.pencil``, which the
-    eigensolver overwrites.
+    ``U N U.T + data.base`` is built as a new array, which the eigensolver
+    overwrites, so solves on one ``data`` share no memory.
 
     Parameters
     ----------

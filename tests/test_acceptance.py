@@ -18,7 +18,6 @@ from partialda import (
     ConfigurationError,
     NumericalError,
     ParseError,
-    ResultReport,
     SyntheticSpec,
     ValidationError,
     accuracy,
@@ -28,7 +27,7 @@ from partialda import (
     load_features_csv,
     load_labels,
     make_one_hot,
-    save_report,
+    save_soft_labels,
 )
 from partialda.cli import main as cli_main
 from partialda.core import hard_labels
@@ -257,10 +256,6 @@ def test_criterion_7_documented_error_cases(tmp_path):
         empty.write_text("")
         bad_label = tmp_path / "labels.txt"
         bad_label.write_text("0\nx\n")
-        some_report = ResultReport(
-            config={}, overall_accuracy=None, per_class_accuracy=None,
-            class_weights=[1.0], class_mask=[1], iterations_run=0,
-        )
         labels = (np.ones(2), np.eye(2), np.full((2, 2), 0.5))
         raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], RIDGE_ONLY),
                                     *labels)
@@ -312,8 +307,8 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (ParseError, lambda: load_labels(bad_label)),
             (ValidationError, lambda: SyntheticSpec(
                 num_source_classes=2, num_target_classes=5)),
-            (OSError, lambda: save_report(
-                some_report, tmp_path / "no-dir" / "r.json")),
+            (OSError, lambda: save_soft_labels(
+                np.eye(2), tmp_path / "no-dir" / "soft_labels.csv")),
         ]
         for expected, call in cases:
             with pytest.raises(expected):

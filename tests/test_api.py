@@ -8,13 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import partialda
 import partialda.graph
 import partialda.pipeline
 import partialda.subspace
-from partialda import AdaptationConfig, SyntheticSpec
+from partialda import AdaptationConfig, AdaptationResult, IterationRecord, SyntheticSpec
 from partialda.cli import build_parser, main
 
 PUBLIC = [
@@ -23,7 +24,6 @@ PUBLIC = [
     "AdaptationConfig",
     "AdaptationResult",
     "IterationRecord",
-    "ResultReport",
     "SyntheticSpec",
     "SyntheticDataset",
     "generate_synthetic",
@@ -34,7 +34,6 @@ PUBLIC = [
     "load_labels",
     "save_labels",
     "save_soft_labels",
-    "save_report",
     "AdaptationError",
     "ConfigurationError",
     "NumericalError",
@@ -44,7 +43,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC) == 22
+    assert len(PUBLIC) == 20
     assert sorted(partialda.__all__) == sorted(PUBLIC + ["__version__"])
     for name in partialda.__all__:
         assert getattr(partialda, name) is not None, name
@@ -80,6 +79,20 @@ def test_pipeline_surface_is_pinned():
         "AdaptationResult", "IterationRecord", "adapt", "apply_mask", "baseline_propagate",
         "binarize_weights", "compute_class_weights", "label_change_fraction",
         "source_sample_weights"]
+
+
+def test_result_fields_are_pinned():
+    # a run's whole state; the round count is the history's length, not a field
+    assert [f.name for f in dataclasses.fields(AdaptationResult)] == [
+        "projection", "soft_labels", "hard_labels", "class_weights", "history"]
+    record = IterationRecord(objective=1.0, label_change_fraction=0.0, surviving_classes=1,
+                             mask_fallbacks=0, graph_fallbacks=0)
+    weights = np.ones(1)
+    for history in ([], [record, record]):
+        result = AdaptationResult(None, weights[:, None], np.zeros(1, int), weights, history)
+        assert result.iterations_run == len(history)
+    with pytest.raises(AttributeError):
+        result.iterations_run = 0
 
 
 CONFIG_FIELDS = [

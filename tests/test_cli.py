@@ -130,7 +130,8 @@ def test_adapt_without_truth_reports_no_accuracy(tmp_path, capsys):
     del args[i:i + 2]
     assert main(args) == 0
     assert "accuracy=n/a" in capsys.readouterr().out
-    assert json.loads((out / "report.json").read_text())["overall_accuracy"] is None
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall_accuracy"] is None and report["per_class_accuracy"] is None
 
 
 def test_baseline_writes_report(tmp_path, capsys):
@@ -190,6 +191,18 @@ def test_report_schema_is_pinned(tmp_path):
     report = json.loads((tmp_path / "baseline" / "report.json").read_text())
     check_report_schema(report, {"sigma": float})
     assert report["iterations_run"] == 0
+
+
+def test_report_is_indented_json_in_key_order(tmp_path):
+    # the document byte for byte: json.dumps with indent 2 and a newline,
+    # keys in REPORT_KEYS order and the class ids as strings
+    files = gen_dataset(tmp_path / "data")
+    assert main(adapt_args(files, tmp_path / "run")) == 0
+    text = (tmp_path / "run" / "report.json").read_bytes().decode("utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert list(report) == REPORT_KEYS
+    assert list(report["per_class_accuracy"]) == ["0", "1"]
 
 
 def test_eval_scores_soft_labels(tmp_path, capsys):

@@ -1,10 +1,9 @@
-"""Synthetic generator, file formats and the report document.
+"""Synthetic generator and file formats.
 
 The generator oracle is an independent nearest-center classifier on the
 true cluster centers, never anything from the adaptation code.
 """
 
-import json
 import math
 import tempfile
 import tracemalloc
@@ -19,7 +18,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from partialda import data as data_module
 from partialda import (
     ParseError,
-    ResultReport,
     SyntheticSpec,
     ValidationError,
     generate_synthetic,
@@ -27,7 +25,6 @@ from partialda import (
     load_labels,
     save_features_csv,
     save_labels,
-    save_report,
     save_soft_labels,
 )
 
@@ -415,65 +412,3 @@ def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
                    [2.0**62]):
         save_labels(labels, path)
         assert load_labels(path).tolist() == [int(v) for v in labels]
-
-
-def test_report_round_trip(tmp_path):
-    # the document save_report writes, byte for byte: field order, then format and version
-    report = ResultReport(
-        config={"k": 5, "sigma": 0.1, "kernel": "none"},
-        overall_accuracy=0.97,
-        per_class_accuracy={0: 1.0, 3: 0.9},
-        class_weights=[0.5, 0.0, 0.5],
-        class_mask=[1, 0, 1],
-        iterations_run=4,
-        history=[{"objective": 1.25, "label_change_fraction": 0.0}],
-        warnings={"mask_fallbacks": 0},
-        duration_seconds=0.25,
-    )
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    want = {
-        "config": {"k": 5, "sigma": 0.1, "kernel": "none"},
-        "overall_accuracy": 0.97,
-        "per_class_accuracy": {"0": 1.0, "3": 0.9},
-        "class_weights": [0.5, 0.0, 0.5],
-        "class_mask": [1, 0, 1],
-        "iterations_run": 4,
-        "history": [{"objective": 1.25, "label_change_fraction": 0.0}],
-        "warnings": {"mask_fallbacks": 0},
-        "duration_seconds": 0.25,
-        "format": "partialda-report",
-        "version": 1,
-    }
-    assert path.read_text() == json.dumps(want, indent=2) + "\n"
-
-
-def test_report_without_accuracy(tmp_path):
-    report = ResultReport(
-        config={},
-        overall_accuracy=None,
-        per_class_accuracy=None,
-        class_weights=[1.0],
-        class_mask=[1],
-        iterations_run=0,
-    )
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    doc = json.loads(path.read_text())
-    assert doc["overall_accuracy"] is None and doc["per_class_accuracy"] is None
-    assert doc["history"] == [] and doc["warnings"] == {} and doc["duration_seconds"] == 0.0
-
-
-def test_report_errors(tmp_path):
-    with pytest.raises(OSError):
-        save_report(
-            ResultReport(
-                config={},
-                overall_accuracy=None,
-                per_class_accuracy=None,
-                class_weights=[1.0],
-                class_mask=[1],
-                iterations_run=0,
-            ),
-            tmp_path / "missing-dir" / "report.json",
-        )

@@ -1,5 +1,6 @@
 """Every walkthrough under demos/ runs to completion, and README keeps up with the code."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from partialda import AdaptationConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -45,3 +48,15 @@ def test_readme_layout_names_every_module():
     modules = [path.name for path in (ROOT / "src" / "partialda").glob("*.py")
                if path.name != "__init__.py"]
     assert sorted(named) == sorted(modules)
+
+
+def test_readme_configuration_table_names_every_config_field():
+    # one row per AdaptationConfig field, in field order, with its default
+    # (README writes 1e-3 where the code has 0.001, so they are compared as numbers)
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`[^|]* \| `([^`]+)` \|", section, flags=re.MULTILINE)
+    config = dataclasses.fields(AdaptationConfig)
+    assert [name for name, _ in rows] == [f.name for f in config]
+    for (name, default), f in zip(rows, config):
+        assert float(default) == f.default, name

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import partialda.subspace as subspace
 from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
+from partialda._lapack import syevr_smallest
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -287,6 +289,24 @@ def test_solve_projection_deterministic_and_signed():
     idx = np.argmax(np.abs(p1.a), axis=0)
     assert (p1.a[idx, np.arange(k)] > 0).all()
     assert p1.objective == p2.objective
+
+
+def test_each_solve_builds_a_pencil_of_its_own(monkeypatch):
+    # the eigensolver overwrites the pencil it is given, so two solves on
+    # one data share no memory with each other or with the cached base
+    data, _, labels = solver_instance(np.random.default_rng(55))
+    received = []
+
+    def recording(a, k):
+        received.append(a)
+        return syevr_smallest(a, k)
+
+    monkeypatch.setattr(subspace, "syevr_smallest", recording)
+    first = solve_projection(data, *labels)
+    second = solve_projection(data, *labels)
+    assert len(received) == 2 and not np.shares_memory(*received)
+    assert not any(np.shares_memory(a, data.base) for a in received)
+    assert np.array_equal(first.a, second.a)
 
 
 def test_solve_projection_k_too_large():
