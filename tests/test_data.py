@@ -4,6 +4,7 @@ The generator oracle is an independent nearest-center classifier on the
 true cluster centers, never anything from the adaptation code.
 """
 
+import json
 import math
 import tempfile
 import tracemalloc
@@ -15,8 +16,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from partialda import cli
 from partialda import data as data_module
 from partialda import (
+    AdaptationResult,
     ParseError,
     SyntheticSpec,
     ValidationError,
@@ -412,3 +415,20 @@ def test_save_labels_refuses_what_load_labels_refuses(tmp_path):
                    [2.0**62]):
         save_labels(labels, path)
         assert load_labels(path).tolist() == [int(v) for v in labels]
+
+
+def test_report_without_accuracy(tmp_path):
+    # a run with no target labels and no rounds: the report holds nulls and empty records
+    result = AdaptationResult(
+        projection=None,
+        soft_labels=np.ones((1, 2)),
+        hard_labels=np.zeros(2, dtype=int),
+        class_weights=np.array([1.0]),
+    )
+    assert cli._write_outputs(result, {}, None, tmp_path, 0.0) is None
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["overall_accuracy"] is None and doc["per_class_accuracy"] is None
+    assert doc["class_weights"] == [1.0] and doc["class_mask"] == [1]
+    assert doc["iterations_run"] == 0 and doc["history"] == []
+    assert doc["warnings"] == {"mask_fallbacks": 0, "graph_fallbacks": 0}
+    assert doc["duration_seconds"] == 0.0
