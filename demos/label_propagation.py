@@ -11,7 +11,6 @@ down-weighting a class zeroes its columns so no target can inherit it.
 import numpy as np
 
 from partialda.graph import propagate_labels
-from partialda.pipeline import source_sample_weights
 
 # 1. A tiny graph: sources s0, s1 and targets t0, t1 at 35 degree steps on
 #    a circle (s0, t0, t1, s1).  At sigma = 0.02 only neighbors connect, so
@@ -69,7 +68,7 @@ print(np.round(p_before, 3))
 #    renormalized, its leaked probability mass vanishes entirely.  Each source
 #    sample carries its class's weight, the same per-sample weight the
 #    adaptation loop puts on the alignment loss; a weight of 0 masks a class.
-omega = source_sample_weights(np.array([1.0, 0.0]), y)
+omega = y @ np.array([1.0, 0.0])
 print(f"\nper-sample source weights: {omega}")
 p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, omega)
 print("\nsoft labels after masking class 1:")

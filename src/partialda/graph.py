@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lapack import gesv
-from .core import as_sample_weights
+from .core import as_sample_weights, is_finite_number
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
@@ -223,10 +223,10 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     y_s : ndarray (n_s, C)
         One-hot source labels.
     sample_weights : ndarray (n_s,), optional
-        Finite, non-negative weight of every source sample, not all 0, as
-        :func:`partialda.pipeline.source_sample_weights` returns it: the
-        masked weight of the sample's class, so a class of weight 0
-        contributes 0 to every row, for any number of targets.
+        Finite, non-negative weight of every source sample, not all 0.  The
+        loop passes ``y_s @ w`` for its masked class weights w: each sample
+        carries its class's weight, so a class of weight 0 contributes 0 to
+        every row, for any number of targets.
 
     Returns
     -------
@@ -239,9 +239,9 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     Raises
     ------
     ValidationError
-        On a non-positive or non-finite sigma, inputs whose shapes disagree,
-        non-finite embedded samples or labels, or sample weights that are
-        negative, not finite or all 0.
+        On a sigma that is not a positive, finite number, inputs whose
+        shapes disagree, non-finite embedded samples or labels, or sample
+        weights that are negative, not finite or all 0.
     NumericalError
         If ``I - W_tt`` is singular, the solve is not finite, or a target's
         soft labels miss a sum of one by more than ``_MASS_TOL``, all of
@@ -250,7 +250,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     """
     z_s = np.asarray(z_s, dtype=float)
     z_t = np.asarray(z_t, dtype=float)
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not (is_finite_number(sigma, "sigma", ValidationError) and sigma > 0):
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[0] != z_t.shape[0]:
         raise ValidationError(
@@ -269,7 +269,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     y_s = np.asarray(y_s, dtype=float)
     if y_s.ndim != 2 or y_s.shape[0] != n_s:
         raise ValidationError(
-            f"label matrix has {y_s.shape[0]} rows, expected {n_s} source samples"
+            f"label matrix has shape {y_s.shape}, expected ({n_s}, C): "
+            "one row per source sample, one column per class"
         )
     if not np.isfinite(y_s).all():
         raise ValidationError("label matrix contains NaN or Inf entries")

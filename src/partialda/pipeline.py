@@ -6,9 +6,10 @@ down-weights source samples from low-mass classes and re-propagates labels.
 Class weights, one (C,) vector of estimated target class proportions, are
 re-estimated from every fresh propagation, so source classes absent from
 the target lose their influence over the rounds instead of dragging the
-projection toward them.  :func:`binarize_weights` zeroes the classes at or
-below ``delta``, and from then on a class is masked exactly when its
-weight is 0.
+projection toward them.  The classes at or below ``delta`` get weight 0,
+and from then on a class is masked exactly when its weight is 0.  Each
+source sample carries its class's weight, ``y_s @ weights``, in both the
+alignment loss and the graph.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .core import AdaptationConfig, as_domain_pair, check_label_matrix, hard_labels
 from .errors import AdaptationError, ConfigurationError, ValidationError
 from .graph import propagate_labels
-from .subspace import Projection, embed, gram_matrix, solve_projection
+from .subspace import Projection, gram_matrix, solve_projection
 
 
 @dataclass(frozen=True)
@@ -51,40 +52,15 @@ class AdaptationResult:
         return len(self.history)
 
 
-def label_change_fraction(previous, current) -> float:
-    """Fraction of positions whose hard label differs between two snapshots."""
-    previous = np.asarray(previous)
-    current = np.asarray(current)
-    if previous.shape != current.shape or previous.ndim != 1:
-        raise ValidationError(
-            f"length mismatch between label snapshots: {previous.shape} vs {current.shape}"
-        )
-    if previous.size == 0:
-        raise ValidationError("empty input")
-    return float(np.mean(previous != current))
+def _class_weights(p: np.ndarray, delta: float) -> np.ndarray:
+    """Estimated target class proportions, zeroed for every class at or below ``delta``.
 
-
-def compute_class_weights(p) -> np.ndarray:
-    """Estimated target class proportions: the row sums of ``p``, normalized to sum to one."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
-    total = p.sum()
-    if total <= 0:
-        raise ValidationError("soft label matrix sums to zero, cannot derive class weights")
-    return p.sum(axis=1) / total
-
-
-def binarize_weights(w, delta: float) -> np.ndarray:
-    """Zero out classes whose weight does not exceed ``delta``.
-
+    The proportions are the row sums of ``p``, normalized to sum to one.
     This is the one place a weight is compared with ``delta``.  Surviving
-    weights are kept as-is, deliberately not renormalized, so a weight of
-    exactly 0 stays 0 and the operation is idempotent.
+    weights are kept as-is, deliberately not renormalized, so a masked class
+    has weight exactly 0.
     """
-    if delta < 0:
-        raise ConfigurationError(f"delta must be non-negative, got {delta}")
-    w = np.asarray(w, dtype=float)
+    w = p.sum(axis=1) / p.sum()
     masked = w * (w > delta)
     if not masked.any():
         raise ConfigurationError(
@@ -92,22 +68,6 @@ def binarize_weights(w, delta: float) -> np.ndarray:
             f"(largest class weight is {w.max()})"
         )
     return masked
-
-
-def source_sample_weights(w, y_s) -> np.ndarray:
-    """Per-sample weights: each source sample inherits its masked class weight."""
-    w = np.asarray(w, dtype=float)
-    y_s = np.asarray(y_s, dtype=float)
-    if y_s.ndim != 2 or y_s.shape[1] != w.size:
-        raise ValidationError(
-            f"label matrix shape {y_s.shape} does not match {w.size} class weights"
-        )
-    omega = y_s @ w
-    if omega.sum() <= 0:
-        raise ConfigurationError(
-            "all source sample weights are zero; every sample belongs to a masked class"
-        )
-    return omega
 
 
 def apply_mask(p, w) -> tuple[np.ndarray, int]:
@@ -177,11 +137,10 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     """
     config = config or AdaptationConfig()
     x_s, y_s, x_t = _validated_inputs(x_s, y_s, x_t)
-    d, n_s = x_s.shape
-    config.check_k(d)  # before the first propagation, which costs more
+    config.check_k(x_s.shape[0])  # before the first propagation, which costs more
 
     p, _ = propagate_labels(x_s, x_t, config.sigma, y_s)
-    weights = binarize_weights(compute_class_weights(p), config.delta)
+    weights = _class_weights(p, config.delta)
     hard_prev = hard_labels(p)
 
     with _round(1):  # factored once per run, so its failures belong to round one
@@ -192,15 +151,14 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     for it in range(1, config.max_iterations + 1):
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
-            omega = source_sample_weights(weights, y_s)
+            omega = y_s @ weights
             proj = solve_projection(data, omega, y_s, p_masked)
-            z = embed(proj, data)
-            p, graph_fallbacks = propagate_labels(z[:, :n_s], z[:, n_s:], config.sigma,
+            p, graph_fallbacks = propagate_labels(proj.a.T @ x_s, proj.a.T @ x_t, config.sigma,
                                                   y_s, omega)
-            weights = binarize_weights(compute_class_weights(p), config.delta)
+            weights = _class_weights(p, config.delta)
             hard = hard_labels(p)
 
-            fraction = label_change_fraction(hard_prev, hard)
+            fraction = float(np.mean(hard_prev != hard))
             history.append(IterationRecord(
                 objective=proj.objective,
                 label_change_fraction=fraction,
@@ -233,5 +191,5 @@ def baseline_propagate(x_s, y_s, x_t,
         projection=None,
         soft_labels=p,
         hard_labels=hard_labels(p),
-        class_weights=compute_class_weights(p),
+        class_weights=p.sum(axis=1) / p.sum(),
     )

@@ -381,11 +381,3 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     a[:, flip] *= -1.0
     return Projection(a=a, eigenvalues=phi, objective=_objective(data, u, n, vecs, a))
 
-
-def embed(proj: Projection, data: WhitenedData) -> np.ndarray:
-    """Project every sample into the learned subspace, one column each, source first."""
-    if proj.a.shape[0] != data.x_s.shape[0]:
-        raise ValidationError(
-            f"projection rows {proj.a.shape[0]} do not match data rows {data.x_s.shape[0]}"
-        )
-    return np.hstack([proj.a.T @ data.x_s, proj.a.T @ data.x_t])

@@ -43,14 +43,8 @@ from partialda.oracles import (
     generalized_eigh,
     textbook_graph,
 )
-from partialda.pipeline import (
-    apply_mask,
-    binarize_weights,
-    compute_class_weights,
-    label_change_fraction,
-    source_sample_weights,
-)
-from partialda.subspace import embed, gram_matrix, solve_gram_system, solve_projection
+from partialda.pipeline import apply_mask
+from partialda.subspace import gram_matrix, solve_gram_system, solve_projection
 from tests.test_alignment import (
     oracle_center_gap,
     oracle_cluster_gap,
@@ -242,7 +236,6 @@ def test_criterion_6_pipeline_determinism(tmp_path):
 
 def test_criterion_7_documented_error_cases(tmp_path):
     with criterion(7, "every documented failure raises its error class"):
-        masked_out = np.zeros(2)  # every class masked
         y2 = np.eye(2)
         # two identical targets orthogonal to both sources: at this sigma
         # they lean only on each other, so (I - W_tt) is singular
@@ -257,8 +250,6 @@ def test_criterion_7_documented_error_cases(tmp_path):
         bad_label = tmp_path / "labels.txt"
         bad_label.write_text("0\nx\n")
         labels = (np.ones(2), np.eye(2), np.full((2, 2), 0.5))
-        raw_proj = solve_projection(gram_matrix(np.eye(4)[:, :2], np.eye(4)[:, 2:], RIDGE_ONLY),
-                                    *labels)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -270,9 +261,9 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (ConfigurationError, lambda: AdaptationConfig(k=0)),
             (ConfigurationError, lambda: AdaptationConfig(lam=-1.0)),
             (ConfigurationError, lambda: AdaptationConfig(delta=-1.0)),
-            (ValidationError, lambda: compute_class_weights(np.zeros((2, 3)))),
-            (ConfigurationError, lambda: binarize_weights(np.array([0.5, 0.5]), 0.9)),
-            (ConfigurationError, lambda: source_sample_weights(masked_out, y2)),
+            # every class holds a third of the targets, so none survives delta
+            (ConfigurationError, lambda: adapt(
+                np.eye(3), np.eye(3), np.eye(3), AdaptationConfig(k=2, delta=0.9))),
             (NumericalError, lambda: solve_gram_system(
                 np.zeros((2, 2)), np.eye(2), 0.0)),
             (ValidationError, lambda: combine(
@@ -286,12 +277,10 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.full((2, 3), 0.5))),
             (ConfigurationError, lambda: gram_matrix(
                 np.eye(3)[:, :1], np.eye(3)[:, 1:], AdaptationConfig(k=4))),
-            (ValidationError, lambda: embed(
-                raw_proj, gram_matrix(np.eye(3)[:, :1], np.eye(3)[:, 1:], RIDGE_ONLY))),
             (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),
+            (ValidationError, lambda: baseline_propagate(np.eye(2), y2, np.eye(2), None)),
             (NumericalError, lambda: propagate_labels(on_e1, on_e2, 0.02, y2)),
             (ValidationError, lambda: propagate_labels(on_e1, on_e2, 0.02, np.eye(3))),
-            (ValidationError, lambda: label_change_fraction([0, 1], [0])),
             (ConfigurationError, lambda: adapt(
                 np.eye(3), np.eye(3), np.eye(3), AdaptationConfig(k=4))),
             (NumericalError, lambda: adapt(

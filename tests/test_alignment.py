@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
-from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
+from partialda import (
+    AdaptationConfig,
+    ConfigurationError,
+    NumericalError,
+    SyntheticSpec,
+    ValidationError,
+    adapt,
+    generate_synthetic,
+    make_one_hot,
+)
 from partialda.graph import propagate_labels
 from partialda.oracles import (
     build_center_operators,
@@ -19,12 +28,7 @@ from partialda.oracles import (
     build_mp,
     combine,
 )
-from partialda.pipeline import (
-    apply_mask,
-    binarize_weights,
-    compute_class_weights,
-    source_sample_weights,
-)
+from partialda.pipeline import _class_weights, apply_mask
 from partialda.subspace import (
     _ridge_eps,
     _scatter_factors,
@@ -423,49 +427,39 @@ def test_alignment_scatter_matches_long_double_direct_form():
 
 
 def test_compute_class_weights_normalizes():
+    # the soft labels' row sums over their total
     p = np.array([[0.9, 0.6], [0.1, 0.4]])
-    w = compute_class_weights(p)
+    w = _class_weights(p, 0.0)
     assert w == pytest.approx([0.75, 0.25])
     assert w.sum() == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        compute_class_weights(np.zeros((2, 3)))
-    with pytest.raises(ValidationError, match="2-dimensional"):
-        compute_class_weights(np.array([0.9, 0.1]))
 
 
 def test_binarize_weights_threshold_and_idempotence():
-    w = np.array([0.8, 0.1999, 0.0001])
-    out = binarize_weights(w, 1e-3)
+    # class proportions 0.8, 0.1999 and 0.0001; only the last is at or below delta
+    p = np.array([[0.8, 0.8], [0.1999, 0.1999], [0.0001, 0.0001]])
+    out = _class_weights(p, 1e-3)
     assert np.array_equal(out > 0, [True, True, False])
     assert out == pytest.approx([0.8, 0.1999, 0.0])
-    again = binarize_weights(out, 1e-3)
-    assert np.array_equal(again, out)
+    # masking twice changes nothing, and the masked labels keep the same classes
+    masked, _ = apply_mask(p, out)
+    assert np.array_equal(apply_mask(masked, out)[0], masked)
+    assert np.array_equal(_class_weights(masked, 1e-3) > 0, out > 0)
 
 
 def test_binarize_weights_delta_zero_keeps_strictly_positive():
-    out = binarize_weights(np.array([0.5, 0.0, 0.5]), 0.0)
+    out = _class_weights(np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]]), 0.0)
     assert np.array_equal(out > 0, [True, False, True])
 
 
 def test_binarize_weights_all_masked_is_configuration_error():
-    with pytest.raises(ConfigurationError, match="no class survives threshold"):
-        binarize_weights(np.array([0.4, 0.6]), 0.9)
-    with pytest.raises(ConfigurationError, match="delta must be non-negative"):
-        binarize_weights(np.array([0.4, 0.6]), -0.1)
-
-
-def test_source_sample_weights_inherit_class_weight():
-    y_s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    omega = source_sample_weights(np.array([0.7, 0.3]), y_s)
-    assert omega == pytest.approx([0.7, 0.3, 0.7])
-    with pytest.raises(ValidationError, match="does not match 3 class weights"):
-        source_sample_weights(np.array([0.7, 0.2, 0.1]), y_s)
-
-
-def test_source_sample_weights_all_zero_is_configuration_error():
-    y_s = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ConfigurationError, match="all source sample weights are zero"):
-        source_sample_weights(np.array([0.0, 1.0]), y_s)
+    with pytest.raises(ConfigurationError, match=r"^no class survives threshold delta=0\.9 "):
+        _class_weights(np.array([[0.4], [0.6]]), 0.9)
+    # reached from the loop: no class holds half of the default benchmark's targets
+    spec = SyntheticSpec()
+    data = generate_synthetic(spec)
+    with pytest.raises(ConfigurationError, match=r"^no class survives threshold delta=0\.5 "):
+        adapt(data.x_s, make_one_hot(data.y_s, spec.num_source_classes), data.x_t,
+              AdaptationConfig(k=5, delta=0.5))
 
 
 def test_apply_mask_zeroes_rows_without_renormalizing():
@@ -489,45 +483,52 @@ def test_apply_mask_uniform_fallback_column():
 
 @st.composite
 def masking_cases(draw):
-    """Class weights with one class above delta, points on a circle, soft labels."""
+    """Soft labels, a delta (possibly a class's exact proportion), points on a circle."""
     c = draw(st.integers(2, 5))
-    delta = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
-    weight = st.one_of(st.just(0.0), st.just(delta), st.floats(0.0, 1.0))
-    w = np.array(draw(st.lists(weight, min_size=c, max_size=c)))
-    w[draw(st.integers(0, c - 1))] = draw(st.floats(delta, 1.0, exclude_min=True))
     degrees = st.floats(0.0, 360.0)
     source_deg = draw(st.lists(degrees, min_size=c, max_size=8))
     target_deg = draw(st.lists(degrees, min_size=1, max_size=4))
-    p = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(target_deg),
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    p = np.array(draw(st.lists(st.lists(mass, min_size=len(target_deg),
                                         max_size=len(target_deg)), min_size=c, max_size=c)))
+    p[draw(st.integers(0, c - 1)), 0] = draw(st.floats(0.0, 1.0, exclude_min=True))
+    proportions = p.sum(axis=1) / p.sum()
+    delta = draw(st.one_of(st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+                           st.sampled_from(list(proportions))))
     sigma = draw(st.sampled_from([0.02, 0.1, 0.5]))
-    return w, delta, source_deg, target_deg, p, sigma
+    return p, delta, source_deg, target_deg, sigma
 
 
 @given(masking_cases())
 # one target sees only the class-0 source at this sigma; class 0 is masked,
 # so the reweighting empties its row and the fallback must keep class 0 at 0
-@example((np.array([0.0, 1.0]), 1e-3, [170.0, 0.0], [175.0], np.array([[0.5], [0.5]]), 0.02))
+@example((np.array([[0.0], [1.0]]), 1e-3, [170.0, 0.0], [175.0], 0.02))
 def test_masking_invariants(case):
-    w, delta, source_deg, target_deg, p, sigma = case
-    out = binarize_weights(w, delta)
-    assert np.array_equal(binarize_weights(out, delta), out)
-    assert np.array_equal(out > 0, w > delta)
+    p, delta, source_deg, target_deg, sigma = case
+    proportions = p.sum(axis=1) / p.sum()
+    if not (proportions > delta).any():
+        with pytest.raises(ConfigurationError, match="no class survives threshold"):
+            _class_weights(p, delta)
+        return
+    out = _class_weights(p, delta)
+    assert np.array_equal(out > 0, proportions > delta)
+    assert np.array_equal(out[out > 0], proportions[out > 0])
     masked_rows = out == 0
 
     masked, _ = apply_mask(p, out)
     assert np.all(masked[masked_rows] == 0.0)
     alive = p[~masked_rows].sum(axis=0) > 0  # other columns fall back to uniform
     assert np.array_equal(masked[~masked_rows][:, alive], p[~masked_rows][:, alive])
+    assert np.array_equal(apply_mask(masked, out)[0], masked)
 
     def on_circle(deg):
         rad = np.deg2rad(deg)
         return np.vstack([np.cos(rad), np.sin(rad)])
 
-    y = np.eye(w.size)[np.arange(len(source_deg)) % w.size]
+    y = np.eye(out.size)[np.arange(len(source_deg)) % out.size]
     try:
         soft, _ = propagate_labels(on_circle(source_deg), on_circle(target_deg), sigma, y,
-                                   source_sample_weights(out, y))
+                                   y @ out)
     except NumericalError:  # every target cut off from the surviving sources
         reject()
     assert np.all(soft[masked_rows] == 0.0)

@@ -335,6 +335,11 @@ def test_pathological_delta_exits_one(tmp_path, capsys):
     args = adapt_args(files, tmp_path / "run", "--delta", "0.9")
     assert main(args) == 1
     assert "no class survives threshold" in capsys.readouterr().err
+    # no class holds half of the default benchmark's targets
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "default")]) == 0
+    args = adapt_args(dataset_files(tmp_path / "default"), tmp_path / "run", "--delta", "0.5")
+    assert main(args) == 1
+    assert "no class survives threshold delta=0.5 " in capsys.readouterr().err
 
 
 def test_non_finite_sigma_exits_one(tmp_path, capsys):

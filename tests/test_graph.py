@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from partialda import NumericalError, ValidationError
+from partialda import NumericalError, ValidationError, baseline_propagate
 import partialda._lapack
 import partialda.graph
 from partialda.graph import propagate_labels
@@ -28,7 +28,6 @@ from partialda.oracles import (
     textbook_propagate,
     textbook_reweight,
 )
-from partialda.pipeline import source_sample_weights
 
 SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
             "try a larger sigma or check graph connectivity")
@@ -75,7 +74,7 @@ def outcome(*args):
 
 
 def sample_weights(w, y):
-    """``source_sample_weights(w, y)`` minus its positive-sum check, which all-masked cases fail."""
+    """Each source sample's class weight, ``y @ w``, as the loop builds them."""
     return y @ w
 
 
@@ -534,9 +533,9 @@ def test_propagate_labels_singular_system_error_text():
 
 def test_propagate_shape_mismatch():
     z = np.ones((2, 2))
-    with pytest.raises(ValidationError, match="rows"):
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\), expected \(2, C\)"):
         propagate_labels(z, z[:, :1], 0.1, np.eye(3))
-    with pytest.raises(ValidationError, match="rows"):
+    with pytest.raises(ValidationError, match=r"shape \(3, 3\), expected \(2, C\)"):
         propagate_labels(z, z[:, :1], 0.1, np.eye(3), np.array([0.8, 0.2]))
 
 
@@ -579,7 +578,8 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
     ok = np.ones((2, 3))
     y = np.eye(3)
     omega = np.array([0.8, 0.2, 0.8])
-    rows = "label matrix has 4 rows, expected 3 source samples"
+    rows = ("label matrix has shape (4, 4), expected (3, C): "
+            "one row per source sample, one column per class")
     source_nan, target_nan = (f"embedded {side} samples contain NaN or Inf entries"
                               for side in ("source", "target"))
     for args, message in (
@@ -595,6 +595,8 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "sample_weights contains NaN or Inf entries"),
         ((ok, ok, 0.5, y, [0.0, 0.0, 0.0]), ALL_ZERO),
         ((ok, ok, 0.5, np.eye(4)), rows),
+        ((ok, ok, 0.5, np.zeros(3)), "label matrix has shape (3,), expected (3, C): "
+         "one row per source sample, one column per class"),
         ((ok, ok, 0.5, np.eye(4), omega), rows),
         ((ok * np.nan, ok, 0.5, y), source_nan),
         ((ok, ok * np.inf, 0.5, y), target_nan),
@@ -607,6 +609,17 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
             propagate_labels(*args)
         assert str(exc.value) == message
     assert_kernel_reached((ok, ok, 0.5, y, omega))
+
+
+@pytest.mark.parametrize("sigma", [True, None, "0.1", np.nan, 0, -1])
+def test_sigma_must_be_a_positive_number(sigma):
+    # a bool, None or a string is no bandwidth: refused by the graph and by
+    # the baseline, which passes sigma straight on, like a non-positive one
+    x, y = np.eye(3), np.eye(3)
+    for call in (lambda: propagate_labels(x, x, sigma, y),
+                 lambda: baseline_propagate(x, y, x, sigma)):
+        with pytest.raises(ValidationError, match="^sigma must be "):
+            call()
 
 
 def test_reweight_hand_example():
@@ -629,7 +642,7 @@ def test_reweight_uniform_weights_is_identity():
         c = y.shape[1]
         w = np.full(c, 1.0 / c)
         p1, _ = propagate_labels(z_s, z_t, 0.5, y)
-        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
+        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, y @ w)
         assert n_dead == 0
         assert np.abs(p1 - p2).max() <= 1e-12
 
@@ -642,7 +655,7 @@ def test_reweight_masked_class_columns_become_zero():
     classes = np.array([0, 1, 2, 0, 1, 2])
     w = np.array([0.8, 0.0, 0.2])
     y = np.eye(3)[classes]
-    p, n_dead = propagate_labels(z_s, z_t, 0.5, y, source_sample_weights(w, y))
+    p, n_dead = propagate_labels(z_s, z_t, 0.5, y, y @ w)
     assert n_dead == 0
     assert np.all(p[1] == 0.0)
     assert np.all(p[[0, 2]] > 0.0)
@@ -673,7 +686,7 @@ def test_reweight_dead_row_fallbacks():
     # source
     e = np.eye(2)
     p, n_dead = propagate_labels(e, e[:, [1, 0]], 0.02, np.eye(2),
-                                 source_sample_weights(np.array([0.5, 0.0]), np.eye(2)))
+                                 np.array([0.5, 0.0]))
     assert n_dead == 1
     assert np.array_equal(p, [[1.0, 1.0], [0.0, 0.0]])
 

@@ -21,7 +21,6 @@ from partialda import (
 import partialda.pipeline
 from partialda.graph import propagate_labels
 from partialda.oracles import textbook_graph, textbook_propagate
-from partialda.pipeline import label_change_fraction
 
 
 def separable_instance(rng, n_classes=3, d=6, per_class=8, spread=0.05):
@@ -70,13 +69,18 @@ def test_single_iteration_budget():
 
 
 def test_label_change_fraction_counts():
-    assert label_change_fraction([0, 1, 2], [0, 1, 2]) == 0.0
-    assert label_change_fraction([0, 1, 2], [1, 2, 0]) == 1.0
-    assert label_change_fraction([0, 1, 1], [0, 1, 0]) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValidationError, match="mismatch"):
-        label_change_fraction([0, 1], [0, 1, 2])
-    with pytest.raises(ValidationError, match="empty"):
-        label_change_fraction([], [])
+    # each round's fraction is the share of targets whose hard label differs
+    # from the round before; before round 1 they are the baseline's, which
+    # reproduces the loop's initialization
+    rng = np.random.default_rng(44)
+    x, y, _ = separable_instance(rng)
+    x_t = x + 5.0 * rng.standard_normal(x.shape)
+    cfg = AdaptationConfig(k=3, max_iterations=3)
+    labels = [baseline_propagate(x, y, x_t, cfg.sigma).hard_labels]
+    labels += [adapt(x, y, x_t, replace(cfg, max_iterations=i)).hard_labels for i in (1, 2, 3)]
+    want = [np.mean(a != b) for a, b in zip(labels, labels[1:])]
+    assert [r.label_change_fraction for r in adapt(x, y, x_t, cfg).history] == want
+    assert min(want) > 0.0  # every round changed some label
 
 
 def test_errors_carry_the_iteration_index():

@@ -19,7 +19,7 @@ from partialda.oracles import (
     combine,
     generalized_eigh,
 )
-from partialda.subspace import embed, gram_matrix, solve_projection
+from partialda.subspace import gram_matrix, solve_projection
 from tests.test_alignment import random_instance
 
 EPS = np.finfo(float).eps
@@ -352,22 +352,6 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
     # a constraint matrix that is not positive definite breaks the solver
     with pytest.raises(NumericalError, match="cond"):
         generalized_eigh(np.eye(3), np.zeros((3, 3)), k=2)
-
-
-def test_embed_linearity_and_errors():
-    rng = np.random.default_rng(26)
-    data, _, labels = solver_instance(rng)
-    proj = solve_projection(with_k(data, 2), *labels)
-    z = embed(proj, data)
-    x, n_s = stacked(data), data.x_s.shape[1]
-    n = x.shape[1]
-    assert z.shape == (2, n)
-    manual = proj.a.T @ x
-    assert np.allclose(z, manual, atol=1e-12)
-    x2 = np.vstack([x, np.zeros((1, n))])
-    data2 = gram_matrix(x2[:, :n_s], x2[:, n_s:], RIDGE_ONLY)
-    with pytest.raises(ValidationError, match="rows"):
-        embed(proj, data2)
 
 
 def test_objective_matches_trace_identity():
