@@ -186,6 +186,20 @@ def test_import_leaves_oracles_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_process_pools_unloaded():
+    # feature files are split between readers by os.fork alone: importing a
+    # pool module would add to every run's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, partialda, partialda.cli; "
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_does_not_look_up_lapack():
     # numpy's LAPACK routines are looked up on the first call, not at import,
     # which stays cheap

@@ -6,7 +6,10 @@ true cluster centers, never anything from the adaptation code.
 
 import json
 import math
+import os
+import signal
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -267,6 +270,160 @@ def test_feature_csv_odd_inputs_match_line_loop(tmp_path, name):
         assert str(got.value) == text.format(path=path)
 
 
+def outcome(path):
+    """What loading ``path`` gives: its shape and bytes, or its error's type and text."""
+    try:
+        x = load_features_csv(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.shape, x.tobytes()
+
+
+def force_split(monkeypatch, readers=3):
+    """Split every file into ``readers`` ranges of lines, however small it is."""
+    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: readers)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Three readers split a file of s bytes whose first line has f bytes at the
+# estimated line indices (s // f) * k // 3, so the first two files below
+# split at lines [0, 1), [1, 3), [3, ...) and the third at [0, 1), [1, 2), [2, ...)
+SPLIT_FILES = {
+    # the second range ends at the blank line, the third starts with the row after it
+    "blank_line_ends_a_range": ("1,2\n1,2\n\n1,2\n1,2\n1,2\n", ragged(3, 1, 2)),
+    "ragged_row_in_last_range": ("1,2\n" * 5 + "3\n", ragged(6, 1, 2)),
+    # each range is even, but the last is narrower than the others
+    "narrow_last_range": ("1,2\n" * 2 + "3\n" * 2, ragged(3, 1, 2)),
+    "invalid_utf8_in_last_range": (b"1.25,2.5\n" * 40000 + b"3,\xff4\n" + b"1.25,2.5\n" * 99,
+                                   (ParseError, "{path}: not UTF-8 text: byte 360002 is 0xff")),
+    "deep_bad_cell": ("1.5,2\n" * 14999 + "1.5,x\n" + "1.5,2\n" * 5000,
+                      refused(15000, "x")),
+    "deep_ragged_row": ("1.5,2\n" * 14999 + "1.5\n" + "1.5,2\n" * 5000, ragged(15000, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_FILES) + sorted(SPLIT_FILES))
+def test_split_and_serial_routes_agree(tmp_path, monkeypatch, name):
+    # forked readers give the serial reader's array bit for bit, or its error
+    content, want = ODD_FILES[name] if name in ODD_FILES else SPLIT_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 1 << 40)
+    serial = outcome(path)
+    force_split(monkeypatch)
+    assert outcome(path) == serial
+    if not isinstance(want, list):
+        assert serial == (want[0], want[1].format(path=path))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("first, rest", [("1,2\n", "0.123456789,-2.5e-300\n"),
+                                         ("0.123456789,-2.5e-300\n", "1,2\n")])
+def test_split_route_reads_rows_split_wherever(tmp_path, monkeypatch, first, rest):
+    # a first line shorter than the rest puts the later ranges past the last
+    # row, a longer one puts most rows in the last range: either way the
+    # rows are those of the serial reader
+    path = tmp_path / "x.csv"
+    path.write_text(first + rest * 40)
+    want = load_features_csv(path)
+    force_split(monkeypatch)
+    split = data_module._load_split(path)
+    assert split is not None and split.tobytes() == want.T.tobytes()
+    assert load_features_csv(path).tobytes() == want.tobytes()
+    assert_no_child_left()
+
+
+def test_split_route_leaves_no_child(tmp_path, monkeypatch):
+    # every reader is reaped, whether the readers succeed, one fails or one
+    # dies without a word, and whether the serial reader then succeeds or raises
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("1.5,2\n" * 300)
+    bad.write_text("1.5,2\n" * 200 + "1.5,x\n" + "1.5,2\n" * 99)
+    want = load_features_csv(good)
+    force_split(monkeypatch)
+    assert data_module._load_split(good) is not None
+    assert_no_child_left()
+
+    load_rows = data_module._load_rows
+
+    def failing_after_first_range(*args, start=0, stop=None, **kwargs):
+        if start > 0:
+            raise MemoryError("a reader fails")
+        return load_rows(*args, start=start, stop=stop, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_load_rows", failing_after_first_range)
+        assert data_module._load_split(good) is None
+        assert_no_child_left()
+        assert load_features_csv(good).tobytes() == want.tobytes()
+        assert_no_child_left()
+
+    def failing_first_range(*args, start=0, stop=None, **kwargs):
+        if start == 0:
+            raise MemoryError("a reader fails")
+        time.sleep(60)
+
+    with monkeypatch.context() as patch:
+        # the readers still parsing are stopped, not waited for
+        patch.setattr(data_module, "_load_rows", failing_first_range)
+        began = time.monotonic()
+        assert data_module._load_split(good) is None
+        assert time.monotonic() - began < 30
+        assert_no_child_left()
+    with monkeypatch.context() as patch:
+        patch.setattr(data_module, "_send_rows", lambda *args: os._exit(1))
+        assert data_module._load_split(good) is None
+        assert_no_child_left()
+
+    with pytest.raises(ParseError, match="row 201: non-numeric value 'x'"):
+        load_features_csv(bad)
+    assert_no_child_left()
+
+
+def test_split_route_where_children_reap_themselves(tmp_path, monkeypatch):
+    # with SIGCHLD ignored the kernel reaps each reader, and waiting for it fails
+    path = tmp_path / "x.csv"
+    path.write_text("1.5,2\n" * 300)
+    want = load_features_csv(path)
+    force_split(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert data_module._load_split(path) is not None
+        assert load_features_csv(path).tobytes() == want.tobytes()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert_no_child_left()
+
+
+def test_split_route_falls_back_without_fork(tmp_path, monkeypatch):
+    # where os.fork is missing, or fails after the first reader started, one
+    # process parses the file
+    path = tmp_path / "x.csv"
+    path.write_text("1.5,2\n" * 300)
+    want = load_features_csv(path)
+    force_split(monkeypatch)
+    fork, forks = os.fork, []
+
+    def fork_once():
+        if forks:
+            raise OSError("no more processes")
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert data_module._load_split(path) is None
+    assert load_features_csv(path).tobytes() == want.tobytes()
+    assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert data_module._load_split(path) is None
+    assert load_features_csv(path).tobytes() == want.tobytes()
+
+
 def traced_peak(call, *args):
     """The tracemalloc peak of one call, in bytes, and its result."""
     tracemalloc.start()
@@ -277,10 +434,12 @@ def traced_peak(call, *args):
         tracemalloc.stop()
 
 
-def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path):
+def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path, monkeypatch):
     # loading holds one line of text besides the array it fills, not the
     # decoded file and its lines; saving holds one row's text, not the file.
     # One non-ASCII character changes neither: every file takes one path.
+    # Split in two, the parent holds the result, the finite check's mask and
+    # one line; the serial reader also grows its result as rows arrive.
     x = np.random.default_rng(53).standard_normal((256, 4000))
     path = tmp_path / "x.csv"
     saved, _ = traced_peak(save_features_csv, x, path)
@@ -288,11 +447,16 @@ def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path):
     assert saved < size / 4
     text = path.read_text(encoding="utf-8")
     i = text.index(",", len(text) // 2)
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 2)
     for odd in ("", "\u00a0"):
         path.write_text(text[:i] + odd + text[i:], encoding="utf-8")
         loaded, got = traced_peak(load_features_csv, path)
         assert np.array_equal(got, x)
-        assert loaded < x.nbytes + size / 4
+        assert loaded <= x.nbytes + x.size + 64 * 1024
+    monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
+    loaded, got = traced_peak(load_features_csv, path)
+    assert np.array_equal(got, x)
+    assert loaded < x.nbytes + size / 4
 
 
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
