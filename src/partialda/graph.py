@@ -21,13 +21,12 @@ buffer by ``-D'_jj`` once gives ``I - K_tt D'^-1 = (I - W_tt).T`` off the
 diagonal: the system in the column-major order LAPACK reads, so numpy's
 own ``dgesv`` factors and solves it in place
 (:func:`partialda._lapack.gesv`).  The affinity ``exp`` runs over one
-triangle, nothing is normalized twice, and the one transposed copy is the
-mirrored half.  At most ``n_t**2 + _BLOCK_ROWS * n_s + d * (n_s + n_t)``
-doubles of graph, the last term the unit-normalized copies of both
-domains, plus O(n_s + n_t), are alive at once.  Where numpy's OpenBLAS
-does not export ``dgesv`` under the name looked for, ``np.linalg.solve``
-solves the same matrix to the same bits from its own copy, one ``n_t**2``
-more.
+triangle, the features are read where the caller holds them, and the one
+transposed copy is the mirrored half.  At most ``n_t**2 + _BLOCK_ROWS *
+(n_s + d)`` doubles of graph, plus O(n_s + n_t), are alive at once.  Where
+numpy's OpenBLAS does not export ``dgesv`` under the name looked for,
+``np.linalg.solve`` solves the same matrix to the same bits from its own
+copy, one ``n_t**2`` more.
 """
 
 from __future__ import annotations
@@ -62,35 +61,39 @@ _MASS_TOL = 1e-6
 _FAINT = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _unit_columns(a: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit norm; a zero column stays zero.
+def _column_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` with its columns in the kernel's range, and their norms, a zero column's as 1.
 
-    Squares overflow above 2**511 and lose bits below 2**-511, so a column
-    whose norm is out of range is first scaled to about 1 by a power of two,
-    exactly; then all norms are taken again, as a column subset's would sum
-    in another order.
+    A strided view is copied, so both routes sum a norm in one order.  A
+    norm outside [2**-250, 2**250), where the kernel's squares could leave
+    the normal doubles, has its column scaled to about 1 by a power of two,
+    exactly, in a copy; then all norms are taken again.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a, axis=0)
-    odd = ~((norms > 2.0 ** -500) & (norms < np.inf))
-    if odd.any():
-        exponents = np.frexp(np.abs(a).max(axis=0, initial=0.0))[1]
-        a = a * np.ldexp(1.0, np.where(odd, -exponents, 0))
-        norms = np.linalg.norm(a, axis=0)
-    return a / np.where(norms > 0, norms, 1.0)
+    a = a if a.flags.c_contiguous or a.flags.f_contiguous else np.ascontiguousarray(a)
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a))  # no d x n temporary
+    odd = np.flatnonzero((norms < 2.0 ** -250) | (norms >= 2.0 ** 250))
+    odd = odd[a[:, odd].any(axis=0)]  # a zero column needs no scaling
+    if odd.size:
+        a = a.copy(order="K")
+        a[:, odd] = np.ldexp(a[:, odd], -np.frexp(np.abs(a[:, odd]).max(axis=0))[1])
+        norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    return a, np.where(norms > 0, norms, 1.0)
 
 
-def _affinities(v_a: np.ndarray, u_b: np.ndarray, inv_sigma: float, out: np.ndarray) -> None:
+def _affinities(v_a: np.ndarray, b: tuple, out: np.ndarray) -> None:
     """``exp(-(d / sigma)**2)`` of the cosine distances d between columns, written into ``out``.
 
-    ``v_a`` holds unit columns already divided by sigma and ``u_b`` unit
-    columns, so ``inv_sigma - v_a.T @ u_b`` is ``d / sigma``.
+    ``v_a`` holds unit columns over sigma, and ``b = (x, reach, shrink)``
+    columns x of norms n, ``reach = n / sigma`` and ``shrink = -1 / n**2``:
+    ``reach - v_a.T @ x = n d / sigma``, squared times ``shrink``, is
+    ``-(d / sigma)**2``: four passes in place.
     """
-    np.matmul(v_a.T, u_b, out=out)
-    np.subtract(inv_sigma, out, out=out)
-    with np.errstate(over="ignore"):  # below sigma ~1e-154: inf, whose exp is the 0 it stands for
+    x_b, reach_b, shrink_b = b
+    np.matmul(v_a.T, x_b, out=out)
+    np.subtract(reach_b, out, out=out)
+    with np.errstate(over="ignore"):  # inf, whose exp is the 0 it stands for
         np.square(out, out=out)
-    np.negative(out, out=out)
+        np.multiply(out, shrink_b, out=out)
     np.exp(out, out=out)
 
 
@@ -111,14 +114,14 @@ def _mirror_lower(a: np.ndarray) -> None:
         np.copyto(diagonal, diagonal.T.copy(), where=above[:r1 - r0, :r1 - r0])
 
 
-def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
+def _affinity_blocks(x_s: np.ndarray, x_t: np.ndarray, sigma: float,
                      sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``K_tt`` with a zero diagonal, ``K_ts @ sources`` and the row sums of ``K_tt``.
 
-    Each block of ``_BLOCK_ROWS`` targets computes its ``K_ts`` rows in one
-    scratch buffer, keeps only their product with ``sources``, and writes
-    its rows of ``K_tt`` up to the diagonal block straight into the
-    ``n_t x n_t`` result; the strictly lower triangle is then mirrored.
+    Each block of ``_BLOCK_ROWS`` targets puts its unit columns over sigma
+    and its ``K_ts`` rows in two scratch buffers, keeps only ``K_ts @
+    sources`` and writes its ``K_tt`` rows up to the diagonal block into the
+    ``n_t x n_t`` result, whose strictly lower triangle is then mirrored.
 
     The last column of ``sources`` is all ones, so the product's last column
     is each row's source mass.  A row whose affinities sum below ``_FAINT``
@@ -126,23 +129,20 @@ def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
     recomputed from the scaled row, and its ``K_tt`` row is scaled where the
     system reads it, in its column, so the other rows keep theirs.
     """
-    n_t = u_t.shape[1]
-    # below the smallest normal double 1/sigma overflows, but every nonzero
-    # distance underflows to affinity 0 at either sigma
-    sigma = max(sigma, np.finfo(float).tiny)
-    inv_sigma = 1.0 / sigma
-    block = min(_BLOCK_ROWS, n_t)
-    k_ts = np.empty((block, u_s.shape[1]))
-    masses = np.empty((n_t, sources.shape[1]))
-    k_tt = np.empty((n_t, n_t))
+    (x_s, norms_s), (x_t, norms_t) = _column_norms(x_s), _column_norms(x_t)
+    (d, n_t), block = x_t.shape, min(_BLOCK_ROWS, x_t.shape[1])
+    # below 2**-60 an affinity is 0 or 1 at any sigma; above 2**-750, n / sigma < 2**1000
+    sigma = max(sigma, 2.0 ** -750)
+    source, target = ((x, n / sigma, -1.0 / n**2) for x, n in ((x_s, norms_s), (x_t, norms_t)))
+    scratch, k_ts = np.empty(d * block), np.empty((block, x_s.shape[1]))
+    masses, k_tt = np.empty((n_t, sources.shape[1])), np.empty((n_t, n_t))
     for r0 in range(0, n_t, block):
         rows = slice(r0, min(r0 + block, n_t))
-        part = k_ts[: rows.stop - r0]
-        v_t = u_t[:, rows] / sigma
-        _affinities(v_t, u_s, inv_sigma, part)
+        v, part = scratch[: d * (rows.stop - r0)].reshape(d, -1), k_ts[: rows.stop - r0]
+        np.divide(np.divide(x_t[:, rows], norms_t[rows], out=v), sigma, out=v)
+        _affinities(v, source, part)
         np.matmul(part, sources, out=masses[rows])
-        _affinities(v_t, u_t[:, : rows.stop], inv_sigma, k_tt[rows, : rows.stop])
-    del k_ts, part
+        _affinities(v, [c[..., : rows.stop] for c in target], k_tt[rows, : rows.stop])
     _mirror_lower(k_tt)
     k_tt.reshape(-1)[:: n_t + 1] = 0.0
     degrees = k_tt.sum(axis=1)
@@ -151,11 +151,12 @@ def _affinity_blocks(u_s: np.ndarray, u_t: np.ndarray, sigma: float,
     for j in faint:  # one strided view at a time: no n_t x n_t temporary
         k_tt[:, j] /= _FAINT
     degrees[faint] /= _FAINT
-    k_ts = np.empty((min(block, faint.size), u_s.shape[1]))
     for r0 in range(0, faint.size, block):
         rows = faint[r0:r0 + block]
-        part = k_ts[: rows.size]
-        _affinities(u_t[:, rows] / sigma, u_s, inv_sigma, part)
+        v, part = scratch[: d * rows.size].reshape(d, -1), k_ts[: rows.size]
+        np.take(x_t, rows, axis=1, out=v, mode="clip")  # unbuffered: no d x rows gather
+        np.divide(np.divide(v, norms_t[rows], out=v), sigma, out=v)
+        _affinities(v, source, part)
         part /= _FAINT
         masses[rows] = part @ sources
     return k_tt, masses, degrees
@@ -278,8 +279,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     spread = f @ y_s  # W_ts Y_s of a uniform source row, before its scaling
     # K_ts @ [f Y_s | f | 1]: W_ts Y_s and both source masses, each row unscaled
     k_tt, masses, degrees = _affinity_blocks(
-        _unit_columns(z_s), _unit_columns(z_t), sigma,
-        np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
+        z_s, z_t, sigma, np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
     rhs, weighted, raw = masses[:, :c], masses[:, c], masses[:, c + 1]
     # K_tt is symmetric, so a row without affinities is also a zero column:
     # each fallback below is one system column and one rhs row

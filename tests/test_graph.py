@@ -432,23 +432,72 @@ def test_subnormal_sigma_underflows_like_a_tiny_one():
 
 
 def test_huge_and_tiny_features_give_the_soft_labels_of_unscaled_ones():
-    # squares overflow above about 1.3e154 and underflow below about
-    # 1.5e-154, so such a column's norm is inf or loses its bits; scaled by a
-    # power of two first, it keeps its unit column, bit for bit, and the
-    # columns around it keep theirs
+    # the kernel reads a column whose norm lies in [2**-250, 2**250) where
+    # the caller holds it and first scales any other by a power of two,
+    # exactly; either way every intermediate scales by a power of two, so a
+    # column that changes route changes no bit, and the columns around it
+    # keep theirs.  2**249 and 2**-250 split the columns between the routes.
+    # At sigma 1e-300, a norm of 2**400 over sigma would overflow
     rng = np.random.default_rng(41)
     z_s, z_t = rng.standard_normal((4, 30)), rng.standard_normal((4, 20))
     y = random_labels(rng, 30)
     w = rng.random(30)
-    for weights in ((), (w,)):
-        want = outcome(z_s, z_t, 0.5, y, *weights)
+    norms = np.linalg.norm(np.hstack([z_s, z_t]), axis=0)
+    for scale, edge in ((2.0 ** 249, 2.0 ** 250), (2.0 ** -250, 2.0 ** -250)):
+        assert (norms * scale < edge).any() and (norms * scale >= edge).any()
+    for sigma, weights in ((0.5, ()), (0.5, (w,)), (1e-300, ()), (1e-300, (w,))):
+        want = outcome(z_s, z_t, sigma, y, *weights)
         assert not isinstance(want, str)
-        for scale in (2.0 ** 520, 2.0 ** 1000, 2.0 ** -560, 2.0 ** -900):
-            assert outcome(z_s * scale, z_t * scale, 0.5, y, *weights) == want
+        for scale in (2.0 ** 520, 2.0 ** 1000, 2.0 ** -560, 2.0 ** -900,
+                      2.0 ** 400, 2.0 ** 249, 2.0 ** -250):
+            assert outcome(z_s * scale, z_t * scale, sigma, y, *weights) == want
             some_s, some_t = z_s.copy(), z_t.copy()
             some_s[:, [0, 7]] *= scale
             some_t[:, 3] *= scale
-            assert outcome(some_s, some_t, 0.5, y, *weights) == want
+            assert outcome(some_s, some_t, sigma, y, *weights) == want
+    # columns of subnormal entries, exact multiples of the smallest double,
+    # give the soft labels of the same integers
+    ints_s, ints_t = z_s.copy(), z_t.copy()
+    ints_s[:, 2], ints_t[:, 4] = [3.0, -5.0, 7.0, 1.0], [-2.0, 9.0, 4.0, -6.0]
+    want = outcome(ints_s, ints_t, 0.5, y)
+    ints_s[:, 2] *= 2.0 ** -1074
+    ints_t[:, 4] *= 2.0 ** -1074
+    assert 0.0 < np.abs(ints_t[:, 4]).max() < np.finfo(float).tiny
+    assert outcome(ints_s, ints_t, 0.5, y) == want
+
+
+@st.composite
+def scaled_graphs(draw):
+    """Small graphs with d below or above n, sigma over decades, and zero or far-scaled columns."""
+    d, n_s, n_t = draw(st.integers(2, 12)), draw(st.integers(2, 10)), draw(st.integers(1, 10))
+    sigma = draw(st.sampled_from([1e-3, 0.03, 0.3, 3.0, 300.0]))
+    odd = st.tuples(st.integers(0, n_s + n_t - 1), st.sampled_from([0.0, 2.0 ** -600, 2.0 ** 600]))
+    columns = draw(st.lists(odd, max_size=3, unique_by=lambda c: c[0]))
+    return d, n_s, n_t, sigma, columns, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@given(scaled_graphs(), st.sampled_from([-300, -131, 7, 260]))
+def test_soft_labels_are_stochastic_repeatable_and_scale_free(case, shift):
+    # wherever the solve succeeds: soft labels non-negative to rounding,
+    # columns summing to one, the same bits on a second call and after every
+    # column is scaled by a power of two, which moves columns between routes
+    d, n_s, n_t, sigma, columns, weighted, seed = case
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, n_s + n_t))
+    for j, scale in columns:
+        z[:, j] *= scale
+    y = random_labels(rng, n_s)
+    args = (z[:, :n_s], z[:, n_s:], sigma, y) + ((rng.random(n_s),) if weighted else ())
+    got = solved(*args)
+    if isinstance(got, str):
+        return
+    p = got[0]
+    assert p.min() >= -1e-12
+    assert np.abs(p.sum(axis=0) - 1.0).max() <= partialda.graph._MASS_TOL
+    want = outcome(*args)
+    assert outcome(*args) == want
+    z = z * 2.0 ** shift
+    assert outcome(z[:, :n_s], z[:, n_s:], *args[2:]) == want
 
 
 def test_subnormal_affinities_keep_their_weighted_mass():
@@ -706,13 +755,24 @@ def test_reweight_validation(monkeypatch):
             propagate_labels(*args, omega)
 
 
+def read_only(a, order):
+    """``a`` read-only in ``order``; "F" gives the kind of view ``load_features_csv`` returns."""
+    parsed = np.array(a.T if order == "F" else a, order="C")
+    parsed.setflags(write=False)
+    return parsed.T if order == "F" else parsed
+
+
 def test_propagate_labels_leaves_its_inputs_unchanged():
+    # every input read-only, so a write into any of them raises, the
+    # features also column-major and with a column out of the kernel's range
     rng = np.random.default_rng(38)
     classes = np.array([0, 1, 2, 0, 1, 2])
-    y = np.eye(3)[classes]
-    for n_t in (4, 1):
-        z_s = rng.standard_normal((3, 6))
-        z_t = rng.standard_normal((3, n_t))
+    y = read_only(np.eye(3)[classes], "C")
+    for n_t, order, huge in ((4, "C", 1.0), (1, "C", 1.0), (4, "F", 1.0), (4, "F", 2.0 ** 600)):
+        z_s = read_only(rng.standard_normal((3, 6)) * ([1.0] * 5 + [huge]), order)
+        z_t = read_only(rng.standard_normal((3, n_t)), order)
+        assert not (z_s.flags.writeable or z_t.flags.writeable)
+        assert z_s.flags.f_contiguous == (order == "F")
         for mask in (None, np.array([1.0, 0.0, 1.0]), np.zeros(3)):  # last: dead rows
             w = None if mask is None else np.array([0.8, 0.1, 0.2]) * mask
             omega = None if w is None else sample_weights(w, y)
@@ -869,25 +929,43 @@ def test_nearly_singular_solve_fails_loudly():
         assert got == textbook_outcome(*args[:4], w, None if w is None else np.arange(2))
 
 
+# A ufunc over a strided view, such as a block of the system's rows, takes
+# numpy's iterator buffers of np.getbufsize() doubles, one per operand: at
+# most three at a time in the graph
+UFUNC_BUFFERS = 3 * 8 * np.getbufsize()
+
+
+def working_set_cases(rng):
+    """Random graphs at d = 8 and at two d-heavy shapes, then one whose every row is faint."""
+    for d, n_s, n_t in ((8, 1200, 1200), (512, 300, 300), (1024, 200, 400)):
+        z_s, z_t = rng.standard_normal((d, n_s)), rng.standard_normal((d, n_t))
+        y = random_labels(rng, n_s)
+        yield z_s, z_t, 0.5, y
+        yield z_s, z_t, 0.5, y, rng.random(n_s)
+    # the graph of test_subnormal_affinities_keep_their_weighted_mass, at
+    # d = 302: every target's unit column over sigma is built twice
+    e = np.eye(2 + 300)
+    yield e[:, :2].copy(), e[:, 2:].copy(), 741.0 ** -0.5, np.eye(2), np.array([0.4, 1.0])
+
+
 def test_graph_working_set_stays_below_one_and_a_half_target_squares():
-    # the n_t^2 system and one block of source affinities are all the graph
-    # allocates: 8 (n_t^2 + 256 n_s) bytes, where whole W_ts and W_tt blocks
-    # need 2 n_t^2 doubles at n_s = n_t.  The rest is O(n): unit columns,
-    # their copy scaled by 1/sigma, the source masses and the solution, well
-    # under 32 doubles per sample at d = 8 and C <= 5
-    rng = np.random.default_rng(44)
-    n = 1200
-    z_s, z_t = rng.standard_normal((8, n)), rng.standard_normal((8, n))
-    y = random_labels(rng, n)
-    omega = rng.random(n)
-    for args in ((z_s, z_t, 0.5, y), (z_s, z_t, 0.5, y, omega)):
+    # the n_t^2 system, one block of source affinities and one block of unit
+    # target columns over sigma are all the graph allocates: 8 (n_t^2 + 256
+    # (n_s + d)) bytes, where whole W_ts and W_tt blocks need 2 n_t^2
+    # doubles at n_s = n_t.  The features are read where the caller holds
+    # them: at the d-heavy shapes a d x n copy of both domains would double
+    # the peak.  The rest is O(n): the norms, the source masses and the
+    # solution, under 20 doubles per sample at C <= 5, and UFUNC_BUFFERS
+    for args in working_set_cases(np.random.default_rng(44)):
+        (d, n_s), n_t = args[0].shape, args[1].shape[1]
         tracemalloc.start()
         try:
             propagate_labels(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (n**2 + BLOCK * n) + 8 * 32 * (2 * n)
+        bound = 8 * (n_t**2 + BLOCK * (n_s + d) + 20 * (n_s + n_t)) + UFUNC_BUFFERS
+        assert peak < bound, (d, n_s, n_t, peak / bound)
 
 
 NUMPY_GESV = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
