@@ -15,15 +15,19 @@ diagonal ``Omega`` of source weights, and ``K_tt`` is symmetric.  So one
 kernel computes, for ``_BLOCK_ROWS`` targets at a time, their ``K_ts``
 rows in one small buffer, keeps only ``K_ts @ [Omega Y_s | Omega 1 | 1]``
 (``W_ts Y_s`` and both source masses, unscaled), and writes their
-``K_tt`` rows up to the diagonal straight into one ``n_t x n_t`` buffer;
-the strictly lower triangle is then mirrored.  Dividing column j of that
-buffer by ``-D'_jj`` once gives ``I - K_tt D'^-1 = (I - W_tt).T`` off the
-diagonal: the system in the column-major order LAPACK reads, so numpy's
-own ``dgesv`` factors and solves it in place
-(:func:`partialda._lapack.gesv`).  The affinity ``exp`` runs over one
-triangle, the features are read where the caller holds them, and the one
-transposed copy is the mirrored half.  At most ``n_t**2 + _BLOCK_ROWS *
-(n_s + d)`` doubles of graph, plus O(n_s + n_t), are alive at once.  Where
+``K_tt`` rows up to the diagonal straight into one ``n_t x n_t`` buffer,
+then mirrors those rows: the strip left of their diagonal block onto the
+strip above it, and the block's lower triangle onto its upper one.
+Dividing column j of that buffer by ``-D'_jj`` once gives ``I - K_tt
+D'^-1 = (I - W_tt).T`` off the diagonal: the system in the column-major
+order LAPACK reads, so numpy's own ``dgesv`` factors and solves it in
+place (:func:`partialda._lapack.gesv`).  The affinity ``exp`` runs over
+one triangle, the features are read where the caller holds them, and the
+one transposed copy is the mirrored half, made block by block.  At most
+``n_t**2 + _BLOCK_ROWS * (n_s + d)`` doubles of graph, plus O(n_s + n_t),
+are alive at once, and for a moment numpy's iterator buffers: an in-place
+pass over a block of the system's rows, a strided view, takes up to three
+buffers of ``np.getbufsize()`` doubles, 192 KiB at numpy's default.  Where
 numpy's OpenBLAS does not export ``dgesv`` under the name looked for,
 ``np.linalg.solve`` solves the same matrix to the same bits from its own
 copy, one ``n_t**2`` more.
@@ -40,11 +44,6 @@ from .errors import NumericalError, ValidationError
 # Target rows built per step.  The gemm bits of a row can depend on the
 # block's row count, so this is fixed rather than a knob.
 _BLOCK_ROWS = 256
-
-# Side of the square tiles in which the lower triangle of the target
-# affinities is mirrored; of 64, 128 and 256, 128 was fastest at n_t = 1000
-# and 4000 on two x86-64 cores.
-_TILE = 128
 
 # How far a target's soft labels may sum from 1 before it counts as having
 # received no source mass.  With one-hot source labels a target connected
@@ -97,23 +96,6 @@ def _affinities(v_a: np.ndarray, b: tuple, out: np.ndarray) -> None:
     np.exp(out, out=out)
 
 
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the strictly lower triangle of the square ``a`` onto its upper triangle.
-
-    The copy runs in ``_TILE x _TILE`` tiles, so the transposed reads and
-    the writes of each tile stay within a few pages.
-    """
-    n = a.shape[0]
-    above = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
-    for r0 in range(0, n, _TILE):
-        r1 = min(r0 + _TILE, n)
-        for c0 in range(r1, n, _TILE):
-            c1 = min(c0 + _TILE, n)
-            a[r0:r1, c0:c1] = a[c0:c1, r0:r1].T
-        diagonal = a[r0:r1, r0:r1]
-        np.copyto(diagonal, diagonal.T.copy(), where=above[:r1 - r0, :r1 - r0])
-
-
 def _affinity_blocks(x_s: np.ndarray, x_t: np.ndarray, sigma: float,
                      sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``K_tt`` with a zero diagonal, ``K_ts @ sources`` and the row sums of ``K_tt``.
@@ -121,7 +103,8 @@ def _affinity_blocks(x_s: np.ndarray, x_t: np.ndarray, sigma: float,
     Each block of ``_BLOCK_ROWS`` targets puts its unit columns over sigma
     and its ``K_ts`` rows in two scratch buffers, keeps only ``K_ts @
     sources`` and writes its ``K_tt`` rows up to the diagonal block into the
-    ``n_t x n_t`` result, whose strictly lower triangle is then mirrored.
+    ``n_t x n_t`` result, then mirrors them: the strip left of the diagonal
+    block in one transposed copy, the block's lower triangle a row at a time.
 
     The last column of ``sources`` is all ones, so the product's last column
     is each row's source mass.  A row whose affinities sum below ``_FAINT``
@@ -143,7 +126,9 @@ def _affinity_blocks(x_s: np.ndarray, x_t: np.ndarray, sigma: float,
         _affinities(v, source, part)
         np.matmul(part, sources, out=masses[rows])
         _affinities(v, [c[..., : rows.stop] for c in target], k_tt[rows, : rows.stop])
-    _mirror_lower(k_tt)
+        k_tt[:r0, rows] = k_tt[rows, :r0].T
+        for i in range(r0, rows.stop):  # a row at a time: no block x block temporary
+            k_tt[r0:i, i] = k_tt[i, r0:i]
     k_tt.reshape(-1)[:: n_t + 1] = 0.0
     degrees = k_tt.sum(axis=1)
     total = masses[:, -1] + degrees

@@ -500,6 +500,41 @@ def test_soft_labels_are_stochastic_repeatable_and_scale_free(case, shift):
     assert outcome(z[:, :n_s], z[:, n_s:], *args[2:]) == want
 
 
+@given(scaled_graphs(), st.integers(0, 2**16))
+def test_soft_labels_follow_the_targets_order(case, order):
+    # permuting the targets permutes their soft labels: the same fallback
+    # count, or the same error class.  Only rounding moves, as row sums and
+    # the LU pivots run in another order.  Each solve is a backward-stable
+    # LU of I - W_tt, whose entries are rounded a few eps, so its labels,
+    # at most 1 in size, are within eps * cond of the exact ones, as the
+    # textbook comparisons hold them, or TEXTBOOK_TOL where that is larger;
+    # the two solves are within twice that of each other
+    d, n_s, n_t, sigma, columns, weighted, seed = case
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, n_s + n_t))
+    plain = z.copy()  # the same cosines, for the textbook's cond
+    for j, scale in columns:
+        z[:, j] *= scale
+        plain[:, j] *= bool(scale)
+    y = random_labels(rng, n_s)
+    weights = (rng.random(n_s),) if weighted else ()
+    perm = np.random.default_rng(order).permutation(n_t)
+    try:
+        p, n_dead = propagate_labels(z[:, :n_s], z[:, n_s:], sigma, y, *weights)
+    except (NumericalError, ValidationError) as exc:
+        with pytest.raises(type(exc)):
+            propagate_labels(z[:, :n_s], z[:, n_s + perm], sigma, y, *weights)
+        return
+    q, q_dead = propagate_labels(z[:, :n_s], z[:, n_s + perm], sigma, y, *weights)
+    assert q_dead == n_dead
+    w_ts, w_tt = textbook_graph(plain[:, :n_s], plain[:, n_s:], sigma)
+    if weighted:
+        w_tt = textbook_reweight(w_ts, w_tt, weights[0], np.arange(n_s))[1]
+    cond = np.linalg.cond(np.eye(n_t) - w_tt)
+    assert cond < MAX_COND
+    assert np.abs(p[:, perm] - q).max() <= 2 * max(TEXTBOOK_TOL, np.finfo(float).eps * cond)
+
+
 def test_subnormal_affinities_keep_their_weighted_mass():
     # two sources and 300 targets, all mutually orthogonal, at a sigma where
     # every affinity is exp(-741) ~ 1.5e-322, a subnormal: every row, over two
@@ -860,14 +895,32 @@ def test_multi_block_matches_textbook_and_fixed_point():
     assert fallbacks == [len(ON_MASKED), 0, 0, 1]
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
-def test_mirror_lower_copies_the_lower_triangle_tile_by_tile(n):
-    # one tile, one short of it, exactly one, one past it, and a partial
-    # last tile: the upper triangle is the lower one transposed, bit for bit
-    a = np.random.default_rng(60).standard_normal((n, n))
-    want = np.tril(a) + np.tril(a, -1).T
-    partialda.graph._mirror_lower(a)
-    assert a.tobytes() == want.tobytes()
+@pytest.mark.parametrize("n_t", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_target_affinities_are_symmetric_across_block_edges(n_t):
+    # each block mirrors the rows it has just written: one block, one short
+    # of it, exactly one, one past it, and a partial last block give a K_tt
+    # equal to its transpose bit for bit, with a zero diagonal.  Targets
+    # spread over a narrow arc of the e1-e2 plane, with the sources; those
+    # at the block edges sit alone on axes of their own.  At the smaller
+    # sigma every affinity of a lone target is exp(-741), a subnormal, so
+    # its row is faint and its column comes back divided by _FAINT, a power
+    # of two: multiplied back, it is exact again
+    lone = sorted({0, BLOCK - 1, BLOCK, n_t - 1} & set(range(n_t)))
+    rng = np.random.default_rng(60)
+
+    def on_arc(n):
+        angles = rng.uniform(0, 0.3, n)
+        return np.vstack([np.cos(angles), np.sin(angles), np.zeros((len(lone), n))])
+
+    z_s, z_t = on_arc(40), on_arc(n_t)
+    z_t[:, lone] = np.eye(2 + len(lone))[:, 2:]
+    for sigma, faint in ((0.5, []), (741.0 ** -0.5, lone)):
+        k_tt = partialda.graph._affinity_blocks(z_s, z_t, sigma, np.ones((40, 1)))[0]
+        # no lone affinity underflows to 0, so each one is checked
+        assert np.count_nonzero(k_tt[lone]) == len(lone) * (n_t - 1)
+        k_tt[:, faint] *= partialda.graph._FAINT
+        assert k_tt.tobytes() == k_tt.T.tobytes()
+        assert not k_tt.diagonal().any()
 
 
 def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
