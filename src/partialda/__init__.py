@@ -20,7 +20,6 @@ from .data import (
     load_labels,
     save_features_csv,
     save_labels,
-    save_soft_labels,
 )
 from .errors import (
     AdaptationError,
@@ -52,6 +51,5 @@ __all__ = [
     "make_one_hot",
     "save_features_csv",
     "save_labels",
-    "save_soft_labels",
     "__version__",
 ]

@@ -28,7 +28,6 @@ from .data import (
     load_labels,
     save_features_csv,
     save_labels,
-    save_soft_labels,
 )
 from .errors import ConfigurationError, NumericalError, ParseError, ValidationError
 from .pipeline import AdaptationResult, adapt, baseline_propagate
@@ -131,7 +130,7 @@ def _write_outputs(result: AdaptationResult, config_echo: dict, truth, out_dir: 
         "version": 1,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    save_soft_labels(result.soft_labels, out_dir / "soft_labels.csv")
+    save_features_csv(result.soft_labels, out_dir / "soft_labels.csv")  # one target per row
     return overall
 
 

@@ -170,6 +170,24 @@ def is_finite_number(value, name: str, error: type[ValueError]) -> bool:
         raise error(f"{name} must be a number, got {value!r}") from None
 
 
+def check_numeric_fields(obj, error: type[ValueError]) -> None:
+    """Raise ``error`` unless every field of the frozen dataclass ``obj`` is a finite number.
+
+    A field whose default is an int must hold an integer, and is stored as
+    one: 5.0 would break shapes and slicing.
+    """
+    # NaN passes every range comparison and inf overflows int()
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        finite = is_finite_number(value, f.name, error)
+        if isinstance(f.default, int):
+            if not (finite and int(value) == value):
+                raise error(f"{f.name} must be an integer, got {value}")
+            object.__setattr__(obj, f.name, int(value))
+        elif not finite:
+            raise error(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AdaptationConfig:
     """Knobs of the adaptation loop.
@@ -198,27 +216,21 @@ class AdaptationConfig:
     rhs_reg: float = 1e-6
 
     def __post_init__(self):
-        # NaN passes every comparison below and inf overflows int()
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not is_finite_number(value, f.name, ConfigurationError):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        check_numeric_fields(self, ConfigurationError)
         if self.alpha_p < 0 or self.alpha_c < 0:
             raise ConfigurationError("alpha_p and alpha_c must be non-negative")
         if self.lam <= 0:
             raise ConfigurationError(f"lam must be positive, got {self.lam}")
-        if int(self.k) != self.k or self.k < 1:
+        if self.k < 1:
             raise ConfigurationError(f"k must be an integer >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))  # 5.0 would break slicing
         if self.sigma <= 0:
             raise ConfigurationError(f"sigma must be positive, got {self.sigma}")
         if self.delta < 0:
             raise ConfigurationError(f"delta must be non-negative, got {self.delta}")
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
+        if self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if self.rhs_reg < 0:
             raise ConfigurationError(f"rhs_reg must be non-negative, got {self.rhs_reg}")
 

@@ -29,13 +29,13 @@ import itertools
 import os
 import warnings
 from contextlib import closing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .core import as_feature_matrix, is_finite_number
+from .core import as_feature_matrix, check_numeric_fields
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,7 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        # NaN passes every comparison below and inf yields non-finite samples;
-        # a field with an integer default must hold an integer
-        for f in fields(self):
-            value = getattr(self, f.name)
-            finite = is_finite_number(value, f.name, ValidationError)
-            if isinstance(f.default, int):
-                if not (finite and int(value) == value):
-                    raise ValidationError(f"{f.name} must be an integer, got {value}")
-                object.__setattr__(self, f.name, int(value))  # 20.0 would break the shapes
-            elif not finite:
-                raise ValidationError(f"{f.name} must be finite, got {value}")
+        check_numeric_fields(self, ValidationError)
         if self.num_source_classes < 1:
             raise ValidationError("num_source_classes must be >= 1")
         if not 1 <= self.num_target_classes <= self.num_source_classes:
@@ -268,10 +258,10 @@ def _load_split(path) -> np.ndarray | None:
     """The rows of a feature file parsed by forked readers, one range of lines each.
 
     Returns None where the file is to be parsed in one process: it is
-    small, one CPU is usable, ``os.fork`` is missing or fails, or any
-    reader failed, so that route raises every error.  The parent parses
-    nothing: it holds the result array, filled from each reader's pipe in
-    turn, and one line of the file.
+    small, one CPU is usable, ``os.fork`` is missing, ``os.pipe`` or
+    ``os.fork`` fails, or any reader failed, so that route raises every
+    error.  The parent parses nothing: it holds the result array, filled
+    from each reader's pipe in turn, and one line of the file.
     """
     try:
         size = os.stat(path).st_size
@@ -292,17 +282,18 @@ def _load_split(path) -> np.ndarray | None:
     done = False
     try:
         for start, stop in zip(bounds, bounds[1:]):
-            read_end, write_end = os.pipe()
+            pipe = ()
             try:
+                pipe = read_end, write_end = os.pipe()
                 with warnings.catch_warnings():
                     # Python 3.12+ warns that the BLAS threads make fork() unsafe.
                     # The reader parses text, calls no BLAS and leaves by os._exit.
                     warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                             DeprecationWarning)
                     pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
+            except OSError:  # out of descriptors or processes: the started readers are stopped
+                for fd in pipe:
+                    os.close(fd)
                 return None
             if pid == 0:
                 for _, fd in readers:
@@ -458,10 +449,3 @@ def save_labels(labels, path) -> None:
             f"label {labels[i]} at index {i} is not a non-negative integer below 2**63")
     _write_rows(labels.astype(np.int64)[:, None], path)  # a Python int's repr is its digits
 
-
-def save_soft_labels(p, path) -> None:
-    """Write a soft label matrix as CSV, one target per row; load_features_csv reads it."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ValidationError(f"soft labels must be 2-dimensional, got shape {p.shape}")
-    _write_rows(p.T, path)

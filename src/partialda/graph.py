@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lapack import gesv
-from .core import as_sample_weights, is_finite_number
+from .core import as_domain_pair, as_sample_weights, is_finite_number
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
@@ -225,28 +225,20 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     Raises
     ------
     ValidationError
-        On a sigma that is not a positive, finite number, inputs whose
-        shapes disagree, non-finite embedded samples or labels, or sample
-        weights that are negative, not finite or all 0.
+        On a sigma that is not a positive, finite number, embedded samples
+        that ``core.as_domain_pair`` refuses (not 2-dimensional, empty, not
+        finite or of different dimensions), labels whose shape disagrees or
+        that are not finite, or sample weights that are negative, not finite
+        or all 0.
     NumericalError
         If ``I - W_tt`` is singular, the solve is not finite, or a target's
         soft labels miss a sum of one by more than ``_MASS_TOL``, all of
         which indicate targets disconnected from every source mass; a
         larger sigma usually reconnects them.
     """
-    z_s = np.asarray(z_s, dtype=float)
-    z_t = np.asarray(z_t, dtype=float)
     if not (is_finite_number(sigma, "sigma", ValidationError) and sigma > 0):
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
-    if z_s.ndim != 2 or z_t.ndim != 2 or z_s.shape[0] != z_t.shape[0]:
-        raise ValidationError(
-            f"embedded domains disagree in dimension: {z_s.shape} vs {z_t.shape}"
-        )
-    if z_s.shape[1] < 1 or z_t.shape[1] < 1:
-        raise ValidationError("both domains need at least one sample")
-    for z, side in ((z_s, "source"), (z_t, "target")):
-        if not np.isfinite(z).all():
-            raise ValidationError(f"embedded {side} samples contain NaN or Inf entries")
+    z_s, z_t = as_domain_pair(z_s, z_t)
     n_s = z_s.shape[1]
     f = np.ones(n_s)  # each source's factor: its weight over the largest
     if sample_weights is not None:

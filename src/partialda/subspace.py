@@ -34,13 +34,15 @@ The two parts cancel where the classes explain most of the spread, which
 is why the split is taken on centred data: the mean has columns of its own
 and no large offset cancels.
 
-``gram_matrix(x_s, x_t, config)`` does everything but the soft labels and
-class weights once per run, with the knobs of the
+``gram_matrix(x_s, x_t, config)`` does once per run most of the work that
+depends on the data alone, with the knobs of the
 :class:`partialda.core.AdaptationConfig`, which checked them when it was
-built.  It factors the constraint side ``Zc Zc.T + eps_r I = L L.T`` and
-keeps ``L^-1``, the whitened centred data ``Wc = L^-1 Zc``, the whitened
-mean ``m = L^-1 mu``, the configuration and the first part of the whitened
-pencil with the ridge,
+built; three products of the source labels, ``Zc_s Y_s``, ``Y_s.T Y_s``
+and ``Y_s.T 1``, are rebuilt each round with the factors the soft labels
+change (:func:`_scatter_factors`).  It factors the constraint side
+``Zc Zc.T + eps_r I = L L.T`` and keeps ``L^-1``, the whitened centred
+data ``Wc = L^-1 Zc``, the whitened mean ``m = L^-1 mu``, the
+configuration and the first part of the whitened pencil with the ridge,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
          = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T,

@@ -27,7 +27,7 @@ from partialda import (
     load_features_csv,
     load_labels,
     make_one_hot,
-    save_soft_labels,
+    save_features_csv,
 )
 from partialda.cli import main as cli_main
 from partialda.core import hard_labels
@@ -296,7 +296,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
             (ParseError, lambda: load_labels(bad_label)),
             (ValidationError, lambda: SyntheticSpec(
                 num_source_classes=2, num_target_classes=5)),
-            (OSError, lambda: save_soft_labels(
+            (OSError, lambda: save_features_csv(
                 np.eye(2), tmp_path / "no-dir" / "soft_labels.csv")),
         ]
         for expected, call in cases:

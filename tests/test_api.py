@@ -33,7 +33,6 @@ PUBLIC = [
     "save_features_csv",
     "load_labels",
     "save_labels",
-    "save_soft_labels",
     "AdaptationError",
     "ConfigurationError",
     "NumericalError",
@@ -43,7 +42,7 @@ PUBLIC = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC) == 20
+    assert len(PUBLIC) == 19
     assert sorted(partialda.__all__) == sorted(PUBLIC + ["__version__"])
     for name in partialda.__all__:
         assert getattr(partialda, name) is not None, name

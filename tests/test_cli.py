@@ -13,6 +13,7 @@ import pytest
 import partialda.cli
 from partialda import AdaptationConfig, IterationRecord, load_features_csv
 from partialda.cli import main
+from partialda.core import hard_labels
 
 
 GEN_FLAGS = [
@@ -203,6 +204,34 @@ def test_report_is_indented_json_in_key_order(tmp_path):
     assert text == json.dumps(report, indent=2) + "\n"
     assert list(report) == REPORT_KEYS
     assert list(report["per_class_accuracy"]) == ["0", "1"]
+
+
+def test_outputs_repeat_across_processes_and_blas_threads(tmp_path):
+    # a run is bit-identical in a new process at the same BLAS thread count;
+    # another count may round a gemm sum differently (on this dataset the soft
+    # labels moved by 1.8e-15), so across counts only the hard labels must agree
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    files = dataset_files(tmp_path / "data")
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "data"), "--seed", "3"]) == 0
+    runs = []
+    for run, threads in enumerate(("2", "2", "1")):
+        out = tmp_path / f"run{run}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "partialda.cli", "adapt", *adapt_args(files, out)[1:11],
+             "--k", "5"],
+            env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert type(report.pop("duration_seconds")) is float
+        runs.append(((out / "soft_labels.csv").read_bytes(), list(report.items()),
+                     hard_labels(load_features_csv(out / "soft_labels.csv"))))
+    (soft, report, hard), (soft_again, report_again, _), (_, _, hard_one_thread) = runs
+    assert soft_again == soft
+    assert report_again == report
+    assert np.array_equal(hard_one_thread, hard)
 
 
 def test_eval_scores_soft_labels(tmp_path, capsys):

@@ -119,17 +119,47 @@ def test_accuracy_errors():
         accuracy([], [])
 
 
-@pytest.mark.parametrize("kind, error, name", [
+# every numeric field of both dataclasses, with the error class each raises
+NUMERIC_FIELDS = [
     *((AdaptationConfig, ConfigurationError, f.name)
       for f in dataclasses.fields(AdaptationConfig)),
     *((SyntheticSpec, ValidationError, f.name) for f in dataclasses.fields(SyntheticSpec)),
-])
+]
+
+
+@pytest.mark.parametrize("kind, error, name", NUMERIC_FIELDS)
 def test_numeric_fields_refuse_bools(kind, error, name):
     # Python counts True as the int 1, so k=True used to be taken as k=1
     # and alpha_p=True echoed as true into report.json
     for value in (True, False, np.True_):
         with pytest.raises(error, match=f"^{name} must be a number, got {value!r}$"):
             kind(**{name: value})
+
+
+@pytest.mark.parametrize("kind, error, name", NUMERIC_FIELDS)
+def test_numeric_fields_share_one_rule(kind, error, name):
+    # one rule for both dataclasses: NaN passes every range check and inf
+    # overflows int(), so each is refused by name, and a field with an
+    # integer default holds an integer
+    integral = isinstance(getattr(kind, name), int)
+    refused = [(value, f"{name} must be an integer, got {value}" if integral
+                else f"{name} must be finite, got {value}")
+               for value in (math.nan, math.inf, -math.inf, *([2.5] if integral else []))]
+    # a value that is no number is refused by name, not by math.isfinite or int()
+    refused += [(value, f"{name} must be a number, got {value!r}") for value in ("5", "1.0", None)]
+    for value, message in refused:
+        with pytest.raises(error) as exc:
+            kind(**{name: value})
+        assert str(exc.value) == message
+    # a Python int is fine anywhere, and an integral float is taken as the int
+    whole = 5 if integral else 1
+    as_float, as_int = kind(**{name: float(whole)}), kind(**{name: whole})
+    assert as_float == as_int
+    assert (type(getattr(as_float, name)) is int) == integral
+    if kind is SyntheticSpec:
+        got, want = generate_synthetic(as_float), generate_synthetic(as_int)
+        assert got.x_s.tobytes() == want.x_s.tobytes() and got.x_t.tobytes() == want.x_t.tobytes()
+        assert np.isfinite(want.x_s).all() and np.isfinite(want.x_t).all()
 
 
 def test_config_defaults_and_validation():
@@ -155,20 +185,6 @@ def test_config_defaults_and_validation():
     ):
         with pytest.raises(ConfigurationError):
             AdaptationConfig(**bad)
-
-    # NaN passes every comparison and inf overflows int(): each numeric
-    # knob must reject both with a ConfigurationError naming it
-    numeric = ("alpha_p", "alpha_c", "lam", "k", "sigma", "delta",
-               "max_iterations", "rhs_reg")
-    for name in numeric:
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-                AdaptationConfig(**{name: value})
-        # a value that is no number is refused by name, not by math.isfinite
-        for value in ("5", None):
-            message = f"^{name} must be a number, got {value!r}$"
-            with pytest.raises(ConfigurationError, match=message):
-                AdaptationConfig(**{name: value})
 
     # integral floats are stored as ints and run exactly like them
     as_float = AdaptationConfig(k=5.0, max_iterations=3.0)
