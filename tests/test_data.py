@@ -101,6 +101,25 @@ def test_spec_validation():
         SyntheticSpec(samples_per_class_target=0)
 
 
+@pytest.mark.parametrize("field", [
+    "num_source_classes", "num_target_classes", "dim",
+    "samples_per_class_source", "samples_per_class_target", "seed",
+])
+def test_spec_rejects_non_integral_integer_fields(field):
+    # each used to reach generate_synthetic (or int()) and fail there with a
+    # bare TypeError, ValueError or OverflowError
+    for value in (2.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value}$"):
+            SyntheticSpec(**{field: value})
+    for value in ("5", None):
+        with pytest.raises(ValidationError, match=f"^{field} must be a number, got {value!r}$"):
+            SyntheticSpec(**{field: value})
+    spec = SyntheticSpec(**{field: 5.0})  # an integral float is taken as an int
+    assert type(getattr(spec, field)) is int
+    got, want = generate_synthetic(spec), generate_synthetic(SyntheticSpec(**{field: 5}))
+    assert got.x_s.tobytes() == want.x_s.tobytes() and got.x_t.tobytes() == want.x_t.tobytes()
+
+
 def test_feature_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(50)
     x = rng.standard_normal((4, 7)) * np.pi
