@@ -1,4 +1,4 @@
-"""The four LAPACK routines numpy does not expose, from the OpenBLAS numpy ships.
+"""Three wrappers over four LAPACK routines numpy does not expose, from the OpenBLAS it ships.
 
 numpy's wheels bundle one OpenBLAS, ``numpy.libs/libscipy_openblas64_*``,
 built with 64-bit integers and exporting every LAPACK routine under a
@@ -7,25 +7,25 @@ through ``ctypes``, so one BLAS thread pool still serves every step:
 
 * :func:`gesv` (``dgesv``) factors the propagation system in place, where
   ``np.linalg.solve`` would first copy it;
-* :func:`potrf_lower` (``dpotrf``) factors a symmetric positive definite
-  matrix in place, where ``np.linalg.cholesky`` first copies it into a
-  Fortran-ordered work array;
+* :func:`inv_cholesky` (``dpotrf``, then ``dtrtri``) factors a symmetric
+  positive definite matrix and inverts its Cholesky factor as a triangle,
+  both in the matrix itself, where ``np.linalg.cholesky`` copies it and
+  ``np.linalg.inv`` copies the factor for a pivoting LU;
 * :func:`syevr_smallest` (``dsyevr``) returns only the k smallest
   eigenpairs, computed in the input matrix itself, where ``np.linalg.eigh``
-  copies it and computes and back-transforms all of them;
-* :func:`trtri_lower` (``dtrtri``) inverts a triangular factor as a
-  triangle, where ``np.linalg.inv`` runs a pivoting LU.
+  copies it and computes and back-transforms all of them.
 
 The library is looked up on the first call, not at import.  Where it or a
 routine is missing, each wrapper computes the same result with
-``np.linalg``: bit for bit for :func:`gesv` and :func:`potrf_lower`, which
-run the same routine on a copy, and to rounding for the other two.  Each
-wrapper raises ``np.linalg.LinAlgError`` where the ``np.linalg`` call it
-replaces would, so a caller handles both paths alike.
+``np.linalg``: bit for bit for :func:`gesv`, which runs the same routine on
+a copy, and to rounding for the other two.  Each wrapper raises
+``np.linalg.LinAlgError`` where the ``np.linalg`` calls it replaces would,
+so a caller handles both paths alike.  :func:`blas_threads` reads the
+library's thread count.
 
-Every matrix here is a C-order numpy array handed to column-major LAPACK,
-which sees its transpose: the lower triangle of a C-order matrix is the
-upper triangle LAPACK reads with ``UPLO='U'``.
+Every matrix here is a numpy array handed to column-major LAPACK, which
+sees a C-order array as its transpose: the lower triangle of a C-order
+matrix is the upper triangle LAPACK reads with ``UPLO='U'``.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ _ARGTYPES = {
 
 @functools.cache
 def _lookup() -> dict:
-    """The routines of ``_ARGTYPES`` that numpy's OpenBLAS exports, typed, by name.
+    """The routines numpy's OpenBLAS exports, typed, by name; empty where numpy ships none.
 
-    Empty where numpy ships no such library.
+    Those of ``_ARGTYPES``, and the thread count ``openblas_get_num_threads``.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*")):
@@ -79,6 +79,10 @@ def _lookup() -> dict:
                 routine.argtypes = argtypes
                 routine.restype = None
                 found[name] = routine
+        threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if threads is not None:
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            found["openblas_get_num_threads"] = threads
         return found
     return {}
 
@@ -116,27 +120,29 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def potrf_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the C-ordered symmetric positive definite ``a``.
+def inv_cholesky(a: np.ndarray) -> np.ndarray:
+    """``L^-1`` for ``a = L L.T``, C-ordered, symmetric and positive definite; destroys ``a``.
 
-    Returns what ``np.linalg.cholesky(a)`` returns, bit for bit, as a new
-    array, and destroys ``a``: ``dpotrf`` factors it in place, and numpy's
-    ``cholesky`` runs the same ``UPLO='L'`` factorization on a Fortran copy.
-    LAPACK, which sees the transpose of ``a``, reads and writes only its
-    upper triangle, so ``a`` must be symmetric; the factor, left there as
-    its transpose, is copied into the lower triangle of the result.  (Where
-    ``dpotrf`` is missing, ``np.linalg.cholesky`` reads the lower triangle
-    and leaves ``a`` as it was.)
+    What ``np.linalg.inv(np.linalg.cholesky(a))`` returns, to rounding, in
+    ``a``'s buffer: ``dpotrf``, as ``cholesky`` calls it, and ``dtrtri`` run
+    with ``UPLO='L'`` on LAPACK's view of ``a``, its transpose, so only the
+    upper triangle of ``a`` is read.  The other is zeroed, and ``a.T`` is
+    returned, lower triangular with exact zeros above its diagonal.  (Where
+    a routine is missing, the ``np.linalg`` calls leave ``a`` as it was.)
     """
     if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
-        raise ValueError("potrf_lower factors a writeable, C-ordered float64 matrix in place")
-    routine = _lookup().get("dpotrf")
-    if routine is None:
-        return np.linalg.cholesky(a)
+        raise ValueError("inv_cholesky works in a writeable, C-ordered float64 matrix")
+    potrf, trtri = (_lookup().get(name) for name in ("dpotrf", "dtrtri"))
+    if potrf is None or trtri is None:
+        return np.linalg.inv(np.linalg.cholesky(a))
     n, info = _INT(a.shape[0]), _INT(0)
-    routine(b"L", n, _ptr(a), n, info, 1)
+    potrf(b"L", n, _ptr(a), n, info, 1)
     _check("dpotrf", info, "Matrix is not positive definite")
-    return np.tril(a.T)
+    trtri(b"L", b"N", n, _ptr(a), n, info, 1, 1)
+    _check("dtrtri", info, "Singular matrix")
+    for i in range(1, a.shape[0]):  # a row at a time, where a mask would be a d x d array
+        a[i, :i] = 0.0
+    return a.T
 
 
 def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,19 +186,7 @@ def syevr_smallest(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:k], z.T
 
 
-def trtri_lower(l: np.ndarray) -> np.ndarray:
-    """Inverse of the C-ordered lower-triangular ``l``, computed in ``l`` where it can.
-
-    The strictly upper triangle is neither read nor written, so the zeros
-    of a Cholesky factor stay exact zeros.  Where ``dtrtri`` is missing,
-    ``np.linalg.inv`` returns a new array and ``l`` is left as it was.
-    """
-    if l.dtype != np.float64 or not l.flags.c_contiguous:
-        raise ValueError("trtri_lower inverts a C-ordered float64 matrix in place")
-    routine = _lookup().get("dtrtri")
-    if routine is None:
-        return np.linalg.inv(l)
-    n, info = _INT(l.shape[0]), _INT(0)
-    routine(b"U", b"N", n, _ptr(l), n, info, 1, 1)
-    _check("dtrtri", info, "Singular matrix")
-    return l
+def blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS, which runs every BLAS call; None if not found."""
+    getter = _lookup().get("openblas_get_num_threads")
+    return None if getter is None else int(getter())

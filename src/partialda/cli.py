@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._lapack import blas_threads
 from .core import AdaptationConfig, accuracy, check_truth_shape, hard_labels, make_one_hot
 from .data import (
     SyntheticSpec,
@@ -126,8 +127,10 @@ def _write_outputs(result: AdaptationResult, config_echo: dict, truth, out_dir: 
             "graph_fallbacks": sum(r.graph_fallbacks for r in result.history),
         },
         "duration_seconds": duration,
+        "numpy_version": np.__version__,
+        "blas_threads": blas_threads(),  # the bits of a run hold at a fixed thread count
         "format": "partialda-report",
-        "version": 1,
+        "version": 2,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     save_features_csv(result.soft_labels, out_dir / "soft_labels.csv")  # one target per row

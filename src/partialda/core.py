@@ -202,8 +202,6 @@ class AdaptationConfig:
     delta : threshold at or below which a class weight is set to 0, masking its class.
     max_iterations : upper bound on alternating rounds; the loop stops
         earlier after the first round that changes no hard label.
-    rhs_reg : scale of the trace-proportional regularizer added to the
-        constraint side of the eigenproblem.
     """
 
     alpha_p: float = 1.0
@@ -213,7 +211,6 @@ class AdaptationConfig:
     sigma: float = 0.1
     delta: float = 1e-3
     max_iterations: int = 10
-    rhs_reg: float = 1e-6
 
     def __post_init__(self):
         check_numeric_fields(self, ConfigurationError)
@@ -231,8 +228,6 @@ class AdaptationConfig:
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 1, got {self.max_iterations}"
             )
-        if self.rhs_reg < 0:
-            raise ConfigurationError(f"rhs_reg must be non-negative, got {self.rhs_reg}")
 
     def check_k(self, d: int) -> None:
         """Raise ``ConfigurationError`` unless ``k`` fits the feature dimension ``d``."""

@@ -64,12 +64,13 @@ whitened ridge ``lam L^-1 L^-T`` is large wherever the constraint side is
 nearly singular, and the eigenvalue sum then loses up to 1e-6 relative of
 a small objective.
 
-Everything runs on numpy's own BLAS/LAPACK: LAPACK ``dpotrf`` (factor the
-constraint side in place), ``dtrtri`` (invert ``L`` as a triangle) and
-``dsyevr`` (the k smallest eigenpairs only, computed in the round's pencil
-itself) are called from numpy's OpenBLAS through :mod:`partialda._lapack`,
-which falls back to ``numpy.linalg.cholesky``, ``numpy.linalg.inv`` and a
-full ``numpy.linalg.eigh`` where they are missing.
+Everything runs on numpy's own BLAS/LAPACK: LAPACK ``dpotrf`` and
+``dtrtri`` (factor the constraint side and invert ``L`` as a triangle, both
+in the constraint side's own buffer) and ``dsyevr`` (the k smallest
+eigenpairs only, computed in the round's pencil itself) are called from
+numpy's OpenBLAS through :mod:`partialda._lapack`, which falls back to
+``numpy.linalg.inv(numpy.linalg.cholesky(...))`` and a full
+``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -78,13 +79,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import potrf_lower, syevr_smallest, trtri_lower
+from ._lapack import inv_cholesky, syevr_smallest
 from .core import AdaptationConfig, as_domain_pair, as_sample_weights
 from .errors import NumericalError, ValidationError
 
 # Class soft mass below this triggers a ridge on indicator Gram inversions.
 RIDGE_TRIGGER = 1e-8
 RIDGE_SCALE = 1e-9
+# eps_r = _RHS_REG * trace(Zc Zc.T) / n keeps the constraint side definite
+_RHS_REG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _constraint_side(centred: np.ndarray, eps_r: float) -> np.ndarray:
 def _inverse_cholesky(centred: np.ndarray, eps_r: float, rhs: np.ndarray) -> np.ndarray:
     """``L^-1`` for ``rhs = L L.T``, the constraint side of ``centred``; rhs is destroyed."""
     try:
-        return trtri_lower(potrf_lower(rhs))
+        return inv_cholesky(rhs)
     except np.linalg.LinAlgError as exc:
         # the factorization overwrote rhs, so it is built again
         cond = _cond(_constraint_side(centred, eps_r))
@@ -147,8 +150,8 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     """Factor the constraint side and cache the round-invariant pencil, once per run.
 
     The constraint side ``Z H Z.T`` of ``Z = [x_s | x_t]`` receives
-    ``eps_r = config.rhs_reg * trace(Z H Z.T) / n`` on its diagonal so the
-    pencil stays definite, and ``config.lam`` is the ridge on the projection
+    ``eps_r = 1e-6 * trace(Z H Z.T) / n`` on its diagonal so the pencil
+    stays definite, and ``config.lam`` is the ridge on the projection
     columns.  ``config``, whose type checked every knob, is kept on the
     result for :func:`solve_projection`; only ``k`` is checked here, against
     d.  Z is never stacked: ``x_s`` and ``x_t`` are kept as given.  Every
@@ -196,10 +199,9 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
         raise NumericalError(
             f"centered data underflows (trace {variance:.3e}); scale the features up"
         )
-    eps_r = config.rhs_reg * variance / n
+    eps_r = _RHS_REG * variance / n
     rhs.flat[::d + 1] += eps_r
     l_inv = _inverse_cholesky(centred, eps_r, rhs)
-    del rhs
     centred = l_inv @ centred
     # Wc Wc.T = I - eps_r L^-1 L^-T, so only the target columns need a product
     base = l_inv @ l_inv.T

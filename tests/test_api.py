@@ -100,7 +100,6 @@ CONFIG_FIELDS = [
     "sigma",
     "delta",
     "max_iterations",
-    "rhs_reg",
 ]
 IO_ARGUMENTS = ["source_features", "source_labels", "target_features", "target_labels", "out"]
 

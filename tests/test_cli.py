@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import partialda._lapack as _lapack
 import partialda.cli
 from partialda import AdaptationConfig, IterationRecord, load_features_csv
 from partialda.cli import main
@@ -156,13 +157,13 @@ def test_baseline_writes_report(tmp_path, capsys):
 
 REPORT_KEYS = ["config", "overall_accuracy", "per_class_accuracy", "class_weights",
                "class_mask", "iterations_run", "history", "warnings", "duration_seconds",
-               "format", "version"]
+               "numpy_version", "blas_threads", "format", "version"]
 
 
 def check_report_schema(report, config_types):
     """The documented JSON type of every report field, and how the fields relate."""
     assert list(report) == REPORT_KEYS
-    assert report["format"] == "partialda-report" and report["version"] == 1
+    assert report["format"] == "partialda-report" and report["version"] == 2
     assert {k: type(v) for k, v in report["config"].items()} == config_types
     assert type(report["overall_accuracy"]) is float
     per_class = report["per_class_accuracy"]
@@ -179,6 +180,8 @@ def check_report_schema(report, config_types):
     assert set(warnings) == {"mask_fallbacks", "graph_fallbacks"}
     assert all(type(v) is int for v in warnings.values())
     assert type(report["duration_seconds"]) is float
+    assert report["numpy_version"] == np.__version__
+    assert report["blas_threads"] is None or type(report["blas_threads"]) is int
 
 
 def test_report_schema_is_pinned(tmp_path):
@@ -192,6 +195,25 @@ def test_report_schema_is_pinned(tmp_path):
     report = json.loads((tmp_path / "baseline" / "report.json").read_text())
     check_report_schema(report, {"sigma": float})
     assert report["iterations_run"] == 0
+
+
+def test_report_records_numpy_version_and_blas_threads(tmp_path, monkeypatch):
+    # a run's bits hold only at a fixed BLAS thread count, so the report
+    # names the count of numpy's OpenBLAS and the numpy that ran; it writes
+    # null where that library is not found
+    files = gen_dataset(tmp_path / "data")
+    threads = _lapack.blas_threads()
+    assert threads is None or threads >= 1
+    reports = []
+    for lookup, out in ((_lapack._lookup, "found"), (dict, "missing")):
+        monkeypatch.setattr(_lapack, "_lookup", lookup)
+        assert main(["baseline", *adapt_args(files, tmp_path / out)[1:11]]) == 0
+        reports.append(json.loads((tmp_path / out / "report.json").read_text()))
+    found, missing = reports
+    assert found["numpy_version"] == missing["numpy_version"] == np.__version__
+    assert found["blas_threads"] == threads
+    assert missing["blas_threads"] is None
+    assert '"blas_threads": null' in (tmp_path / "missing" / "report.json").read_text()
 
 
 def test_report_is_indented_json_in_key_order(tmp_path):
@@ -215,7 +237,7 @@ def test_outputs_repeat_across_processes_and_blas_threads(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     files = dataset_files(tmp_path / "data")
     assert main(["gen-synth", "--out-dir", str(tmp_path / "data"), "--seed", "3"]) == 0
-    runs = []
+    runs, counts = [], []
     for run, threads in enumerate(("2", "2", "1")):
         out = tmp_path / f"run{run}"
         proc = subprocess.run(
@@ -226,12 +248,14 @@ def test_outputs_repeat_across_processes_and_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "report.json").read_text())
         assert type(report.pop("duration_seconds")) is float
+        counts.append(report["blas_threads"])
         runs.append(((out / "soft_labels.csv").read_bytes(), list(report.items()),
                      hard_labels(load_features_csv(out / "soft_labels.csv"))))
     (soft, report, hard), (soft_again, report_again, _), (_, _, hard_one_thread) = runs
     assert soft_again == soft
     assert report_again == report
     assert np.array_equal(hard_one_thread, hard)
+    assert counts[2] in (1, None)  # None only where numpy ships no OpenBLAS
 
 
 def test_eval_scores_soft_labels(tmp_path, capsys):
@@ -410,6 +434,17 @@ def test_degenerate_data_exits_two(tmp_path, capsys):
 def test_unknown_flag_exits_one(capsys):
     assert main(["adapt", "--bogus"]) == 1
     capsys.readouterr()
+
+
+def test_removed_rhs_reg_flag_exits_one(tmp_path, capsys):
+    # the constraint side's regularizer is a constant, so --rhs-reg is no flag
+    files = gen_dataset(tmp_path / "data")
+    capsys.readouterr()
+    assert main(adapt_args(files, tmp_path / "run", "--rhs-reg", "1e-6")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: partialda")
+    assert err.endswith("partialda: error: unrecognized arguments: --rhs-reg 1e-6\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_subcommand_exits_one(capsys):

@@ -181,10 +181,12 @@ def test_config_defaults_and_validation():
         dict(max_iterations=-2),
         dict(max_iterations=2.5),
         dict(alpha_p=-1.0),
-        dict(rhs_reg=-1.0),
     ):
         with pytest.raises(ConfigurationError):
             AdaptationConfig(**bad)
+    # the constraint side's regularizer is a constant of the subspace layer, not a knob
+    with pytest.raises(TypeError, match="rhs_reg"):
+        AdaptationConfig(rhs_reg=1e-6)
 
     # integral floats are stored as ints and run exactly like them
     as_float = AdaptationConfig(k=5.0, max_iterations=3.0)

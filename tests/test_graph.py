@@ -186,7 +186,7 @@ def weighted_cases(rng, z_s):
     return y, classes, (rng.random(c) * mask, rng.random(c) * 0.0)
 
 
-def test_build_graph_bit_identical_to_textbook():
+def test_build_graph_matches_textbook_to_its_bound():
     # built from one triangle in buffers propagate_labels owns, the
     # unweighted graph gives the textbook's soft labels to its bound,
     # including the underflow fallbacks of graph_cases
@@ -196,7 +196,7 @@ def test_build_graph_bit_identical_to_textbook():
         assert_near_textbook(solved(z_s, z_t, sigma, y), textbook_outcome(z_s, z_t, sigma, y))
 
 
-def test_reweight_and_propagate_bit_identical_to_textbook():
+def test_reweight_and_propagate_match_textbook_to_their_bounds():
     # the class reweighting, the dead-row fallbacks and the solve must
     # reproduce the textbook chain to TEXTBOOK_TOL, with the same fallback
     # count; the one ill-conditioned case to ILL_CONDITIONED_TOL
@@ -214,7 +214,7 @@ def test_reweight_and_propagate_bit_identical_to_textbook():
     assert len(ill) == 1 and 6e6 < ill[0] < 7e6
 
 
-def test_propagate_bit_identical_on_random_and_sparse_graphs():
+def test_propagate_matches_textbook_on_random_and_sparse_graphs_to_its_bound():
     # sparse_cases leave exact zeros in W_tt, as underflow does; the solve
     # must not treat them differently from the textbook one
     rng = np.random.default_rng(37)
@@ -229,7 +229,7 @@ def test_propagate_bit_identical_on_random_and_sparse_graphs():
         assert_near_textbook(solved(z_s, z_t, sigma, y), textbook_outcome(z_s, z_t, sigma, y))
 
 
-def test_propagate_labels_bit_identical_to_public_chain():
+def test_propagate_labels_matches_public_chain_to_its_bound():
     # the whole call against the textbook chain over every owned case: soft
     # labels within its bound, the same fallback count, and NumericalError
     # with the same text exactly where the textbook solve fails

@@ -22,7 +22,7 @@ from partialda import (
 )
 import partialda._lapack as _lapack
 import partialda.subspace as subspace
-from partialda._lapack import potrf_lower, syevr_smallest, trtri_lower
+from partialda._lapack import inv_cholesky, syevr_smallest
 from partialda.subspace import solve_projection
 from tests.test_subspace import (
     assert_matches_dense_eigh,
@@ -47,8 +47,11 @@ def path(request, monkeypatch):
 @pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
 def test_lookup_finds_every_routine():
     # a routine not found falls back silently and loses its speed, so a
-    # numpy that ships the library must export all four under these names
-    assert sorted(_lapack._lookup()) == ["dgesv", "dpotrf", "dsyevr", "dtrtri"]
+    # numpy that ships the library must export all four under these names,
+    # and the thread count that report.json records
+    assert sorted(_lapack._lookup()) == ["dgesv", "dpotrf", "dsyevr", "dtrtri",
+                                         "openblas_get_num_threads"]
+    assert _lapack.blas_threads() >= 1
 
 
 def symmetric_cases(rng):
@@ -176,47 +179,58 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
         solve_projection(data, *labels)
 
 
-def test_trtri_lower_matches_inv(path):
-    # the inverse of a Cholesky factor to 4 n eps cond(L) of its largest
-    # entry, the forward error bound of a triangular inverse; dtrtri
-    # overwrites the factor and leaves the zeros above its diagonal exact
+def test_inv_cholesky_matches_inv_of_cholesky(path):
+    # the fallback's np.linalg.inv(np.linalg.cholesky(a)) to 4 n eps cond(L)
+    # of its largest entry, the bound of
+    # test_fallbacks_agree_on_factored_instances; dpotrf and dtrtri work in
+    # a and return its transpose, lower triangular with exact zeros above
+    # the diagonal; the fallback leaves a as it was.  A matrix that is not
+    # positive definite is refused on both paths, and arrays the routines
+    # cannot work in are refused rather than copied.
     rng = np.random.default_rng(51)
     for _ in range(30):
         n = int(rng.integers(1, 60))
         c = rng.standard_normal((n, n + int(rng.integers(0, 3))))
-        l = np.linalg.cholesky(c @ c.T + 1e-3 * np.eye(n))
-        want = np.linalg.inv(l)
-        bound = 4 * n * EPS * np.linalg.cond(l)
-        got = trtri_lower(l)
+        a = c @ c.T
+        a.flat[::n + 1] += 1e-3
+        want = np.linalg.inv(np.linalg.cholesky(a))
+        bound = 4 * n * EPS * np.sqrt(np.linalg.cond(a))
+        work = a.copy()
+        got = inv_cholesky(work)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
         if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
-            assert got is l and np.all(np.triu(got, 1) == 0.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        trtri_lower(np.diag([1.0, 0.0, 2.0]))
+            assert got.base is work and got.flags.f_contiguous
+            assert np.all(np.triu(got, 1) == 0.0)
+        else:
+            assert np.array_equal(work, a)
+    for bad in (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, 2.0])):
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+            inv_cholesky(bad)
+    for bad in (a.T, a.astype(np.float32), np.broadcast_to(a, a.shape)):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            inv_cholesky(bad)
 
 
-def test_potrf_lower_is_cholesky_bit_for_bit(path):
-    # dpotrf with UPLO='L' on the C-order buffer runs numpy's own
-    # factorization: the same bits, for the exactly symmetric products the
-    # constraint side is built from; dpotrf works in its input, the
-    # fallback leaves it as it was, and neither result shares its memory
+def test_inv_cholesky_factors_as_numpy_cholesky(path):
+    # dpotrf with UPLO='L' on the buffer runs numpy's own factorization,
+    # the same bits for the exactly symmetric products the constraint side
+    # is built from, so the result is dtrtri's inverse of numpy's Cholesky
+    # factor, bit for bit; the fallback is the np.linalg chain itself
     rng = np.random.default_rng(55)
     for n in (1, 2, 7, 64, 300):
         c = rng.standard_normal((n, n + 3))
         a = c @ c.T
         a.flat[::n + 1] += 1e-3
-        want = np.linalg.cholesky(a)
-        work = a.copy()
-        got = potrf_lower(work)
-        assert got.tobytes() == want.tobytes()
-        assert not np.shares_memory(got, work)
-        if path == "np.linalg" or not NUMPY_OPENBLAS:
-            assert np.array_equal(work, a)
-    with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
-        potrf_lower(np.diag([1.0, -1.0, 2.0]))
-    for bad in (a.T, a.astype(np.float32), np.broadcast_to(a, a.shape)):
-        with pytest.raises(ValueError, match="C-ordered float64"):
-            potrf_lower(bad)
+        l = np.linalg.cholesky(a)
+        if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
+            want = np.asfortranarray(l)
+            info = _lapack._INT(0)
+            _lapack._lookup()["dtrtri"](b"L", b"N", _lapack._INT(n), _lapack._ptr(want),
+                                        _lapack._INT(n), info, 1, 1)
+            assert info.value == 0
+        else:
+            want = np.linalg.inv(l)
+        assert inv_cholesky(a).tobytes(order="A") == want.tobytes(order="A")
 
 
 def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypatch):
@@ -230,7 +244,7 @@ def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypat
         a[...] = 1.0
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(subspace, "potrf_lower", scribbling)
+    monkeypatch.setattr(subspace, "inv_cholesky", scribbling)
     with pytest.raises(NumericalError) as failed:
         subspace.gram_matrix(x[:, :8], x[:, 8:], AdaptationConfig(k=2))
     assert str(failed.value) == (
@@ -244,9 +258,11 @@ def test_fallbacks_agree_on_factored_instances(monkeypatch, rhs_reg, full_rank):
     # np.linalg fallbacks: L^-1 agrees to 4 d eps cond(L) of its largest
     # entry, and both paths' eigenpairs match the dense generalized eigh to
     # the bounds of assert_matches_dense_eigh
+    monkeypatch.setattr(subspace, "_RHS_REG", rhs_reg)
+
     def instances():
         rng = np.random.default_rng(52)
-        return [factored_instance(rng, rhs_reg, full_rank) for _ in range(40)]
+        return [factored_instance(rng, full_rank) for _ in range(40)]
 
     fast = instances()
     monkeypatch.setattr(_lapack, "_lookup", dict)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import partialda._lapack as _lapack
 import partialda.subspace as subspace
 from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
 from partialda._lapack import syevr_smallest
@@ -85,18 +86,18 @@ def stacked(data):
     return np.hstack([data.x_s, data.x_t])
 
 
-def dense_pencil(data, m_all, lam, rhs_reg):
-    """The dense lhs and rhs of the pencil that gram_matrix factors."""
+def dense_pencil(data, m_all, lam):
+    """The dense lhs and rhs of the pencil that gram_matrix factors, at its current _RHS_REG."""
     z = stacked(data)
     n = z.shape[1]
     zhz = z @ centering_matrix(n) @ z.T
     lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
-    rhs = zhz + rhs_reg * np.trace(zhz) / n * np.eye(z.shape[0])
+    rhs = zhz + subspace._RHS_REG * np.trace(zhz) / n * np.eye(z.shape[0])
     return lhs, rhs
 
 
-def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
-    """Random alignment instance solved the way the loop solves it.
+def factored_instance(rng, full_rank=None):
+    """Random alignment instance solved the way the loop solves it, at the current _RHS_REG.
 
     full_rank=True keeps n >= d + 2 samples, so the raw constraint side
     is nonsingular before its ridge; False keeps n <= d, so it is
@@ -119,10 +120,10 @@ def factored_instance(rng, rhs_reg=1e-6, full_rank=None):
     )
     lam = 0.1
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
-    data = gram_matrix(x_s, x_t, AdaptationConfig(k=k, lam=lam, rhs_reg=rhs_reg,
-                                                  alpha_p=alpha_p, alpha_c=alpha_c))
+    data = gram_matrix(x_s, x_t, AdaptationConfig(k=k, lam=lam, alpha_p=alpha_p,
+                                                  alpha_c=alpha_c))
     proj = solve_projection(data, omega, y_s, p)
-    return proj, data, m_all, dense_pencil(data, m_all, lam, rhs_reg)
+    return proj, data, m_all, dense_pencil(data, m_all, lam)
 
 
 def assert_matches_dense_eigh(phi, a, lhs, rhs, singular=False):
@@ -365,18 +366,23 @@ def test_objective_matches_trace_identity():
     assert proj.objective == pytest.approx(want, rel=1e-12)
 
 
-def test_gram_matrix_factors_the_constraint_side():
+def test_gram_matrix_factors_the_constraint_side(monkeypatch):
     rng = np.random.default_rng(29)
+    knobs = replace(RIDGE_ONLY, lam=0.3)
     # two singular constraint sides, then two definite ones
     for shape in ((9, 5), (40, 12), (12, 40), (5, 9)):
         x = rng.standard_normal(shape)
         x_s, x_t = x[:, :2], x[:, 2:]
         for rhs_reg in (1e-4, 1e-10):
-            knobs = replace(RIDGE_ONLY, lam=0.3, rhs_reg=rhs_reg)
+            monkeypatch.setattr(subspace, "_RHS_REG", rhs_reg)
             data = gram_matrix(x_s, x_t, knobs)
             z, n = stacked(data), shape[1]
             l_inv = data.l_inv
-            assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
+            # dtrtri leaves exact zeros above the diagonal; np.linalg.inv's LU need not
+            if "dtrtri" in _lapack._lookup():
+                assert np.all(np.triu(l_inv, 1) == 0.0)
+            else:
+                assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
             # the whitened data L^-1 Z, split into its centred part and its mean
             assert np.allclose(data.centred + data.mean[:, None], l_inv @ z,
                                rtol=1e-13, atol=1e-13)
@@ -385,7 +391,7 @@ def test_gram_matrix_factors_the_constraint_side():
             # L^-1 rhs L^-T ~ 1e-6 off I and the small entries of lam L^-1 L^-T
             # without 13 correct digits of their own
             if rhs_reg == 1e-4:
-                _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3, rhs_reg)
+                _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3)
                 assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
                 assert np.allclose(data.base, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
             # with alignment weights, base adds their round-invariant part,
@@ -404,23 +410,24 @@ def test_gram_matrix_factors_the_constraint_side():
             with pytest.raises(ValidationError,
                                match=f"^{side} features contains NaN or Inf entries$"):
                 gram_matrix(*args, RIDGE_ONLY)
-    x[2] = 0.0  # a feature without variance leaves a zero pivot when rhs_reg is 0
+    x[2] = 0.0  # a feature without variance leaves a zero pivot when _RHS_REG is 0
+    monkeypatch.setattr(subspace, "_RHS_REG", 0.0)
     with pytest.raises(NumericalError, match="cond"):
-        gram_matrix(x_s, x_t, replace(RIDGE_ONLY, rhs_reg=0.0))
+        gram_matrix(x_s, x_t, RIDGE_ONLY)
 
 
-def test_solve_projection_matches_dense_eigh_raw():
-    # Full-rank raw constraint side, at the default and a tiny rhs_reg.
+def test_solve_projection_matches_dense_eigh_raw(monkeypatch):
+    # Full-rank raw constraint side, at the default and a tiny _RHS_REG.
     rng = np.random.default_rng(30)
     for i in range(80):
-        rhs_reg = 1e-6 if i % 2 else 1e-10
-        proj, _, _, (lhs, rhs) = factored_instance(rng, rhs_reg, full_rank=True)
+        monkeypatch.setattr(subspace, "_RHS_REG", 1e-6 if i % 2 else 1e-10)
+        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=True)
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs)
 
 
 def test_solve_projection_matches_dense_eigh_singular_raw():
     # With n <= d the centred constraint side is singular; only eps_r, at its
-    # default rhs_reg, makes it definite.
+    # default _RHS_REG, makes it definite.
     rng = np.random.default_rng(31)
     for _ in range(80):
         proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
@@ -428,11 +435,12 @@ def test_solve_projection_matches_dense_eigh_singular_raw():
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
 
-def test_solve_projection_matches_dense_eigh_ill_conditioned():
-    # rhs_reg=1e-10 on a singular constraint side: raw features with n <= d.
+def test_solve_projection_matches_dense_eigh_ill_conditioned(monkeypatch):
+    # _RHS_REG=1e-10 on a singular constraint side: raw features with n <= d.
+    monkeypatch.setattr(subspace, "_RHS_REG", 1e-10)
     rng = np.random.default_rng(32)
     for _ in range(80):
-        proj, _, _, (lhs, rhs) = factored_instance(rng, 1e-10, full_rank=False)
+        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
         assert np.linalg.cond(rhs) > 1e8
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
@@ -467,14 +475,15 @@ def test_objective_matches_dense_trace_after_whitening():
         assert proj.objective == pytest.approx(want, rel=1e-10)
 
 
-def test_objective_is_not_swamped_by_the_whitened_ridge():
-    # At rhs_reg=1e-10 on a singular constraint side the whitened ridge
+def test_objective_is_not_swamped_by_the_whitened_ridge(monkeypatch):
+    # At _RHS_REG=1e-10 on a singular constraint side the whitened ridge
     # lam L^-1 L^-T dwarfs the objective, so the sum of the eigenvalues, which
     # carries it, is off by up to ~1e-6 relative; the objective taken from
     # the scatter factors and lam ||A||^2 must still match the dense trace.
+    monkeypatch.setattr(subspace, "_RHS_REG", 1e-10)
     rng = np.random.default_rng(36)
     for _ in range(80):
-        proj, data, m_all, _ = factored_instance(rng, 1e-10, full_rank=False)
+        proj, data, m_all, _ = factored_instance(rng, full_rank=False)
         z, a = stacked(data), proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         assert 0.1 * np.linalg.norm(data.l_inv, 2) ** 2 >= 1e3 * want
