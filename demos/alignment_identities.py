@@ -16,7 +16,7 @@ import numpy as np
 
 from partialda import AdaptationConfig
 from partialda.oracles import build_center_operators, build_m0, build_mc, build_mp, combine
-from partialda.subspace import _scatter_factors
+from partialda.subspace import _scatter_factors, gram_matrix
 
 rng = np.random.default_rng(5)
 
@@ -29,7 +29,8 @@ y_s = np.zeros((n_s, c))
 y_s[np.arange(n_s), labels] = 1.0
 p = rng.random((c, n_t))
 p /= p.sum(axis=0)  # soft target labels, one distribution per column
-omega = np.array([1.0, 1.0, 0.2, 1.0, 1.0, 0.2])  # class 2 down-weighted
+weights = np.array([1.0, 1.0, 0.2])  # class 2 down-weighted
+omega = y_s @ weights  # each source sample carries its class's weight
 x = np.hstack([x_s, x_t])
 a = rng.standard_normal((d, 2))  # any projection works for the identity
 
@@ -66,14 +67,16 @@ print(f"cluster loss      direct={resid:.6f}  via Mc={quad(mc):.6f}")
 m_all = combine(m0, mp, mc, alpha_p=1.0, alpha_c=1.0)
 print(f"combined loss     sum   ={quad(m0) + quad(mp) + quad(mc):.6f}  "
       f"via M ={quad(m_all):.6f}")
-# The centred data carry a data-only part, alpha_c Xc Xcᵀ + alpha_p Xc_t Xc_tᵀ;
-# the labels and weights enter through the small factors U (d x (3C + 4)) and N.
-mean = x.mean(axis=1)
-xc = x - mean[:, None]
-xc_t = xc[:, n_s:]
-config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0)
-u, n = _scatter_factors(xc, mean, n_s, omega, y_s, p, config)
-scatter = config.alpha_c * xc @ xc.T + config.alpha_p * xc_t @ xc_t.T + u @ n @ u.T
+# The loop works on data whitened once per run, W = L⁻¹ X for the Cholesky
+# factor L of the constraint side.  The centred whitened data carry a
+# data-only part, alpha_c Wc Wcᵀ + alpha_p Wc_t Wc_tᵀ; the soft labels and
+# class weights enter through the small factors U (d x (3C + 4)) and N.
+config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0, k=2)
+data = gram_matrix(x_s, y_s, x_t, config)
+u, n = _scatter_factors(data, weights, p)
+wc, wc_t = data.centred, data.centred[:, n_s:]
+whitened = config.alpha_c * wc @ wc.T + config.alpha_p * wc_t @ wc_t.T + u @ n @ u.T
+scatter = np.linalg.solve(data.l_inv, np.linalg.solve(data.l_inv, whitened).T)  # L (.) Lᵀ
 dense = x @ m_all @ x.T
 gap = np.linalg.norm(scatter - dense) / np.linalg.norm(dense)
 print(f"factored scatter  X M Xᵀ ({d}x{d}) from factors, relative gap to dense={gap:.1e}  "

@@ -65,12 +65,12 @@ print("\nsoft labels before down-weighting (rows = classes):")
 print(np.round(p_before, 3))
 
 # 4. Down-weighting class 1 zeroes its source columns; after the rows are
-#    renormalized, its leaked probability mass vanishes entirely.  Each source
-#    sample carries its class's weight, the same per-sample weight the
-#    adaptation loop puts on the alignment loss; a weight of 0 masks a class.
-omega = y @ np.array([1.0, 0.0])
-print(f"\nper-sample source weights: {omega}")
-p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, omega)
+#    renormalized, its leaked probability mass vanishes entirely.  The graph
+#    takes the class weights the adaptation loop puts on the alignment loss,
+#    and each source sample carries its class's; a weight of 0 masks a class.
+weights = np.array([1.0, 0.0])
+print(f"\nclass weights: {weights}, so source samples weigh {y @ weights}")
+p_after, n_dead = propagate_labels(x_s, x_t, 0.5, y, weights)
 print("\nsoft labels after masking class 1:")
 print(np.round(p_after, 3))
 print(f"rows with no mass left (repaired): {n_dead}")

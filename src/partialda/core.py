@@ -39,7 +39,7 @@ def as_domain_pair(x_s, x_t) -> tuple[np.ndarray, np.ndarray]:
     return x_s, x_t
 
 
-def as_sample_weights(w, n: int, name: str) -> np.ndarray:
+def as_weights(w, n: int, name: str) -> np.ndarray:
     """Coerce ``w`` to ``n`` finite, non-negative weights, not all 0; errors name it ``name``."""
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
@@ -82,12 +82,14 @@ def make_one_hot(labels, num_classes: int) -> np.ndarray:
         Class of each sample, in ``[0, num_classes)``.  Every class must
         occur at least once.
     num_classes : int
-        Number of columns of the encoding.
+        Number of columns of the encoding; an integral float is taken as
+        its int.
 
     Returns
     -------
     ndarray of shape (n, num_classes)
     """
+    num_classes = _as_integer(num_classes, "num_classes", ValidationError)
     if num_classes < 1:
         raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
     labels = np.asarray(labels)
@@ -170,21 +172,25 @@ def is_finite_number(value, name: str, error: type[ValueError]) -> bool:
         raise error(f"{name} must be a number, got {value!r}") from None
 
 
+def _as_integer(value, name: str, error: type[ValueError]) -> int:
+    """``value`` as an int, an integral float taken as its int; anything else raises ``error``."""
+    # NaN passes every range comparison and inf overflows int()
+    if not (is_finite_number(value, name, error) and int(value) == value):
+        raise error(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def check_numeric_fields(obj, error: type[ValueError]) -> None:
     """Raise ``error`` unless every field of the frozen dataclass ``obj`` is a finite number.
 
     A field whose default is an int must hold an integer, and is stored as
     one: 5.0 would break shapes and slicing.
     """
-    # NaN passes every range comparison and inf overflows int()
     for f in fields(obj):
         value = getattr(obj, f.name)
-        finite = is_finite_number(value, f.name, error)
         if isinstance(f.default, int):
-            if not (finite and int(value) == value):
-                raise error(f"{f.name} must be an integer, got {value}")
-            object.__setattr__(obj, f.name, int(value))
-        elif not finite:
+            object.__setattr__(obj, f.name, _as_integer(value, f.name, error))
+        elif not is_finite_number(value, f.name, error):
             raise error(f"{f.name} must be finite, got {value}")
 
 

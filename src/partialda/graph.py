@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._lapack import gesv
-from .core import as_domain_pair, as_sample_weights, is_finite_number
+from .core import as_domain_pair, as_weights, is_finite_number
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
@@ -173,7 +173,7 @@ def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def propagate_labels(z_s, z_t, sigma: float, y_s,
-                     sample_weights=None) -> tuple[np.ndarray, int]:
+                     class_weights=None) -> tuple[np.ndarray, int]:
     """Build the graph, optionally reweight it, and propagate source labels.
 
     Affinities are ``exp(-(d / sigma)**2)`` of the cosine distance d
@@ -182,12 +182,12 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     underflows to zero everywhere (possible only for very small sigma)
     falls back to uniform affinities.
 
-    With ``sample_weights``, each source column is scaled by its sample's
-    weight divided by the largest weight (so uniform weights leave the
-    graph as it was), and the rows are renormalized.  A row left without
-    mass falls back to uniform target affinities or, when it is the only
-    target, to the uniform source row reweighted the same way; those rows
-    are counted.
+    With ``class_weights`` w, each source column is scaled by its sample's
+    weight ``y_s @ w`` divided by the largest source's (so uniform weights
+    leave the graph as it was), and the rows are renormalized.  A row left
+    without mass falls back to uniform target affinities or, when it is the
+    only target, to the uniform source row reweighted the same way; those
+    rows are counted.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified.  The graph is
@@ -208,11 +208,11 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         Positive bandwidth; smaller values sharpen the graph.
     y_s : ndarray (n_s, C)
         One-hot source labels.
-    sample_weights : ndarray (n_s,), optional
-        Finite, non-negative weight of every source sample, not all 0.  The
-        loop passes ``y_s @ w`` for its masked class weights w: each sample
-        carries its class's weight, so a class of weight 0 contributes 0 to
-        every row, for any number of targets.
+    class_weights : ndarray (C,), optional
+        Finite, non-negative weight of every class, not 0 on every source
+        sample; only their ratios matter.  The loop passes its masked class
+        weights: each sample carries its class's weight, so a class of
+        weight 0 contributes 0 to every row, for any number of targets.
 
     Returns
     -------
@@ -220,7 +220,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         One column of class probabilities per target; each sums to one
         within ``_MASS_TOL``.
     graph_fallbacks : int
-        Rows the reweighting left without mass (0 without ``sample_weights``).
+        Rows the reweighting left without mass (0 without ``class_weights``).
 
     Raises
     ------
@@ -228,8 +228,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         On a sigma that is not a positive, finite number, embedded samples
         that ``core.as_domain_pair`` refuses (not 2-dimensional, empty, not
         finite or of different dimensions), labels whose shape disagrees or
-        that are not finite, or sample weights that are negative, not finite
-        or all 0.
+        that are not finite, or class weights of the wrong shape, negative,
+        not finite or 0 on every source sample.
     NumericalError
         If ``I - W_tt`` is singular, the solve is not finite, or a target's
         soft labels miss a sum of one by more than ``_MASS_TOL``, all of
@@ -240,10 +240,6 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     z_s, z_t = as_domain_pair(z_s, z_t)
     n_s = z_s.shape[1]
-    f = np.ones(n_s)  # each source's factor: its weight over the largest
-    if sample_weights is not None:
-        f = as_sample_weights(sample_weights, n_s, "sample_weights")
-        f = f / f.max()
     y_s = np.asarray(y_s, dtype=float)
     if y_s.ndim != 2 or y_s.shape[0] != n_s:
         raise ValidationError(
@@ -253,6 +249,12 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     if not np.isfinite(y_s).all():
         raise ValidationError("label matrix contains NaN or Inf entries")
     n_t, c = z_t.shape[1], y_s.shape[1]
+    f = np.ones(n_s)  # each source's factor: its weight over the largest
+    if class_weights is not None:
+        w = as_weights(class_weights, c, "class_weights")
+        # all 0 also where only classes without a source sample weigh
+        f = as_weights(y_s @ w, n_s, "y_s @ class_weights")
+        f = f / f.max()
     spread = f @ y_s  # W_ts Y_s of a uniform source row, before its scaling
     # K_ts @ [f Y_s | f | 1]: W_ts Y_s and both source masses, each row unscaled
     k_tt, masses, degrees = _affinity_blocks(

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_sample_weights
+from .core import as_weights
 from .errors import NumericalError, ValidationError
-from .subspace import _cond, _ridge_eps, solve_gram_system
+from .subspace import _cond, _ridge_eps
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -51,7 +51,7 @@ def build_m0(omega, n_t: int) -> np.ndarray:
     ``omega_i * omega_j / S**2``, the target block ``1 / n_t**2`` and the
     cross blocks ``-omega_i / (S * n_t)``.
     """
-    omega = as_sample_weights(omega, np.size(omega), "omega")
+    omega = as_weights(omega, np.size(omega), "omega")
     if n_t < 1:
         raise ValidationError(f"n_t must be >= 1, got {n_t}")
     e = np.concatenate([omega / omega.sum(), -np.ones(n_t) / n_t])
@@ -62,8 +62,8 @@ def _class_projector(y_s: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Projector onto the span of stacked class indicators [Y_s; P.T]."""
     y = np.vstack([y_s, p.T])
     gram = y.T @ y
-    eps = _ridge_eps(gram, p.sum(axis=1))
-    return y @ solve_gram_system(gram, y.T, eps)
+    eps = _ridge_eps(np.diag(gram), p.sum(axis=1))
+    return y @ np.linalg.solve(gram + eps * np.eye(gram.shape[0]), y.T)
 
 
 def build_center_operators(y_s, p) -> np.ndarray:
@@ -85,8 +85,8 @@ def build_center_operators(y_s, p) -> np.ndarray:
             f"inconsistent shapes: labels {y_s.shape}, soft labels {p.shape}"
         )
     gram = y_s.T @ y_s
-    eps = _ridge_eps(gram, p.sum(axis=1))
-    return y_s @ solve_gram_system(gram, p, eps)
+    eps = _ridge_eps(np.diag(gram), p.sum(axis=1))
+    return y_s @ np.linalg.solve(gram + eps * np.eye(gram.shape[0]), p)
 
 
 def build_mp(y_st) -> np.ndarray:
@@ -215,9 +215,9 @@ def textbook_graph(z_s, z_t, sigma):
 def textbook_reweight(w_ts, w_tt, w, source_classes):
     """Class-scaled ``(W_ts, W_tt)`` and the number of rows left without mass.
 
-    The factors come from class weights and class ids, not from the
-    per-sample weights ``propagate_labels`` takes, so the two routes meet
-    only in their result.
+    The factors come from class weights indexed by class ids, not from
+    the label matrix ``propagate_labels`` multiplies them by, so the two
+    routes meet only in their result.
     """
     factors = w[source_classes]
     factors = factors / factors.max()

@@ -7,9 +7,9 @@ Class weights, one (C,) vector of estimated target class proportions, are
 re-estimated from every fresh propagation, so source classes absent from
 the target lose their influence over the rounds instead of dragging the
 projection toward them.  The classes at or below ``delta`` get weight 0,
-and from then on a class is masked exactly when its weight is 0.  Each
-source sample carries its class's weight, ``y_s @ weights``, in both the
-alignment loss and the graph.
+and from then on a class is masked exactly when its weight is 0.  The
+alignment loss and the graph both take these class weights, and each
+gives every source sample its class's weight.
 """
 
 from __future__ import annotations
@@ -144,17 +144,16 @@ def adapt(x_s, y_s, x_t, config: AdaptationConfig | None = None) -> AdaptationRe
     hard_prev = hard_labels(p)
 
     with _round(1):  # factored once per run, so its failures belong to round one
-        data = gram_matrix(x_s, x_t, config)
+        data = gram_matrix(x_s, y_s, x_t, config)
 
     history: list[IterationRecord] = []
     proj: Projection | None = None
     for it in range(1, config.max_iterations + 1):
         with _round(it):
             p_masked, mask_fallbacks = apply_mask(p, weights)
-            omega = y_s @ weights
-            proj = solve_projection(data, omega, y_s, p_masked)
+            proj = solve_projection(data, weights, p_masked)
             p, graph_fallbacks = propagate_labels(proj.a.T @ x_s, proj.a.T @ x_t, config.sigma,
-                                                  y_s, omega)
+                                                  y_s, weights)
             weights = _class_weights(p, config.delta)
             hard = hard_labels(p)
 

@@ -34,14 +34,13 @@ The two parts cancel where the classes explain most of the spread, which
 is why the split is taken on centred data: the mean has columns of its own
 and no large offset cancels.
 
-``gram_matrix(x_s, x_t, config)`` does once per run most of the work that
-depends on the data alone, with the knobs of the
+``gram_matrix(x_s, y_s, x_t, config)`` does once per run the work that
+depends on the data and the source labels alone, with the knobs of the
 :class:`partialda.core.AdaptationConfig`, which checked them when it was
-built; three products of the source labels, ``Zc_s Y_s``, ``Y_s.T Y_s``
-and ``Y_s.T 1``, are rebuilt each round with the factors the soft labels
-change (:func:`_scatter_factors`).  It factors the constraint side
-``Zc Zc.T + eps_r I = L L.T`` and keeps ``L^-1``, the whitened centred
-data ``Wc = L^-1 Zc``, the whitened mean ``m = L^-1 mu``, the
+built.  It checks ``y_s`` and factors the constraint side
+``Zc Zc.T + eps_r I = L L.T``.  It keeps ``y_s``, the class counts
+``Y_s.T 1``, ``L^-1``, the whitened centred data ``Wc = L^-1 Zc``, the
+whitened mean ``m = L^-1 mu``, the whitened class sums ``Wc_s Y_s``, the
 configuration and the first part of the whitened pencil with the ridge,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
@@ -50,12 +49,12 @@ configuration and the first part of the whitened pencil with the ridge,
 since ``L L.T = Zc Zc.T + eps_r I`` makes ``Wc Wc.T = I - eps_r L^-1 L^-T``
 exactly, so the d^2 n product ``Wc Wc.T`` is never formed.
 
-Each round, ``solve_projection(data, omega, y_s, p)`` checks the round's
-source weights and soft labels, builds U and N from them on the whitened
-data, forms ``U N U.T + base`` as one new d x d array, so a round costs
-O(d n C + d^2 C), makes no d x n array and no d^2 n product, and
-computes the k smallest eigenpairs of that standard symmetric
-eigenproblem; their eigenvectors V map back as ``A = L^-T V``.
+Each round, ``solve_projection(data, weights, p)`` checks the round's
+class weights and soft labels, builds U and N from them on the whitened
+data (:func:`_scatter_factors`), forms ``U N U.T + base`` as one new d x d
+array, so a round costs O(d n + d n_t C + d^2 C), makes no d x n array and no
+d^2 n product, and computes the k smallest eigenpairs of that standard
+symmetric eigenproblem; their eigenvectors V map back as ``A = L^-T V``.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
 factors: the whitened scatter as quadratic forms in V, the ridge from A
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import inv_cholesky, syevr_smallest
-from .core import AdaptationConfig, as_domain_pair, as_sample_weights
+from .core import AdaptationConfig, as_domain_pair, as_weights, check_label_matrix
 from .errors import NumericalError, ValidationError
 
 # Class soft mass below this triggers a ridge on indicator Gram inversions.
@@ -92,21 +91,23 @@ _RHS_REG = 1e-6
 
 @dataclass(frozen=True)
 class WhitenedData:
-    """Source and target features plus everything of the pencil that is fixed per run.
+    """Everything of the pencil that is fixed per run, the checked source labels included.
 
     In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``centred``
-    is ``Wc``, ``mean`` is m and ``base`` the cached part of the whitened
-    pencil.  ``config``, which ``base`` was built with, is read again every
-    round.
+    is ``Wc``, source columns first, ``mean`` is m, ``base`` the cached part
+    of the whitened pencil, ``counts`` is ``Y_s.T 1`` and ``class_sums``
+    ``Wc_s Y_s``.  ``config``, which ``base`` was built with, is read again
+    every round.
     """
 
-    x_s: np.ndarray
-    x_t: np.ndarray
     centred: np.ndarray
     mean: np.ndarray
     l_inv: np.ndarray
     base: np.ndarray
     config: AdaptationConfig
+    y_s: np.ndarray
+    counts: np.ndarray
+    class_sums: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _inverse_cholesky(centred: np.ndarray, eps_r: float, rhs: np.ndarray) -> np.
         ) from exc
 
 
-def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
+def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
     """Factor the constraint side and cache the round-invariant pencil, once per run.
 
     The constraint side ``Z H Z.T`` of ``Z = [x_s | x_t]`` receives
@@ -154,13 +155,14 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     stays definite, and ``config.lam`` is the ridge on the projection
     columns.  ``config``, whose type checked every knob, is kept on the
     result for :func:`solve_projection`; only ``k`` is checked here, against
-    d.  Z is never stacked: ``x_s`` and ``x_t`` are kept as given.  Every
-    input is checked before anything is factored.
+    d.  The one-hot source labels ``y_s`` (n_s, C) are checked once per run.
+    Z is never stacked.  Every input is checked before anything is factored.
 
     Raises
     ------
     ValidationError
-        On a bad shape or non-finite features.
+        On a bad shape, non-finite features, or source labels that are not
+        one-hot with one row per source sample and every class present.
     ConfigurationError
         When ``config.k`` exceeds the feature dimension d.
     NumericalError
@@ -169,6 +171,7 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     """
     x_s, x_t = as_domain_pair(x_s, x_t)
     d, n_s = x_s.shape
+    y_s = check_label_matrix(y_s, n_samples=n_s)
     config.check_k(d)
     n = n_s + x_t.shape[1]
     mu = (x_s.sum(axis=1) + x_t.sum(axis=1)) / n
@@ -211,84 +214,74 @@ def gram_matrix(x_s, x_t, config: AdaptationConfig) -> WhitenedData:
     target = centred_t @ centred_t.T
     target *= config.alpha_p
     base += target
-    return WhitenedData(x_s=x_s, x_t=x_t, centred=centred, mean=l_inv @ mu, l_inv=l_inv,
-                        base=base, config=config)
+    return WhitenedData(centred=centred, mean=l_inv @ mu, l_inv=l_inv, base=base,
+                        config=config, y_s=y_s, counts=y_s.sum(axis=0),
+                        class_sums=centred[:, :n_s] @ y_s)
 
 
-def _ridge_eps(gram: np.ndarray, soft_mass: np.ndarray) -> float:
-    """Ridge added to an indicator Gram matrix when some class lost its mass."""
+def _ridge_eps(diagonal: np.ndarray, soft_mass: np.ndarray) -> float:
+    """Ridge added to an indicator Gram matrix of this diagonal when some class lost its mass."""
     if soft_mass.min() < RIDGE_TRIGGER:
-        return RIDGE_SCALE * float(np.mean(np.diag(gram)))
+        return RIDGE_SCALE * float(np.mean(diagonal))
     return 0.0
 
 
-def solve_gram_system(gram: np.ndarray, rhs: np.ndarray, eps: float) -> np.ndarray:
-    """Solve ``(gram + eps I) x = rhs`` for an indicator Gram matrix."""
-    g = gram + eps * np.eye(gram.shape[0])
-    try:
-        out = np.linalg.solve(g, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"class indicator Gram matrix is singular even after ridge {eps:g}"
-        ) from exc
-    if not np.isfinite(out).all():
-        raise NumericalError("class indicator Gram system produced non-finite values")
-    return out
-
-
-def _scatter_factors(zc: np.ndarray, mean: np.ndarray, n_s: int, omega: np.ndarray,
-                     y_s: np.ndarray, p: np.ndarray,
-                     config: AdaptationConfig) -> tuple[np.ndarray, np.ndarray]:
+def _scatter_factors(data: WhitenedData, weights: np.ndarray,
+                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors U and N with ``Z M Z.T = alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T + U N U.T``.
 
-    ``Z = zc + mean 1.T``, source columns first, and M is
-    ``combine(M0, Mp, Mc)`` of :mod:`partialda.oracles`.  With
-    ``Y = [Y_s; P.T]``, ``G = Y.T Y``, ``S = (G + eps I)^-1`` and
-    ``B = (G_s + eps_s I)^-1 P`` (eps and eps_s the ridges the dense oracles
-    use, so the split stays exact under them):
+    ``Z = zc + mean 1.T``, source columns first, for ``zc`` and ``mean``
+    the centred data and mean of ``data``, and M is ``combine(M0, Mp, Mc)``
+    of :mod:`partialda.oracles`.  Every source sample carries its class's
+    weight, so the weighted source mean is ``Zc_s Y_s w / (counts . w)``.
+    ``Y_s`` is one-hot with every class present, so ``G_s = Y_s.T Y_s`` is
+    ``diag(counts)``, every count at least 1.  With ``Y = [Y_s; P.T]``,
+    ``G = Y.T Y = G_s + P P.T``, ``S = (G + eps I)^-1`` and
+    ``B = (G_s + eps_s I)^-1 P = P / (counts + eps_s)`` (eps and eps_s the
+    ridges the dense oracles use, so the split stays exact under them):
 
     * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y) S Y.T = R_c + mean r.T``,
       ``r = 1 - Y S Y.T 1``, and ``R_c R_c.T = Zc Zc.T - (Zc Y) K (Zc Y).T``
-      for ``K = 2S - S G S``;
+      for ``K = 2S - S G S = S + eps S^2``;
     * ``Z Mp Z.T = D D.T`` with ``D = Z_s Y_s B - Z_t = D_c + mean d_p.T``,
-      ``d_p = B.T Y_s.T 1 - 1``, and ``D_c D_c.T`` the target Gram matrix
+      ``d_p = B.T counts - 1``, and ``D_c D_c.T`` the target Gram matrix
       plus cross terms of ``Zc_s Y_s`` and ``Zc_t B.T``;
     * ``Z M0 Z.T = (Zc e)(Zc e).T``, since the entries of e sum to 0.
 
     ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | D_c d_p | R_c r]`` is
-    (dim, 3C + 4) and N is symmetric, (3C + 4)-square.  The inputs are
-    those :func:`solve_projection` checked: ``omega`` the source sample
-    weights, ``y_s`` (n_s, C) one-hot and ``p`` (C, n_t) the masked soft
-    labels.
+    (dim, 3C + 4) and N is symmetric, (3C + 4)-square.  ``weights``, the
+    (C,) class weights, and ``p`` (C, n_t), the masked soft labels, are
+    those :func:`solve_projection` checked.
     """
+    config, y_s, counts, a_s = data.config, data.y_s, data.counts, data.class_sums
     alpha_p, alpha_c = config.alpha_p, config.alpha_c
-    zc_s, zc_t = zc[:, :n_s], zc[:, n_s:]
+    zc_t = data.centred[:, y_s.shape[0]:]
     c = y_s.shape[1]
     soft_mass = p.sum(axis=1)
 
-    ze = zc_s @ omega / omega.sum() - zc_t.mean(axis=1)
+    ze = a_s @ weights / (counts @ weights) - zc_t.mean(axis=1)
 
-    gram_s = y_s.T @ y_s
-    b = solve_gram_system(gram_s, p, _ridge_eps(gram_s, soft_mass))
-    a_s = zc_s @ y_s
-    d_p = b.T @ y_s.sum(axis=0) - 1.0
+    b = p / (counts + _ridge_eps(counts, soft_mass))[:, None]
+    d_p = b.T @ counts - 1.0
     g_p = a_s @ (b @ d_p) - zc_t @ d_p
 
     y = np.vstack([y_s, p.T])
-    gram = y.T @ y
-    s = solve_gram_system(gram, np.eye(c), _ridge_eps(gram, soft_mass))
-    b_c = zc @ y
-    r = 1.0 - y @ (s @ y.sum(axis=0))
-    g_c = zc @ r - b_c @ (s @ (y.T @ r))
+    gram = p @ p.T
+    gram.flat[::c + 1] += counts
+    eps = _ridge_eps(np.diag(gram), soft_mass)
+    s = np.linalg.inv(gram + eps * np.eye(c))
+    b_c = a_s + zc_t @ p.T
+    r = 1.0 - y @ (s @ (counts + soft_mass))
+    g_c = data.centred @ r - b_c @ (s @ (y.T @ r))
 
-    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, mean, g_p, g_c])
+    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, data.mean, g_p, g_c])
     n = np.zeros((3 * c + 4, 3 * c + 4))
     src, tgt, cls = (slice(1 + i * c, 1 + (i + 1) * c) for i in range(3))
     m = 3 * c + 1
     n[0, 0] = 1.0
     n[src, src] = alpha_p * (b @ b.T)
     n[src, tgt] = n[tgt, src] = -alpha_p * np.eye(c)
-    n[cls, cls] = -alpha_c * (2.0 * s - s @ gram @ s)
+    n[cls, cls] = -alpha_c * (s + eps * (s @ s))
     n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (r @ r)
     n[m, m + 1] = n[m + 1, m] = alpha_p
     n[m, m + 2] = n[m + 2, m] = alpha_c
@@ -310,13 +303,13 @@ def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
     """
     vw = v.T @ data.centred
     vu = v.T @ u
-    n_s = data.x_s.shape[1]
+    n_s = data.y_s.shape[0]
     config = data.config
     return float(config.alpha_c * np.sum(vw ** 2) + config.alpha_p * np.sum(vw[:, n_s:] ** 2)
                  + np.sum((vu @ n) * vu) + config.lam * np.sum(a ** 2))
 
 
-def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
+def solve_projection(data: WhitenedData, weights, p) -> Projection:
     """Learn the ``data.config.k``-dimensional projection for one round's alignment loss.
 
     The round's inputs are checked here, once; then the whitened pencil
@@ -326,13 +319,12 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     Parameters
     ----------
     data : WhitenedData
-        Output of :func:`gram_matrix`, which fixed the configuration,
-        checked its ``k`` against the feature dimension and cached the
-        round-invariant part of the scatter.
-    omega : ndarray (n_s,)
-        Finite, non-negative source sample weights, not all 0.
-    y_s : ndarray (n_s, C)
-        One-hot source labels.
+        Output of :func:`gram_matrix`, which fixed the configuration and
+        the source labels, checked ``k`` against the feature dimension and
+        cached the round-invariant part of the scatter.
+    weights : ndarray (C,)
+        Finite, non-negative class weights, not all 0.  Each source sample
+        carries its class's weight; only their ratios matter.
     p : ndarray (C, n_t)
         Finite soft target labels, already masked.
 
@@ -345,26 +337,26 @@ def solve_projection(data: WhitenedData, omega, y_s, p) -> Projection:
     Raises
     ------
     ValidationError
-        When ``y_s`` or ``p`` disagree in shape with the data or each
-        other, or ``omega`` or ``p`` break the rules above.
+        When ``weights`` or ``p`` disagree in shape with the data, or break
+        the rules above.
     NumericalError
-        When an indicator Gram system or the eigensolver fails or returns
-        non-finite values.  The condition number reported for the
-        eigensolver is that of the pencil as it received it.
+        When the eigensolver fails or returns non-finite values.  The
+        condition number reported is that of the pencil as the eigensolver
+        received it.
     """
     config = data.config
-    n_s, n_t = data.x_s.shape[1], data.x_t.shape[1]
-    y_s = np.asarray(y_s, dtype=float)
+    n_s, c = data.y_s.shape
+    n_t = data.centred.shape[1] - n_s
+    weights = as_weights(weights, c, "weights")
     p = np.asarray(p, dtype=float)
-    if y_s.ndim != 2 or y_s.shape[0] != n_s or p.shape != (y_s.shape[1], n_t):
+    if p.shape != (c, n_t):
         raise ValidationError(
-            f"inconsistent shapes: {n_s} source and {n_t} target samples, "
-            f"weights {np.shape(omega)}, labels {y_s.shape}, soft labels {p.shape}"
+            f"inconsistent shapes: {n_s} source and {n_t} target samples of {c} classes, "
+            f"soft labels {p.shape}"
         )
-    omega = as_sample_weights(omega, n_s, "omega")
     if not np.isfinite(p).all():
         raise ValidationError("the soft labels must be finite")
-    u, n = _scatter_factors(data.centred, data.mean, n_s, omega, y_s, p, config)
+    u, n = _scatter_factors(data, weights, p)
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)
     except np.linalg.LinAlgError as exc:

@@ -44,7 +44,7 @@ from partialda.oracles import (
     textbook_graph,
 )
 from partialda.pipeline import apply_mask
-from partialda.subspace import gram_matrix, solve_gram_system, solve_projection
+from partialda.subspace import gram_matrix, solve_projection
 from tests.test_alignment import (
     oracle_center_gap,
     oracle_cluster_gap,
@@ -52,7 +52,7 @@ from tests.test_alignment import (
     random_instance,
     trace_loss,
 )
-from tests.test_subspace import RIDGE_ONLY, conditioned_instance, stacked, with_k
+from tests.test_subspace import RIDGE_ONLY, conditioned_instance, with_k
 
 
 @contextmanager
@@ -120,8 +120,7 @@ def test_criterion_2_eigensolver_residuals():
         start = time.perf_counter()
         checked = 0
         for _ in range(55):
-            data, m_all, labels = conditioned_instance(rng)
-            z = stacked(data)
+            data, z, m_all, labels = conditioned_instance(rng)
             n = z.shape[1]
             lam = 0.1
             k = max(1, z.shape[0] // 2)
@@ -249,7 +248,7 @@ def test_criterion_7_documented_error_cases(tmp_path):
         empty.write_text("")
         bad_label = tmp_path / "labels.txt"
         bad_label.write_text("0\nx\n")
-        labels = (np.ones(2), np.eye(2), np.full((2, 2), 0.5))
+        weights = np.ones(2)
 
         cases = [
             # class of the raise, then the call that must produce it
@@ -264,8 +263,9 @@ def test_criterion_7_documented_error_cases(tmp_path):
             # every class holds a third of the targets, so none survives delta
             (ConfigurationError, lambda: adapt(
                 np.eye(3), np.eye(3), np.eye(3), AdaptationConfig(k=2, delta=0.9))),
-            (NumericalError, lambda: solve_gram_system(
-                np.zeros((2, 2)), np.eye(2), 0.0)),
+            # a class without source samples is refused once per run
+            (ValidationError, lambda: gram_matrix(
+                np.eye(3)[:, :2], np.eye(2)[[0, 0]], np.eye(3)[:, 2:], RIDGE_ONLY)),
             (ValidationError, lambda: combine(
                 np.eye(2), np.eye(3), np.eye(2), 1.0, 1.0)),
             (ValidationError, lambda: centering_matrix(0)),
@@ -273,10 +273,10 @@ def test_criterion_7_documented_error_cases(tmp_path):
                 np.eye(3), np.zeros((3, 3)), 2)),
             (ValidationError, lambda: generalized_eigh(np.eye(2), np.eye(2), 3)),
             (NumericalError, lambda: solve_projection(
-                gram_matrix(np.ones((3, 2)), np.ones((3, 3)), RIDGE_ONLY), *labels[:2],
+                gram_matrix(np.ones((3, 2)), y2, np.ones((3, 3)), RIDGE_ONLY), weights,
                 np.full((2, 3), 0.5))),
             (ConfigurationError, lambda: gram_matrix(
-                np.eye(3)[:, :1], np.eye(3)[:, 1:], AdaptationConfig(k=4))),
+                np.eye(3)[:, :1], np.ones((1, 1)), np.eye(3)[:, 1:], AdaptationConfig(k=4))),
             (ValidationError, lambda: propagate_labels(np.eye(2), np.eye(2), 0.0, y2)),
             (ValidationError, lambda: baseline_propagate(np.eye(2), y2, np.eye(2), None)),
             (NumericalError, lambda: propagate_labels(on_e1, on_e2, 0.02, y2)),

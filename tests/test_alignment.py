@@ -30,10 +30,10 @@ from partialda.oracles import (
 )
 from partialda.pipeline import _class_weights, apply_mask
 from partialda.subspace import (
+    WhitenedData,
     _ridge_eps,
     _scatter_factors,
     gram_matrix,
-    solve_gram_system,
     solve_projection,
 )
 
@@ -54,13 +54,19 @@ def random_instance(rng, with_mask=False):
     return x_s, y_s, x_t, p
 
 
-def factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c):
-    """``Z M Z.T`` as the solver forms it: the data-only part plus ``U N U.T``, on centred data."""
+def factored_scatter(z, n_s, w, y_s, p, alpha_p, alpha_c):
+    """``Z M Z.T`` as the solver forms it: the data-only part plus ``U N U.T``, on centred data.
+
+    ``w`` are the class weights; the dense ``M0`` takes ``y_s @ w``.
+    """
     mean = z.mean(axis=1)
     zc = z - mean[:, None]
     zc_t = zc[:, n_s:]
     config = AdaptationConfig(alpha_p=alpha_p, alpha_c=alpha_c)
-    u, n = _scatter_factors(zc, mean, n_s, omega, y_s, p, config)
+    # the unwhitened data in the fields the solver reads; l_inv and base are not read
+    data = WhitenedData(centred=zc, mean=mean, l_inv=None, base=None, config=config, y_s=y_s,
+                        counts=y_s.sum(axis=0), class_sums=zc[:, :n_s] @ y_s)
+    u, n = _scatter_factors(data, w, p)
     return alpha_c * zc @ zc.T + alpha_p * zc_t @ zc_t.T + u @ (n @ u.T)
 
 
@@ -298,7 +304,7 @@ def test_combine_trace_identity_against_sum_of_oracles():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
-def test_alignment_scatter_matches_dense_oracle():
+def test_scatter_factors_match_dense_oracle():
     # The factored scatter replaces Z @ combine(M0, Mp, Mc) @ Z.T in the solver.
     rng = np.random.default_rng(18)
     ridged = 0
@@ -308,7 +314,7 @@ def test_alignment_scatter_matches_dense_oracle():
             p[int(rng.integers(p.shape[0])), :] = 0.0  # a class at zero soft mass
             p[:, p.sum(axis=0) == 0] = 1.0 / p.shape[0]
             ridged += bool((p.sum(axis=1) < 1e-8).any())
-        omega = rng.random(x_s.shape[1]) + 0.1
+        w = rng.random(y_s.shape[1]) + 0.1
         alpha_p, alpha_c = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         if i % 5 == 1:
             alpha_p = 0.0
@@ -317,44 +323,45 @@ def test_alignment_scatter_matches_dense_oracle():
         x = np.hstack([x_s, x_t])
         z = x if i % 2 else x.T @ x  # the (d, n) features, then an (n, n) data matrix
         m_all = combine(
-            build_m0(omega, x_t.shape[1]),
+            build_m0(y_s @ w, x_t.shape[1]),
             build_mp(build_center_operators(y_s, p)),
             build_mc(y_s, p),
             alpha_p,
             alpha_c,
         )
         want = z @ m_all @ z.T
-        got = factored_scatter(z, x_s.shape[1], omega, y_s, p, alpha_p, alpha_c)
+        got = factored_scatter(z, x_s.shape[1], w, y_s, p, alpha_p, alpha_c)
         assert got.shape == (z.shape[0], z.shape[0])
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert ridged >= 30
 
 
-def test_alignment_scatter_validation():
-    # solve_projection checks the round's inputs once, before the factors
+def test_solve_projection_validation():
+    # solve_projection checks the round's inputs once, before the factors;
+    # the source labels were checked once per run, by gram_matrix
     rng = np.random.default_rng(19)
     x_s, y_s, x_t, p = random_instance(rng)
-    data = gram_matrix(x_s, x_t, AdaptationConfig(k=1))
-    n_s = x_s.shape[1]
-    omega = np.ones(n_s)
-    for bad_y, bad_p in ((y_s[1:], p), (y_s, p[:, 1:]), (y_s, p[1:]), (y_s[:, 1:], p)):
+    data = gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=1))
+    c = y_s.shape[1]
+    w = np.ones(c)
+    for bad_p in (p[:, 1:], p[1:], p[None]):
         with pytest.raises(ValidationError, match="^inconsistent shapes"):
-            solve_projection(data, omega, bad_y, bad_p)
-    # the one sample-weight check of propagate_labels, naming omega
-    with pytest.raises(ValidationError, match="^omega are all 0: no source sample carries"):
-        solve_projection(data, np.zeros(n_s), y_s, p)
-    with pytest.raises(ValidationError, match="^omega must be non-negative$"):
-        solve_projection(data, -omega, y_s, p)
-    with pytest.raises(ValidationError, match=rf"^omega has shape \({n_s - 1},\), expected"):
-        solve_projection(data, omega[1:], y_s, p)
+            solve_projection(data, w, bad_p)
+    # the one weight check of propagate_labels, naming the weights
+    with pytest.raises(ValidationError, match="^weights are all 0: no source sample carries"):
+        solve_projection(data, np.zeros(c), p)
+    with pytest.raises(ValidationError, match="^weights must be non-negative$"):
+        solve_projection(data, -w, p)
+    with pytest.raises(ValidationError, match=rf"^weights has shape \({c - 1},\), expected"):
+        solve_projection(data, w[1:], p)
     # NaN passes ``< 0`` and would make every entry NaN without an error
     for bad in (np.nan, np.inf):
-        bad_omega, bad_p = omega.copy(), p.copy()
-        bad_omega[0], bad_p[0, 0] = bad, bad
-        with pytest.raises(ValidationError, match="^omega contains NaN or Inf entries$"):
-            solve_projection(data, bad_omega, y_s, p)
+        bad_w, bad_p = w.copy(), p.copy()
+        bad_w[0], bad_p[0, 0] = bad, bad
+        with pytest.raises(ValidationError, match="^weights contains NaN or Inf entries$"):
+            solve_projection(data, bad_w, p)
         with pytest.raises(ValidationError, match="^the soft labels must be finite$"):
-            solve_projection(data, omega, y_s, bad_p)
+            solve_projection(data, w, bad_p)
 
 
 def _long_double_solve(a, b):
@@ -371,9 +378,10 @@ def _long_double_solve(a, b):
     return aug[:, n:]
 
 
-def direct_scatter_long_double(z, n_s, omega, y_s, p, alpha_p, alpha_c):
+def direct_scatter_long_double(z, n_s, w, y_s, p, alpha_p, alpha_c):
     """``(Z e)(Z e).T + alpha_p D D.T + alpha_c R R.T`` from the residual factors, in long double.
 
+    ``e`` weighs each source by its class weight in ``w``,
     ``D = (Z_s Y_s)(G_s + eps_s I)^-1 P - Z_t`` and
     ``R = Z - (Z Y)(G + eps I)^-1 Y.T``, with the ridges the code takes.
     """
@@ -381,7 +389,8 @@ def direct_scatter_long_double(z, n_s, omega, y_s, p, alpha_p, alpha_c):
     gram_s = y_s.T @ y_s
     y = np.vstack([y_s, p.T])
     gram = y.T @ y
-    eps_s, eps = _ridge_eps(gram_s, soft_mass), _ridge_eps(gram, soft_mass)
+    eps_s, eps = (_ridge_eps(np.diag(g), soft_mass) for g in (gram_s, gram))
+    omega = y_s @ w
     z, omega, y_s, p, y = (np.asarray(v, dtype=np.longdouble) for v in (z, omega, y_s, p, y))
     z_s, z_t = z[:, :n_s], z[:, n_s:]
     ze = z_s @ omega / omega.sum() - z_t.mean(axis=1)
@@ -391,7 +400,7 @@ def direct_scatter_long_double(z, n_s, omega, y_s, p, alpha_p, alpha_c):
     return np.outer(ze, ze) + alpha_p * (d @ d.T) + alpha_c * (r @ r.T)
 
 
-def test_alignment_scatter_matches_long_double_direct_form():
+def test_scatter_factors_match_long_double_direct_form():
     # The cached part Zc Zc.T and the per-round update cancel each other
     # where the classes explain most of the spread; taken on centred data,
     # with the mean in its own columns, the sum stays within 1e-12 of the
@@ -415,18 +424,18 @@ def test_alignment_scatter_matches_long_double_direct_form():
             p[0] = 0.0
             p /= p.sum(axis=0)
         ridged += bool((p.sum(axis=1) < 1e-8).any())
-        omega = rng.random(n_s) + 0.1
+        w = rng.random(c) + 0.1
         alpha_p, alpha_c = [(1.0, 1.0), (0.0, 1.3), (0.7, 0.0), (2.5, 0.4)][i % 4]
         for offset in (0.0, 300.0, 3000.0):
             z = np.hstack([x_s, x_t]) + offset
-            want = direct_scatter_long_double(z, n_s, omega, y_s, p, alpha_p, alpha_c)
-            got = factored_scatter(z, n_s, omega, y_s, p, alpha_p, alpha_c)
+            want = direct_scatter_long_double(z, n_s, w, y_s, p, alpha_p, alpha_c)
+            got = factored_scatter(z, n_s, w, y_s, p, alpha_p, alpha_c)
             err = np.linalg.norm((got - want).astype(float)) / np.linalg.norm(want.astype(float))
             assert err <= 1e-12, (i, offset, err)
     assert ridged >= 16
 
 
-def test_compute_class_weights_normalizes():
+def test_class_weights_are_normalized_row_sums():
     # the soft labels' row sums over their total
     p = np.array([[0.9, 0.6], [0.1, 0.4]])
     w = _class_weights(p, 0.0)
@@ -434,7 +443,7 @@ def test_compute_class_weights_normalizes():
     assert w.sum() == pytest.approx(1.0)
 
 
-def test_binarize_weights_threshold_and_idempotence():
+def test_class_weights_threshold_and_mask_idempotence():
     # class proportions 0.8, 0.1999 and 0.0001; only the last is at or below delta
     p = np.array([[0.8, 0.8], [0.1999, 0.1999], [0.0001, 0.0001]])
     out = _class_weights(p, 1e-3)
@@ -446,12 +455,12 @@ def test_binarize_weights_threshold_and_idempotence():
     assert np.array_equal(_class_weights(masked, 1e-3) > 0, out > 0)
 
 
-def test_binarize_weights_delta_zero_keeps_strictly_positive():
+def test_class_weights_delta_zero_keeps_strictly_positive():
     out = _class_weights(np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]]), 0.0)
     assert np.array_equal(out > 0, [True, False, True])
 
 
-def test_binarize_weights_all_masked_is_configuration_error():
+def test_class_weights_all_masked_is_configuration_error():
     with pytest.raises(ConfigurationError, match=r"^no class survives threshold delta=0\.9 "):
         _class_weights(np.array([[0.4], [0.6]]), 0.9)
     # reached from the loop: no class holds half of the default benchmark's targets
@@ -527,17 +536,40 @@ def test_masking_invariants(case):
 
     y = np.eye(out.size)[np.arange(len(source_deg)) % out.size]
     try:
-        soft, _ = propagate_labels(on_circle(source_deg), on_circle(target_deg), sigma, y,
-                                   y @ out)
+        soft, _ = propagate_labels(on_circle(source_deg), on_circle(target_deg), sigma, y, out)
     except NumericalError:  # every target cut off from the surviving sources
         reject()
     assert np.all(soft[masked_rows] == 0.0)
 
 
-def test_ridge_solve_singular_after_ridge_is_numerical_error():
-    # an all-zero Gram has mean diagonal 0, so the ridge vanishes too
-    with pytest.raises(NumericalError, match="singular"):
-        solve_gram_system(np.zeros((3, 3)), np.eye(3), eps=0.0)
+def weighted_outcome(x_s, y_s, x_t, p, w, data, sigma):
+    """Bits of ``solve_projection`` and of the graph it embeds, or the error text."""
+    proj = solve_projection(data, w, p)
+    try:
+        soft, fallbacks = propagate_labels(proj.a.T @ x_s, proj.a.T @ x_t, sigma, y_s, w)
+    except NumericalError as exc:
+        soft, fallbacks = str(exc), None
+    soft = soft if isinstance(soft, str) else soft.tobytes()
+    return proj.a.tobytes(), proj.eigenvalues.tobytes(), proj.objective, soft, fallbacks
+
+
+@given(st.integers(0, 2**16), st.integers(-60, 60))
+@example(0, 60)
+@example(0, -60)
+def test_class_weights_count_only_relative_to_each_other(seed, s):
+    # both stages read the class weights only as ratios: scaled by 2**s
+    # they give the projection, eigenvalues, objective, soft labels and
+    # fallback count of the unscaled ones, bit for bit, masked classes and all
+    rng = np.random.default_rng(seed)
+    x_s, y_s, x_t, p = random_instance(rng)
+    c = y_s.shape[1]
+    w = rng.random(c) * (rng.random(c) > 0.3)
+    w[rng.integers(c)] = rng.random() + 0.01  # some class survives
+    p, _ = apply_mask(p, w)
+    data = gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=int(rng.integers(1, x_s.shape[0] + 1))))
+    sigma = float(rng.choice([0.02, 0.3, 1.0]))
+    want = weighted_outcome(x_s, y_s, x_t, p, w, data, sigma)
+    assert weighted_outcome(x_s, y_s, x_t, p, np.ldexp(w, s), data, sigma) == want
 
 
 def test_center_operators_shape_mismatch():

@@ -65,10 +65,10 @@ def test_graph_surface_is_pinned():
 
 def test_subspace_surface_is_pinned():
     # one call per round: solve_projection checks its inputs, builds its
-    # factors and returns the objective; solve_gram_system is the ridge
-    # solve the dense oracles share with it
+    # factors and returns the objective; the dense oracles solve their
+    # class-indicator systems themselves
     assert public_definitions(partialda.subspace) == [
-        "Projection", "WhitenedData", "gram_matrix", "solve_gram_system", "solve_projection"]
+        "Projection", "WhitenedData", "gram_matrix", "solve_projection"]
 
 
 def test_pipeline_surface_is_pinned():

@@ -69,6 +69,29 @@ def test_make_one_hot_rejects_a_missing_class_before_allocating():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("num_classes, message", [
+    (3.0, None),
+    (np.float64(3.0), None),
+    (np.int64(3), None),
+    (2.5, "num_classes must be an integer, got 2.5"),
+    (np.nan, "num_classes must be an integer, got nan"),
+    (np.inf, "num_classes must be an integer, got inf"),
+    ("3", "num_classes must be a number, got '3'"),
+    (None, "num_classes must be a number, got None"),
+    (True, "num_classes must be a number, got True"),
+], ids=["3.0", "float64 3.0", "int64 3", "2.5", "nan", "inf", "str", "None", "True"])
+def test_make_one_hot_num_classes_follows_the_integer_field_rule(num_classes, message):
+    # the rule of check_numeric_fields for an int field: an integral float
+    # is taken as its int, and anything else is a ValidationError
+    labels = [0, 2, 1]
+    if message is None:
+        assert np.array_equal(make_one_hot(labels, num_classes), make_one_hot(labels, 3))
+        return
+    with pytest.raises(ValidationError) as exc:
+        make_one_hot(labels, num_classes)
+    assert str(exc.value) == message
+
+
 def test_make_one_hot_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         make_one_hot([], 2)

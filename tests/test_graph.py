@@ -33,7 +33,8 @@ SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
             "try a larger sigma or check graph connectivity")
 NON_FINITE = ("label propagation produced non-finite values; "
               "try a larger sigma or check graph connectivity")
-ALL_ZERO = "sample_weights are all 0: no source sample carries a label"
+ALL_ZERO = "class_weights are all 0: no source sample carries a label"
+NO_SOURCE = "y_s @ class_weights are all 0: no source sample carries a label"
 
 # How far soft labels may stray from the textbook chain's: the row sums
 # are taken and applied in another order
@@ -73,18 +74,13 @@ def outcome(*args):
     return p.shape, p.tobytes(), n_dead
 
 
-def sample_weights(w, y):
-    """Each source sample's class weight, ``y @ w``, as the loop builds them."""
-    return y @ w
-
-
 def textbook_outcome(z_s, z_t, sigma, y, weights=None, classes=None):
-    """What :func:`solved` gives for ``sample_weights(weights, y)``, from the textbook chain.
+    """What :func:`solved` gives for class ``weights``, from the textbook chain.
 
     Soft labels come with the condition number of I - W_tt.
     """
     if weights is not None and not weights[classes].any():
-        return ALL_ZERO
+        return NO_SOURCE if weights.any() else ALL_ZERO
     w_ts, w_tt = textbook_graph(z_s, z_t, sigma)
     n_dead = 0
     if weights is not None:
@@ -210,7 +206,7 @@ def test_reweight_and_propagate_match_textbook_to_their_bounds():
             if not isinstance(want, str) and want[2] > 5e6:
                 ill.append(want[2])
                 tol = ILL_CONDITIONED_TOL
-            assert_near_textbook(solved(z_s, z_t, sigma, y, sample_weights(w, y)), want, tol)
+            assert_near_textbook(solved(z_s, z_t, sigma, y, w), want, tol)
     assert len(ill) == 1 and 6e6 < ill[0] < 7e6
 
 
@@ -238,7 +234,7 @@ def test_propagate_labels_matches_public_chain_to_its_bound():
         y, classes, weightings = weighted_cases(rng, z_s)
         assert_near_textbook(solved(z_s, z_t, sigma, y), textbook_outcome(z_s, z_t, sigma, y))
         for w in weightings:
-            assert_near_textbook(solved(z_s, z_t, sigma, y, sample_weights(w, y)),
+            assert_near_textbook(solved(z_s, z_t, sigma, y, w),
                                  textbook_outcome(z_s, z_t, sigma, y, w, classes))
 
 
@@ -291,9 +287,9 @@ def test_propagate_labels_matches_textbook_on_axis_graphs(case):
     classes = np.array(classes)
     y = np.eye(c)[classes]
     w = None if weights is None else np.array(weights)
-    got = solved(z_s, z_t, sigma, y, *(() if w is None else (sample_weights(w, y),)))
+    got = solved(z_s, z_t, sigma, y, *(() if w is None else (w,)))
     want = textbook_outcome(z_s, z_t, sigma, y, w, classes)
-    if isinstance(want, str) and want != ALL_ZERO:
+    if isinstance(want, str) and want not in (ALL_ZERO, NO_SOURCE):
         # which of the three texts a decoupled group of targets meets
         # depends on the rounding of its exactly singular block
         assert isinstance(got, str) and got.endswith("or check graph connectivity")
@@ -322,7 +318,7 @@ def test_owned_cases_reach_the_edge_paths():
     # an all-zero weighting, which once reached the single-target fallback,
     # is refused before the graph is built
     z_s, z_t, sigma = cases[-3]
-    assert solved(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(5)) == ALL_ZERO
+    assert solved(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(1)) == ALL_ZERO
 
 
 def test_build_graph_gaussian_weights():
@@ -441,7 +437,7 @@ def test_huge_and_tiny_features_give_the_soft_labels_of_unscaled_ones():
     rng = np.random.default_rng(41)
     z_s, z_t = rng.standard_normal((4, 30)), rng.standard_normal((4, 20))
     y = random_labels(rng, 30)
-    w = rng.random(30)
+    w = rng.random(y.shape[1])
     norms = np.linalg.norm(np.hstack([z_s, z_t]), axis=0)
     for scale, edge in ((2.0 ** 249, 2.0 ** 250), (2.0 ** -250, 2.0 ** -250)):
         assert (norms * scale < edge).any() and (norms * scale >= edge).any()
@@ -487,7 +483,7 @@ def test_soft_labels_are_stochastic_repeatable_and_scale_free(case, shift):
     for j, scale in columns:
         z[:, j] *= scale
     y = random_labels(rng, n_s)
-    args = (z[:, :n_s], z[:, n_s:], sigma, y) + ((rng.random(n_s),) if weighted else ())
+    args = (z[:, :n_s], z[:, n_s:], sigma, y) + ((rng.random(y.shape[1]),) if weighted else ())
     got = solved(*args)
     if isinstance(got, str):
         return
@@ -517,7 +513,7 @@ def test_soft_labels_follow_the_targets_order(case, order):
         z[:, j] *= scale
         plain[:, j] *= bool(scale)
     y = random_labels(rng, n_s)
-    weights = (rng.random(n_s),) if weighted else ()
+    weights = (rng.random(y.shape[1]),) if weighted else ()
     perm = np.random.default_rng(order).permutation(n_t)
     try:
         p, n_dead = propagate_labels(z[:, :n_s], z[:, n_s:], sigma, y, *weights)
@@ -529,7 +525,7 @@ def test_soft_labels_follow_the_targets_order(case, order):
     assert q_dead == n_dead
     w_ts, w_tt = textbook_graph(plain[:, :n_s], plain[:, n_s:], sigma)
     if weighted:
-        w_tt = textbook_reweight(w_ts, w_tt, weights[0], np.arange(n_s))[1]
+        w_tt = textbook_reweight(w_ts, w_tt, weights[0], y.argmax(axis=1))[1]
     cond = np.linalg.cond(np.eye(n_t) - w_tt)
     assert cond < MAX_COND
     assert np.abs(p[:, perm] - q).max() <= 2 * max(TEXTBOOK_TOL, np.finfo(float).eps * cond)
@@ -582,7 +578,7 @@ def test_propagate_permutation_equivariance():
         z_t = in_plane(n_t)
         z_t[:, -1] = [0.0, 0.0, 1.0]
         perm = rng.permutation(n_t)
-        for weights, fallbacks in ((None, 0), (sample_weights([0.0, 0.5, 1.0, 0.7], y), 1)):
+        for weights, fallbacks in ((None, 0), (np.array([0.0, 0.5, 1.0, 0.7]), 1)):
             p1, f1 = propagate_labels(z_s, z_t, sigma, y, weights)
             p2, f2 = propagate_labels(z_s, z_t[:, perm], sigma, y, weights)
             assert f1 == f2 == fallbacks
@@ -610,7 +606,7 @@ def test_propagate_labels_singular_system_error_text():
     z_t = np.eye(2)[:, [0, 0]]
     w = np.array([0.0, 1.0])
     with pytest.raises(NumericalError) as exc:
-        propagate_labels(z_s, z_t, 0.02, np.eye(2), sample_weights(w, np.eye(2)))
+        propagate_labels(z_s, z_t, 0.02, np.eye(2), w)
     assert str(exc.value) == SINGULAR
     assert textbook_outcome(z_s, z_t, 0.02, np.eye(2), w, np.array([0, 1])) == SINGULAR
 
@@ -665,7 +661,7 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
     monkeypatch.setattr(partialda.graph, "_affinity_blocks", no_buffers)
     ok = np.ones((2, 3))
     y = np.eye(3)
-    omega = np.array([0.8, 0.2, 0.8])
+    w = np.array([0.8, 0.2, 0.8])
     rows = ("label matrix has shape (4, 4), expected (3, C): "
             "one row per source sample, one column per class")
     source_nan, target_nan = (f"{side} features contains NaN or Inf entries"
@@ -677,27 +673,31 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok, np.ones((2, 0)), 0.5, y), "target features must be non-empty, got shape (2, 0)"),
         ((np.ones((0, 3)), np.ones((0, 3)), 0.5, y),
          "source features must be non-empty, got shape (0, 3)"),
-        ((ok, ok, 0.5, y, omega[:1]), "sample_weights has shape (1,), expected (3,)"),
-        ((ok, ok, 0.5, y, omega[None, :]), "sample_weights has shape (1, 3), expected (3,)"),
-        ((ok, ok, 0.5, y, [0.8, -0.2, 0.8]), "sample_weights must be non-negative"),
-        ((ok, ok, 0.5, y, [0.8, np.nan, 0.8]), "sample_weights contains NaN or Inf entries"),
-        ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "sample_weights contains NaN or Inf entries"),
+        ((ok, ok, 0.5, y, w[:1]), "class_weights has shape (1,), expected (3,)"),
+        ((ok, ok, 0.5, y, w[None, :]), "class_weights has shape (1, 3), expected (3,)"),
+        ((ok, ok, 0.5, y, [0.8, -0.2, 0.8]), "class_weights must be non-negative"),
+        ((ok, ok, 0.5, y, [0.8, np.nan, 0.8]), "class_weights contains NaN or Inf entries"),
+        ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "class_weights contains NaN or Inf entries"),
         ((ok, ok, 0.5, y, [0.0, 0.0, 0.0]), ALL_ZERO),
+        # weights only on a class without a source sample, or labels that
+        # turn valid class weights negative
+        ((ok, ok, 0.5, y[[0, 1, 0]], [0.0, 0.0, 0.8]), NO_SOURCE),
+        ((ok, ok, 0.5, -y, w), "y_s @ class_weights must be non-negative"),
         ((ok, ok, 0.5, np.eye(4)), rows),
         ((ok, ok, 0.5, np.zeros(3)), "label matrix has shape (3,), expected (3, C): "
          "one row per source sample, one column per class"),
-        ((ok, ok, 0.5, np.eye(4), omega), rows),
+        ((ok, ok, 0.5, np.eye(4), w), rows),
         ((ok * np.nan, ok, 0.5, y), source_nan),
         ((ok, ok * np.inf, 0.5, y), target_nan),
-        ((ok, ok * -np.inf, 0.5, y, omega), target_nan),
+        ((ok, ok * -np.inf, 0.5, y, w), target_nan),
         ((ok, ok, 0.5, y * np.nan), "label matrix contains NaN or Inf entries"),
-        ((ok, ok, 0.5, np.where(y > 0, np.inf, y), omega),
+        ((ok, ok, 0.5, np.where(y > 0, np.inf, y), w),
          "label matrix contains NaN or Inf entries"),
     ):
         with pytest.raises(ValidationError) as exc:
             propagate_labels(*args)
         assert str(exc.value) == message
-    assert_kernel_reached((ok, ok, 0.5, y, omega))
+    assert_kernel_reached((ok, ok, 0.5, y, w))
 
 
 @pytest.mark.parametrize("sigma", [True, None, "0.1", np.nan, 0, -1])
@@ -731,7 +731,7 @@ def test_reweight_uniform_weights_is_identity():
         c = y.shape[1]
         w = np.full(c, 1.0 / c)
         p1, _ = propagate_labels(z_s, z_t, 0.5, y)
-        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, y @ w)
+        p2, n_dead = propagate_labels(z_s, z_t, 0.5, y, w)
         assert n_dead == 0
         assert np.abs(p1 - p2).max() <= 1e-12
 
@@ -744,7 +744,7 @@ def test_reweight_masked_class_columns_become_zero():
     classes = np.array([0, 1, 2, 0, 1, 2])
     w = np.array([0.8, 0.0, 0.2])
     y = np.eye(3)[classes]
-    p, n_dead = propagate_labels(z_s, z_t, 0.5, y, y @ w)
+    p, n_dead = propagate_labels(z_s, z_t, 0.5, y, w)
     assert n_dead == 0
     assert np.all(p[1] == 0.0)
     assert np.all(p[[0, 2]] > 0.0)
@@ -784,15 +784,15 @@ def test_reweight_validation(monkeypatch):
     monkeypatch.setattr(partialda.graph, "_affinity_blocks", no_buffers)
     args = (np.eye(2), np.ones((2, 1)), 0.1, np.eye(2))
     assert_kernel_reached(args + (np.array([0.8, 0.2]),))
-    for omega, message in (
-        (np.array([0.8]), r"sample_weights has shape \(1,\), expected \(2,\)"),
-        (np.array([0.8, 0.2, 0.0]), r"sample_weights has shape \(3,\), expected \(2,\)"),
-        (np.array([-0.1, 0.2]), "sample_weights must be non-negative"),
-        (np.array([np.nan, 0.2]), "sample_weights contains NaN or Inf entries"),
-        (np.array([0.8, -np.inf]), "sample_weights contains NaN or Inf entries"),
+    for w, message in (
+        (np.array([0.8]), r"class_weights has shape \(1,\), expected \(2,\)"),
+        (np.array([0.8, 0.2, 0.0]), r"class_weights has shape \(3,\), expected \(2,\)"),
+        (np.array([-0.1, 0.2]), "class_weights must be non-negative"),
+        (np.array([np.nan, 0.2]), "class_weights contains NaN or Inf entries"),
+        (np.array([0.8, -np.inf]), "class_weights contains NaN or Inf entries"),
     ):
         with pytest.raises(ValidationError, match=message):
-            propagate_labels(*args, omega)
+            propagate_labels(*args, w)
 
 
 def read_only(a, order):
@@ -815,10 +815,9 @@ def test_propagate_labels_leaves_its_inputs_unchanged():
         assert z_s.flags.f_contiguous == (order == "F")
         for mask in (None, np.array([1.0, 0.0, 1.0]), np.zeros(3)):  # last: dead rows
             w = None if mask is None else np.array([0.8, 0.1, 0.2]) * mask
-            omega = None if w is None else sample_weights(w, y)
-            inputs = [z_s, z_t, y] + ([] if w is None else [omega])
+            inputs = [z_s, z_t, y] + ([] if w is None else [w])
             before = [a.tobytes() for a in inputs]
-            args = (z_s, z_t, 0.5, y) if w is None else (z_s, z_t, 0.5, y, omega)
+            args = (z_s, z_t, 0.5, y) if w is None else (z_s, z_t, 0.5, y, w)
             try:
                 propagate_labels(*args)
             except ValidationError:  # every class masked
@@ -886,7 +885,7 @@ def test_multi_block_matches_textbook_and_fixed_point():
                 p, n_dead = propagate_labels(z_s, z_t, sigma, y)
                 g_ts, g_tt, want_dead = w_ts, w_tt, 0
             else:
-                p, n_dead = propagate_labels(z_s, z_t, sigma, y, sample_weights(w, y))
+                p, n_dead = propagate_labels(z_s, z_t, sigma, y, w)
                 g_ts, g_tt, want_dead = textbook_reweight(w_ts, w_tt, w, classes)
             assert n_dead == want_dead
             assert np.abs(p - textbook_propagate(g_ts, g_tt, y)).max() <= 1e-12
@@ -932,7 +931,7 @@ def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
     # without numpy's dgesv, np.linalg.solve factors a copy of the same
     # Fortran-ordered system: the same bits and the same fallback counts
     rng = np.random.default_rng(42)
-    cases = [(z_s, z_t, sigma, y, *(() if w is None else (sample_weights(w, y),)))
+    cases = [(z_s, z_t, sigma, y, *(() if w is None else (w,)))
              for z_s, z_t, sigma, y, _ in edge_cases(rng)
              for w in WEIGHTINGS]
     cases += [(z_s, z_t, sigma, random_labels(rng, z_s.shape[1]))
@@ -951,7 +950,7 @@ def test_singular_system_error_text_on_both_paths(monkeypatch, path):
     assert w_tt[LONELY[0], LONELY[-1]] == w_tt[LONELY[-1], LONELY[0]] == 1.0
     small = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]]), 0.02,
              np.eye(2))
-    for args in ((z_s, z_t, sigma, y), (z_s, z_t, sigma, y, np.ones(y.shape[0])), small):
+    for args in ((z_s, z_t, sigma, y), (z_s, z_t, sigma, y, np.ones(y.shape[1])), small):
         with pytest.raises(NumericalError) as exc:
             propagate_labels(*args)
         assert str(exc.value) == SINGULAR
@@ -969,7 +968,7 @@ def test_targets_without_source_mass_fail_loudly():
     z_s = np.eye(3)[:, classes] + 0.01 * rng.standard_normal((3, 20))
     z_t = np.eye(3)[:, on_t] + 0.01 * rng.standard_normal((3, 300))
     y, w = np.eye(2)[classes], np.array([1.0, 0.0])
-    got = solved(z_s, z_t, 0.02, y, sample_weights(w, y))
+    got = solved(z_s, z_t, 0.02, y, w)
     assert got.startswith("180 of 300 targets receive too little source mass (target 100: ")
     assert got == textbook_outcome(z_s, z_t, 0.02, y, w, classes)
 
@@ -999,7 +998,7 @@ def working_set_cases(rng):
         z_s, z_t = rng.standard_normal((d, n_s)), rng.standard_normal((d, n_t))
         y = random_labels(rng, n_s)
         yield z_s, z_t, 0.5, y
-        yield z_s, z_t, 0.5, y, rng.random(n_s)
+        yield z_s, z_t, 0.5, y, rng.random(y.shape[1])
     # the graph of test_subnormal_affinities_keep_their_weighted_mass, at
     # d = 302: every target's unit column over sigma is built twice
     e = np.eye(2 + 300)

@@ -140,7 +140,7 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     # again for the condition number in its message; an eigensolver that
     # scribbles on the pencil before it fails shows that the number is that
     # of the pencil as the eigensolver received it
-    data, _, labels = solver_instance(np.random.default_rng(54))
+    data, _, _, labels = solver_instance(np.random.default_rng(54))
     data = with_k(data, 2)
     received = []
 
@@ -246,7 +246,7 @@ def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypat
 
     monkeypatch.setattr(subspace, "inv_cholesky", scribbling)
     with pytest.raises(NumericalError) as failed:
-        subspace.gram_matrix(x[:, :8], x[:, 8:], AdaptationConfig(k=2))
+        subspace.gram_matrix(x[:, :8], np.eye(8), x[:, 8:], AdaptationConfig(k=2))
     assert str(failed.value) == (
         f"constraint side is not positive definite (cond rhs "
         f"{np.linalg.cond(received[-1]):.3e}): Matrix is not positive definite")
@@ -267,7 +267,7 @@ def test_fallbacks_agree_on_factored_instances(monkeypatch, rhs_reg, full_rank):
     fast = instances()
     monkeypatch.setattr(_lapack, "_lookup", dict)
     slow = instances()
-    for (p_fast, d_fast, _, (lhs, rhs)), (p_slow, d_slow, _, _) in zip(fast, slow):
+    for (p_fast, d_fast, _, _, (lhs, rhs)), (p_slow, d_slow, *_) in zip(fast, slow):
         bound = 4 * lhs.shape[0] * EPS * np.sqrt(np.linalg.cond(rhs))
         assert np.abs(d_fast.l_inv - d_slow.l_inv).max() <= bound * np.abs(d_slow.l_inv).max()
         for proj in (p_fast, p_slow):

@@ -234,14 +234,15 @@ def test_graph_working_set_stays_below_two_target_squares():
 
 def test_subspace_working_set_stays_below_three_squares_of_the_dimension():
     # At a d-heavy shape the projection's arrays outweigh the graph.  The
-    # loop keeps four per-run arrays (L^-1 (d x d), the whitened centred
-    # data (d x n), its mean and the invariant pencil base (d x d)) plus one
-    # d x d pencil buffer that the eigensolver works in; each round adds
-    # only the (d, 3C + 4) scatter factor and the k-dimensional graph, and
-    # the factoring holds two d x n arrays for a moment.  So the traced peak
-    # stays below 3 d^2 + 2 d n doubles plus the graph's 8 (n_t^2 + 256 n)
-    # bytes.  Rebuilding the scatter from the stacked and whitened data each
-    # round took 3 d n + 4 d^2 (R, R R.T and a copy of the pencil).
+    # loop keeps five per-run arrays (L^-1 (d x d), the whitened centred
+    # data (d x n), its mean, its (d, C) class sums and the invariant pencil
+    # base (d x d)) plus one d x d pencil buffer that the eigensolver works
+    # in; each round adds only the (d, 3C + 4) scatter factor and the
+    # k-dimensional graph, and the factoring holds two d x n arrays for a
+    # moment.  So the traced peak stays below 3 d^2 + 2 d n doubles plus
+    # the graph's 8 (n_t^2 + 256 n) bytes.  Rebuilding the scatter from the
+    # stacked and whitened data each round took 3 d n + 4 d^2 (R, R R.T and
+    # a copy of the pencil).
     data = generate_synthetic(SyntheticSpec(dim=384, samples_per_class_source=25,
                                             samples_per_class_target=40))
     y_s = make_one_hot(data.y_s, num_classes=10)

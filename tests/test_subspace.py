@@ -26,6 +26,8 @@ from tests.test_alignment import random_instance
 EPS = np.finfo(float).eps
 # gram_matrix's knobs without the alignment terms: its pencil is the ridge alone
 RIDGE_ONLY = AdaptationConfig(k=1, alpha_p=0.0, alpha_c=0.0)
+# labels for the first two columns, the source samples of the hand-made instances
+Y2 = np.eye(2)
 
 
 def with_k(data, k):
@@ -34,22 +36,23 @@ def with_k(data, k):
 
 
 def labelled_data(rng, x_s, y_s, x_t, p):
-    """Data, the dense combined M and the labels ``(omega, y_s, p)`` it is built from.
+    """Data, the features ``Z = [X_s | X_t]``, the dense combined M and the labels ``(w, p)``.
 
-    ``gram_matrix`` gets the same two weights as the dense ``combine``, so
+    ``gram_matrix`` gets the same two weights as the dense ``combine``, and
+    ``M0`` the class weights ``w`` of each source sample, so
     ``solve_projection(with_k(data, k), *labels)`` solves the pencil of ``M``.
     """
-    omega = rng.random(x_s.shape[1]) + 0.1
+    w = rng.random(y_s.shape[1]) + 0.1
     alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
     m_all = combine(
-        build_m0(omega, x_t.shape[1]),
+        build_m0(y_s @ w, x_t.shape[1]),
         build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
         alpha_p,
         alpha_c,
     )
-    data = gram_matrix(x_s, x_t, AdaptationConfig(k=1, alpha_p=alpha_p, alpha_c=alpha_c))
-    return data, m_all, (omega, y_s, p)
+    data = gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=1, alpha_p=alpha_p, alpha_c=alpha_c))
+    return data, np.hstack([x_s, x_t]), m_all, (w, p)
 
 
 def solver_instance(rng):
@@ -81,14 +84,8 @@ def conditioned_instance(rng):
     return labelled_data(rng, x_s, y_s, x_t, p)
 
 
-def stacked(data):
-    """The features ``Z = [X_s | X_t]`` that gram_matrix keeps as two blocks."""
-    return np.hstack([data.x_s, data.x_t])
-
-
-def dense_pencil(data, m_all, lam):
+def dense_pencil(z, m_all, lam):
     """The dense lhs and rhs of the pencil that gram_matrix factors, at its current _RHS_REG."""
-    z = stacked(data)
     n = z.shape[1]
     zhz = z @ centering_matrix(n) @ z.T
     lhs = z @ m_all @ z.T + lam * np.eye(z.shape[0])
@@ -101,18 +98,18 @@ def factored_instance(rng, full_rank=None):
 
     full_rank=True keeps n >= d + 2 samples, so the raw constraint side
     is nonsingular before its ridge; False keeps n <= d, so it is
-    singular.  Returns the projection, the data, the dense combined M and
-    the dense pencil.
+    singular.  Returns the projection, the data, the features ``Z = [X_s |
+    X_t]``, the dense combined M and the dense pencil.
     """
     while True:
         x_s, y_s, x_t, p = random_instance(rng)
         d, n = x_s.shape[0], x_s.shape[1] + x_t.shape[1]
         if full_rank is None or (n >= d + 2 if full_rank else n <= d):
             break
-    omega = rng.random(x_s.shape[1]) + 0.1
+    w = rng.random(y_s.shape[1]) + 0.1
     alpha_p, alpha_c = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0))
     m_all = combine(
-        build_m0(omega, x_t.shape[1]),
+        build_m0(y_s @ w, x_t.shape[1]),
         build_mp(build_center_operators(y_s, p)),
         build_mc(y_s, p),
         alpha_p,
@@ -120,10 +117,11 @@ def factored_instance(rng, full_rank=None):
     )
     lam = 0.1
     k = int(rng.integers(1, min(d, n - 1, 5) + 1))  # below the constraint side's null space
-    data = gram_matrix(x_s, x_t, AdaptationConfig(k=k, lam=lam, alpha_p=alpha_p,
-                                                  alpha_c=alpha_c))
-    proj = solve_projection(data, omega, y_s, p)
-    return proj, data, m_all, dense_pencil(data, m_all, lam)
+    data = gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=k, lam=lam, alpha_p=alpha_p,
+                                                       alpha_c=alpha_c))
+    proj = solve_projection(data, w, p)
+    z = np.hstack([x_s, x_t])
+    return proj, data, z, m_all, dense_pencil(z, m_all, lam)
 
 
 def assert_matches_dense_eigh(phi, a, lhs, rhs, singular=False):
@@ -171,17 +169,25 @@ def test_gram_matrix_passes_features_through():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((6, 4))
     x_s, x_t = x[:, :3], x[:, 3:]
-    raw = gram_matrix(x_s, x_t, RIDGE_ONLY)
-    assert raw.x_s is x_s and raw.x_t is x_t  # kept as given, never stacked
+    y_s = np.eye(2)[[0, 1, 0]]
+    raw = gram_matrix(x_s, y_s, x_t, RIDGE_ONLY)
     assert raw.config is RIDGE_ONLY
+    # the source labels, checked once per run, kept with their class counts
+    # and whitened class sums
+    assert raw.y_s is y_s and np.array_equal(raw.counts, [2.0, 1.0])
+    assert np.array_equal(raw.class_sums, raw.centred[:, :3] @ y_s)
     with pytest.raises(ValidationError, match="2-dimensional"):
-        gram_matrix(x[0], x_t, RIDGE_ONLY)
+        gram_matrix(x[0], y_s, x_t, RIDGE_ONLY)
     with pytest.raises(ValidationError, match="dimensions differ"):
-        gram_matrix(x_s, x_t[1:], RIDGE_ONLY)
+        gram_matrix(x_s, y_s, x_t[1:], RIDGE_ONLY)
+    with pytest.raises(ValidationError, match=r"^label matrix has 2 rows, expected 3 "):
+        gram_matrix(x_s, y_s[1:], x_t, RIDGE_ONLY)
+    with pytest.raises(ValidationError, match="^class 1 has no samples$"):
+        gram_matrix(x_s, np.eye(2)[[0, 0, 0]], x_t, RIDGE_ONLY)
     # k fits d or the data are refused, as adapt refuses them
-    gram_matrix(x_s, x_t, replace(RIDGE_ONLY, k=6))
+    gram_matrix(x_s, y_s, x_t, replace(RIDGE_ONLY, k=6))
     with pytest.raises(ConfigurationError, match="^k=7 exceeds the feature dimension 6$"):
-        gram_matrix(x_s, x_t, replace(RIDGE_ONLY, k=7))
+        gram_matrix(x_s, y_s, x_t, replace(RIDGE_ONLY, k=7))
 
 
 def test_generalized_eigh_diagonal_case():
@@ -230,8 +236,7 @@ def test_generalized_eigh_matches_full_spectrum():
 def test_solve_projection_residual_and_constraint():
     rng = np.random.default_rng(21)
     for _ in range(40):
-        data, m_all, labels = conditioned_instance(rng)
-        z = stacked(data)
+        data, z, m_all, labels = conditioned_instance(rng)
         n = z.shape[1]
         lam = 0.1
         k = max(1, z.shape[0] // 2)
@@ -255,8 +260,7 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
     rng = np.random.default_rng(22)
     hits = 0
     for _ in range(20):
-        data, m_all, _ = conditioned_instance(rng)
-        z = stacked(data)
+        _, z, m_all, _ = conditioned_instance(rng)
         lam = 0.1
         d = z.shape[0]
         if d < 4:
@@ -280,7 +284,7 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
-    data, _, labels = solver_instance(rng)
+    data, _, _, labels = solver_instance(rng)
     k = max(1, data.l_inv.shape[0] // 2)
     data = with_k(data, k)
     p1 = solve_projection(data, *labels)
@@ -295,7 +299,7 @@ def test_solve_projection_deterministic_and_signed():
 def test_each_solve_builds_a_pencil_of_its_own(monkeypatch):
     # the eigensolver overwrites the pencil it is given, so two solves on
     # one data share no memory with each other or with the cached base
-    data, _, labels = solver_instance(np.random.default_rng(55))
+    data, _, _, labels = solver_instance(np.random.default_rng(55))
     received = []
 
     def recording(a, k):
@@ -313,40 +317,42 @@ def test_each_solve_builds_a_pencil_of_its_own(monkeypatch):
 def test_solve_projection_k_too_large():
     # k is checked against d once, when the data are factored, not every round
     rng = np.random.default_rng(24)
-    data, _, labels = solver_instance(rng)
-    d = data.l_inv.shape[0]
+    data, z, _, labels = solver_instance(rng)
+    d, n_s = data.l_inv.shape[0], data.y_s.shape[0]
     assert solve_projection(with_k(data, d), *labels).a.shape == (d, d)
     with pytest.raises(ConfigurationError, match=f"^k={d + 1} exceeds the feature dimension {d}$"):
-        gram_matrix(data.x_s, data.x_t, replace(data.config, k=d + 1))
+        gram_matrix(z[:, :n_s], data.y_s, z[:, n_s:], replace(data.config, k=d + 1))
 
 
 def test_solve_projection_shape_mismatch():
     rng = np.random.default_rng(25)
-    data, _, (omega, y_s, p) = solver_instance(rng)
+    data, _, _, (w, p) = solver_instance(rng)
     with pytest.raises(ValidationError, match="shapes"):
-        solve_projection(data, omega, y_s, p[:, 1:])
+        solve_projection(data, w, p[:, 1:])
     with pytest.raises(ValidationError, match="shapes"):
-        solve_projection(data, omega[1:], y_s[1:], p)
+        solve_projection(data, w, p[1:])
 
 
 def test_solve_projection_degenerate_data_is_numerical_error():
     # identical samples: centering removes everything, no variance remains
     # the constraint side is factored once, in gram_matrix, so it raises there
     x = np.ones((3, 5))
-    labels = (np.ones(2), np.eye(2), np.full((2, 3), 0.5))
+    y_s = np.eye(2)
+    labels = (np.ones(2), np.full((2, 3), 0.5))
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(x[:, :2], x[:, 2:], replace(RIDGE_ONLY, k=2)), *labels)
+        solve_projection(gram_matrix(x[:, :2], y_s, x[:, 2:], replace(RIDGE_ONLY, k=2)),
+                         *labels)
     with pytest.raises(NumericalError, match="no variance"):
-        solve_projection(gram_matrix(np.zeros((2, 2)), np.zeros((2, 2)), RIDGE_ONLY),
-                         *labels[:2], np.full((2, 2), 0.5))
+        solve_projection(gram_matrix(np.zeros((2, 2)), y_s, np.zeros((2, 2)), RIDGE_ONLY),
+                         labels[0], np.full((2, 2), 0.5))
     # the variance is judged against the data's own scale: constant data is
     # refused however small, and a trace that overflows is named as such
     for scale in (2.0 ** -600, 2.0 ** 600):
         with pytest.raises(NumericalError, match="no variance"):
-            gram_matrix(scale * x[:, :2], scale * x[:, 2:], RIDGE_ONLY)
+            gram_matrix(scale * x[:, :2], y_s, scale * x[:, 2:], RIDGE_ONLY)
     spread = np.arange(15.0).reshape(3, 5)
     with pytest.raises(NumericalError, match=r"^centered data overflows \(trace inf\); "):
-        gram_matrix(1e155 * spread[:, :2], 1e155 * spread[:, 2:], RIDGE_ONLY)
+        gram_matrix(1e155 * spread[:, :2], y_s, 1e155 * spread[:, 2:], RIDGE_ONLY)
 
 
 def test_generalized_eigh_singular_rhs_is_numerical_error():
@@ -357,8 +363,7 @@ def test_generalized_eigh_singular_rhs_is_numerical_error():
 
 def test_objective_matches_trace_identity():
     rng = np.random.default_rng(27)
-    data, m_all, labels = solver_instance(rng)
-    z = stacked(data)
+    data, z, m_all, labels = solver_instance(rng)
     proj = solve_projection(with_k(data, 2), *labels)
     want = float(
         np.trace(proj.a.T @ z @ m_all @ z.T @ proj.a) + 0.1 * np.sum(proj.a ** 2)
@@ -375,8 +380,8 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
         x_s, x_t = x[:, :2], x[:, 2:]
         for rhs_reg in (1e-4, 1e-10):
             monkeypatch.setattr(subspace, "_RHS_REG", rhs_reg)
-            data = gram_matrix(x_s, x_t, knobs)
-            z, n = stacked(data), shape[1]
+            data = gram_matrix(x_s, Y2, x_t, knobs)
+            z, n = x, shape[1]
             l_inv = data.l_inv
             # dtrtri leaves exact zeros above the diagonal; np.linalg.inv's LU need not
             if "dtrtri" in _lapack._lookup():
@@ -391,7 +396,7 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
             # L^-1 rhs L^-T ~ 1e-6 off I and the small entries of lam L^-1 L^-T
             # without 13 correct digits of their own
             if rhs_reg == 1e-4:
-                _, rhs = dense_pencil(data, np.zeros((n, n)), 0.3)
+                _, rhs = dense_pencil(z, np.zeros((n, n)), 0.3)
                 assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
                 assert np.allclose(data.base, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
             # with alignment weights, base adds their round-invariant part,
@@ -399,7 +404,7 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
             l_ld = l_inv.astype(np.longdouble)
             wc = l_ld @ (z - z.mean(axis=1, keepdims=True)).astype(np.longdouble)
             want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + 0.3 * l_ld @ l_ld.T
-            got = gram_matrix(x_s, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
+            got = gram_matrix(x_s, Y2, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     # the knobs were checked when the AdaptationConfig was built
     # (tests/test_core.py); each feature matrix is checked before anything is factored
@@ -409,11 +414,11 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
             args[i][0, 0] = bad
             with pytest.raises(ValidationError,
                                match=f"^{side} features contains NaN or Inf entries$"):
-                gram_matrix(*args, RIDGE_ONLY)
+                gram_matrix(args[0], Y2, args[1], RIDGE_ONLY)
     x[2] = 0.0  # a feature without variance leaves a zero pivot when _RHS_REG is 0
     monkeypatch.setattr(subspace, "_RHS_REG", 0.0)
     with pytest.raises(NumericalError, match="cond"):
-        gram_matrix(x_s, x_t, RIDGE_ONLY)
+        gram_matrix(x_s, Y2, x_t, RIDGE_ONLY)
 
 
 def test_solve_projection_matches_dense_eigh_raw(monkeypatch):
@@ -421,7 +426,7 @@ def test_solve_projection_matches_dense_eigh_raw(monkeypatch):
     rng = np.random.default_rng(30)
     for i in range(80):
         monkeypatch.setattr(subspace, "_RHS_REG", 1e-6 if i % 2 else 1e-10)
-        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=True)
+        proj, _, _, _, (lhs, rhs) = factored_instance(rng, full_rank=True)
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs)
 
 
@@ -430,7 +435,7 @@ def test_solve_projection_matches_dense_eigh_singular_raw():
     # default _RHS_REG, makes it definite.
     rng = np.random.default_rng(31)
     for _ in range(80):
-        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
+        proj, _, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
         assert np.linalg.cond(rhs) > 1e5
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
@@ -440,7 +445,7 @@ def test_solve_projection_matches_dense_eigh_ill_conditioned(monkeypatch):
     monkeypatch.setattr(subspace, "_RHS_REG", 1e-10)
     rng = np.random.default_rng(32)
     for _ in range(80):
-        proj, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
+        proj, _, _, _, (lhs, rhs) = factored_instance(rng, full_rank=False)
         assert np.linalg.cond(rhs) > 1e8
         assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs, singular=True)
 
@@ -469,8 +474,8 @@ def test_objective_matches_dense_trace_after_whitening():
     rng = np.random.default_rng(34)
     for i in range(100):
         # alternately a singular constraint side (n <= d) and any shape
-        proj, data, m_all, _ = factored_instance(rng, full_rank=False if i % 2 else None)
-        z, a = stacked(data), proj.a
+        proj, _, z, m_all, _ = factored_instance(rng, full_rank=False if i % 2 else None)
+        a = proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         assert proj.objective == pytest.approx(want, rel=1e-10)
 
@@ -483,8 +488,8 @@ def test_objective_is_not_swamped_by_the_whitened_ridge(monkeypatch):
     monkeypatch.setattr(subspace, "_RHS_REG", 1e-10)
     rng = np.random.default_rng(36)
     for _ in range(80):
-        proj, data, m_all, _ = factored_instance(rng, full_rank=False)
-        z, a = stacked(data), proj.a
+        proj, data, z, m_all, _ = factored_instance(rng, full_rank=False)
+        a = proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         assert 0.1 * np.linalg.norm(data.l_inv, 2) ** 2 >= 1e3 * want
         assert proj.objective == pytest.approx(want, rel=1e-10)
