@@ -13,22 +13,23 @@ time, so one line of text is held while the array fills, and the row the
 reader refuses is the last line it was handed.  Files are written as
 UTF-8, a row at a time.
 
-A feature file is parsed by P = min(usable CPUs, size // ``_SPLIT_BYTES``)
-forked readers where P >= 2, so from 2 MiB on.  Each reads one contiguous
-range of the generator's lines, split at line numbers estimated from the
-file size and the length of the first line, and sends its rows through a
-pipe into the one result array.  The values are those of the one-process
-reader, bit for bit.  If any reader fails, or the ranges disagree in
-width, the other readers are stopped and the file is parsed again in one
+A feature file of L lines is parsed by P = min(usable CPUs, size //
+``_SPLIT_BYTES``, L) forked readers where P >= 2, so from 2 MiB on.  The
+parent counts the lines through the same generator and maps one shared
+array of L rows, as wide as the first line, and reader k parses lines
+L k // P up to L (k + 1) // P straight into its rows, then sets its flag.
+The values are those of the one-process reader, bit for bit.  If any
+reader fails, the others are stopped and the file is parsed again in one
 process, so every error is that reader's.
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import warnings
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -258,106 +259,67 @@ def _load_split(path) -> np.ndarray | None:
     """The rows of a feature file parsed by forked readers, one range of lines each.
 
     Returns None where the file is to be parsed in one process: it is
-    small, one CPU is usable, ``os.fork`` is missing, ``os.pipe`` or
-    ``os.fork`` fails, or any reader failed, so that route raises every
-    error.  The parent parses nothing: it holds the result array, filled
-    from each reader's pipe in turn, and one line of the file.
+    small, one CPU is usable, ``os.fork`` is missing, the file is not
+    UTF-8 or holds more cells than bytes, ``mmap`` or ``os.fork`` fails,
+    or any reader failed, so that route raises every error.  The parent
+    counts the lines, takes the width from the first and parses nothing:
+    the readers write their rows into one shared array and each then sets
+    its flag, which the parent reads once the reader has exited.
     """
     try:
         size = os.stat(path).st_size
         count = min(_usable_cpus(), size // _SPLIT_BYTES)
         if count < 2 or not hasattr(os, "fork"):
             return None
-        with open(path, "rb") as file:
-            first = len(file.readline(1 << 20))
+        with closing(_lines(path)) as numbered:
+            first = next(numbered, (0, ""))[1]
+            lines = 1 + sum(1 for _ in numbered)  # an empty file counts 1 and is not split
+    except (OSError, ParseError):  # the serial reader names the byte that is not UTF-8
+        return None
+    count, width = min(count, lines), first.count(",") + 1
+    # each cell of a valid file takes a digit and a separator, so the array is at most 8 * size
+    if count < 2 or lines * width > size:
+        return None
+    try:
+        shared = mmap.mmap(-1, lines * width * 8 + count)
     except OSError:
         return None
-    # an estimate (a lone CR ends no line here): a bad one only unbalances the readers
-    lines = size // max(first, 1)
-    count = min(count, lines)
-    if count < 2:
-        return None
-    bounds = [lines * k // count for k in range(count)] + [None]
-    readers = []  # (pid, read end of its pipe)
-    done = False
+    parsed = np.frombuffer(shared, count=lines * width).reshape(lines, width)
+    flags = np.frombuffer(shared, np.uint8, offset=parsed.nbytes)
+    bounds = [lines * k // count for k in range(count + 1)]
+    readers, failed = [], True  # the readers' pids, in range order
     try:
-        for start, stop in zip(bounds, bounds[1:]):
-            pipe = ()
+        for k in range(count):
             try:
-                pipe = read_end, write_end = os.pipe()
                 with warnings.catch_warnings():
                     # Python 3.12+ warns that the BLAS threads make fork() unsafe.
                     # The reader parses text, calls no BLAS and leaves by os._exit.
                     warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                             DeprecationWarning)
                     pid = os.fork()
-            except OSError:  # out of descriptors or processes: the started readers are stopped
-                for fd in pipe:
-                    os.close(fd)
-                return None
+            except OSError:  # out of processes: the started readers are stopped
+                break
             if pid == 0:
-                for _, fd in readers:
-                    os.close(fd)
-                os.close(read_end)
-                _send_rows(path, start, stop, write_end)
-            os.close(write_end)
-            readers.append((pid, read_end))
-
-        # each reader sends its row count and width, or -1 rows, then its rows
-        shapes = np.zeros((len(readers), 2), dtype=np.int64)
-        for (_, fd), shape in zip(readers, shapes):
-            if not _read_into(fd, shape) or shape[0] < 0:
-                return None
-        widths = set(shapes[shapes[:, 0] > 0, 1].tolist())
-        if len(widths) != 1:
-            return None
-        parsed = np.empty((int(shapes[:, 0].sum()), widths.pop()))
-        offset = 0
-        for (_, fd), (rows, _) in zip(readers, shapes):
-            if not _read_into(fd, parsed[offset:offset + rows]):
-                return None
-            offset += rows
-        done = True
-        return parsed
+                try:  # an interrupt too: a reader never unwinds into its parent's code
+                    start, stop = bounds[k], bounds[k + 1]
+                    parsed[start:stop] = _load_rows(path, "feature", float, _refused_row,
+                                                    width=width, start=start, stop=stop)
+                    flags[k] = 1
+                finally:
+                    os._exit(0)  # no atexit hooks, no flushing of the parent's buffers
+            readers.append(pid)
+        else:
+            failed = False
     finally:
-        if readers and not done:
-            from signal import SIGKILL  # only a failed split needs it: not loaded at import
-        for pid, fd in readers:
-            os.close(fd)  # a reader still writing fails, and leaves
-            try:
-                if not done:  # the serial reader need not wait for the other ranges
+        for k, pid in enumerate(readers):
+            if failed:  # the serial reader need not wait for the other ranges
+                from signal import SIGKILL  # only a failed split needs it: not loaded at import
+                with suppress(ProcessLookupError):  # reaped, where SIGCHLD is ignored
                     os.kill(pid, SIGKILL)
+            with suppress(ChildProcessError):  # reaped, where SIGCHLD is ignored
                 os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped, where SIGCHLD is ignored
-                pass
-
-
-def _send_rows(path, start: int, stop: int | None, fd: int):
-    """In a forked reader: send the rows of lines ``start`` to ``stop`` down ``fd``, then exit."""
-    try:
-        with open(fd, "wb") as out:
-            try:
-                rows = _load_rows(path, "feature", float, _refused_row, start=start, stop=stop)
-            except ValidationError:  # only raised for no line: the range starts past the last
-                rows = np.empty((0, 0))
-            except BaseException:  # an interrupt too: a reader never unwinds into its parent's code
-                out.write(np.array([-1, 0], dtype=np.int64).tobytes())
-                return
-            out.write(np.array(rows.shape, dtype=np.int64).tobytes())
-            out.write(np.ascontiguousarray(rows))
-    finally:
-        os._exit(0)  # no atexit hooks, no flushing of the parent's buffers
-
-
-def _read_into(fd: int, array: np.ndarray) -> bool:
-    """Fill a C-contiguous ``array`` from a pipe; False if the pipe ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
+            failed = failed or not flags[k]
+    return None if failed else parsed
 
 
 def _refused_row(path, first: str, number: int, line: str) -> ParseError:

@@ -38,19 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._lapack import gesv
-from .core import as_domain_pair, as_weights, is_finite_number
+from .core import (_MASS_TOL, as_domain_pair, as_weights, check_one_hot_rows,
+                   is_finite_number)
 from .errors import NumericalError, ValidationError
 
 # Target rows built per step.  The gemm bits of a row can depend on the
 # block's row count, so this is fixed rather than a knob.
 _BLOCK_ROWS = 256
-
-# How far a target's soft labels may sum from 1 before it counts as having
-# received no source mass.  With one-hot source labels a target connected
-# to source mass sums to 1 up to rounding (within 8.4e-11 on the 4000
-# targets of each baseline-large benchmark dataset); one cut off from every
-# source sums to about 0, or to whatever a nearly singular solve leaves.
-_MASS_TOL = 1e-6
 
 # Below this row sum of affinities (2**-970), a row's products with the
 # source weights can fall among the subnormal doubles, where they lose bits
@@ -207,7 +201,8 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     sigma : float
         Positive bandwidth; smaller values sharpen the graph.
     y_s : ndarray (n_s, C)
-        One-hot source labels.
+        One-hot source labels: entries 0 or 1, one 1 per row.  A class
+        may have no source sample.
     class_weights : ndarray (C,), optional
         Finite, non-negative weight of every class, not 0 on every source
         sample; only their ratios matter.  The loop passes its masked class
@@ -228,7 +223,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         On a sigma that is not a positive, finite number, embedded samples
         that ``core.as_domain_pair`` refuses (not 2-dimensional, empty, not
         finite or of different dimensions), labels whose shape disagrees or
-        that are not finite, or class weights of the wrong shape, negative,
+        that are not one-hot, or class weights of the wrong shape, negative,
         not finite or 0 on every source sample.
     NumericalError
         If ``I - W_tt`` is singular, the solve is not finite, or a target's
@@ -246,8 +241,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
             f"label matrix has shape {y_s.shape}, expected ({n_s}, C): "
             "one row per source sample, one column per class"
         )
-    if not np.isfinite(y_s).all():
-        raise ValidationError("label matrix contains NaN or Inf entries")
+    check_one_hot_rows(y_s)
     n_t, c = z_t.shape[1], y_s.shape[1]
     f = np.ones(n_s)  # each source's factor: its weight over the largest
     if class_weights is not None:

@@ -79,7 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import inv_cholesky, syevr_smallest
-from .core import AdaptationConfig, as_domain_pair, as_weights, check_label_matrix
+from .core import (_MASS_TOL, AdaptationConfig, as_domain_pair, as_weights,
+                   check_label_matrix)
 from .errors import NumericalError, ValidationError
 
 # Class soft mass below this triggers a ridge on indicator Gram inversions.
@@ -326,7 +327,8 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
         Finite, non-negative class weights, not all 0.  Each source sample
         carries its class's weight; only their ratios matter.
     p : ndarray (C, n_t)
-        Finite soft target labels, already masked.
+        Soft target labels, already masked: finite, no entry below
+        ``-_MASS_TOL`` and no column summing above ``1 + _MASS_TOL``.
 
     Returns
     -------
@@ -356,6 +358,14 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
         )
     if not np.isfinite(p).all():
         raise ValidationError("the soft labels must be finite")
+    # before any product: a huge entry would overflow P P.T
+    with np.errstate(over="ignore"):  # a column sum past the largest double is inf, and refused
+        sums = p.sum(axis=0)
+    if (p < -_MASS_TOL).any() or (sums > 1.0 + _MASS_TOL).any():
+        raise ValidationError(
+            f"the soft labels must be probabilities: entries of at least -{_MASS_TOL:g} "
+            f"and columns summing to at most 1 + {_MASS_TOL:g}"
+        )
     u, n = _scatter_factors(data, weights, p)
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)

@@ -364,6 +364,26 @@ def test_solve_projection_validation():
             solve_projection(data, w, bad_p)
 
 
+@pytest.mark.parametrize("entry", [1e155, 1e308, -0.5, 1.0 + 2e-6, -2e-6])
+def test_solve_projection_refuses_soft_labels_that_are_not_probabilities(entry):
+    # before any product, so a huge entry cannot overflow P P.T into a
+    # RuntimeWarning (an error in this suite) and a negative one returns no
+    # eigenvalues; the loop's labels stray from [0, 1] by rounding only
+    rng = np.random.default_rng(19)
+    x_s, y_s, x_t, p = random_instance(rng)
+    data = gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=1))
+    w = np.ones(y_s.shape[1])
+    bad_p = np.zeros_like(p)
+    bad_p[0] = 1.0
+    bad_p[:, 1] = 0.0
+    bad_p[0, 1] = entry
+    with pytest.raises(ValidationError, match="^the soft labels must be probabilities"):
+        solve_projection(data, w, bad_p)
+    for ok in (1.0 + 5e-7, -5e-7):
+        bad_p[0, 1] = ok
+        assert solve_projection(data, w, bad_p).a.shape == (x_s.shape[0], 1)
+
+
 def _long_double_solve(a, b):
     """``a^-1 b`` by Gauss-Jordan elimination with partial pivoting, in long double."""
     n = a.shape[0]

@@ -7,6 +7,7 @@ true cluster centers, never anything from the adaptation code.
 import errno
 import json
 import math
+import mmap
 import os
 import signal
 import tempfile
@@ -276,15 +277,17 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-# Three readers split a file of s bytes whose first line has f bytes at the
-# estimated line indices (s // f) * k // 3, so the first two files below
-# split at lines [0, 1), [1, 3), [3, ...) and the third at [0, 1), [1, 2), [2, ...)
+# Three readers split a file of L lines at the line indices L * k // 3, so
+# the first two files below split at lines [0, 2), [2, 4), [4, 6) and the
+# third at [0, 1), [1, 2), [2, 4)
 SPLIT_FILES = {
     # the second range ends at the blank line, the third starts with the row after it
-    "blank_line_ends_a_range": ("1,2\n1,2\n\n1,2\n1,2\n1,2\n", ragged(3, 1, 2)),
+    "blank_line_ends_a_range": ("1,2\n1,2\n1,2\n\n1,2\n1,2\n", ragged(4, 1, 2)),
     "ragged_row_in_last_range": ("1,2\n" * 5 + "3\n", ragged(6, 1, 2)),
     # each range is even, but the last is narrower than the others
     "narrow_last_range": ("1,2\n" * 2 + "3\n" * 2, ragged(3, 1, 2)),
+    # where the last range would start: the parent's line count meets the
+    # bad byte first, and the file is not split
     "invalid_utf8_in_last_range": (b"1.25,2.5\n" * 40000 + b"3,\xff4\n" + b"1.25,2.5\n" * 99,
                                    (ParseError, "{path}: not UTF-8 text: byte 360002 is 0xff")),
     "deep_bad_cell": ("1.5,2\n" * 14999 + "1.5,x\n" + "1.5,2\n" * 5000,
@@ -311,9 +314,8 @@ def test_split_and_serial_routes_agree(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("first, rest", [("1,2\n", "0.123456789,-2.5e-300\n"),
                                          ("0.123456789,-2.5e-300\n", "1,2\n")])
 def test_split_route_reads_rows_split_wherever(tmp_path, monkeypatch, first, rest):
-    # a first line shorter than the rest puts the later ranges past the last
-    # row, a longer one puts most rows in the last range: either way the
-    # rows are those of the serial reader
+    # a first line shorter or longer than the rest moves no range: either
+    # way the rows are those of the serial reader
     path = tmp_path / "x.csv"
     path.write_text(first + rest * 40)
     want = load_features_csv(path)
@@ -362,13 +364,63 @@ def test_split_route_leaves_no_child(tmp_path, monkeypatch):
         assert time.monotonic() - began < 30
         assert_no_child_left()
     with monkeypatch.context() as patch:
-        patch.setattr(data_module, "_send_rows", lambda *args: os._exit(1))
+        # a reader that dies without a word exits 0: only its flag tells
+        patch.setattr(data_module, "_load_rows", lambda *args, **kwargs: os._exit(0))
         assert data_module._load_split(good) is None
         assert_no_child_left()
 
     with pytest.raises(ParseError, match="row 201: non-numeric value 'x'"):
         load_features_csv(bad)
     assert_no_child_left()
+
+
+def test_split_route_reads_only_the_flags(tmp_path, monkeypatch):
+    # a reader that writes every row of its range into the shared array but
+    # exits before it sets its flag fails the split, and is reaped
+    path = tmp_path / "x.csv"
+    path.write_text("1.5,2\n" * 299 + "0.25,-3\n")
+    want = load_features_csv(path)
+    force_split(monkeypatch)
+    shared, load_rows, make_mmap = [], data_module._load_rows, mmap.mmap
+
+    def recorded_mmap(*args):
+        shared.append(make_mmap(*args))
+        return shared[-1]
+
+    def rows_then_exit(*args, start=0, stop=None, **kwargs):
+        rows = load_rows(*args, start=start, stop=stop, **kwargs)
+        if stop == 300:
+            np.frombuffer(shared[0], count=want.size).reshape(300, 2)[start:stop] = rows
+            os._exit(0)
+        return rows
+
+    monkeypatch.setattr(mmap, "mmap", recorded_mmap)
+    monkeypatch.setattr(data_module, "_load_rows", rows_then_exit)
+    assert data_module._load_split(path) is None
+    assert_no_child_left()
+    rows = np.frombuffer(shared[0], count=want.size).reshape(300, 2)
+    assert rows.tobytes() == want.T.tobytes()  # all written, none trusted
+
+
+@pytest.mark.parametrize("readers", [2, 3, 4])
+def test_split_route_reads_exact_line_ranges(tmp_path, monkeypatch, readers):
+    # 1 to 9 lines, fewer than the readers too, each of its own width in
+    # text: every range holds lines * k // readers of them, and the rows are
+    # the serial reader's, bit for bit
+    rows = np.random.default_rng(readers).standard_normal((9, 3)) * 10.0 ** np.arange(-4, 5)[:, None]
+    for lines in range(1, 10):
+        path = tmp_path / f"{lines}.csv"
+        save_features_csv(rows[:lines].T, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_SPLIT_BYTES", 1 << 40)
+            serial = outcome(path)
+        with monkeypatch.context() as patch:
+            force_split(patch, readers)
+            split = data_module._load_split(path)
+            assert outcome(path) == serial
+        if lines >= 2:
+            assert split is not None and split.tobytes() == rows[:lines].tobytes()
+        assert_no_child_left()
 
 
 def test_split_route_where_children_reap_themselves(tmp_path, monkeypatch):
@@ -387,9 +439,9 @@ def test_split_route_where_children_reap_themselves(tmp_path, monkeypatch):
 
 
 def test_split_route_falls_back_without_fork(tmp_path, monkeypatch):
-    # where os.fork is missing, or os.pipe or os.fork fails on the first
-    # reader or after one reader started, one process parses the file, and
-    # neither a child nor a descriptor is left
+    # where os.fork is missing, the shared array cannot be mapped, or os.fork
+    # fails on the first reader or after one reader started, one process
+    # parses the file, and neither a child nor a descriptor is left
     path = tmp_path / "x.csv"
     path.write_text("1.5,2\n" * 300)
     want = load_features_csv(path)
@@ -407,9 +459,14 @@ def test_split_route_falls_back_without_fork(tmp_path, monkeypatch):
             return call()
         return failing
 
-    for name, nth in (("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 2)):
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    for module, name, fake in ((os, "fork", failing_from(os.fork, 1)),
+                               (os, "fork", failing_from(os.fork, 2)),
+                               (mmap, "mmap", no_memory)):
         with monkeypatch.context() as patch:
-            patch.setattr(os, name, failing_from(getattr(os, name), nth))
+            patch.setattr(module, name, fake)
             assert data_module._load_split(path) is None
             assert load_features_csv(path).tobytes() == want.tobytes()
         assert_no_child_left()
@@ -417,6 +474,18 @@ def test_split_route_falls_back_without_fork(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert data_module._load_split(path) is None
     assert load_features_csv(path).tobytes() == want.tobytes()
+
+
+def test_split_route_maps_no_more_values_than_the_file_has_bytes(tmp_path, monkeypatch):
+    # a wide first line over many narrow ones would ask for lines x width
+    # values; a valid file has at most one per two bytes, so none is mapped
+    path = tmp_path / "x.csv"
+    path.write_text("1," * 999 + "1\n" + "1\n" * 3000)
+    serial = outcome(path)
+    force_split(monkeypatch)
+    monkeypatch.setattr(mmap, "mmap", None)
+    assert data_module._load_split(path) is None
+    assert outcome(path) == serial == (ParseError, f"{path}: row 2 has 1 columns, expected 1000")
 
 
 def traced_peak(call, *args):
@@ -433,8 +502,9 @@ def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path, monkeypatch)
     # loading holds one line of text besides the array it fills, not the
     # decoded file and its lines; saving holds one row's text, not the file.
     # One non-ASCII character changes neither: every file takes one path.
-    # Split in two, the parent holds the result, the finite check's mask and
-    # one line; the serial reader also grows its result as rows arrive.
+    # Split in two, the parent holds the shared result, which tracemalloc
+    # does not see, the finite check's mask and one line; the serial reader
+    # also grows its result as rows arrive.
     x = np.random.default_rng(53).standard_normal((256, 4000))
     path = tmp_path / "x.csv"
     saved, _ = traced_peak(save_features_csv, x, path)
@@ -447,7 +517,7 @@ def test_feature_csv_is_read_and_written_a_line_at_a_time(tmp_path, monkeypatch)
         path.write_text(text[:i] + odd + text[i:], encoding="utf-8")
         loaded, got = traced_peak(load_features_csv, path)
         assert np.array_equal(got, x)
-        assert loaded <= x.nbytes + x.size + 64 * 1024
+        assert loaded <= x.size + 64 * 1024
     monkeypatch.setattr(data_module, "_usable_cpus", lambda: 1)
     loaded, got = traced_peak(load_features_csv, path)
     assert np.array_equal(got, x)

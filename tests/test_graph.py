@@ -35,6 +35,8 @@ NON_FINITE = ("label propagation produced non-finite values; "
               "try a larger sigma or check graph connectivity")
 ALL_ZERO = "class_weights are all 0: no source sample carries a label"
 NO_SOURCE = "y_s @ class_weights are all 0: no source sample carries a label"
+NOT_BINARY = "label matrix entries must be 0 or 1"
+NOT_ONE_HOT = "each label matrix row must contain exactly one 1"
 
 # How far soft labels may stray from the textbook chain's: the row sums
 # are taken and applied in another order
@@ -611,6 +613,17 @@ def test_propagate_labels_singular_system_error_text():
     assert textbook_outcome(z_s, z_t, 0.02, np.eye(2), w, np.array([0, 1])) == SINGULAR
 
 
+@pytest.mark.parametrize("y_s, message", [(-np.eye(2), NOT_BINARY), (0.5 * np.eye(2), NOT_BINARY),
+                                          (np.ones((2, 2)), NOT_ONE_HOT),
+                                          (np.array([[1.0, 0.0], [0.0, 0.0]]), NOT_ONE_HOT)])
+def test_propagate_labels_refuses_labels_that_are_not_one_hot(y_s, message):
+    # core.check_label_matrix's rule, by its words; these once reached the
+    # solve and came back as targets without source mass
+    with pytest.raises(ValidationError) as exc:
+        propagate_labels(np.eye(2), np.ones((2, 1)), 0.1, y_s)
+    assert str(exc.value) == message
+
+
 def test_propagate_shape_mismatch():
     z = np.ones((2, 2))
     with pytest.raises(ValidationError, match=r"shape \(3, 3\), expected \(2, C\)"):
@@ -680,9 +693,10 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok, ok, 0.5, y, [0.8, np.inf, 0.8]), "class_weights contains NaN or Inf entries"),
         ((ok, ok, 0.5, y, [0.0, 0.0, 0.0]), ALL_ZERO),
         # weights only on a class without a source sample, or labels that
-        # turn valid class weights negative
+        # are not one-hot
         ((ok, ok, 0.5, y[[0, 1, 0]], [0.0, 0.0, 0.8]), NO_SOURCE),
-        ((ok, ok, 0.5, -y, w), "y_s @ class_weights must be non-negative"),
+        ((ok, ok, 0.5, -y, w), NOT_BINARY),
+        ((ok, ok, 0.5, np.ones((3, 3)), w), NOT_ONE_HOT),
         ((ok, ok, 0.5, np.eye(4)), rows),
         ((ok, ok, 0.5, np.zeros(3)), "label matrix has shape (3,), expected (3, C): "
          "one row per source sample, one column per class"),
@@ -690,9 +704,8 @@ def test_propagate_labels_validation_matches_public_functions(monkeypatch):
         ((ok * np.nan, ok, 0.5, y), source_nan),
         ((ok, ok * np.inf, 0.5, y), target_nan),
         ((ok, ok * -np.inf, 0.5, y, w), target_nan),
-        ((ok, ok, 0.5, y * np.nan), "label matrix contains NaN or Inf entries"),
-        ((ok, ok, 0.5, np.where(y > 0, np.inf, y), w),
-         "label matrix contains NaN or Inf entries"),
+        ((ok, ok, 0.5, y * np.nan), NOT_BINARY),
+        ((ok, ok, 0.5, np.where(y > 0, np.inf, y), w), NOT_BINARY),
     ):
         with pytest.raises(ValidationError) as exc:
             propagate_labels(*args)
