@@ -70,7 +70,7 @@ print(f"combined loss     sum   ={quad(m0) + quad(mp) + quad(mc):.6f}  "
 # The loop works on data whitened once per run, W = L⁻¹ X for the Cholesky
 # factor L of the constraint side.  The centred whitened data carry a
 # data-only part, alpha_c Wc Wcᵀ + alpha_p Wc_t Wc_tᵀ; the soft labels and
-# class weights enter through the small factors U (d x (3C + 4)) and N.
+# class weights enter through the small factors U (d x (3C + 3)) and N.
 config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0, k=2)
 data = gram_matrix(x_s, y_s, x_t, config)
 u, n = _scatter_factors(data, weights, p)

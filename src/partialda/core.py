@@ -70,12 +70,12 @@ def check_one_hot_rows(y: np.ndarray) -> None:
         raise ValidationError("each label matrix row must contain exactly one 1")
 
 
-def check_label_matrix(y, n_samples: int | None = None) -> np.ndarray:
+def check_label_matrix(y, n_samples: int) -> np.ndarray:
     """Validate a one-hot label matrix: 0/1 entries, one 1 per row, no empty class."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
         raise ValidationError(f"label matrix must be 2-dimensional and non-empty, got shape {y.shape}")
-    if n_samples is not None and y.shape[0] != n_samples:
+    if y.shape[0] != n_samples:
         raise ValidationError(
             f"label matrix has {y.shape[0]} rows, expected {n_samples} (one per sample)"
         )

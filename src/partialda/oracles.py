@@ -59,17 +59,16 @@ def build_m0(omega, n_t: int) -> np.ndarray:
 
 
 def _class_projector(y_s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Projector onto the span of stacked class indicators [Y_s; P.T]."""
+    """Projector onto the span of stacked class indicators [Y_s; P.T], their Gram matrix exact."""
     y = np.vstack([y_s, p.T])
-    gram = y.T @ y
-    eps = _ridge_eps(np.diag(gram), p.sum(axis=1))
-    return y @ np.linalg.solve(gram + eps * np.eye(gram.shape[0]), y.T)
+    return y @ np.linalg.solve(y.T @ y, y.T)
 
 
 def build_center_operators(y_s, p) -> np.ndarray:
     """The (n_s, n_t) operator Y_st rebuilding each target from source class centers.
 
-    ``X_s @ Y_st`` has one expected center per target column.
+    ``X_s @ Y_st`` has one expected center per target column.  ``Y_s.T Y_s``
+    takes the solver's ridge eps_s (:func:`partialda.subspace._ridge_eps`).
 
     Parameters
     ----------
@@ -107,7 +106,7 @@ def build_mp(y_st) -> np.ndarray:
 def build_mc(y_s, p) -> np.ndarray:
     """Cluster term contracting every sample toward its class center.
 
-    Built from the projector Y_c onto stacked class indicators as
+    Built from the exact projector Y_c onto stacked class indicators as
     ``(I - Y_c)(I - Y_c).T``, positive semidefinite by construction.
     """
     y_s = np.asarray(y_s, dtype=float)

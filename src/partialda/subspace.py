@@ -26,7 +26,7 @@ the sum of two parts:
 
 * ``alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T``, which depends on the data
   alone, so :func:`gram_matrix` caches it once per run;
-* ``U N U.T``, for a (d, 3C + 4) factor U and a small N built from the
+* ``U N U.T``, for a (d, 3C + 3) factor U and a small N built from the
   rank-one, low-rank and class-indicator factors of the three losses, which
   carries everything the soft labels and the class weights change.
 
@@ -83,7 +83,8 @@ from .core import (_MASS_TOL, AdaptationConfig, as_domain_pair, as_weights,
                    check_label_matrix)
 from .errors import NumericalError, ValidationError
 
-# Class soft mass below this triggers a ridge on indicator Gram inversions.
+# Soft mass below this adds eps_s = RIDGE_SCALE * mean(counts) to the class counts
+# dividing the center term's soft labels, the one class-indicator ridge left.
 RIDGE_TRIGGER = 1e-8
 RIDGE_SCALE = 1e-9
 # eps_r = _RHS_REG * trace(Zc Zc.T) / n keeps the constraint side definite
@@ -220,10 +221,10 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
                         class_sums=centred[:, :n_s] @ y_s)
 
 
-def _ridge_eps(diagonal: np.ndarray, soft_mass: np.ndarray) -> float:
-    """Ridge added to an indicator Gram matrix of this diagonal when some class lost its mass."""
+def _ridge_eps(counts: np.ndarray, soft_mass: np.ndarray) -> float:
+    """Ridge added to the class counts ``Y_s.T 1`` when some class lost its soft mass."""
     if soft_mass.min() < RIDGE_TRIGGER:
-        return RIDGE_SCALE * float(np.mean(diagonal))
+        return RIDGE_SCALE * float(np.mean(counts))
     return 0.0
 
 
@@ -236,23 +237,23 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
     of :mod:`partialda.oracles`.  Every source sample carries its class's
     weight, so the weighted source mean is ``Zc_s Y_s w / (counts . w)``.
     ``Y_s`` is one-hot with every class present, so ``G_s = Y_s.T Y_s`` is
-    ``diag(counts)``, every count at least 1.  With ``Y = [Y_s; P.T]``,
-    ``G = Y.T Y = G_s + P P.T``, ``S = (G + eps I)^-1`` and
-    ``B = (G_s + eps_s I)^-1 P = P / (counts + eps_s)`` (eps and eps_s the
-    ridges the dense oracles use, so the split stays exact under them):
+    ``diag(counts)``, every count at least 1, and with ``Y = [Y_s; P.T]``
+    the class Gram matrix ``G = Y.T Y = G_s + P P.T`` is positive definite
+    and inverted as it is: ``S = G^-1``.  ``B = (G_s + eps_s I)^-1 P =
+    P / (counts + eps_s)``, under the ridge the dense center operators take:
 
     * ``Z Mc Z.T = R R.T`` with ``R = Z - (Z Y) S Y.T = R_c + mean r.T``,
-      ``r = 1 - Y S Y.T 1``, and ``R_c R_c.T = Zc Zc.T - (Zc Y) K (Zc Y).T``
-      for ``K = 2S - S G S = S + eps S^2``;
+      ``r = 1 - Y S Y.T 1``, and ``R_c R_c.T = Zc Zc.T - (Zc Y) S (Zc Y).T``;
     * ``Z Mp Z.T = D D.T`` with ``D = Z_s Y_s B - Z_t = D_c + mean d_p.T``,
       ``d_p = B.T counts - 1``, and ``D_c D_c.T`` the target Gram matrix
       plus cross terms of ``Zc_s Y_s`` and ``Zc_t B.T``;
     * ``Z M0 Z.T = (Zc e)(Zc e).T``, since the entries of e sum to 0.
 
-    ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | D_c d_p | R_c r]`` is
-    (dim, 3C + 4) and N is symmetric, (3C + 4)-square.  ``weights``, the
-    (C,) class weights, and ``p`` (C, n_t), the masked soft labels, are
-    those :func:`solve_projection` checked.
+    ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | alpha_p D_c d_p +
+    alpha_c R_c r]`` is (dim, 3C + 3) and N is symmetric, (3C + 3)-square;
+    the last column pairs only with the mean.  ``weights``, the (C,) class
+    weights, and ``p`` (C, n_t), the masked soft labels, are those
+    :func:`solve_projection` checked.
     """
     config, y_s, counts, a_s = data.config, data.y_s, data.counts, data.class_sums
     alpha_p, alpha_c = config.alpha_p, config.alpha_c
@@ -269,23 +270,22 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
     y = np.vstack([y_s, p.T])
     gram = p @ p.T
     gram.flat[::c + 1] += counts
-    eps = _ridge_eps(np.diag(gram), soft_mass)
-    s = np.linalg.inv(gram + eps * np.eye(c))
+    s = np.linalg.inv(gram)
     b_c = a_s + zc_t @ p.T
     r = 1.0 - y @ (s @ (counts + soft_mass))
+    # Y.T r is 0 in exact arithmetic; its rounding is taken back here
     g_c = data.centred @ r - b_c @ (s @ (y.T @ r))
 
-    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, data.mean, g_p, g_c])
-    n = np.zeros((3 * c + 4, 3 * c + 4))
+    u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, data.mean, alpha_p * g_p + alpha_c * g_c])
+    n = np.zeros((3 * c + 3, 3 * c + 3))
     src, tgt, cls = (slice(1 + i * c, 1 + (i + 1) * c) for i in range(3))
     m = 3 * c + 1
     n[0, 0] = 1.0
     n[src, src] = alpha_p * (b @ b.T)
     n[src, tgt] = n[tgt, src] = -alpha_p * np.eye(c)
-    n[cls, cls] = -alpha_c * (s + eps * (s @ s))
+    n[cls, cls] = -alpha_c * s
     n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (r @ r)
-    n[m, m + 1] = n[m + 1, m] = alpha_p
-    n[m, m + 2] = n[m + 2, m] = alpha_c
+    n[m, m + 1] = n[m + 1, m] = 1.0
     return u, n
 
 

@@ -402,21 +402,20 @@ def direct_scatter_long_double(z, n_s, w, y_s, p, alpha_p, alpha_c):
     """``(Z e)(Z e).T + alpha_p D D.T + alpha_c R R.T`` from the residual factors, in long double.
 
     ``e`` weighs each source by its class weight in ``w``,
-    ``D = (Z_s Y_s)(G_s + eps_s I)^-1 P - Z_t`` and
-    ``R = Z - (Z Y)(G + eps I)^-1 Y.T``, with the ridges the code takes.
+    ``D = (Z_s Y_s)(G_s + eps_s I)^-1 P - Z_t`` with the ridge eps_s the code
+    takes and ``R = Z - (Z Y) G^-1 Y.T``, whose Gram matrix takes none.
     """
-    soft_mass = p.sum(axis=1)
     gram_s = y_s.T @ y_s
     y = np.vstack([y_s, p.T])
     gram = y.T @ y
-    eps_s, eps = (_ridge_eps(np.diag(g), soft_mass) for g in (gram_s, gram))
+    eps_s = _ridge_eps(np.diag(gram_s), p.sum(axis=1))
     omega = y_s @ w
     z, omega, y_s, p, y = (np.asarray(v, dtype=np.longdouble) for v in (z, omega, y_s, p, y))
     z_s, z_t = z[:, :n_s], z[:, n_s:]
     ze = z_s @ omega / omega.sum() - z_t.mean(axis=1)
     c = y_s.shape[1]
     d = (z_s @ y_s) @ _long_double_solve(gram_s + eps_s * np.eye(c), p) - z_t
-    r = z - (z @ y) @ _long_double_solve(gram + eps * np.eye(c), y.T)
+    r = z - (z @ y) @ _long_double_solve(gram, y.T)
     return np.outer(ze, ze) + alpha_p * (d @ d.T) + alpha_c * (r @ r.T)
 
 

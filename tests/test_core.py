@@ -27,6 +27,8 @@ def test_make_one_hot_basic():
         [1.0, 0.0, 0.0],
     ])
     assert np.array_equal(y, expected)
+    # integral float labels are taken as their ints
+    assert np.array_equal(make_one_hot(np.array([0.0, 2.0, 1.0, 0.0]), 3), expected)
 
 
 def test_make_one_hot_round_trip_property():
@@ -45,6 +47,14 @@ def test_make_one_hot_round_trip_property():
 def test_make_one_hot_out_of_range():
     with pytest.raises(ValidationError, match=r"label 2 out of range"):
         make_one_hot([0, 1, 2], 2)
+
+
+def test_adapt_refuses_one_dimensional_source_labels():
+    # integer labels where the one-hot matrix belongs
+    data = generate_synthetic(SyntheticSpec(num_source_classes=2, num_target_classes=1, dim=3))
+    with pytest.raises(ValidationError, match=r"^label matrix must be 2-dimensional and "
+                       rf"non-empty, got shape \({data.y_s.size},\)$"):
+        adapt(data.x_s, data.y_s, data.x_t)
 
 
 def test_make_one_hot_empty_class():

@@ -100,6 +100,16 @@ def test_spec_validation():
         SyntheticSpec(dim=1, shift_rotation_deg=5.0)
     with pytest.raises(ValidationError, match="samples per class"):
         SyntheticSpec(samples_per_class_target=0)
+    with pytest.raises(ValidationError, match="^num_source_classes must be >= 1$"):
+        SyntheticSpec(num_source_classes=0)
+    with pytest.raises(ValidationError, match="^shift_translation must be non-negative$"):
+        SyntheticSpec(shift_translation=-1.0)
+
+
+def test_one_dimensional_spec_without_rotation_generates():
+    data = generate_synthetic(SyntheticSpec(dim=1, shift_rotation_deg=0.0))
+    assert data.x_s.shape == (1, data.y_s.size) and data.x_t.shape == (1, data.y_t.size)
+    assert np.isfinite(data.x_s).all() and np.isfinite(data.x_t).all()
 
 
 @pytest.mark.parametrize("field", [
@@ -586,6 +596,11 @@ def test_label_file_refuses_labels_beyond_int64(tmp_path):
         with pytest.raises(ParseError) as exc:
             load_labels(path)
         assert str(exc.value) == f"{path}: line {line}: label {value} is not below 2**63"
+    # one past the int64 minimum is refused by np.loadtxt, and named by its sign
+    path.write_text(f"0\n{-2**63 - 1}\n")
+    with pytest.raises(ParseError) as exc:
+        load_labels(path)
+    assert str(exc.value) == f"{path}: line 2: negative label {-2**63 - 1}"
     path.write_text(f"{2**63 - 1}\n0\n")
     assert load_labels(path).tolist() == [2**63 - 1, 0]
 

@@ -9,8 +9,8 @@ of the unnormalized affinities and scales by the row sums once, so its soft
 labels meet the textbook's to rounding, not bit for bit.
 """
 
+import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from partialda.oracles import (
     textbook_propagate,
     textbook_reweight,
 )
+from tests.test_lapack import NUMPY_OPENBLAS
 
 SINGULAR = ("(I - W_tt) is singular: some targets receive no source mass; "
             "try a larger sigma or check graph connectivity")
@@ -1038,11 +1039,7 @@ def test_graph_working_set_stays_below_one_and_a_half_target_squares():
         assert peak < bound, (d, n_s, n_t, peak / bound)
 
 
-NUMPY_GESV = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
-                    .glob("libscipy_openblas64_*"))
-
-
-@pytest.mark.skipif(not NUMPY_GESV, reason="numpy ships no libscipy_openblas64_")
+@pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
 def test_system_is_solved_in_place(monkeypatch):
     # tracemalloc does not see LAPACK's copy of the system, so show that
     # np.linalg.solve, which makes one, is not called
@@ -1056,3 +1053,12 @@ def test_system_is_solved_in_place(monkeypatch):
     p, _ = propagate_labels(z_s, z_t, 0.5, y)
     assert "dgesv" in partialda._lapack._lookup()
     assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+
+
+def test_non_finite_solution_is_refused(monkeypatch):
+    # a solve that returns NaN without raising is named, not passed on
+    monkeypatch.setattr(partialda.graph, "gesv", lambda a, b: np.full(b.shape, np.nan))
+    rng = np.random.default_rng(46)
+    z_s, z_t = rng.standard_normal((4, 12)), rng.standard_normal((4, 9))
+    with pytest.raises(NumericalError, match=f"^{re.escape(NON_FINITE)}$"):
+        propagate_labels(z_s, z_t, 0.5, random_labels(rng, 12))

@@ -237,7 +237,7 @@ def test_subspace_working_set_stays_below_three_squares_of_the_dimension():
     # loop keeps five per-run arrays (L^-1 (d x d), the whitened centred
     # data (d x n), its mean, its (d, C) class sums and the invariant pencil
     # base (d x d)) plus one d x d pencil buffer that the eigensolver works
-    # in; each round adds only the (d, 3C + 4) scatter factor and the
+    # in; each round adds only the (d, 3C + 3) scatter factor and the
     # k-dimensional graph, and the factoring holds two d x n arrays for a
     # moment.  So the traced peak stays below 3 d^2 + 2 d n doubles plus
     # the graph's 8 (n_t^2 + 256 n) bytes.  Rebuilding the scatter from the
