@@ -71,10 +71,13 @@ print(f"combined loss     sum   ={quad(m0) + quad(mp) + quad(mc):.6f}  "
 # factor L of the constraint side.  The centred whitened data carry a
 # data-only part, alpha_c Wc Wcᵀ + alpha_p Wc_t Wc_tᵀ; the soft labels and
 # class weights enter through the small factors U (d x (3C + 3)) and N.
+# The loop keeps only the whitened targets and class sums, so Wc is
+# rebuilt here from L⁻¹ and the centred data.
 config = AdaptationConfig(alpha_p=1.0, alpha_c=1.0, k=2)
 data = gram_matrix(x_s, y_s, x_t, config)
 u, n = _scatter_factors(data, weights, p)
-wc, wc_t = data.centred, data.centred[:, n_s:]
+wc = data.l_inv @ (x - x.mean(axis=1, keepdims=True))
+wc_t = wc[:, n_s:]
 whitened = config.alpha_c * wc @ wc.T + config.alpha_p * wc_t @ wc_t.T + u @ n @ u.T
 scatter = np.linalg.solve(data.l_inv, np.linalg.solve(data.l_inv, whitened).T)  # L (.) Lᵀ
 dense = x @ m_all @ x.T

@@ -38,26 +38,36 @@ and no large offset cancels.
 depends on the data and the source labels alone, with the knobs of the
 :class:`partialda.core.AdaptationConfig`, which checked them when it was
 built.  It checks ``y_s`` and factors the constraint side
-``Zc Zc.T + eps_r I = L L.T``.  It keeps ``y_s``, the class counts
-``Y_s.T 1``, ``L^-1``, the whitened centred data ``Wc = L^-1 Zc``, the
-whitened mean ``m = L^-1 mu``, the whitened class sums ``Wc_s Y_s``, the
-configuration and the first part of the whitened pencil with the ridge,
+``Zc Zc.T + eps_r I = L L.T``.  The whitened centred data ``Wc = L^-1 Zc``
+are never formed: the rounds read only their target columns
+``Wc_t = L^-1 Zc_t``, the whitened class sums ``L^-1 (Zc_s Y_s)`` and the
+whitened mean ``m = L^-1 mu``, and the source columns only in the round
+objective, as ``A.T (x_s - mu 1.T)`` from the caller's features.  So it
+keeps these three, the class counts ``Y_s.T 1``, ``L^-1``, the mean ``mu``
+and the caller's ``x_s`` (not copied), the configuration and the first
+part of the whitened pencil with the ridge,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
          = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T,
 
 since ``L L.T = Zc Zc.T + eps_r I`` makes ``Wc Wc.T = I - eps_r L^-1 L^-T``
-exactly, so the d^2 n product ``Wc Wc.T`` is never formed.
+exactly, so the d^2 n product ``Wc Wc.T`` is never formed.  The centred
+copy ``Zc`` (d x n) lives only while the constraint side is factored and
+the targets and class sums are whitened; what a run keeps is
+``3 d^2 + d n_t`` doubles with the round's pencil, and O(d C) more.
 
 Each round, ``solve_projection(data, weights, p)`` checks the round's
 class weights and soft labels, builds U and N from them on the whitened
 data (:func:`_scatter_factors`), forms ``U N U.T + base`` as one new d x d
-array, so a round costs O(d n + d n_t C + d^2 C), makes no d x n array and no
-d^2 n product, and computes the k smallest eigenpairs of that standard
-symmetric eigenproblem; their eigenvectors V map back as ``A = L^-T V``.
+array, so a round costs O(d n k + d n_t C + d^2 C), makes no d x n array
+and no d^2 n product, and computes the k smallest eigenpairs of that
+standard symmetric eigenproblem; their eigenvectors V map back as
+``A = L^-T V``.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
-factors: the whitened scatter as quadratic forms in V, the ridge from A
+factors: the whitened scatter as quadratic forms in V, save the source
+columns of ``Wc``, whose ``V.T Wc_s = A.T (x_s - mu 1.T)`` it reads from the
+caller's features one block of columns at a time, and the ridge from A
 itself.  In exact arithmetic it is the sum of the k eigenvalues, but the
 whitened ridge ``lam L^-1 L^-T`` is large wherever the constraint side is
 nearly singular, and the eigenvalue sum then loses up to 1e-6 relative of
@@ -89,25 +99,31 @@ RIDGE_TRIGGER = 1e-8
 RIDGE_SCALE = 1e-9
 # eps_r = _RHS_REG * trace(Zc Zc.T) / n keeps the constraint side definite
 _RHS_REG = 1e-6
+# source columns the objective centres and projects at a time
+_OBJECTIVE_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class WhitenedData:
-    """Everything of the pencil that is fixed per run, the checked source labels included.
+    """Everything of the pencil that is fixed per run, from the features and the source labels.
 
-    In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``centred``
-    is ``Wc``, source columns first, ``mean`` is m, ``base`` the cached part
-    of the whitened pencil, ``counts`` is ``Y_s.T 1`` and ``class_sums``
-    ``Wc_s Y_s``.  ``config``, which ``base`` was built with, is read again
-    every round.
+    In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``targets``
+    is ``Wc_t`` (d, n_t), ``mean`` is m, ``base`` the cached part of the
+    whitened pencil, ``counts`` is ``Y_s.T 1`` and ``class_sums``
+    ``L^-1 (Zc_s Y_s)``.  ``mu`` is the mean of the features and ``x_s`` the
+    caller's source features, kept as given, not copied, which the round
+    objective reads; they must not change while the rounds run.  No field
+    has a column per sample of both domains.  ``config``, which ``base`` was
+    built with, is read again every round.
     """
 
-    centred: np.ndarray
+    targets: np.ndarray
     mean: np.ndarray
+    mu: np.ndarray
+    x_s: np.ndarray
     l_inv: np.ndarray
     base: np.ndarray
     config: AdaptationConfig
-    y_s: np.ndarray
     counts: np.ndarray
     class_sums: np.ndarray
 
@@ -207,18 +223,20 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
     eps_r = _RHS_REG * variance / n
     rhs.flat[::d + 1] += eps_r
     l_inv = _inverse_cholesky(centred, eps_r, rhs)
-    centred = l_inv @ centred
+    # the rounds read the whitened targets and class sums, never Wc_s itself
+    targets = l_inv @ centred[:, n_s:]
+    class_sums = l_inv @ (centred[:, :n_s] @ y_s)
+    del centred
     # Wc Wc.T = I - eps_r L^-1 L^-T, so only the target columns need a product
     base = l_inv @ l_inv.T
     base *= config.lam - config.alpha_c * eps_r
     base.flat[::d + 1] += config.alpha_c
-    centred_t = centred[:, n_s:]
-    target = centred_t @ centred_t.T
+    target = targets @ targets.T
     target *= config.alpha_p
     base += target
-    return WhitenedData(centred=centred, mean=l_inv @ mu, l_inv=l_inv, base=base,
-                        config=config, y_s=y_s, counts=y_s.sum(axis=0),
-                        class_sums=centred[:, :n_s] @ y_s)
+    return WhitenedData(targets=targets, mean=l_inv @ mu, mu=mu, x_s=x_s, l_inv=l_inv,
+                        base=base, config=config, counts=y_s.sum(axis=0),
+                        class_sums=class_sums)
 
 
 def _ridge_eps(counts: np.ndarray, soft_mass: np.ndarray) -> float:
@@ -232,10 +250,11 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors U and N with ``Z M Z.T = alpha_c Zc Zc.T + alpha_p Zc_t Zc_t.T + U N U.T``.
 
-    ``Z = zc + mean 1.T``, source columns first, for ``zc`` and ``mean``
-    the centred data and mean of ``data``, and M is ``combine(M0, Mp, Mc)``
-    of :mod:`partialda.oracles`.  Every source sample carries its class's
-    weight, so the weighted source mean is ``Zc_s Y_s w / (counts . w)``.
+    ``Z = zc + mean 1.T``, source columns first, for ``zc`` the centred
+    data whose target columns, class sums and mean ``data`` holds, and M
+    is ``combine(M0, Mp, Mc)`` of :mod:`partialda.oracles`.  Every source
+    sample carries its class's weight, so the weighted source mean is
+    ``Zc_s Y_s w / (counts . w)``.
     ``Y_s`` is one-hot with every class present, so ``G_s = Y_s.T Y_s`` is
     ``diag(counts)``, every count at least 1, and with ``Y = [Y_s; P.T]``
     the class Gram matrix ``G = Y.T Y = G_s + P P.T`` is positive definite
@@ -249,16 +268,20 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
       plus cross terms of ``Zc_s Y_s`` and ``Zc_t B.T``;
     * ``Z M0 Z.T = (Zc e)(Zc e).T``, since the entries of e sum to 0.
 
+    The rows of ``Y_s`` are one-hot, so ``r`` is ``r_cls = 1 - S Y.T 1`` on
+    every source sample of a class, and ``Zc r = (Zc_s Y_s) r_cls + Zc_t r_t``,
+    ``Y.T r = counts * r_cls + P r_t`` and ``r . r = counts . r_cls^2 +
+    r_t . r_t`` need no source column.
+
     ``U = [Zc e | Zc_s Y_s | Zc_t B.T | Zc Y | mean | alpha_p D_c d_p +
     alpha_c R_c r]`` is (dim, 3C + 3) and N is symmetric, (3C + 3)-square;
     the last column pairs only with the mean.  ``weights``, the (C,) class
     weights, and ``p`` (C, n_t), the masked soft labels, are those
     :func:`solve_projection` checked.
     """
-    config, y_s, counts, a_s = data.config, data.y_s, data.counts, data.class_sums
+    config, counts, a_s, zc_t = data.config, data.counts, data.class_sums, data.targets
     alpha_p, alpha_c = config.alpha_p, config.alpha_c
-    zc_t = data.centred[:, y_s.shape[0]:]
-    c = y_s.shape[1]
+    c = counts.size
     soft_mass = p.sum(axis=1)
 
     ze = a_s @ weights / (counts @ weights) - zc_t.mean(axis=1)
@@ -267,14 +290,14 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
     d_p = b.T @ counts - 1.0
     g_p = a_s @ (b @ d_p) - zc_t @ d_p
 
-    y = np.vstack([y_s, p.T])
     gram = p @ p.T
     gram.flat[::c + 1] += counts
     s = np.linalg.inv(gram)
     b_c = a_s + zc_t @ p.T
-    r = 1.0 - y @ (s @ (counts + soft_mass))
+    q = s @ (counts + soft_mass)
+    r_cls, r_t = 1.0 - q, 1.0 - p.T @ q
     # Y.T r is 0 in exact arithmetic; its rounding is taken back here
-    g_c = data.centred @ r - b_c @ (s @ (y.T @ r))
+    g_c = a_s @ r_cls + zc_t @ r_t - b_c @ (s @ (counts * r_cls + p @ r_t))
 
     u = np.column_stack([ze, a_s, zc_t @ b.T, b_c, data.mean, alpha_p * g_p + alpha_c * g_c])
     n = np.zeros((3 * c + 3, 3 * c + 3))
@@ -284,7 +307,7 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
     n[src, src] = alpha_p * (b @ b.T)
     n[src, tgt] = n[tgt, src] = -alpha_p * np.eye(c)
     n[cls, cls] = -alpha_c * s
-    n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (r @ r)
+    n[m, m] = alpha_p * (d_p @ d_p) + alpha_c * (counts @ r_cls ** 2 + r_t @ r_t)
     n[m, m + 1] = n[m + 1, m] = 1.0
     return u, n
 
@@ -300,13 +323,20 @@ def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
                a: np.ndarray) -> float:
     """``trace(A.T Z M Z.T A) + lam ||A||_F^2`` for ``A = L^-T V``, without the whitened ridge.
 
-    ``A.T Z M Z.T A`` is ``V.T (alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + U N U.T) V``.
+    ``A.T Z M Z.T A`` is ``V.T (alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + U N U.T) V``,
+    with ``V.T Wc_s = A.T (x_s - mu 1.T)`` taken from the caller's source
+    features ``_OBJECTIVE_BLOCK`` columns at a time: each block is centred
+    before the product, so no large ``A.T mu`` cancels and no (d, n_s)
+    array is made.
     """
-    vw = v.T @ data.centred
+    x_s, mu = data.x_s, data.mu[:, None]
+    source = 0.0
+    for start in range(0, x_s.shape[1], _OBJECTIVE_BLOCK):
+        source += np.sum((a.T @ (x_s[:, start:start + _OBJECTIVE_BLOCK] - mu)) ** 2)
     vu = v.T @ u
-    n_s = data.y_s.shape[0]
     config = data.config
-    return float(config.alpha_c * np.sum(vw ** 2) + config.alpha_p * np.sum(vw[:, n_s:] ** 2)
+    return float(config.alpha_c * source
+                 + (config.alpha_c + config.alpha_p) * np.sum((v.T @ data.targets) ** 2)
                  + np.sum((vu @ n) * vu) + config.lam * np.sum(a ** 2))
 
 
@@ -347,8 +377,7 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
         received it.
     """
     config = data.config
-    n_s, c = data.y_s.shape
-    n_t = data.centred.shape[1] - n_s
+    n_s, c, n_t = data.x_s.shape[1], data.counts.size, data.targets.shape[1]
     weights = as_weights(weights, c, "weights")
     p = np.asarray(p, dtype=float)
     if p.shape != (c, n_t):

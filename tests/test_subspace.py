@@ -1,7 +1,8 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,10 +173,19 @@ def test_gram_matrix_passes_features_through():
     y_s = np.eye(2)[[0, 1, 0]]
     raw = gram_matrix(x_s, y_s, x_t, RIDGE_ONLY)
     assert raw.config is RIDGE_ONLY
-    # the source labels, checked once per run, kept with their class counts
-    # and whitened class sums
-    assert raw.y_s is y_s and np.array_equal(raw.counts, [2.0, 1.0])
-    assert np.array_equal(raw.class_sums, raw.centred[:, :3] @ y_s)
+    # the caller's source features, read where they are by the objective,
+    # and the class counts of the source labels, checked once per run
+    assert raw.x_s is x_s and np.array_equal(raw.counts, [2.0, 1.0])
+    # only the targets, the class sums and the mean are whitened
+    mu = x.mean(axis=1)
+    assert np.allclose(raw.mu, mu, rtol=1e-15, atol=1e-15)
+    tol = {"rtol": 1e-13, "atol": 1e-13 * np.abs(raw.l_inv).max()}
+    assert np.allclose(raw.targets, raw.l_inv @ (x_t - mu[:, None]), **tol)
+    assert np.allclose(raw.class_sums, raw.l_inv @ ((x_s - mu[:, None]) @ y_s), **tol)
+    assert np.allclose(raw.mean, raw.l_inv @ mu, **tol)
+    # no field has a column per sample of both domains
+    kept = [getattr(raw, f.name) for f in fields(raw)]
+    assert not [v for v in kept if np.ndim(v) == 2 and v.shape[1] == x.shape[1]]
     with pytest.raises(ValidationError, match="2-dimensional"):
         gram_matrix(x[0], y_s, x_t, RIDGE_ONLY)
     with pytest.raises(ValidationError, match="dimensions differ"):
@@ -317,11 +327,12 @@ def test_each_solve_builds_a_pencil_of_its_own(monkeypatch):
 def test_solve_projection_k_too_large():
     # k is checked against d once, when the data are factored, not every round
     rng = np.random.default_rng(24)
-    data, z, _, labels = solver_instance(rng)
-    d, n_s = data.l_inv.shape[0], data.y_s.shape[0]
+    x_s, y_s, x_t, p = random_instance(rng)
+    data, _, _, labels = labelled_data(rng, x_s, y_s, x_t, p)
+    d = data.l_inv.shape[0]
     assert solve_projection(with_k(data, d), *labels).a.shape == (d, d)
     with pytest.raises(ConfigurationError, match=f"^k={d + 1} exceeds the feature dimension {d}$"):
-        gram_matrix(z[:, :n_s], data.y_s, z[:, n_s:], replace(data.config, k=d + 1))
+        gram_matrix(x_s, y_s, x_t, replace(data.config, k=d + 1))
 
 
 def test_solve_projection_shape_mismatch():
@@ -388,10 +399,15 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
                 assert np.all(np.triu(l_inv, 1) == 0.0)
             else:
                 assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
-            # the whitened data L^-1 Z, split into its centred part and its mean
-            assert np.allclose(data.centred + data.mean[:, None], l_inv @ z,
+            # the whitened data L^-1 Z, split into its centred part and its
+            # mean: the targets column by column, the sources by class
+            whitened = l_inv @ z
+            assert np.allclose(data.targets + data.mean[:, None], whitened[:, 2:],
                                rtol=1e-13, atol=1e-13)
-            assert np.allclose(data.centred.mean(axis=1), 0.0, atol=1e-13 * np.abs(l_inv).max())
+            assert np.allclose(data.class_sums + np.outer(data.mean, data.counts),
+                               whitened[:, :2] @ Y2, rtol=1e-13, atol=1e-13)
+            assert np.allclose((data.targets.sum(axis=1) + data.class_sums.sum(axis=1)) / n,
+                               0.0, atol=1e-13 * np.abs(l_inv).max())
             # at 1e-10 a singular side has kappa(rhs) ~ 1e10, which leaves
             # L^-1 rhs L^-T ~ 1e-6 off I and the small entries of lam L^-1 L^-T
             # without 13 correct digits of their own
@@ -493,6 +509,33 @@ def test_objective_is_not_swamped_by_the_whitened_ridge(monkeypatch):
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
         assert 0.1 * np.linalg.norm(data.l_inv, 2) ** 2 >= 1e3 * want
         assert proj.objective == pytest.approx(want, rel=1e-10)
+
+
+def test_objective_reads_the_source_features_a_block_at_a_time(monkeypatch):
+    # The projection keeps no source column of the whitened data; the
+    # objective reads the caller's features, centring and projecting one
+    # block of columns at a time.  With n_s >> d, a whole (d, n_s)
+    # temporary would dominate the traced peak of a solve, and taking the
+    # sources in one block shows it does.
+    rng = np.random.default_rng(60)
+    d, n_s, n_t, c = 16, 20000, 40, 4
+    labels = np.arange(n_s) % c
+    x_s = rng.standard_normal((d, n_s)) + 3.0 * np.eye(d)[:, labels]
+    x_t = rng.standard_normal((d, n_t))
+    p = rng.random((c, n_t))
+    p /= p.sum(axis=0)
+    data = gram_matrix(x_s, np.eye(c)[labels], x_t, AdaptationConfig(k=4))
+    peaks, objectives = [], []
+    for block in (subspace._OBJECTIVE_BLOCK, n_s):
+        monkeypatch.setattr(subspace, "_OBJECTIVE_BLOCK", block)
+        tracemalloc.start()
+        try:
+            objectives.append(solve_projection(data, np.ones(c), p).objective)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 8 * d * n_s / 10 < 8 * d * n_s < peaks[1]
+    assert objectives[0] == pytest.approx(objectives[1], rel=1e-14)
 
 
 def test_import_leaves_scipy_unloaded():
