@@ -1,12 +1,16 @@
-"""Three wrappers over four LAPACK routines numpy does not expose, from the OpenBLAS it ships.
+"""Four wrappers over five BLAS and LAPACK routines numpy does not expose, from its OpenBLAS.
 
 numpy's wheels bundle one OpenBLAS, ``numpy.libs/libscipy_openblas64_*``,
 built with 64-bit integers and exporting every LAPACK routine under a
-``scipy_`` prefix and ``_64_`` suffix.  The package calls four of them
-through ``ctypes``, so one BLAS thread pool still serves every step:
+``scipy_`` prefix and ``_64_`` suffix, and its BLAS routines alike.  The
+package calls five of them through ``ctypes``, so one BLAS thread pool
+still serves every step:
 
 * :func:`gesv` (``dgesv``) factors the propagation system in place, where
   ``np.linalg.solve`` would first copy it;
+* :func:`syrk` (BLAS ``dsyrk``) adds ``a @ a.T`` to one triangle of a
+  symmetric matrix in place, where ``c += a @ a.T`` makes a full square
+  temporary;
 * :func:`inv_cholesky` (``dpotrf``, then ``dtrtri``) factors a symmetric
   positive definite matrix and inverts its Cholesky factor as a triangle,
   both in the matrix itself, where ``np.linalg.cholesky`` copies it and
@@ -18,7 +22,7 @@ through ``ctypes``, so one BLAS thread pool still serves every step:
 The library is looked up on the first call, not at import.  Where it or a
 routine is missing, each wrapper computes the same result with
 ``np.linalg``: bit for bit for :func:`gesv`, which runs the same routine on
-a copy, and to rounding for the other two.  Each wrapper raises
+a copy, and to rounding for the other three.  Each wrapper raises
 ``np.linalg.LinAlgError`` where the ``np.linalg`` calls it replaces would,
 so a caller handles both paths alike.  :func:`blas_threads` reads the
 library's thread count.
@@ -53,6 +57,9 @@ _ARGTYPES = {
     "dsyevr": [_CHAR_P, _CHAR_P, _CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P,
                _INT_P, _INT_P, _DOUBLE_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P,
                _DOUBLE_P, _INT_P, _INT_P, _INT_P, _INT_P, _LEN, _LEN, _LEN],
+    # uplo, trans, n, k, alpha, a, lda, beta, c, ldc, and two string lengths
+    "dsyrk": [_CHAR_P, _CHAR_P, _INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _DOUBLE_P,
+              _DOUBLE_P, _INT_P, _LEN, _LEN],
     # uplo, n, a, lda, info, and one string length
     "dpotrf": [_CHAR_P, _INT_P, _DOUBLE_P, _INT_P, _INT_P, _LEN],
     # uplo, diag, n, a, lda, info, and two string lengths
@@ -120,21 +127,49 @@ def gesv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
-def inv_cholesky(a: np.ndarray) -> np.ndarray:
-    """``L^-1`` for ``a = L L.T``, C-ordered, symmetric and positive definite; destroys ``a``.
+def syrk(c: np.ndarray, a: np.ndarray) -> None:
+    """Add ``a @ a.T`` to the upper triangle of the C-ordered square ``c``, in place.
 
-    What ``np.linalg.inv(np.linalg.cholesky(a))`` returns, to rounding, in
-    ``a``'s buffer: ``dpotrf``, as ``cholesky`` calls it, and ``dtrtri`` run
-    with ``UPLO='L'`` on LAPACK's view of ``a``, its transpose, so only the
-    upper triangle of ``a`` is read.  The other is zeroed, and ``a.T`` is
-    returned, lower triangular with exact zeros above its diagonal.  (Where
-    a routine is missing, the ``np.linalg`` calls leave ``a`` as it was.)
+    BLAS ``dsyrk`` with beta 1, run with ``UPLO='L'`` on LAPACK's view of
+    ``c``, its transpose, writes the triangle :func:`inv_cholesky` reads
+    and leaves the strict lower one as it was.  ``a`` (n, k) may be a block
+    of columns of a wider array: its rows need not follow each other, but
+    each must be contiguous.  Where ``dsyrk`` is missing, ``c += a @ a.T``
+    updates both triangles, at the cost of one n x n temporary.
+    """
+    if c.dtype != np.float64 or not c.flags.c_contiguous or not c.flags.writeable:
+        raise ValueError("syrk adds into a writeable, C-ordered float64 matrix")
+    size, row = a.itemsize, a.strides[0] // a.itemsize
+    if a.dtype != np.float64 or a.shape[0] != c.shape[0] or a.strides[1] != size \
+            or a.strides[0] % size or row < max(a.shape[1], 1):
+        raise ValueError("syrk reads a float64 (n, k) block with contiguous rows")
+    routine = _lookup().get("dsyrk")
+    if routine is None:
+        c += a @ a.T
+        return
+    one = ctypes.c_double(1.0)
+    size_n, size_k = _INT(c.shape[0]), _INT(a.shape[1])
+    routine(b"L", b"T", size_n, size_k, one, _ptr(a), _INT(row), one, _ptr(c), size_n, 1, 1)
+
+
+def inv_cholesky(a: np.ndarray) -> np.ndarray:
+    """``L^-1`` for ``a = L L.T``, C-ordered, symmetric and positive definite, in ``a``'s buffer.
+
+    Only the upper triangle of ``a`` is read, on both paths: ``dpotrf``, as
+    ``np.linalg.cholesky`` calls it, and ``dtrtri`` run with ``UPLO='L'`` on
+    LAPACK's view of ``a``, its transpose.  ``a`` then holds ``L^-T``, upper
+    triangular with exact zeros below its diagonal, and ``a.T`` is
+    returned.  Where a routine is missing,
+    ``np.linalg.inv(np.linalg.cholesky(a.T))``, whose factor reads that same
+    triangle, is stored in ``a`` alike, its rounding above the diagonal
+    dropped.
     """
     if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
         raise ValueError("inv_cholesky works in a writeable, C-ordered float64 matrix")
     potrf, trtri = (_lookup().get(name) for name in ("dpotrf", "dtrtri"))
     if potrf is None or trtri is None:
-        return np.linalg.inv(np.linalg.cholesky(a))
+        a[...] = np.triu(np.linalg.inv(np.linalg.cholesky(a.T)).T)
+        return a.T
     n, info = _INT(a.shape[0]), _INT(0)
     potrf(b"L", n, _ptr(a), n, info, 1)
     _check("dpotrf", info, "Matrix is not positive definite")

@@ -38,31 +38,44 @@ and no large offset cancels.
 depends on the data and the source labels alone, with the knobs of the
 :class:`partialda.core.AdaptationConfig`, which checked them when it was
 built.  It checks ``y_s`` and factors the constraint side
-``Zc Zc.T + eps_r I = L L.T``.  The whitened centred data ``Wc = L^-1 Zc``
-are never formed: the rounds read only their target columns
-``Wc_t = L^-1 Zc_t``, the whitened class sums ``L^-1 (Zc_s Y_s)`` and the
-whitened mean ``m = L^-1 mu``, and the source columns only in the round
-objective, as ``A.T (x_s - mu 1.T)`` from the caller's features.  So it
-keeps these three, the class counts ``Y_s.T 1``, ``L^-1``, the mean ``mu``
-and the caller's ``x_s`` (not copied), the configuration and the first
-part of the whitened pencil with the ridge,
+``Zc Zc.T + eps_r I = L L.T``.  The centred data ``Zc`` are never
+stacked: ``Zc Zc.T``, its largest entry and the class sums ``Zc_s Y_s``
+are formed in one pass over blocks of 256 centred columns of the caller's
+``x_s`` and ``x_t``, each added into one triangle with BLAS ``dsyrk``.
+The whitened centred data ``Wc = L^-1 Zc`` are never formed either: the
+rounds read only their target columns ``Wc_t = L^-1 Zc_t``, whitened a
+block at a time into their final array, the whitened class sums
+``L^-1 (Zc_s Y_s)`` and the whitened mean ``m = L^-1 mu``, and the source
+columns only in the round objective, as ``A.T (x_s - mu 1.T)`` from the
+caller's features.  So it keeps these three, the class counts
+``Y_s.T 1``, the mean ``mu`` and the caller's ``x_s`` (not copied), the
+configuration, ``L^-1`` and the first part of the whitened pencil with
+the ridge,
 
     base = alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + lam L^-1 L^-T
          = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T,
 
 since ``L L.T = Zc Zc.T + eps_r I`` makes ``Wc Wc.T = I - eps_r L^-1 L^-T``
-exactly, so the d^2 n product ``Wc Wc.T`` is never formed.  The centred
-copy ``Zc`` (d x n) lives only while the constraint side is factored and
-the targets and class sums are whitened; what a run keeps is
-``3 d^2 + d n_t`` doubles with the round's pencil, and O(d C) more.
+exactly, so the d^2 n product ``Wc Wc.T`` is never formed.  ``L^-1`` and
+base share one d x d buffer: the constraint side's, which the
+factorization leaves holding ``L^-T`` on and above its diagonal and zeros
+below, where base's strict lower triangle is written, 256 rows at a time
+from the bottom up; base's diagonal is a d-vector.  What a run keeps is
+``d^2 + d n_t`` doubles and O(d C) more; each round adds its pencil and a
+block of 256 columns, ``2 d^2 + d n_t + 256 d`` doubles in all, and the
+factoring never needs more.
 
 Each round, ``solve_projection(data, weights, p)`` checks the round's
 class weights and soft labels, builds U and N from them on the whitened
-data (:func:`_scatter_factors`), forms ``U N U.T + base`` as one new d x d
-array, so a round costs O(d n k + d n_t C + d^2 C), makes no d x n array
-and no d^2 n product, and computes the k smallest eigenpairs of that
-standard symmetric eigenproblem; their eigenvectors V map back as
-``A = L^-T V``.
+data (:func:`_scatter_factors`), forms ``U N U.T`` as one new d x d array
+and adds the shared buffer with one sum: base lands below the diagonal,
+``L^-T`` in the upper triangle, which neither ``dsyevr`` nor the
+``numpy.linalg.eigh`` fallback reads, and the diagonal is then set from
+base's vector.  A round costs O(d n k + d n_t C + d^2 C), makes no d x n
+array and no d^2 n product, and computes the k smallest eigenpairs of
+that standard symmetric eigenproblem; once the eigensolver has released
+the pencil, their eigenvectors V map back as ``A = L^-T V`` through a
+copy of the shared buffer's upper triangle.
 
 The round objective ``trace(A.T S A) + lam ||A||_F^2`` comes from the same
 factors: the whitened scatter as quadratic forms in V, save the source
@@ -73,13 +86,14 @@ whitened ridge ``lam L^-1 L^-T`` is large wherever the constraint side is
 nearly singular, and the eigenvalue sum then loses up to 1e-6 relative of
 a small objective.
 
-Everything runs on numpy's own BLAS/LAPACK: LAPACK ``dpotrf`` and
-``dtrtri`` (factor the constraint side and invert ``L`` as a triangle, both
-in the constraint side's own buffer) and ``dsyevr`` (the k smallest
-eigenpairs only, computed in the round's pencil itself) are called from
-numpy's OpenBLAS through :mod:`partialda._lapack`, which falls back to
-``numpy.linalg.inv(numpy.linalg.cholesky(...))`` and a full
-``numpy.linalg.eigh`` where they are missing.
+Everything runs on numpy's own BLAS/LAPACK: BLAS ``dsyrk`` (the
+constraint side, a block at a time), LAPACK ``dpotrf`` and ``dtrtri``
+(factor the constraint side and invert ``L`` as a triangle, both in the
+constraint side's own buffer) and ``dsyevr`` (the k smallest eigenpairs
+only, computed in the round's pencil itself) are called from numpy's
+OpenBLAS through :mod:`partialda._lapack`, which falls back to
+``c += a @ a.T``, ``numpy.linalg.inv(numpy.linalg.cholesky(...))`` and a
+full ``numpy.linalg.eigh`` where they are missing.
 """
 
 from __future__ import annotations
@@ -88,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import inv_cholesky, syevr_smallest
+from ._lapack import inv_cholesky, syevr_smallest, syrk
 from .core import (_MASS_TOL, AdaptationConfig, as_domain_pair, as_weights,
                    check_label_matrix)
 from .errors import NumericalError, ValidationError
@@ -99,21 +113,24 @@ RIDGE_TRIGGER = 1e-8
 RIDGE_SCALE = 1e-9
 # eps_r = _RHS_REG * trace(Zc Zc.T) / n keeps the constraint side definite
 _RHS_REG = 1e-6
-# source columns the objective centres and projects at a time
-_OBJECTIVE_BLOCK = 256
+# columns of the features centred at a time, and rows of base written at a time
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class WhitenedData:
     """Everything of the pencil that is fixed per run, from the features and the source labels.
 
-    In the terms of the module docstring, ``l_inv`` is ``L^-1``, ``targets``
-    is ``Wc_t`` (d, n_t), ``mean`` is m, ``base`` the cached part of the
-    whitened pencil, ``counts`` is ``Y_s.T 1`` and ``class_sums``
-    ``L^-1 (Zc_s Y_s)``.  ``mu`` is the mean of the features and ``x_s`` the
+    In the terms of the module docstring, ``targets`` is ``Wc_t`` (d, n_t),
+    ``mean`` is m, ``counts`` is ``Y_s.T 1`` and ``class_sums``
+    ``L^-1 (Zc_s Y_s)``.  The d x d ``shared`` holds ``L^-T`` on and above
+    its diagonal and base, the cached part of the whitened pencil, below
+    it; ``base_diagonal`` is base's diagonal.  So ``np.triu(shared)`` is
+    ``L^-T``, and base is ``shared``'s strict lower triangle, mirrored, with
+    that diagonal.  ``mu`` is the mean of the features and ``x_s`` the
     caller's source features, kept as given, not copied, which the round
     objective reads; they must not change while the rounds run.  No field
-    has a column per sample of both domains.  ``config``, which ``base`` was
+    has a column per sample of both domains.  ``config``, which base was
     built with, is read again every round.
     """
 
@@ -121,8 +138,8 @@ class WhitenedData:
     mean: np.ndarray
     mu: np.ndarray
     x_s: np.ndarray
-    l_inv: np.ndarray
-    base: np.ndarray
+    shared: np.ndarray
+    base_diagonal: np.ndarray
     config: AdaptationConfig
     counts: np.ndarray
     class_sums: np.ndarray
@@ -145,24 +162,80 @@ def _cond(m: np.ndarray) -> float:
         return float("inf")
 
 
-def _constraint_side(centred: np.ndarray, eps_r: float) -> np.ndarray:
-    """``Zc Zc.T + eps_r I`` for the centred data ``Zc``; symmetric bit for bit."""
+def _mirrored(m: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle ``m`` holds."""
+    return np.tril(m) + np.tril(m, -1).T
+
+
+def _centred_blocks(x: np.ndarray, mu: np.ndarray):
+    """``(start, x[:, start:start + b] - mu)`` for blocks of ``_BLOCK`` columns, in one buffer.
+
+    Each block is a view of the same (d, _BLOCK) buffer, overwritten by the
+    next one.
+    """
+    buf = np.empty((x.shape[0], min(_BLOCK, x.shape[1])))
+    for start in range(0, x.shape[1], _BLOCK):
+        block = buf[:, :min(_BLOCK, x.shape[1] - start)]
+        np.subtract(x[:, start:start + block.shape[1]], mu[:, None], out=block)
+        yield start, block
+
+
+def _moments(x_s: np.ndarray, y_s: np.ndarray, x_t: np.ndarray,
+             mu: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """``Zc Zc.T`` in its upper triangle, the largest centred magnitude and ``Zc_s Y_s``.
+
+    One pass over centred blocks of the caller's features: each block is
+    added into the triangle with BLAS ``dsyrk``, so no d x n array is made.
+    """
+    d = mu.size
+    rhs, sums, spread = np.zeros((d, d)), np.zeros((d, y_s.shape[1])), 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller, by name
-        rhs = centred @ centred.T
-    rhs.flat[::rhs.shape[0] + 1] += eps_r
-    return rhs
+        for x, y in ((x_s, y_s), (x_t, None)):
+            for start, block in _centred_blocks(x, mu):
+                syrk(rhs, block)
+                spread = max(spread, float(block.max()), -float(block.min()))
+                if y is not None:
+                    sums += block @ y[start:start + block.shape[1]]
+            del block  # so the next array's blocks are the only buffer
+    return rhs, spread, sums
 
 
-def _inverse_cholesky(centred: np.ndarray, eps_r: float, rhs: np.ndarray) -> np.ndarray:
-    """``L^-1`` for ``rhs = L L.T``, the constraint side of ``centred``; rhs is destroyed."""
-    try:
-        return inv_cholesky(rhs)
-    except np.linalg.LinAlgError as exc:
-        # the factorization overwrote rhs, so it is built again
-        cond = _cond(_constraint_side(centred, eps_r))
-        raise NumericalError(
-            f"constraint side is not positive definite (cond rhs {cond:.3e}): {exc}"
-        ) from exc
+def _whitened(l_inv: np.ndarray, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``L^-1 (x - mu 1.T)``, whitened a block of columns at a time into its final array."""
+    out = np.empty(x.shape)
+    for start, block in _centred_blocks(x, mu):
+        np.matmul(l_inv, block, out=out[:, start:start + block.shape[1]])
+    return out
+
+
+def _store_base(shared: np.ndarray, targets: np.ndarray, config: AdaptationConfig,
+                eps_r: float) -> np.ndarray:
+    """Write ``base`` below the diagonal of ``shared``, which holds ``L^-T``; return its diagonal.
+
+    ``base = alpha_c I + (lam - alpha_c eps_r) L^-1 L^-T + alpha_p Wc_t Wc_t.T``
+    is formed ``_BLOCK`` rows at a time from the bottom up: the rows of
+    ``L^-1 L^-T`` left of a block's end read only ``L^-T`` above the block,
+    which no block written so far has touched, and the block's own zeros.
+    Each term is added in place before the next is formed, so one block of
+    rows is the only temporary.
+    """
+    d = shared.shape[0]
+    diagonal = np.full(d, config.alpha_c)
+    for stop in range(d, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        rows = shared[start:stop, :stop]
+        below = np.tri(stop - start, stop, start - 1, dtype=bool)
+        # rows start:stop, columns :stop of L^-1 L^-T, where L^-1 = shared.T
+        block = shared[:stop, start:stop].T @ shared[:stop, :stop]
+        block *= config.lam - config.alpha_c * eps_r
+        np.copyto(rows, block, where=below)
+        diagonal[start:stop] += block[:, start:].diagonal()
+        del block
+        block = targets[start:stop] @ targets[:stop].T
+        block *= config.alpha_p
+        np.add(rows, block, out=rows, where=below)
+        diagonal[start:stop] += block[:, start:].diagonal()
+    return diagonal
 
 
 def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
@@ -174,7 +247,8 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
     columns.  ``config``, whose type checked every knob, is kept on the
     result for :func:`solve_projection`; only ``k`` is checked here, against
     d.  The one-hot source labels ``y_s`` (n_s, C) are checked once per run.
-    Z is never stacked.  Every input is checked before anything is factored.
+    Z is never stacked, and no array has a column per sample but the
+    whitened targets.  Every input is checked before anything is factored.
 
     Raises
     ------
@@ -193,10 +267,7 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
     config.check_k(d)
     n = n_s + x_t.shape[1]
     mu = (x_s.sum(axis=1) + x_t.sum(axis=1)) / n
-    centred = np.empty((d, n))
-    np.subtract(x_s, mu[:, None], out=centred[:, :n_s])
-    np.subtract(x_t, mu[:, None], out=centred[:, n_s:])
-    rhs = _constraint_side(centred, 0.0)
+    rhs, spread, sums = _moments(x_s, y_s, x_t, mu)
     variance = float(np.trace(rhs))
     if not np.isfinite(variance):
         raise NumericalError(
@@ -208,7 +279,6 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
     # scaled by the power of two that brings the largest centred or mean
     # entry near 1, so neither overflows, and the largest centred entry
     # squared stands in for a trace whose squares underflow.
-    spread = max(float(centred.max()), -float(centred.min()))
     shift = -int(np.frexp(max(spread, float(np.abs(mu).max())))[1])
     scaled = max(np.ldexp(variance, 2 * shift), np.ldexp(spread, shift) ** 2)
     if scaled <= n * np.finfo(float).eps * (scaled + n * float(np.sum(np.ldexp(mu, shift) ** 2))):
@@ -222,20 +292,23 @@ def gram_matrix(x_s, y_s, x_t, config: AdaptationConfig) -> WhitenedData:
         )
     eps_r = _RHS_REG * variance / n
     rhs.flat[::d + 1] += eps_r
-    l_inv = _inverse_cholesky(centred, eps_r, rhs)
+    try:
+        l_inv = inv_cholesky(rhs)
+    except np.linalg.LinAlgError as exc:
+        # the factorization overwrote rhs, so it is formed again
+        rhs = _moments(x_s, y_s, x_t, mu)[0]
+        rhs.flat[::d + 1] += eps_r
+        cond = _cond(_mirrored(rhs.T))  # the factorization read the upper triangle
+        raise NumericalError(
+            f"constraint side is not positive definite (cond rhs {cond:.3e}): {exc}"
+        ) from exc
     # the rounds read the whitened targets and class sums, never Wc_s itself
-    targets = l_inv @ centred[:, n_s:]
-    class_sums = l_inv @ (centred[:, :n_s] @ y_s)
-    del centred
-    # Wc Wc.T = I - eps_r L^-1 L^-T, so only the target columns need a product
-    base = l_inv @ l_inv.T
-    base *= config.lam - config.alpha_c * eps_r
-    base.flat[::d + 1] += config.alpha_c
-    target = targets @ targets.T
-    target *= config.alpha_p
-    base += target
-    return WhitenedData(targets=targets, mean=l_inv @ mu, mu=mu, x_s=x_s, l_inv=l_inv,
-                        base=base, config=config, counts=y_s.sum(axis=0),
+    targets = _whitened(l_inv, x_t, mu)
+    mean, class_sums = l_inv @ mu, l_inv @ sums
+    # rhs holds L^-T on and above its diagonal, and from here base below it
+    base_diagonal = _store_base(rhs, targets, config, eps_r)
+    return WhitenedData(targets=targets, mean=mean, mu=mu, x_s=x_s, shared=rhs,
+                        base_diagonal=base_diagonal, config=config, counts=y_s.sum(axis=0),
                         class_sums=class_sums)
 
 
@@ -313,10 +386,22 @@ def _scatter_factors(data: WhitenedData, weights: np.ndarray,
 
 
 def _fill_pencil(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``U N U.T + base`` as a new array, which the eigensolver may overwrite."""
+    """``U N U.T + base`` on and below the diagonal of a new array, for the eigensolver to overwrite.
+
+    One sum with ``data.shared`` adds base below the diagonal and ``L^-T``
+    above it, a triangle no eigensolver reads; the diagonal is then set
+    from ``U N U.T``'s own and ``data.base_diagonal``.
+    """
     pencil = u @ (n @ u.T)
-    pencil += data.base
+    diagonal = pencil.diagonal() + data.base_diagonal
+    pencil += data.shared
+    np.fill_diagonal(pencil, diagonal)
     return pencil
+
+
+def _pencil_cond(data: WhitenedData, u: np.ndarray, n: np.ndarray) -> float:
+    """cond of the symmetric pencil the eigensolver read, built again since it overwrote it."""
+    return _cond(_mirrored(_fill_pencil(data, u, n)))
 
 
 def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
@@ -325,14 +410,12 @@ def _objective(data: WhitenedData, u: np.ndarray, n: np.ndarray, v: np.ndarray,
 
     ``A.T Z M Z.T A`` is ``V.T (alpha_c Wc Wc.T + alpha_p Wc_t Wc_t.T + U N U.T) V``,
     with ``V.T Wc_s = A.T (x_s - mu 1.T)`` taken from the caller's source
-    features ``_OBJECTIVE_BLOCK`` columns at a time: each block is centred
-    before the product, so no large ``A.T mu`` cancels and no (d, n_s)
-    array is made.
+    features ``_BLOCK`` columns at a time: each block is centred before the
+    product, so no large ``A.T mu`` cancels and no (d, n_s) array is made.
     """
-    x_s, mu = data.x_s, data.mu[:, None]
     source = 0.0
-    for start in range(0, x_s.shape[1], _OBJECTIVE_BLOCK):
-        source += np.sum((a.T @ (x_s[:, start:start + _OBJECTIVE_BLOCK] - mu)) ** 2)
+    for _, block in _centred_blocks(data.x_s, data.mu):
+        source += np.sum((a.T @ block) ** 2)
     vu = v.T @ u
     config = data.config
     return float(config.alpha_c * source
@@ -344,7 +427,7 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
     """Learn the ``data.config.k``-dimensional projection for one round's alignment loss.
 
     The round's inputs are checked here, once; then the whitened pencil
-    ``U N U.T + data.base`` is built as a new array, which the eigensolver
+    ``U N U.T + base`` is built as a new array, which the eigensolver
     overwrites, so solves on one ``data`` share no memory.
 
     Parameters
@@ -373,8 +456,8 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
         the rules above.
     NumericalError
         When the eigensolver fails or returns non-finite values.  The
-        condition number reported is that of the pencil as the eigensolver
-        received it.
+        condition number reported is that of the symmetric pencil the
+        eigensolver read, its lower triangle mirrored.
     """
     config = data.config
     n_s, c, n_t = data.x_s.shape[1], data.counts.size, data.targets.shape[1]
@@ -399,16 +482,16 @@ def solve_projection(data: WhitenedData, weights, p) -> Projection:
     try:
         phi, vecs = syevr_smallest(_fill_pencil(data, u, n), config.k)
     except np.linalg.LinAlgError as exc:
-        # the eigensolver overwrote the pencil, so it is built again
         raise NumericalError(
-            f"eigensolver failed (cond pencil {_cond(_fill_pencil(data, u, n)):.3e}): {exc}"
+            f"eigensolver failed (cond pencil {_pencil_cond(data, u, n):.3e}): {exc}"
         ) from exc
-    a = data.l_inv.T @ vecs
+    # the pencil is released: L^-T is copied out of the shared buffer for the map back
+    a = np.triu(data.shared) @ vecs
     if not (np.isfinite(phi).all() and np.isfinite(a).all()):
         n_ok = int(np.isfinite(phi).cumprod().sum())
         raise NumericalError(
             f"only {n_ok} numerically valid eigenpairs "
-            f"(cond pencil {_cond(_fill_pencil(data, u, n)):.3e}); use a smaller k"
+            f"(cond pencil {_pencil_cond(data, u, n):.3e}); use a smaller k"
         )
     # scale each eigenvector so its largest-magnitude entry is positive,
     # which pins down the sign deterministically

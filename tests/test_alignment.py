@@ -63,9 +63,11 @@ def factored_scatter(z, n_s, w, y_s, p, alpha_p, alpha_c):
     zc = z - mean[:, None]
     zc_t = zc[:, n_s:]
     config = AdaptationConfig(alpha_p=alpha_p, alpha_c=alpha_c)
-    # the unwhitened data in the fields the scatter reads; mu, x_s, l_inv and base are not read
-    data = WhitenedData(targets=zc_t, mean=mean, mu=None, x_s=None, l_inv=None, base=None,
-                        config=config, counts=y_s.sum(axis=0), class_sums=zc[:, :n_s] @ y_s)
+    # the unwhitened data in the fields the scatter reads; mu, x_s, shared and
+    # base_diagonal are not read
+    data = WhitenedData(targets=zc_t, mean=mean, mu=None, x_s=None, shared=None,
+                        base_diagonal=None, config=config, counts=y_s.sum(axis=0),
+                        class_sums=zc[:, :n_s] @ y_s)
     u, n = _scatter_factors(data, w, p)
     return alpha_c * zc @ zc.T + alpha_p * zc_t @ zc_t.T + u @ (n @ u.T)
 

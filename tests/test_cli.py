@@ -4,17 +4,24 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import partialda._lapack as _lapack
 import partialda.cli
-from partialda import AdaptationConfig, IterationRecord, load_features_csv
+from partialda import (AdaptationConfig, IterationRecord, NumericalError, load_features_csv,
+                       save_features_csv, save_labels)
 from partialda.cli import main
 from partialda.core import hard_labels
+from partialda.errors import AdaptationError
+from tests.test_pipeline import run_small, small_runs
 
 
 GEN_FLAGS = [
@@ -450,3 +457,45 @@ def test_removed_rhs_reg_flag_exits_one(tmp_path, capsys):
 def test_missing_subcommand_exits_one(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+@settings(max_examples=8)
+@given(small_runs())
+# no class weight exceeds delta = 1, a refused configuration
+@example((np.eye(2), np.eye(2), np.ones((2, 1)), AdaptationConfig(k=1, delta=1.0), 0.1))
+def test_every_run_exits_with_a_documented_code_and_one_line(run):
+    # the drawn runs of tests/test_pipeline.py through the command line:
+    # exit 0 with the soft labels the library returns, bit for bit, and
+    # nothing on stderr, or the code of the error the library raises, 1
+    # for a refused input or configuration and 2 for a numerical failure,
+    # with one line on stderr
+    x_s, y_s, x_t, config, sigma = run
+    try:
+        want = run_small(*run)
+    except AdaptationError as exc:
+        want = 2 if isinstance(exc, NumericalError) else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_features_csv(x_s, tmp / "xs.csv")
+        save_labels(np.argmax(y_s, axis=1), tmp / "ys.txt")
+        save_features_csv(x_t, tmp / "xt.csv")
+        args = ["--source-features", str(tmp / "xs.csv"), "--source-labels", str(tmp / "ys.txt"),
+                "--target-features", str(tmp / "xt.csv"), "--out", str(tmp / "out")]
+        if config is None:
+            args = ["baseline", *args, "--sigma", repr(sigma)]
+        else:
+            args = ["adapt", *args]
+            for f in fields(config):
+                flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+                args += [flag, repr(getattr(config, f.name))]
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            code = main(args)
+        lines = err.getvalue().splitlines()
+        if isinstance(want, int):
+            assert code == want and len(lines) == 1
+            assert not (tmp / "out").exists()
+        else:
+            assert code == 0 and lines == []
+            got = load_features_csv(tmp / "out" / "soft_labels.csv")
+            assert got.tobytes() == want.soft_labels.tobytes()

@@ -22,11 +22,12 @@ from partialda import (
 )
 import partialda._lapack as _lapack
 import partialda.subspace as subspace
-from partialda._lapack import inv_cholesky, syevr_smallest
+from partialda._lapack import inv_cholesky, syevr_smallest, syrk
 from partialda.subspace import solve_projection
 from tests.test_subspace import (
     assert_matches_dense_eigh,
     factored_instance,
+    l_inv_of,
     solver_instance,
     with_k,
 )
@@ -47,9 +48,9 @@ def path(request, monkeypatch):
 @pytest.mark.skipif(not NUMPY_OPENBLAS, reason="numpy ships no libscipy_openblas64_")
 def test_lookup_finds_every_routine():
     # a routine not found falls back silently and loses its speed, so a
-    # numpy that ships the library must export all four under these names,
+    # numpy that ships the library must export all five under these names,
     # and the thread count that report.json records
-    assert sorted(_lapack._lookup()) == ["dgesv", "dpotrf", "dsyevr", "dtrtri",
+    assert sorted(_lapack._lookup()) == ["dgesv", "dpotrf", "dsyevr", "dsyrk", "dtrtri",
                                          "openblas_get_num_threads"]
     assert _lapack.blas_threads() >= 1
 
@@ -139,10 +140,15 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     # the eigensolver overwrites the pencil, so solve_projection builds it
     # again for the condition number in its message; an eigensolver that
     # scribbles on the pencil before it fails shows that the number is that
-    # of the pencil as the eigensolver received it
+    # of the pencil as the eigensolver received it.  The eigensolver reads
+    # the lower triangle, and the upper one holds L^-T, so the number is
+    # that of the symmetric matrix whose lower triangle it received
     data, _, _, labels = solver_instance(np.random.default_rng(54))
     data = with_k(data, 2)
     received = []
+
+    def read(a):
+        return np.tril(a) + np.tril(a, -1).T
 
     def scribbling(valid):
         def eigensolver(a, k):
@@ -158,14 +164,15 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(None))
     with pytest.raises(NumericalError) as failed:
         solve_projection(data, *labels)
-    cond = np.linalg.cond(received[-1])
+    cond = np.linalg.cond(read(received[-1]))
+    assert np.linalg.cond(received[-1]) != pytest.approx(cond, rel=1e-3)
     assert str(failed.value) == (
         f"eigensolver failed (cond pencil {cond:.3e}): Eigenvalues did not converge")
 
     monkeypatch.setattr(subspace, "syevr_smallest", scribbling(1))
     with pytest.raises(NumericalError) as failed:
         solve_projection(data, *labels)
-    cond = np.linalg.cond(received[-1])
+    cond = np.linalg.cond(read(received[-1]))
     assert str(failed.value) == (
         f"only 1 numerically valid eigenpairs (cond pencil {cond:.3e}); use a smaller k")
 
@@ -174,19 +181,50 @@ def test_failed_eigensolve_reports_the_pencil_it_was_given(path, monkeypatch):
     monkeypatch.undo()  # this also reverts the path fixture's patch, so it is set again
     if path == "np.linalg":
         monkeypatch.setattr(_lapack, "_lookup", dict)
-    data.base[0, 0] = np.nan
+    data.base_diagonal[0] = np.nan
     with pytest.raises(NumericalError, match=r"\(cond pencil inf\)"):
         solve_projection(data, *labels)
 
 
+def test_syrk_matches_rank_k_update(path):
+    # c + a @ a.T to 4 k eps of its largest term on the upper triangle, the
+    # one dsyrk writes and inv_cholesky reads; dsyrk leaves the strict
+    # lower triangle as it was, the fallback updates it too.  a may be a
+    # block of columns of a wider buffer, as gram_matrix passes its last
+    # block; arrays the routine cannot read or add into are refused.
+    rng = np.random.default_rng(57)
+    for _ in range(30):
+        n, k = int(rng.integers(1, 40)), int(rng.integers(0, 40))
+        b = rng.standard_normal((n, n))
+        c = b + b.T
+        wide = rng.standard_normal((n, k + int(rng.integers(0, 3))))
+        a = wide[:, :k]
+        want = c + a @ a.T
+        got = c.copy()
+        assert syrk(got, a) is None
+        scale = 4 * max(k, 1) * EPS * (np.abs(c) + np.abs(a) @ np.abs(a).T)
+        assert np.all(np.abs(np.triu(got - want)) <= np.triu(scale))
+        if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
+            assert np.array_equal(np.tril(got, -1), np.tril(c, -1))
+        else:
+            assert np.all(np.abs(got - want) <= scale)
+    c, a = np.eye(3), np.ones((3, 2))
+    for bad in (np.eye(4)[:3, :3], c.astype(np.float32), np.broadcast_to(c, c.shape)):
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            syrk(bad, a)
+    for bad in (np.asfortranarray(a), a.astype(np.float32), np.ones((4, 2))):
+        with pytest.raises(ValueError, match="contiguous rows"):
+            syrk(c, bad)
+
+
 def test_inv_cholesky_matches_inv_of_cholesky(path):
-    # the fallback's np.linalg.inv(np.linalg.cholesky(a)) to 4 n eps cond(L)
-    # of its largest entry, the bound of
-    # test_fallbacks_agree_on_factored_instances; dpotrf and dtrtri work in
-    # a and return its transpose, lower triangular with exact zeros above
-    # the diagonal; the fallback leaves a as it was.  A matrix that is not
-    # positive definite is refused on both paths, and arrays the routines
-    # cannot work in are refused rather than copied.
+    # np.linalg.inv(np.linalg.cholesky(a)) to 4 n eps cond(L) of its
+    # largest entry, the bound of test_fallbacks_agree_on_factored_instances;
+    # on both paths only the upper triangle of a is read, and a's buffer
+    # holds the result, whose transpose, lower triangular with exact zeros
+    # above the diagonal, is returned.  A matrix that is not positive
+    # definite is refused on both paths, and arrays the routines cannot
+    # work in are refused rather than copied.
     rng = np.random.default_rng(51)
     for _ in range(30):
         n = int(rng.integers(1, 60))
@@ -195,14 +233,11 @@ def test_inv_cholesky_matches_inv_of_cholesky(path):
         a.flat[::n + 1] += 1e-3
         want = np.linalg.inv(np.linalg.cholesky(a))
         bound = 4 * n * EPS * np.sqrt(np.linalg.cond(a))
-        work = a.copy()
+        work = np.triu(a) + np.tril(rng.standard_normal((n, n)), -1)
         got = inv_cholesky(work)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
-        if path == "numpy's OpenBLAS" and NUMPY_OPENBLAS:
-            assert got.base is work and got.flags.f_contiguous
-            assert np.all(np.triu(got, 1) == 0.0)
-        else:
-            assert np.array_equal(work, a)
+        assert got.base is work and got.flags.f_contiguous
+        assert np.all(np.triu(got, 1) == 0.0)
     for bad in (np.diag([1.0, -1.0, 2.0]), np.diag([1.0, 0.0, 2.0])):
         with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
             inv_cholesky(bad)
@@ -229,13 +264,15 @@ def test_inv_cholesky_factors_as_numpy_cholesky(path):
                                         _lapack._INT(n), info, 1, 1)
             assert info.value == 0
         else:
-            want = np.linalg.inv(l)
+            want = np.asfortranarray(np.tril(np.linalg.inv(l)))
         assert inv_cholesky(a).tobytes(order="A") == want.tobytes(order="A")
 
 
 def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypatch):
     # the factorization overwrites the constraint side, so gram_matrix
-    # builds it again for the condition number in its message
+    # builds it again for the condition number in its message: that of the
+    # symmetric matrix whose upper triangle, the one the factorization
+    # reads, it received
     x = np.random.default_rng(56).standard_normal((6, 20))
     received = []
 
@@ -247,9 +284,10 @@ def test_failed_factorization_reports_the_constraint_side_it_was_given(monkeypat
     monkeypatch.setattr(subspace, "inv_cholesky", scribbling)
     with pytest.raises(NumericalError) as failed:
         subspace.gram_matrix(x[:, :8], np.eye(8), x[:, 8:], AdaptationConfig(k=2))
+    upper = np.triu(received[-1])
     assert str(failed.value) == (
         f"constraint side is not positive definite (cond rhs "
-        f"{np.linalg.cond(received[-1]):.3e}): Matrix is not positive definite")
+        f"{np.linalg.cond(upper + np.triu(upper, 1).T):.3e}): Matrix is not positive definite")
 
 
 @pytest.mark.parametrize("rhs_reg, full_rank", [(1e-6, True), (1e-6, False), (1e-10, False)])
@@ -269,7 +307,8 @@ def test_fallbacks_agree_on_factored_instances(monkeypatch, rhs_reg, full_rank):
     slow = instances()
     for (p_fast, d_fast, _, _, (lhs, rhs)), (p_slow, d_slow, *_) in zip(fast, slow):
         bound = 4 * lhs.shape[0] * EPS * np.sqrt(np.linalg.cond(rhs))
-        assert np.abs(d_fast.l_inv - d_slow.l_inv).max() <= bound * np.abs(d_slow.l_inv).max()
+        l_fast, l_slow = l_inv_of(d_fast), l_inv_of(d_slow)
+        assert np.abs(l_fast - l_slow).max() <= bound * np.abs(l_slow).max()
         for proj in (p_fast, p_slow):
             assert_matches_dense_eigh(proj.eigenvalues, proj.a, lhs, rhs,
                                       singular=not full_rank)

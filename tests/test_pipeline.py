@@ -1,10 +1,13 @@
 """End-to-end behavior of the adaptation loop and the propagation baseline."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialda import (
     AdaptationConfig,
@@ -19,6 +22,8 @@ from partialda import (
     make_one_hot,
 )
 import partialda.pipeline
+from partialda.core import _MASS_TOL
+from partialda.errors import AdaptationError
 from partialda.graph import propagate_labels
 from partialda.oracles import textbook_graph, textbook_propagate
 
@@ -232,31 +237,110 @@ def test_graph_working_set_stays_below_two_target_squares():
         assert peak < 2 * 8 * n_t**2
 
 
-def test_subspace_working_set_stays_below_three_squares_of_the_dimension():
-    # At a d-heavy shape the projection's arrays outweigh the graph.  The
-    # loop keeps L^-1 and the invariant pencil base (d x d each), the
-    # whitened targets (d x n_t) and O(d C) more (the whitened mean and
-    # class sums), plus one d x d pencil buffer that the eigensolver works
-    # in; each round adds only the (d, 3C + 3) scatter factor, a block of
-    # source columns for the objective and the k-dimensional graph.  The
-    # factoring holds the centred d x n copy for a moment beside L^-1 and
-    # the targets, d^2 + d (n + n_t) doubles, which stays below 3 d^2 +
-    # d n_t while n <= 2 d.  So the traced peak stays below 3 d^2 + d n_t
-    # doubles plus the graph's 8 (n_t^2 + 256 n) bytes.  Keeping the whole
-    # whitened data (d x n) read 5.74 MB here against this bound's 5.16 MB;
-    # rebuilding the scatter from the stacked and whitened data each round
-    # took 3 d n + 4 d^2 (R, R R.T and a copy of the pencil).
-    data = generate_synthetic(SyntheticSpec(dim=384, samples_per_class_source=50,
-                                            samples_per_class_target=20))
-    y_s = make_one_hot(data.y_s, num_classes=10)
-    d, n_s = data.x_s.shape
-    n_t = data.x_t.shape[1]
-    n = n_s + n_t
-    assert (d, n_s, n_t) == (384, 500, 100) and n <= 2 * d
-    tracemalloc.start()
-    try:
-        adapt(data.x_s, y_s, data.x_t, AdaptationConfig(k=5, max_iterations=2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (3 * d**2 + d * n_t) + 8 * (n_t**2 + 256 * n)
+def test_subspace_working_set_stays_below_two_squares_of_the_dimension():
+    # At a d-heavy shape the projection's arrays outweigh the graph.  From
+    # the factoring on, the loop keeps one d x d buffer, L^-T above its
+    # diagonal and the invariant pencil base below it, the whitened
+    # targets (d x n_t) and O(d C) more (base's diagonal, the whitened mean
+    # and class sums).  The factoring streams 256 centred columns at a
+    # time into the constraint side and writes base 256 rows at a time;
+    # each round adds one d x d pencil that the eigensolver works in, then
+    # a copy of L^-T to map back, the (d, 3C + 3) scatter factor and a
+    # block of 256 source columns for the objective.  So the projection
+    # never holds more than 2 d^2 + d n_t + 256 d doubles.  The graph runs
+    # beside the kept d^2 + d n_t with n_t^2 + b (n_s + d) doubles, for b =
+    # min(256, n_t) target rows at a time (d is the features' dimension in
+    # the first propagation, before anything is kept, and k after it).
+    # At the first shape, keeping L^-1, base and a pencil (3 d^2 + d n_t)
+    # read 4.22 MB against this bound's 3.45 MB; at the second, where n >
+    # 2 d, holding the centred d x n copy while factoring read 2.22 MB
+    # against 1.78 MB.
+    for dim, per_source in ((384, 50), (256, 60)):
+        data = generate_synthetic(SyntheticSpec(dim=dim, samples_per_class_source=per_source,
+                                                samples_per_class_target=20))
+        y_s = make_one_hot(data.y_s, num_classes=10)
+        d, n_s = data.x_s.shape
+        n_t = data.x_t.shape[1]
+        assert (n_s, n_t) == (10 * per_source, 100)
+        tracemalloc.start()
+        try:
+            adapt(data.x_s, y_s, data.x_t, AdaptationConfig(k=5, max_iterations=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        graph = n_t**2 + min(256, n_t) * (n_s + d)
+        assert peak < 8 * (d**2 + d * n_t) + 8 * max(d**2 + 256 * d, graph)
+
+
+@st.composite
+def small_runs(draw):
+    """Features, one-hot source labels and the knobs of ``adapt``, or None for the baseline.
+
+    d <= 8, C <= 4 and n_t <= 8; features of scale 1e-6 to 1e6 with a
+    common offset of 0, 1 or 1e3 times the scale, clipped at 0 on some
+    draws, as deep features are.  One run in five is the baseline.
+    """
+    d, c, n_t = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    n_s = c + draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3])) * scale
+    x = scale * rng.standard_normal((d, n_s + n_t)) + offset
+    if draw(st.booleans()):
+        x = np.maximum(x, 0.0)
+    labels = np.concatenate([np.arange(c), rng.integers(0, c, n_s - c)])
+    sigma = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    # hypothesis leans toward the low end of a range, so the baseline is
+    # the high end, and budgets count down from 4
+    config = None if draw(st.integers(0, 4)) == 4 else AdaptationConfig(
+        alpha_p=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])),
+        alpha_c=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])),
+        lam=draw(st.sampled_from([1e-3, 0.1, 10.0])),
+        k=draw(st.integers(1, d)),
+        sigma=sigma,
+        delta=draw(st.sampled_from([0.0, 1e-3, 0.1, 0.5])),
+        max_iterations=5 - draw(st.integers(1, 4)),
+    )
+    return x[:, :n_s], np.eye(c)[labels], x[:, n_s:], config, sigma
+
+
+def run_small(x_s, y_s, x_t, config, sigma):
+    """``adapt`` with ``config``, or the baseline at ``sigma`` where config is None."""
+    if config is None:
+        return baseline_propagate(x_s, y_s, x_t, sigma=sigma)
+    return adapt(x_s, y_s, x_t, config)
+
+
+@settings(max_examples=200)
+@given(small_runs())
+def test_every_run_is_valid_or_refused_by_type(run):
+    # every call either raises a typed AdaptationError or returns labels
+    # that hold what the loop promises: soft labels finite, non-negative
+    # and column-stochastic within _MASS_TOL, hard labels their argmax, and
+    # each surviving class weight its class's share of the soft mass; in
+    # the history surviving classes never rise, no run outlasts its
+    # budget, and a run that stops early stopped because no hard label
+    # changed.  No warning is raised on the way.
+    x_s, y_s, x_t, config, _ = run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = run_small(*run)
+        except AdaptationError:
+            return
+    p = result.soft_labels
+    assert p.shape == (y_s.shape[1], x_t.shape[1]) and np.isfinite(p).all()
+    assert p.min() >= 0.0 and np.abs(p.sum(axis=0) - 1.0).max() <= _MASS_TOL
+    assert np.array_equal(result.hard_labels, np.argmax(p, axis=0))
+    kept = result.class_weights > 0
+    assert kept.any()
+    assert np.array_equal(result.class_weights[kept], (p.sum(axis=1) / p.sum())[kept])
+    if config is None:
+        assert result.history == [] and result.projection is None
+        return
+    surviving = [r.surviving_classes for r in result.history]
+    assert surviving == sorted(surviving, reverse=True)
+    assert surviving[-1] == np.count_nonzero(kept)
+    assert 1 <= result.iterations_run <= config.max_iterations
+    if result.iterations_run < config.max_iterations:
+        assert result.history[-1].label_change_fraction == 0.0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import partialda._lapack as _lapack
 import partialda.subspace as subspace
 from partialda import AdaptationConfig, ConfigurationError, NumericalError, ValidationError
-from partialda._lapack import syevr_smallest
+from partialda._lapack import inv_cholesky, syevr_smallest
 from partialda.oracles import (
     build_center_operators,
     build_m0,
@@ -29,6 +30,17 @@ EPS = np.finfo(float).eps
 RIDGE_ONLY = AdaptationConfig(k=1, alpha_p=0.0, alpha_c=0.0)
 # labels for the first two columns, the source samples of the hand-made instances
 Y2 = np.eye(2)
+
+
+def l_inv_of(data):
+    """``L^-1``: the transpose of the upper triangle of ``data.shared``, which holds ``L^-T``."""
+    return np.triu(data.shared).T
+
+
+def base_of(data):
+    """The cached pencil base: ``data.shared``'s strict lower triangle, mirrored, and its diagonal."""
+    lower = np.tril(data.shared, -1)
+    return lower + lower.T + np.diag(data.base_diagonal)
 
 
 def with_k(data, k):
@@ -179,13 +191,18 @@ def test_gram_matrix_passes_features_through():
     # only the targets, the class sums and the mean are whitened
     mu = x.mean(axis=1)
     assert np.allclose(raw.mu, mu, rtol=1e-15, atol=1e-15)
-    tol = {"rtol": 1e-13, "atol": 1e-13 * np.abs(raw.l_inv).max()}
-    assert np.allclose(raw.targets, raw.l_inv @ (x_t - mu[:, None]), **tol)
-    assert np.allclose(raw.class_sums, raw.l_inv @ ((x_s - mu[:, None]) @ y_s), **tol)
-    assert np.allclose(raw.mean, raw.l_inv @ mu, **tol)
-    # no field has a column per sample of both domains
+    l_inv = l_inv_of(raw)
+    tol = {"rtol": 1e-13, "atol": 1e-13 * np.abs(l_inv).max()}
+    assert np.allclose(raw.targets, l_inv @ (x_t - mu[:, None]), **tol)
+    assert np.allclose(raw.class_sums, l_inv @ ((x_s - mu[:, None]) @ y_s), **tol)
+    assert np.allclose(raw.mean, l_inv @ mu, **tol)
+    # no field has a column per sample of both domains, and one d x d buffer
+    # holds L^-T and the cached pencil, whose diagonal is a d-vector
     kept = [getattr(raw, f.name) for f in fields(raw)]
     assert not [v for v in kept if np.ndim(v) == 2 and v.shape[1] == x.shape[1]]
+    assert [v.shape for v in kept if np.ndim(v) == 2 and v.shape[0] == v.shape[1] == 6] \
+        == [(6, 6)]
+    assert raw.shared.flags.c_contiguous and raw.base_diagonal.shape == (6,)
     with pytest.raises(ValidationError, match="2-dimensional"):
         gram_matrix(x[0], y_s, x_t, RIDGE_ONLY)
     with pytest.raises(ValidationError, match="dimensions differ"):
@@ -295,7 +312,7 @@ def test_solve_projection_smallest_eigenvalues_minimize_objective():
 def test_solve_projection_deterministic_and_signed():
     rng = np.random.default_rng(23)
     data, _, _, labels = solver_instance(rng)
-    k = max(1, data.l_inv.shape[0] // 2)
+    k = max(1, data.mu.size // 2)
     data = with_k(data, k)
     p1 = solve_projection(data, *labels)
     p2 = solve_projection(data, *labels)
@@ -308,20 +325,30 @@ def test_solve_projection_deterministic_and_signed():
 
 def test_each_solve_builds_a_pencil_of_its_own(monkeypatch):
     # the eigensolver overwrites the pencil it is given, so two solves on
-    # one data share no memory with each other or with the cached base
+    # one data share no memory with each other or with the buffer that
+    # holds L^-T and the cached base, nor with base's diagonal, and leave
+    # both as they were; the triangle the eigensolver reads is U N U.T + base
     data, _, _, labels = solver_instance(np.random.default_rng(55))
-    received = []
+    shared, diagonal = data.shared.copy(), data.base_diagonal.copy()
+    received, pencils = [], []
 
     def recording(a, k):
         received.append(a)
+        pencils.append(a.copy())
         return syevr_smallest(a, k)
 
     monkeypatch.setattr(subspace, "syevr_smallest", recording)
     first = solve_projection(data, *labels)
     second = solve_projection(data, *labels)
     assert len(received) == 2 and not np.shares_memory(*received)
-    assert not any(np.shares_memory(a, data.base) for a in received)
+    assert not any(np.shares_memory(a, data.shared) or np.shares_memory(a, data.base_diagonal)
+                   for a in received)
+    assert np.array_equal(data.shared, shared) and np.array_equal(data.base_diagonal, diagonal)
     assert np.array_equal(first.a, second.a)
+    u, n = subspace._scatter_factors(data, *labels)
+    want = u @ n @ u.T + base_of(data)
+    assert np.allclose(np.tril(pencils[0]), np.tril(want), rtol=1e-13,
+                       atol=1e-13 * np.abs(want).max())
 
 
 def test_solve_projection_k_too_large():
@@ -329,7 +356,7 @@ def test_solve_projection_k_too_large():
     rng = np.random.default_rng(24)
     x_s, y_s, x_t, p = random_instance(rng)
     data, _, _, labels = labelled_data(rng, x_s, y_s, x_t, p)
-    d = data.l_inv.shape[0]
+    d = data.mu.size
     assert solve_projection(with_k(data, d), *labels).a.shape == (d, d)
     with pytest.raises(ConfigurationError, match=f"^k={d + 1} exceeds the feature dimension {d}$"):
         gram_matrix(x_s, y_s, x_t, replace(data.config, k=d + 1))
@@ -385,20 +412,30 @@ def test_objective_matches_trace_identity():
 def test_gram_matrix_factors_the_constraint_side(monkeypatch):
     rng = np.random.default_rng(29)
     knobs = replace(RIDGE_ONLY, lam=0.3)
-    # two singular constraint sides, then two definite ones
+    received = []
+
+    def recording(a):
+        received.append(np.triu(a))  # the triangle the factorization reads
+        return inv_cholesky(a)
+
+    monkeypatch.setattr(subspace, "inv_cholesky", recording)
+    # two singular constraint sides, then two definite ones, each streamed
+    # and whitened in one block and in blocks of 4 columns, with base
+    # written in one block of rows and in blocks of 4 rows
     for shape in ((9, 5), (40, 12), (12, 40), (5, 9)):
         x = rng.standard_normal(shape)
         x_s, x_t = x[:, :2], x[:, 2:]
-        for rhs_reg in (1e-4, 1e-10):
+        for block, rhs_reg in product((subspace._BLOCK, 4), (1e-4, 1e-10)):
+            monkeypatch.setattr(subspace, "_BLOCK", block)
             monkeypatch.setattr(subspace, "_RHS_REG", rhs_reg)
             data = gram_matrix(x_s, Y2, x_t, knobs)
             z, n = x, shape[1]
-            l_inv = data.l_inv
-            # dtrtri leaves exact zeros above the diagonal; np.linalg.inv's LU need not
-            if "dtrtri" in _lapack._lookup():
-                assert np.all(np.triu(l_inv, 1) == 0.0)
-            else:
-                assert np.allclose(l_inv, np.tril(l_inv), atol=1e-12)
+            l_inv = l_inv_of(data)
+            # the streamed constraint side Zc Zc.T + eps_r I, in the triangle
+            # the factorization reads
+            _, rhs = dense_pencil(z, np.zeros((n, n)), 0.3)
+            assert np.allclose(received[-1], np.triu(rhs), rtol=1e-13,
+                               atol=1e-13 * np.abs(rhs).max())
             # the whitened data L^-1 Z, split into its centred part and its
             # mean: the targets column by column, the sources by class
             whitened = l_inv @ z
@@ -412,16 +449,16 @@ def test_gram_matrix_factors_the_constraint_side(monkeypatch):
             # L^-1 rhs L^-T ~ 1e-6 off I and the small entries of lam L^-1 L^-T
             # without 13 correct digits of their own
             if rhs_reg == 1e-4:
-                _, rhs = dense_pencil(z, np.zeros((n, n)), 0.3)
                 assert np.allclose(l_inv @ rhs @ l_inv.T, np.eye(z.shape[0]), atol=1e-9)
-                assert np.allclose(data.base, 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
+                assert np.allclose(base_of(data), 0.3 * l_inv @ l_inv.T, rtol=1e-13, atol=1e-13)
             # with alignment weights, base adds their round-invariant part,
             # whose Wc Wc.T gram_matrix reads off the factor as I - eps_r L^-1 L^-T
             l_ld = l_inv.astype(np.longdouble)
             wc = l_ld @ (z - z.mean(axis=1, keepdims=True)).astype(np.longdouble)
             want = 0.7 * wc @ wc.T + 1.9 * wc[:, 2:] @ wc[:, 2:].T + 0.3 * l_ld @ l_ld.T
-            got = gram_matrix(x_s, Y2, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)).base
+            got = base_of(gram_matrix(x_s, Y2, x_t, replace(knobs, alpha_p=1.9, alpha_c=0.7)))
             assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    monkeypatch.undo()
     # the knobs were checked when the AdaptationConfig was built
     # (tests/test_core.py); each feature matrix is checked before anything is factored
     for bad in (np.nan, np.inf, -np.inf):
@@ -507,7 +544,7 @@ def test_objective_is_not_swamped_by_the_whitened_ridge(monkeypatch):
         proj, data, z, m_all, _ = factored_instance(rng, full_rank=False)
         a = proj.a
         want = float(np.trace(a.T @ z @ m_all @ z.T @ a) + 0.1 * np.sum(a ** 2))
-        assert 0.1 * np.linalg.norm(data.l_inv, 2) ** 2 >= 1e3 * want
+        assert 0.1 * np.linalg.norm(l_inv_of(data), 2) ** 2 >= 1e3 * want
         assert proj.objective == pytest.approx(want, rel=1e-10)
 
 
@@ -526,8 +563,8 @@ def test_objective_reads_the_source_features_a_block_at_a_time(monkeypatch):
     p /= p.sum(axis=0)
     data = gram_matrix(x_s, np.eye(c)[labels], x_t, AdaptationConfig(k=4))
     peaks, objectives = [], []
-    for block in (subspace._OBJECTIVE_BLOCK, n_s):
-        monkeypatch.setattr(subspace, "_OBJECTIVE_BLOCK", block)
+    for block in (subspace._BLOCK, n_s):
+        monkeypatch.setattr(subspace, "_BLOCK", block)
         tracemalloc.start()
         try:
             objectives.append(solve_projection(data, np.ones(c), p).objective)
@@ -536,6 +573,29 @@ def test_objective_reads_the_source_features_a_block_at_a_time(monkeypatch):
             tracemalloc.stop()
     assert peaks[0] < 8 * d * n_s / 10 < 8 * d * n_s < peaks[1]
     assert objectives[0] == pytest.approx(objectives[1], rel=1e-14)
+
+
+def test_gram_matrix_makes_no_per_sample_temporary():
+    # The factoring streams blocks of centred columns: beside the arrays it
+    # returns, the d x d buffer and the whitened targets (d, n_t), it holds
+    # one block of _BLOCK columns, numpy's iterator buffers for centring a
+    # block (up to three of np.getbufsize() doubles) and O(d C) more, so a
+    # centred (d, n) copy or a second (d, n_t) array would show.
+    rng = np.random.default_rng(61)
+    d, n_s, n_t, c = 32, 12000, 3000, 4
+    labels = np.arange(n_s) % c
+    x_s = rng.standard_normal((d, n_s)) + 3.0 * np.eye(d)[:, labels]
+    x_t = rng.standard_normal((d, n_t))
+    y_s = np.eye(c)[labels]
+    tracemalloc.start()
+    try:
+        gram_matrix(x_s, y_s, x_t, AdaptationConfig(k=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slack = 8 * (subspace._BLOCK * d + 3 * np.getbufsize()) + 2**16
+    assert peak < 8 * (d * d + d * n_t) + slack
+    assert slack < 8 * d * n_t < 8 * d * (n_s + n_t)
 
 
 def test_import_leaves_scipy_unloaded():
