@@ -171,17 +171,17 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     """Build the graph, optionally reweight it, and propagate source labels.
 
     Affinities are ``exp(-(d / sigma)**2)`` of the cosine distance d
-    between embedded samples.  Self loops among targets are removed, then
-    each row of ``[W_ts | W_tt]`` is divided by its sum; a row that
-    underflows to zero everywhere (possible only for very small sigma)
-    falls back to uniform affinities.
-
-    With ``class_weights`` w, each source column is scaled by its sample's
-    weight ``y_s @ w`` divided by the largest source's (so uniform weights
-    leave the graph as it was), and the rows are renormalized.  A row left
-    without mass falls back to uniform target affinities or, when it is the
-    only target, to the uniform source row reweighted the same way; those
-    rows are counted.
+    between embedded samples.  Self loops among targets are removed; with
+    ``class_weights`` w, each source column is scaled by its sample's
+    factor, its weight ``y_s @ w`` over the largest source's (so uniform
+    weights leave the graph as it was); then each row of ``[W_ts | W_tt]``
+    is divided by its sum.  A row without mass, its affinities all
+    underflowed (possible only for very small sigma) or its sources all
+    weighted 0 and no target in reach, falls back to uniform affinities
+    weighted the same way: 1 to every other target and each source its
+    factor.  Only the rows the weighting emptied, those with raw source
+    mass, are counted; if every target is emptied, each gets the weighted
+    class prior ``f @ y_s / f.sum()`` for the factors f.
 
     The soft labels solve ``(I - W_tt) F = W_ts Y_s``.  Every input is
     checked before the graph is built, and none is modified.  The graph is
@@ -215,7 +215,7 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
         One column of class probabilities per target; each sums to one
         within ``_MASS_TOL``.
     graph_fallbacks : int
-        Rows the reweighting left without mass (0 without ``class_weights``).
+        Rows the weighting emptied (0 without ``class_weights``).
 
     Raises
     ------
@@ -254,24 +254,16 @@ def propagate_labels(z_s, z_t, sigma: float, y_s,
     k_tt, masses, degrees = _affinity_blocks(
         z_s, z_t, sigma, np.column_stack([f[:, None] * y_s, f, np.ones(n_s)]))
     rhs, weighted, raw = masses[:, :c], masses[:, c], masses[:, c + 1]
-    # K_tt is symmetric, so a row without affinities is also a zero column:
-    # each fallback below is one system column and one rhs row
-    dead = np.flatnonzero(raw + degrees == 0.0)  # underflowed: uniform, then weighted
+    degrees += weighted
+    # underflowed or emptied by the weighting: uniform affinities, then
+    # weighted.  K_tt is symmetric, so a row without affinities is also a
+    # zero column: each fallback is one system column and one rhs row
+    dead = np.flatnonzero(degrees == 0.0)
     k_tt[:, dead] = 1.0
     rhs[dead] = spread
-    weighted[dead] = f.sum()
-    degrees[dead] = n_t - 1
-    degrees += weighted
-    lost = np.flatnonzero(degrees == 0.0)  # emptied by the weighting
-    if n_t > 1:  # uniform over the other targets
-        k_tt[:, lost] = 1.0
-        rhs[lost] = 0.0
-        degrees[lost] = n_t - 1
-    else:  # the uniform source row, reweighted
-        rhs[lost] = spread
-        degrees[lost] = f.sum()
+    degrees[dead] = n_t - 1 + f.sum()
     # (I - D'^-1 K_tt).T = I - K_tt D'^-1, by columns: the system in Fortran order
     np.divide(k_tt, -degrees, out=k_tt)
     k_tt.reshape(-1)[:: n_t + 1] = 1.0
     rhs /= degrees[:, None]
-    return _solve(k_tt, rhs), lost.size
+    return _solve(k_tt, rhs), int(np.count_nonzero(raw[dead]))

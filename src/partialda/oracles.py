@@ -198,7 +198,10 @@ def textbook_normalize(w_ts, w_tt):
 
 
 def textbook_graph(z_s, z_t, sigma):
-    """Row-normalized ``(W_ts, W_tt)``, rows that underflow everywhere made uniform."""
+    """Row-normalized ``(W_ts, W_tt)``, rows that underflow everywhere made uniform.
+
+    A uniform row is 1 to every source and every other target, normalized.
+    """
     w_ts = np.exp(-(textbook_cosine(z_t, z_s) / sigma) ** 2)
     w_tt = np.exp(-(textbook_cosine(z_t, z_t) / sigma) ** 2)
     np.fill_diagonal(w_tt, 0.0)
@@ -214,19 +217,18 @@ def textbook_graph(z_s, z_t, sigma):
 def textbook_reweight(w_ts, w_tt, w, source_classes):
     """Class-scaled ``(W_ts, W_tt)`` and the number of rows left without mass.
 
-    The factors come from class weights indexed by class ids, not from
-    the label matrix ``propagate_labels`` multiplies them by, so the two
-    routes meet only in their result.
+    Such a row falls back as in :func:`textbook_graph`, each source then
+    scaled by its factor.  The factors come from class weights indexed by
+    class ids, not from the label matrix ``propagate_labels`` multiplies
+    them by, so the two routes meet only in their result.
     """
     factors = w[source_classes]
     factors = factors / factors.max()
     w_ts, w_tt, dead = textbook_normalize(w_ts * factors[None, :], w_tt)
     if dead.any():
-        if w_tt.shape[0] > 1:
-            w_tt[dead] = 1.0
-            np.fill_diagonal(w_tt, 0.0)
-        else:  # the uniform source row, reweighted
-            w_ts[dead] = factors
+        w_ts[dead] = factors
+        w_tt[dead] = 1.0
+        np.fill_diagonal(w_tt, 0.0)
         w_ts, w_tt, _ = textbook_normalize(w_ts, w_tt)
     return w_ts, w_tt, int(dead.sum())
 

@@ -60,3 +60,7 @@ def test_solve_stays_within_the_benchmark_gate(bench_run, tmp_path, name, seed):
     assert np.abs(p - soft).max() <= bench_run.SOFT_TOL
     report = json.loads((out / "report.json").read_text())
     assert report["iterations_run"] == recorded["rounds"]
+    # cosine distances are at most 2, so at the default sigma of 0.1 every
+    # affinity is at least exp(-400), a normal double: no affinity
+    # underflows, no row is left empty, and no graph row is repaired
+    assert report["warnings"] == {"mask_fallbacks": 0, "graph_fallbacks": 0}

@@ -9,11 +9,14 @@ of the unnormalized affinities and scales by the row sums once, so its soft
 labels meet the textbook's to rounding, not bit for bit.
 """
 
+import itertools
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -120,12 +123,12 @@ def random_labels(rng, n_s):
     return y
 
 
-def graph_cases(rng):
+def graph_cases(rng, n_max=8):
     """Random embeddings plus the underflow paths: all rows dead, some rows dead."""
     for _ in range(40):
         d = int(rng.integers(2, 6))
-        z_s = rng.standard_normal((d, int(rng.integers(1, 9))))
-        z_t = rng.standard_normal((d, int(rng.integers(1, 9))))
+        z_s = rng.standard_normal((d, int(rng.integers(1, n_max + 1))))
+        z_t = rng.standard_normal((d, int(rng.integers(1, n_max + 1))))
         yield z_s, z_t, float(rng.uniform(0.05, 2.0))
     e = np.eye(4)
     yield e[:, :1], e[:, 1:3], 1e-3  # every affinity underflows
@@ -136,15 +139,15 @@ def graph_cases(rng):
 SPARSE_CASES = 25
 
 
-def sparse_cases(rng):
+def sparse_cases(rng, n_max=8):
     """Tight clusters on orthogonal axes at small sigma: cross-cluster affinities are 0.0.
 
     Every axis carries a source, so every target keeps source mass.
     """
     for _ in range(SPARSE_CASES):
         d = int(rng.integers(2, 5))
-        n_s = int(rng.integers(d, 9))
-        n_t = int(rng.integers(2, 9))
+        n_s = int(rng.integers(d, n_max + 1))
+        n_t = int(rng.integers(2, n_max + 1))
         on_s = np.concatenate([np.arange(d), rng.integers(0, d, n_s - d)])
         z_s = np.eye(d)[:, on_s] + 0.05 * rng.standard_normal((d, n_s))
         z_t = np.eye(d)[:, rng.integers(0, d, n_t)] + 0.05 * rng.standard_normal((d, n_t))
@@ -318,8 +321,8 @@ def test_owned_cases_reach_the_edge_paths():
     z_s, z_t, sigma = cases[-1]
     w_tt = textbook_graph(z_s, z_t, sigma)[1]
     assert np.count_nonzero(w_tt == 0.0) > w_tt.shape[0]
-    # an all-zero weighting, which once reached the single-target fallback,
-    # is refused before the graph is built
+    # an all-zero weighting leaves no source to fall back on, so it is
+    # refused before the graph is built
     z_s, z_t, sigma = cases[-3]
     assert solved(z_s, z_t, sigma, np.ones((5, 1)), np.zeros(1)) == ALL_ZERO
 
@@ -784,14 +787,31 @@ def test_reweight_dead_row_fallbacks():
     assert np.array_equal(p, [[0.0], [1.0]])
 
     # target 0 sits on the class-1 source and sees nothing else at this
-    # sigma; masking class 1 empties its row, which falls back to uniform
-    # target affinities and so copies target 1, which sits on the class-0
-    # source
+    # sigma; masking class 1 empties its row, which falls back to the
+    # uniform row reweighted: the class-0 source and target 1, which sits
+    # on it
     e = np.eye(2)
     p, n_dead = propagate_labels(e, e[:, [1, 0]], 0.02, np.eye(2),
                                  np.array([0.5, 0.0]))
     assert n_dead == 1
     assert np.array_equal(p, [[1.0, 1.0], [0.0, 0.0]])
+
+    # the same rule beside another target: target 0 sits on the masked
+    # class-1 source, target 1 on the class-2 one, and target 0's row is
+    # 1/3 to each of the class-0 source, the class-2 source and target 1:
+    # (e0 + e2 + e2) / 3
+    p, n_dead = propagate_labels(np.eye(3), np.eye(3)[:, [1, 2]], 0.02, np.eye(3),
+                                 [1.0, 0.0, 1.0])
+    assert n_dead == 1
+    assert np.allclose(p, [[1 / 3, 0.0], [0.0, 0.0], [2 / 3, 1.0]], rtol=0, atol=1e-15)
+
+    # every target emptied: both see only class-1 sources, so each row is
+    # 1/2 to the class-0 source and 1/2 to the other target, and both get
+    # the weighted class prior (1, 0); every row is counted
+    p, n_dead = propagate_labels(np.eye(4)[:, :3], np.eye(4)[:, [1, 2]], 0.02,
+                                 np.eye(2)[[0, 1, 1]], [1.0, 0.0])
+    assert n_dead == 2
+    assert np.allclose(p, [[1.0, 1.0], [0.0, 0.0]], rtol=0, atol=1e-15)
 
 
 def test_reweight_validation(monkeypatch):
@@ -851,10 +871,9 @@ def multi_block_case(rng, pair=False):
     on axes 0-2, at a sigma where every cross-axis affinity underflows to
     0.0.  The ``LONELY`` rows fall back to uniform affinities when built; the
     ``ON_MASKED`` rows lose all their mass when classes 3 and 4 are masked and
-    fall back to uniform target affinities; the last of them is alone in the
-    last block, yet it is not the only target.  With ``pair``, the first and
-    last lonely targets share axis 5, so they see only each other and
-    ``I - W_tt`` is singular.
+    fall back the same way, reweighted; the last of them is alone in the
+    last block.  With ``pair``, the first and last lonely targets share
+    axis 5, so they see only each other and ``I - W_tt`` is singular.
     """
     n_t = 2 * BLOCK + 1
     classes = np.repeat(np.arange(5), 12)
@@ -884,8 +903,8 @@ WEIGHTINGS = (None, np.array([0.9, 0.5, 0.7, 0.0, 0.0]))
 
 def test_multi_block_matches_textbook_and_fixed_point():
     # rows past the first block put their diagonal at column r0 + i; the
-    # fallbacks there and the single-target rule (keyed on n_t, not on the
-    # block) must match the textbook chain over the whole graph
+    # fallbacks there, and those of a single target, must match the
+    # textbook chain over the whole graph
     rng = np.random.default_rng(41)
     fallbacks = []
     for z_s, z_t, sigma, y, classes in edge_cases(rng):
@@ -953,6 +972,60 @@ def test_solve_fallback_is_bit_identical_to_in_place(monkeypatch):
     in_place = [outcome(*args) for args in cases]
     monkeypatch.setattr(partialda._lapack, "_lookup", dict)
     assert [outcome(*args) for args in cases] == in_place
+
+
+def test_harmonic_solve_is_within_its_forward_error_bound_of_a_40_digit_solve(monkeypatch):
+    # every system gesv is handed, and its right-hand side, is copied and
+    # solved again by mpmath at 40 digits, exact for these bounds.  I - W_tt
+    # is diagonally dominant by rows, so LU with partial pivoting grows its
+    # entries by at most 2 (Wilkinson; Higham, Thm 9.9), which scipy's LU of
+    # the same copy confirms.  Its backward error is then about
+    # 3 n_t eps * 2 (Higham, Thm 9.4, with ||L||U|| ~ growth * ||A||), and
+    # each solution column's relative forward error, so also the whole
+    # solution's, at most cond_inf times that: 6 n_t eps cond_inf.  The
+    # graphs are drawn as graph_cases and sparse_cases draw them, with up to
+    # 24 targets, plus those of graph_cases seed 36, one of cond 6e6
+    real, systems = partialda.graph.gesv, []
+
+    def judged(a, b):
+        copies = a.copy(), b.copy()
+        x = real(a, b)
+        systems.append((*copies, x.copy()))
+        return x
+
+    def returned(*args):
+        """Solve, and judge the system only if its soft labels are returned."""
+        mark = len(systems)
+        if isinstance(solved(*args), str):
+            del systems[mark:]
+
+    monkeypatch.setattr(partialda.graph, "gesv", judged)
+    rng = np.random.default_rng(43)
+    for z_s, z_t, sigma in itertools.chain(itertools.islice(graph_cases(rng, 24), 10),
+                                           itertools.islice(sparse_cases(rng, 24), 8)):
+        y, _, (w, _) = weighted_cases(rng, z_s)
+        returned(z_s, z_t, sigma, y)
+        returned(z_s, z_t, sigma, y, w)
+    rng = np.random.default_rng(36)
+    for z_s, z_t, sigma in graph_cases(rng):
+        y, _, (w, _) = weighted_cases(rng, z_s)
+        returned(z_s, z_t, sigma, y, w)
+    eps, conds, ratios = np.finfo(float).eps, [], []
+    with mpmath.workdps(40):
+        for a, b, x in systems:
+            n_t = a.shape[0]
+            a_mp = mpmath.matrix(a.tolist())
+            exact = np.array([[float(v) for v in mpmath.lu_solve(a_mp, mpmath.matrix(col.tolist()))]
+                              for col in b.T]).T
+            growth = np.abs(np.triu(scipy.linalg.lu_factor(a)[0])).max() / np.abs(a).max()
+            assert growth <= 2.0
+            cond = np.linalg.cond(a, np.inf)
+            error = np.abs(x - exact).max() / np.abs(exact).max()
+            assert error <= 6 * n_t * eps * cond
+            conds.append(cond)
+            ratios.append(error / (eps * cond))
+    assert 1e6 < max(conds) < 1e7 and max(a.shape[0] for a, _, _ in systems) > 20
+    print(f"{len(systems)} systems, largest error / (eps cond) {max(ratios):.3g}")
 
 
 @pytest.mark.parametrize("path", ["in place", "np.linalg.solve"])
